@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import CertificateFailure
 from .polynomials import IntPoly, count_real_roots, sturm_sequence
 from .scalar import NumberField, Scalar, as_scalar
 from .snf import char_poly
@@ -32,7 +33,8 @@ def _largest_real_root(p: IntPoly, hi_bound: Fraction, tol: Fraction):
         return hi_bound, hi_bound, s
     seq = sturm_sequence(q.coeffs)
     lo, hi = Fraction(0), Fraction(hi_bound)
-    assert count_real_roots(q.coeffs, lo, hi, seq) >= 1
+    if count_real_roots(q.coeffs, lo, hi, seq) < 1:
+        raise CertificateFailure("no real root of %s in (0, %s]" % (q.text(), hi_bound))
     while hi - lo > tol:
         mid = (lo + hi) / 2
         if q(mid) == 0:

@@ -77,6 +77,13 @@ class CyclicityNotEstablished(ImapkError):
     pass
 
 
+class CertificateFailure(ImapkError):
+    """A computed result failed the exact check that certifies it.
+
+    Raised instead of ``assert`` so the check survives ``python -O``.
+    """
+
+
 class InconsistentCaseData(ImapkError):
     pass
 

@@ -37,9 +37,6 @@ class CutPoint:
         if self.side not in (MINUS, PLUS):
             raise ValueError("side must be '-' or '+'")
 
-    def order_key(self):
-        return (self.value, 0 if self.side == MINUS else 1)
-
     def __lt__(self, other):
         c = self.value.compare(other.value)
         if c != 0:
@@ -117,10 +114,6 @@ class PMMap:
             *(b.slope for b in self.branches),
             *(b.intercept for b in self.branches),
         )
-
-    @property
-    def n_branches(self):
-        return len(self.branches)
 
     def branch_index_at(self, x, side=PLUS):
         """Index of the branch acting on the cut point (x, side), 0-based.

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
+    CertificateFailure,
     CyclicityNotEstablished,
     InconsistentCaseData,
     NonIntegerDependence,
@@ -82,19 +84,21 @@ def _sample_rows(fns, breaks):
 
 
 def _solve_dependence(basis, target):
-    """Exact rational solution of sum x_i * basis_i = target, or None."""
+    """Exact rational solution of sum x_i * basis_i = target, or None.
+
+    Fraction-free Gauss-Jordan on the integer samples: a row is eliminated as
+    (pv/g)*row - (f/g)*pivot_row with g = gcd(pv, f) and then divided by its
+    content, so no rational number appears until the final quotients.
+    """
     # a dependence forces every breakpoint of the target to appear on the left
     known = set(b for f in basis for b in f.breaks)
     if any(b not in known for b in target.breaks):
         return None
     breaks = sorted(known)
-    all_fns = basis + [target]
-    sampled = _sample_rows(all_fns, breaks)
-    rows = [[Fraction(v) for v in row[:-1]] for row in sampled]
-    rhs = [Fraction(row[-1]) for row in sampled]
+    # repeated samples carry no information: the solution set stays the same
+    sampled = dict.fromkeys(map(tuple, _sample_rows(basis + [target], breaks)))
+    aug = [list(row) for row in sampled]
     n = len(basis)
-    # Gaussian elimination on the augmented system
-    aug = [row + [r] for row, r in zip(rows, rhs)]
     pivots = []
     rank_row = 0
     for col in range(n):
@@ -106,12 +110,16 @@ def _solve_dependence(basis, target):
         if piv is None:
             continue
         aug[rank_row], aug[piv] = aug[piv], aug[rank_row]
-        pv = aug[rank_row][col]
-        aug[rank_row] = [x / pv for x in aug[rank_row]]
+        pivot_row = aug[rank_row]
+        pv = pivot_row[col]
         for r in range(len(aug)):
-            if r != rank_row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[rank_row])]
+            f = aug[r][col]
+            if r != rank_row and f != 0:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                row = [a * x - b * y for x, y in zip(aug[r], pivot_row)]
+                content = gcd(*row)
+                aug[r] = [x // content for x in row] if content > 1 else row
         pivots.append(col)
         rank_row += 1
     for r in range(rank_row, len(aug)):
@@ -119,7 +127,7 @@ def _solve_dependence(basis, target):
             return None  # inconsistent: target independent of basis
     solution = [Fraction(0)] * n
     for row_idx, col in enumerate(pivots):
-        solution[col] = aug[row_idx][n]
+        solution[col] = Fraction(aug[row_idx][n], aug[row_idx][col])
     return solution
 
 
@@ -145,7 +153,10 @@ def minimal_polynomial_iter(m, cap=64, breakpoint_cap=10000):
             if any(c.denominator != 1 for c in coeffs):
                 raise NonIntegerDependence(coeffs)
             poly = monic_from_dependence([int(c) for c in coeffs], step)
-            assert apply_int_poly(m, poly, v0).is_zero
+            if not apply_int_poly(m, poly, v0).is_zero:
+                raise CertificateFailure(
+                    "minimal polynomial %s does not annihilate 1" % poly.text()
+                )
             return MinPolyReport(poly, "iteration", "unknown", iterations=step)
         vs.append(v)
         accumulated |= set(v.breaks)

@@ -58,12 +58,6 @@ def poly_mul(p, q):
     return poly_trim(out)
 
 
-def poly_scale(p, s):
-    if s == 0:
-        return ()
-    return tuple(c * s for c in p)
-
-
 def poly_derivative(p):
     return poly_trim(i * c for i, c in enumerate(p) if i >= 1)
 
@@ -153,10 +147,6 @@ class IntPoly:
     def is_zero(self):
         return not self.coeffs
 
-    @property
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __call__(self, x):
         return poly_eval(self.coeffs, x)
 
@@ -177,9 +167,6 @@ class IntPoly:
 
     def __neg__(self):
         return IntPoly(poly_neg(self.coeffs))
-
-    def derivative(self):
-        return IntPoly(poly_derivative(self.coeffs))
 
     def content(self):
         g = 0

@@ -379,19 +379,28 @@ def compute(spec: MapSpecFile, options: PipelineOptions):
     ):
         refusals.append(cyclicity_refusal)
 
-    # consistency: |m(1)| vs incidence torsion
+    # consistency: |m(1)| vs incidence torsion.  Equality needs the constant
+    # function to generate the module; without that, m divides the
+    # characteristic polynomial of A, so |m(1)| divides |det(id - A)|, the
+    # order of the cokernel (0 when it is infinite)
     if minpoly_report is not None and incidence_route is not None:
         n = minpoly_report.n_value
         torsion_product = 1
         for d in incidence_route.torsion:
             torsion_product *= d
-        both_zero = n == 0 and incidence_route.free_rank > 0
-        agree = both_zero or (
-            n == torsion_product and incidence_route.free_rank == 0
-        )
+        if minpoly_report.cyclicity == "unknown":
+            order = 0 if incidence_route.free_rank > 0 else torsion_product
+            check = "|m(1)| divides the order of the incidence cokernel"
+            agree = order % n == 0 if n else order == 0
+        else:
+            check = "|m(1)| equals the torsion of the incidence cokernel"
+            both_zero = n == 0 and incidence_route.free_rank > 0
+            agree = both_zero or (
+                n == torsion_product and incidence_route.free_rank == 0
+            )
         consistency.append(
             {
-                "check": "|m(1)| equals the torsion of the incidence cokernel",
+                "check": check,
                 "status": "pass" if agree else "FAIL",
                 "detail": "|m(1)| = %d, torsion product = %d, free rank = %d"
                 % (n, torsion_product, incidence_route.free_rank),

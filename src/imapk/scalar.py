@@ -211,10 +211,6 @@ class Scalar:
             raise ValueError("not a rational scalar")
         return self.coeffs[0]
 
-    @property
-    def is_integer(self):
-        return self.field is None and self.coeffs[0].denominator == 1
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):

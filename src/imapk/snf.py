@@ -5,14 +5,18 @@ The Smith decomposition U*M*V = D is computed with deterministic pivoting
 before being returned: the transforms are unimodular and the diagonal
 satisfies the divisibility chain.  Cokernels and kernels of id - A are read
 off the diagonal, which is all the K-group computations need.
+
+The characteristic polynomial is computed in exact integers (Faddeev-LeVerrier
+with exact division), and the stationary presentation reads its determinant
+and the rank of its limit group off that polynomial.  A failed check raises
+:class:`CertificateFailure`, which ``python -O`` cannot remove.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import NotSquare
+from .errors import CertificateFailure, NotSquare
 from .polynomials import IntPoly
 
 
@@ -66,43 +70,28 @@ def determinant(A):
 
 
 def char_poly(A):
-    """Characteristic polynomial det(tI - A) by Faddeev-LeVerrier, exact."""
+    """Characteristic polynomial det(tI - A) of an integer matrix.
+
+    Faddeev-LeVerrier: M_0 = I, c_k = -tr(A*M_{k-1})/k, M_k = A*M_{k-1} + c_k*I.
+    For integer A every c_k is an integer, so the division is exact and M
+    stays an integer matrix.
+    """
     n = len(A)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
     M = identity_matrix(n)
-    AM = A
     for k in range(1, n + 1):
         AM = mat_mul(A, M)
-        c = Fraction(-sum(AM[i][i] for i in range(n)), k)
+        c, r = divmod(-sum(AM[i][i] for i in range(n)), k)
+        if r:
+            raise CertificateFailure(
+                "Faddeev-LeVerrier trace not divisible by %d: not an integer matrix" % k
+            )
         coeffs[n - k] = c
-        M = [[AM[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            AM[i][i] += c
+        M = AM
     return IntPoly(coeffs)
-
-
-def rational_rank(A):
-    """Rank over the rationals by fraction Gauss elimination."""
-    M = [[Fraction(x) for x in row] for row in A]
-    rows, cols = len(M), len(M[0]) if M else 0
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if M[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        M[rank], M[pivot] = M[pivot], M[rank]
-        pv = M[rank][col]
-        for r in range(rows):
-            if r != rank and M[r][col] != 0:
-                f = M[r][col] / pv
-                M[r] = [a - f * b for a, b in zip(M[r], M[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 @dataclass
@@ -206,22 +195,27 @@ def smith_normal_form(M):
     return decomp
 
 
+def _require(condition, message):
+    if not condition:
+        raise CertificateFailure("Smith certificate: " + message)
+
+
 def _verify(M, decomp):
-    assert mat_mul(mat_mul(decomp.U, M), decomp.V) == decomp.D
-    assert abs(determinant(decomp.U)) == 1
-    assert abs(determinant(decomp.V)) == 1
+    _require(mat_mul(mat_mul(decomp.U, M), decomp.V) == decomp.D, "U*M*V != D")
+    _require(abs(determinant(decomp.U)) == 1, "U is not unimodular")
+    _require(abs(determinant(decomp.V)) == 1, "V is not unimodular")
     for i, row in enumerate(decomp.D):
         for j, x in enumerate(row):
             if i != j:
-                assert x == 0, "off-diagonal entry left"
+                _require(x == 0, "off-diagonal entry left")
             else:
-                assert x >= 0, "diagonal entries must be nonnegative"
+                _require(x >= 0, "diagonal entries must be nonnegative")
     diag = decomp.diagonal()
     nonzero = [d for d in diag if d]
     zeros = [d for d in diag if not d]
-    assert diag == nonzero + zeros, "zero diagonal entries must come last"
+    _require(diag == nonzero + zeros, "zero diagonal entries must come last")
     for a, b in zip(nonzero, nonzero[1:]):
-        assert b % a == 0, "divisibility chain broken"
+        _require(b % a == 0, "divisibility chain broken")
 
 
 @dataclass
@@ -306,16 +300,14 @@ class DimensionTriplePresentation:
 def stationary_dimension_triple(A):
     n = _require_square(A)
     p = char_poly(A)
-    det = determinant(A)
-    # rank of the limit group: rank of A^n over the rationals
-    power = identity_matrix(n)
-    for _ in range(n):
-        power = mat_mul(power, A)
-    limit_rank = rational_rank(power)
+    coeffs = p.coeffs
+    det = (-1) ** n * coeffs[0]
+    # rank of the limit group is the rank of A^n; the kernel of A^n is the
+    # generalized 0-eigenspace, whose dimension is the multiplicity of the root 0
+    limit_rank = n - next(i for i, c in enumerate(coeffs) if c)
     limit_note = ""
     auto_note = ""
     # single nonzero eigenvalue k: char poly t^(n-1) (t - k)
-    coeffs = p.coeffs
     if n >= 1 and all(c == 0 for c in coeffs[: n - 1]) and coeffs[n] == 1:
         k = -coeffs[n - 1]
         if k > 1:

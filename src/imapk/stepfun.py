@@ -61,9 +61,6 @@ class StepFn:
             i = bisect.bisect_left(self.breaks, x)
         return self.values[i]
 
-    def value_at_cut(self, c):
-        return self.value_at(c.value, c.side)
-
     def __eq__(self, other):
         return (
             isinstance(other, StepFn)
@@ -210,19 +207,9 @@ def transfer(m, f):
     return linear_comb([1] * len(parts), parts)
 
 
-def transfer_power(m, f, k):
-    for _ in range(k):
-        f = transfer(m, f)
-    return f
-
-
 def apply_int_poly(m, poly, f):
     """Evaluate p(L) applied to f by Horner, computing fresh transfers."""
     acc = ZERO_FN
     for c in reversed(poly.coeffs):
         acc = transfer(m, acc) + c * f
     return acc
-
-
-def total_breakpoints(fns):
-    return len(set(b for f in fns for b in f.breaks))

@@ -1,5 +1,7 @@
 """Pipeline-level behavior: verdict routing, soundness gates, invariants."""
 
+from pathlib import Path
+
 from imapk.interval_map import eval_multivalued
 from imapk.ktheory import unimodal_minpoly, unimodal_orbit_data
 from imapk.orbit import critical_closure, forward_orbit
@@ -19,6 +21,18 @@ def test_cuntz_krieger_verdict_for_realization():
     assert cls["k0"] == {"torsion": [2, 2], "free_rank": 0}
     assert cls["k1"] == {"free_rank": 0}
     assert report["markov"]["separation"]["status"] == "separates"
+
+
+def test_realization_spec_has_no_consistency_failure():
+    # m = t - 2 generates only part of K0 = Z/2 + Z/2; with cyclicity unknown
+    # the check is that |m(1)| = 1 divides the cokernel order 4
+    text = (Path(__file__).resolve().parents[1] / "specs" / "realization.imapk").read_text()
+    report, code = run("classify", parse_spec(text))
+    assert code == 0
+    assert report["minimal_polynomial"]["cyclicity"] == "unknown"
+    assert all(c["status"] != "FAIL" for c in report["consistency"])
+    checks = {c["check"]: c["status"] for c in report["consistency"]}
+    assert checks["|m(1)| divides the order of the incidence cokernel"] == "pass"
 
 
 def test_identity_map_flags_and_kgroups():
