@@ -12,6 +12,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import (
+    CertificateFailure,
     HypothesisViolatedWithinCap,
     NotAnExchangeMap,
     ParameterOutOfRange,
@@ -239,7 +240,8 @@ def _build_markov_realization(A):
             pts.append(as_scalar(cursor))
             branches.append((slope, intercept))
             cursor += length
-        assert cursor == Fraction(i + 1, mdim)
+        if cursor != Fraction(i + 1, mdim):
+            raise CertificateFailure("realization: row %d does not fill its interval" % (i + 1))
     pts.append(ONE)
     m = validate_map(pts, branches)
     notes = list(m.notes)

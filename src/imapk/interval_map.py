@@ -225,23 +225,19 @@ def validate_map(partition, branches):
 def eval_multivalued(m, x):
     """Set of one-sided limit values of the map at x, as a sorted tuple."""
     x = as_scalar(x)
-    if x < ZERO or x > ONE:
-        raise OutOfDomain("%s is outside [0,1]" % x.text())
-    values = []
-    for i, p in enumerate(m.partition):
-        if x == p:
-            if i > 0:
-                values.append(m.branches[i - 1](x))
-            if i < len(m.branches):
-                values.append(m.branches[i](x))
-            break
-    else:
-        values.append(m.branches[m.branch_index_at(x)](x))
-    out = []
-    for v in sorted(values):
-        if not out or out[-1] != v:
-            out.append(v)
-    return tuple(out)
+    pts = m.partition
+    i = bisect.bisect_left(pts, x)
+    if i == len(pts) or x != pts[i]:
+        if i == 0 or i == len(pts):
+            raise OutOfDomain("%s is outside [0,1]" % x.text())
+        return (m.branches[i - 1](x),)
+    if i == 0:
+        return (m.branches[0](x),)
+    if i == len(m.branches):
+        return (m.branches[-1](x),)
+    u, v = m.branches[i - 1](x), m.branches[i](x)
+    c = u.compare(v)
+    return (u,) if c == 0 else ((u, v) if c < 0 else (v, u))
 
 
 def preimages(m, y):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import (
+    CertificateFailure,
     InvalidMarkovPartition,
     LengthExceedsCap,
     NotSquare,
@@ -76,7 +77,7 @@ def detect_markov(m, cap=10000):
         return ProvablyNotMarkov(cc.certificate.reason, cc.certificate.witness)
     if not cc.complete:
         return NotMarkovWithinCap(cap)
-    return _markov_from_points(m, sorted(cc.points), canonical=True)
+    return _markov_from_points(m, cc.points, canonical=True)
 
 
 def _locate(points, x):
@@ -123,7 +124,8 @@ def _verify_row_images(m, data):
             if data.matrix[j - 1][k]
         ]
         merged = merge_closed_intervals(selected)
-        assert merged == [img], "row-image law violated for interval %d" % j
+        if merged != [img]:
+            raise CertificateFailure("row-image law violated for interval %d" % j)
 
 
 def markov_for_partition(m, points, cap=10000):

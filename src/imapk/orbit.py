@@ -18,7 +18,7 @@ infinite; the cap result is upgraded to a theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from .errors import NotAnExchangeMap, OutOfDomain
+from .errors import CertificateFailure, NotAnExchangeMap, OutOfDomain
 from .interval_map import PLUS
 from .scalar import ONE, ZERO, Scalar, as_scalar
 from . import interval_map as imap
@@ -140,10 +140,14 @@ def _certificate_witness(m, x, steps=10):
     cur = x
     for _ in range(steps):
         vals = imap.eval_multivalued(m, cur)
-        assert len(vals) == 1, "certified points never sit on partition points"
+        if len(vals) != 1:
+            raise CertificateFailure(
+                "growth witness: a certified point sits on a partition point"
+            )
         cur = vals[0]
         denoms.append(cur.as_fraction().denominator)
-    assert all(a < b for a, b in zip(denoms, denoms[1:]))
+    if not all(a < b for a, b in zip(denoms, denoms[1:])):
+        raise CertificateFailure("growth witness: denominators %s do not grow" % (denoms,))
     return "denominators %s..." % (denoms[: min(6, len(denoms))],)
 
 
@@ -259,13 +263,16 @@ def reverify_closed(m, points, status):
 
 @dataclass
 class CriticalClosure:
+    """Points of the closure: sorted when complete, else in discovery order."""
+
     points: list
     complete: bool
     certificate: ProvablyInfinite | None = None
 
     def as_dict(self):
+        points = self.points if self.complete else sorted(self.points)
         return {
-            "points": [p.text() for p in sorted(self.points)],
+            "points": [p.text() for p in points],
             "complete": self.complete,
             "infinite_certificate": None
             if self.certificate is None
@@ -280,18 +287,20 @@ def critical_closure(m, cap=10000):
     of the critical set is finite and was reached within the cap.
     """
     cert = _GrowthCertificate(m)
+    # points[done:] is the queue of points not yet mapped
     points = list(m.partition)
     seen = set(points)
-    queue = list(points)
-    while queue:
-        if len(seen) > cap:
-            return CriticalClosure(sorted(seen), False)
-        p = queue.pop(0)
+    done = 0
+    while done < len(points):
+        if len(points) > cap:
+            return CriticalClosure(points, False)
+        p = points[done]
+        done += 1
         if _oversized(p):
-            return CriticalClosure(sorted(seen), False)
+            return CriticalClosure(points, False)
         if cert.certifies(p):
             return CriticalClosure(
-                sorted(seen),
+                points,
                 False,
                 ProvablyInfinite(
                     "denominator-growth certificate", _certificate_witness(m, p)
@@ -300,8 +309,8 @@ def critical_closure(m, cap=10000):
         for v in imap.eval_multivalued(m, p):
             if v not in seen:
                 seen.add(v)
-                queue.append(v)
-    return CriticalClosure(sorted(seen), True)
+                points.append(v)
+    return CriticalClosure(sorted(points), True)
 
 
 def is_exchange_map(m):

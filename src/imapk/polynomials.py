@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import CertificateFailure
+
 
 def poly_trim(coeffs):
     """Drop trailing zero coefficients; the zero polynomial is ()."""
@@ -187,7 +189,8 @@ class IntPoly:
             p = self
         else:
             q, r = poly_divmod(self.coeffs, g)
-            assert not r
+            if r:
+                raise CertificateFailure("squarefree part: the gcd does not divide the polynomial")
             denoms = 1
             for c in q:
                 denoms = denoms * Fraction(c).denominator // gcd(

@@ -8,20 +8,36 @@ no rational roots together with an isolating interval certified (by sign
 change and a Sturm count of one) to contain exactly one real root.
 
 Comparisons are decided exactly.  Equality reduces to the zero coefficient
-vector; the sign of a nonzero element is obtained by refining the isolating
-interval with exact bisection until the interval evaluation of the element
-excludes zero.  Because the defining polynomial has no rational roots, the
-bisection midpoints never land on a root, so refinement always makes
-progress; because a nonzero element of a genuine field has a nonzero real
-image, the loop terminates.  If the user supplies a reducible polynomial and
-an element whose real image happens to vanish, the degeneracy is detected
-symbolically (gcd with the defining polynomial) and reported as an error
-rather than silently mis-ordered.
+vector.  The sign of a nonzero element is decided in two stages:
+
+* Integer ball.  On its first algebraic sign test a field bisects a private
+  integer bracket of alpha inside the isolating interval (homogeneous integer
+  Horner, no ``Fraction``) and caches integer enclosures [L_k, H_k] of
+  alpha^k * 2^P for k < degree.  The element's denominators are cleared and
+  one integer dot product, taking L_k or H_k by the sign of each coefficient,
+  encloses its value times a positive integer.  If that enclosure contains
+  zero, P doubles, from 64 bits up to a fixed ceiling (midpoint-radius ball
+  arithmetic as in Johansson's Arb; integer coefficient vectors as in Hart's
+  ANTIC).  The bracket is private: the shared interval that
+  :meth:`Scalar.enclosure` reports is left as it was.
+* Bisection, the last resort.  The shared isolating interval is refined by
+  exact bisection until the interval evaluation of the element excludes
+  zero.  Because the defining polynomial has no rational roots, the
+  bisection midpoints never land on a root, so refinement always makes
+  progress; because a nonzero element of a genuine field has a nonzero real
+  image, the loop terminates.  If the user supplies a reducible polynomial
+  and an element whose real image happens to vanish, the degeneracy is
+  detected symbolically (gcd with the defining polynomial) and reported as an
+  error rather than silently mis-ordered.
+
+Both stages only ever return a sign that a certified enclosure proves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import lcm
 
 from .errors import (
     DivisionByZero,
@@ -44,7 +60,39 @@ from .polynomials import (
 
 _MAX_REFINE = 4096
 
+# precision of the first integer ball, and the precision past which the ball
+# gives up and the bisection decides
+_BALL_BITS = 64
+_BALL_MAX_BITS = 1024
+
 DEFAULT_DEGREE_CAP = 8
+
+
+def _homogeneous_eval(poly, num, scale):
+    """p(num/scale) * scale^deg p for an integer polynomial, in integers."""
+    acc = poly[-1]
+    power = 1
+    for c in reversed(poly[:-1]):
+        power *= scale
+        acc = acc * num + c * power
+    return acc
+
+
+def _power_range(a, b, k):
+    """[min, max] of x^k over the integers a <= x <= b."""
+    lo, hi = a**k, b**k
+    if k % 2 or a >= 0:
+        return lo, hi
+    if b <= 0:
+        return hi, lo
+    return 0, max(lo, hi)
+
+
+def _cleared(coeffs):
+    """Integer vector equal to coeffs times a positive integer."""
+    # a list: with a generator here the alg_exchange benchmark peaked 0.5 MB higher
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 def _interval_eval(coeffs, lo, hi):
@@ -65,7 +113,10 @@ class NumberField:
     interval keeps every comparison sound for genuinely irreducible inputs.
     """
 
-    __slots__ = ("poly", "degree", "iso", "_lo", "_hi", "_sign_lo", "_sturm", "_powers")
+    __slots__ = (
+        "poly", "degree", "iso", "_lo", "_hi", "_sign_lo", "_sturm", "_powers",
+        "_key_hash", "_bracket", "_balls",
+    )
 
     def __init__(self, coeffs, isolating_interval, degree_cap=DEFAULT_DEGREE_CAP):
         cleared = [Fraction(c) for c in coeffs]
@@ -121,15 +172,20 @@ class NumberField:
             current = [s - top * self.poly[i] for i, s in enumerate(shifted)]
             powers.append(tuple(current))
         self._powers = tuple(powers)
+        self._key_hash = _KeyHash(self.key())
+        # integer bracket (lo, hi, scale) of alpha and the balls built from it,
+        # both made on the first algebraic sign test
+        self._bracket = None
+        self._balls = []
 
     def key(self):
         return (self.poly, self.iso)
 
     def __eq__(self, other):
-        return isinstance(other, NumberField) and self.key() == other.key()
+        return self is other or (isinstance(other, NumberField) and self.key() == other.key())
 
     def __hash__(self):
-        return hash(("NumberField", self.key()))
+        return hash(("NumberField", self._key_hash))
 
     def __repr__(self):
         return "NumberField(%s, iso=(%s, %s))" % (
@@ -150,6 +206,82 @@ class NumberField:
             self._lo = mid
         else:
             self._hi = mid
+
+    def _ball(self, bits):
+        """Integer enclosures (L, H) of alpha^k * 2^bits, k < degree.
+
+        The private bracket lo/scale < alpha < hi/scale is bisected until it
+        is at most 2^-bits wide; the shared interval is not touched.
+        """
+        if self._bracket is None:
+            lo, hi = self.iso
+            scale = lcm(lo.denominator, hi.denominator)
+            self._bracket = (lo.numerator * (scale // lo.denominator),
+                             hi.numerator * (scale // hi.denominator), scale)
+        lo, hi, scale = self._bracket
+        while (hi - lo) << bits > scale:
+            mid = lo + hi
+            scale *= 2
+            # no rational roots, so the value at the midpoint is nonzero
+            if (_homogeneous_eval(self.poly, mid, scale) > 0) == (self._sign_lo > 0):
+                lo, hi = mid, 2 * hi
+            else:
+                lo, hi = 2 * lo, mid
+        self._bracket = (lo, hi, scale)
+        a = (lo << bits) // scale
+        b = -((-hi << bits) // scale)
+        L, H = [1 << bits], [1 << bits]
+        for k in range(1, self.degree):
+            p, q = _power_range(a, b, k)
+            shift = bits * (k - 1)
+            L.append(p >> shift)
+            H.append(-(-q >> shift))
+        return tuple(L), tuple(H)
+
+    def sign_of(self, vec):
+        """Sign of sum(vec[k] * alpha^k) for an integer vector with a nonzero
+        irrational part: integer balls of doubling precision, then bisection."""
+        balls = self._balls
+        level = 0
+        while _BALL_BITS << level <= _BALL_MAX_BITS:
+            if level == len(balls):
+                balls.append(self._ball(_BALL_BITS << level))
+            L, H = balls[level]
+            lo = hi = 0
+            for n, l, h in zip(vec, L, H):
+                if n > 0:
+                    lo += n * l
+                    hi += n * h
+                elif n < 0:
+                    lo += n * h
+                    hi += n * l
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            level += 1
+        return self._bisection_sign(poly_trim(vec))
+
+    def _bisection_sign(self, g):
+        """Sign by bisecting the shared interval: the last resort of sign_of."""
+        for step in range(_MAX_REFINE):
+            lo, hi = self.interval()
+            mn, mx = _interval_eval(g, lo, hi)
+            if mn > 0:
+                return 1
+            if mx < 0:
+                return -1
+            if step == 64:
+                # refinement is stalling: rule out a zero real image (possible
+                # only when the defining polynomial is reducible)
+                shared = poly_gcd(g, self.poly)
+                if len(shared) - 1 > 0 and count_real_roots(shared, lo, hi) >= 1:
+                    raise ReducibleMinimalPolynomial(
+                        "element has zero real image but nonzero coefficients; "
+                        "the defining polynomial is reducible"
+                    )
+            self.refine()
+        raise ReducibleMinimalPolynomial("sign refinement did not converge")
 
     def alpha(self):
         return Scalar(self, (Fraction(0), Fraction(1)) + (Fraction(0),) * (self.degree - 2))
@@ -179,6 +311,18 @@ def _gcd(a, b):
     while b:
         a, b = b, a % b
     return abs(a)
+
+
+class _KeyHash:
+    """Stands in for a field's key inside a tuple hash: same hash, computed once."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, key):
+        self.value = hash(key)
+
+    def __hash__(self):
+        return self.value
 
 
 class Scalar:
@@ -337,25 +481,7 @@ class Scalar:
         if self.field is None:
             c = self.coeffs[0]
             return 0 if c == 0 else (1 if c > 0 else -1)
-        g = poly_trim(self.coeffs)
-        for step in range(_MAX_REFINE):
-            lo, hi = self.field.interval()
-            mn, mx = _interval_eval(g, lo, hi)
-            if mn > 0:
-                return 1
-            if mx < 0:
-                return -1
-            if step == 64:
-                # refinement is stalling: rule out a zero real image (possible
-                # only when the defining polynomial is reducible)
-                shared = poly_gcd(g, self.field.poly)
-                if len(shared) - 1 > 0 and count_real_roots(shared, lo, hi) >= 1:
-                    raise ReducibleMinimalPolynomial(
-                        "element has zero real image but nonzero coefficients; "
-                        "the defining polynomial is reducible"
-                    )
-            self.field.refine()
-        raise ReducibleMinimalPolynomial("sign refinement did not converge")
+        return self.field.sign_of(_cleared(self.coeffs))
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -372,18 +498,28 @@ class Scalar:
     def __hash__(self):
         if self.field is None:
             return hash(("Scalar", self.coeffs[0]))
-        return hash(("Scalar", self.field.key(), self.coeffs))
+        return hash(("Scalar", self.field._key_hash, self.coeffs))
 
     def compare(self, other):
         other = self._coerce(other)
         if other is None:
             raise TypeError("cannot compare Scalar with %r" % (other,))
-        if self.field is None and other.field is None:
+        fa, fb = self.field, other.field
+        if fa is None and fb is None:
             a, b = self.coeffs[0], other.coeffs[0]
             return 0 if a == b else (-1 if a < b else 1)
-        if self == other:
-            return 0
-        return (self - other).sign()
+        if fa is not fb and fa is not None and fb is not None and fa != fb:
+            raise MixedFieldContexts(
+                "operands live in different number fields: %r vs %r" % (fa, fb)
+            )
+        # the coefficient difference, denominators cleared, without a new Scalar
+        n = len(self.coeffs)
+        ints = _cleared(self.coeffs + other.coeffs)
+        diff = [x - y for x, y in zip_longest(ints[:n], ints[n:], fillvalue=0)]
+        if not any(diff[1:]):
+            d = diff[0]
+            return 0 if d == 0 else (1 if d > 0 else -1)
+        return (fa or fb).sign_of(diff)
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -441,15 +577,6 @@ class Scalar:
 
     def __repr__(self):
         return "Scalar(%s)" % self.text()
-
-    def __float__(self):
-        if self.field is None:
-            return float(self.coeffs[0])
-        for _ in range(60):
-            self.field.refine()
-        lo, hi = self.field.interval()
-        mn, mx = _interval_eval(poly_trim(self.coeffs), lo, hi)
-        return float((mn + mx) / 2)
 
 
 ZERO = Scalar(None, (Fraction(0),))

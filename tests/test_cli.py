@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -163,3 +167,25 @@ def test_quoted_long_scalar_form():
     )
     assert spec.family == "restricted_tent"
     assert spec.map.branches[0].slope == spec.field.alpha()
+
+
+# -- certificates that survive python -O ---------------------------------------
+
+SPECS = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.imapk"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("spec_path", SPECS, ids=lambda p: p.stem)
+def test_cli_json_is_the_same_under_optimize(spec_path, capsys):
+    # classify reaches every certificate check: the closure and its growth
+    # witness, the row-image law, the realization cursor, the K-theory routes
+    code = main(["classify", str(spec_path), "--json"])
+    expected = capsys.readouterr().out
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "imapk", "classify", str(spec_path), "--json"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == code, done.stderr
+    assert done.stdout == expected

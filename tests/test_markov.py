@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from imapk.errors import InvalidMarkovPartition, NotSquare, NotZeroOne
+from imapk.errors import CertificateFailure, InvalidMarkovPartition, NotSquare, NotZeroOne
 from imapk.interval_map import MINUS, PLUS, CutPoint
 from imapk.markov import (
     MarkovData,
     ProvablyNotMarkov,
+    _verify_row_images,
     detect_markov,
     graph_flags,
     itinerary,
@@ -184,3 +185,10 @@ def test_row_image_law(tent, golden_beta, offdiag_realization):
                 if data.matrix[j - 1][k]
             ]
             assert merge_closed_intervals(selected) == [image]
+
+
+def test_tampered_row_image_raises(tent):
+    data = detect_markov(tent)
+    data.matrix[0][0] = 0
+    with pytest.raises(CertificateFailure):
+        _verify_row_images(tent, data)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from imapk.errors import NotAnExchangeMap
+from imapk.errors import CertificateFailure, NotAnExchangeMap
 from imapk.families import FamilySpec, build
 from imapk.orbit import (
     CapReached,
@@ -11,6 +11,7 @@ from imapk.orbit import (
     IdocFails,
     IdocHolds,
     ProvablyInfinite,
+    _certificate_witness,
     critical_closure,
     forward_orbit,
     idoc_check,
@@ -139,3 +140,22 @@ def test_cap_reached():
     m = build(FamilySpec("beta", {"beta": Fraction(5, 2)})).map
     points, status = tau_orbit(m, rational(1), 5)
     assert isinstance(status, (CapReached, ProvablyInfinite))
+
+
+def test_closure_points_are_reported_in_order(golden_exchange, beta_three_halves, offdiag_realization):
+    capped = critical_closure(golden_exchange, cap=40)
+    certified = critical_closure(beta_three_halves)
+    complete = critical_closure(offdiag_realization)
+    assert not capped.complete and not certified.complete and complete.complete
+    assert complete.points == sorted(complete.points)
+    for cc in (capped, certified, complete):
+        assert cc.as_dict()["points"] == [p.text() for p in sorted(cc.points)]
+
+
+def test_growth_witness_rejects_a_point_it_cannot_certify(tent, beta_three_halves):
+    # 1/3 -> 2/3 -> 2/3: the denominators do not grow
+    with pytest.raises(CertificateFailure, match="do not grow"):
+        _certificate_witness(tent, rational(1, 3))
+    # the beta map jumps at 2/3, where it has the two limit values 1 and 0
+    with pytest.raises(CertificateFailure, match="partition point"):
+        _certificate_witness(beta_three_halves, rational(2, 3))

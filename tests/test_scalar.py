@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imapk.errors import (
     DivisionByZero,
     InvalidNumberField,
     MixedFieldContexts,
+    ReducibleMinimalPolynomial,
 )
 from imapk.scalar import NumberField, rational, scalar_from_text
 
@@ -133,3 +136,221 @@ def test_refinement_never_equates_distinct(sqrt2_field):
     a = sqrt2_field.alpha()
     close = rational(1414213562373095049, 10**18)
     assert a.compare(close) != 0
+
+
+# -- integer-ball sign tests against a Fraction-bisection reference -------------
+
+# the fields of the alg_exchange benchmark workload: (poly, isolating interval)
+SEVEN_FIELDS = [
+    ([-1, -1, 1], (1, 2)),
+    ([-2, 0, 1], (1, 2)),
+    ([-3, 0, 1], (1, 2)),
+    ([-5, 0, 1], (2, 3)),
+    ([-7, 0, 1], (2, 3)),
+    ([-1, -1, 0, 1], (1, 2)),
+    ([-1, -1, 0, 0, 1], (1, 2)),
+]
+
+BALL_SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+
+class _ReferenceSign:
+    """Sign by exact Fraction bisection of a private copy of the isolating interval."""
+
+    def __init__(self, poly, iso):
+        self.poly = poly
+        self.lo, self.hi = Fraction(iso[0]), Fraction(iso[1])
+        self.lo_positive = self._eval(self.lo) > 0
+
+    def _eval(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.poly):
+            acc = acc * x + c
+        return acc
+
+    def __call__(self, coeffs):
+        coeffs = [Fraction(c) for c in coeffs]
+        if not any(coeffs[1:]):
+            return (coeffs[0] > 0) - (coeffs[0] < 0)
+        while True:
+            mn = mx = coeffs[-1]
+            for c in reversed(coeffs[:-1]):
+                ends = (mn * self.lo, mn * self.hi, mx * self.lo, mx * self.hi)
+                mn, mx = min(ends) + c, max(ends) + c
+            if mn > 0:
+                return 1
+            if mx < 0:
+                return -1
+            self.bisect()
+
+    def bisect(self):
+        mid = (self.lo + self.hi) / 2
+        if (self._eval(mid) > 0) == self.lo_positive:
+            self.lo = mid
+        else:
+            self.hi = mid
+
+
+_FIELDS = [NumberField(poly, iso) for poly, iso in SEVEN_FIELDS]
+_REFERENCES = [_ReferenceSign(poly, iso) for poly, iso in SEVEN_FIELDS]
+
+coefficient = st.builds(Fraction, st.integers(-3000, 3000), st.integers(1, 60))
+
+
+@st.composite
+def field_pairs(draw):
+    """A field index and two elements of it, sometimes equal or a rational apart."""
+    index = draw(st.integers(0, len(SEVEN_FIELDS) - 1))
+    degree = len(SEVEN_FIELDS[index][0]) - 1
+    x = draw(st.lists(coefficient, min_size=degree, max_size=degree))
+    kind = draw(st.sampled_from(("random", "equal", "rational_apart", "scaled")))
+    if kind == "random":
+        y = draw(st.lists(coefficient, min_size=degree, max_size=degree))
+    elif kind == "equal":
+        y = list(x)
+    elif kind == "rational_apart":
+        y = [x[0] + draw(coefficient)] + x[1:]
+    else:
+        k = draw(st.integers(0, 200))
+        x = [c * 2**k for c in x]
+        y = [c * 2**k + draw(coefficient) for c in x]
+    return index, x, y
+
+
+@BALL_SETTINGS
+@given(field_pairs())
+def test_ball_sign_and_compare_match_bisection(case):
+    index, x, y = case
+    field, reference = _FIELDS[index], _REFERENCES[index]
+    a, b = field.element(x), field.element(y)
+    expected = reference([p - q for p, q in zip(x, y)])
+    assert a.compare(b) == expected
+    assert b.compare(a) == -expected
+    assert (a - b).sign() == expected
+    assert a.sign() == reference(x)
+    assert a.compare(y[0]) == reference([x[0] - y[0]] + x[1:])
+
+
+# negative roots and isolating intervals whose ends are not dyadic
+OTHER_ROOTS = [
+    ([-1, -1, 1], (Fraction(-2, 3), Fraction(-3, 5))),
+    ([-2, 0, 1], (Fraction(7, 5), Fraction(3, 2))),
+    ([-1, -1, 0, 0, 1], (Fraction(-3, 4), Fraction(-5, 7))),
+    ([-1, -1, 0, 1], (Fraction(13, 10), Fraction(4, 3))),
+]
+
+
+@pytest.mark.parametrize("poly, iso", SEVEN_FIELDS + OTHER_ROOTS)
+def test_ball_encloses_the_powers_of_alpha(poly, iso):
+    field = NumberField(poly, iso)
+    reference = _ReferenceSign(poly, iso)
+    for bits in (64, 128, 256, 512, 1024):
+        while reference.hi - reference.lo > Fraction(1, 2 ** (bits + 40)):
+            reference.bisect()
+        L, H = field._ball(bits)
+        for k in range(field.degree):
+            # the reference bracket excludes 0, so alpha^k lies between its ends' powers
+            ends = (reference.lo**k, reference.hi**k)
+            assert L[k] <= min(ends) * 2**bits
+            assert H[k] >= max(ends) * 2**bits
+            assert H[k] - L[k] <= 4 ** (k + 1)
+    assert field.interval() == (Fraction(iso[0]), Fraction(iso[1]))
+
+
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a, b  # F_n, F_(n+1)
+
+
+def test_near_zero_golden_and_pell_elements_double_the_precision():
+    phi_field = NumberField([-1, -1, 1], (1, 2))
+    sqrt2_field = NumberField([-2, 0, 1], (1, 2))
+    before = (phi_field.interval(), sqrt2_field.interval())
+    phi, sqrt2 = phi_field.alpha(), sqrt2_field.alpha()
+    p, q = 1, 0
+    for n in range(1, 301):
+        f_n, f_next = _fibonacci(n)
+        # F_(n+1) - F_n phi = (-1/phi)^n and p - q sqrt2 = (1 - sqrt2)^n
+        p, q = p + 2 * q, p + q
+        sign = (-1) ** n
+        assert (f_next - f_n * phi).sign() == sign
+        assert rational(f_next).compare(f_n * phi) == sign
+        assert (f_n * phi).compare(f_next) == -sign
+        assert (p - q * sqrt2).sign() == sign
+        assert rational(p).compare(q * sqrt2) == sign
+    # the precision doubled (Pell at n = 300 needs more than 512 bits) and the
+    # shared interval was never refined
+    assert len(sqrt2_field._balls) >= 5
+    assert (phi_field.interval(), sqrt2_field.interval()) == before
+
+
+@pytest.mark.parametrize("poly, inverse", [
+    ([-1, -1, 0, 1], [-1, 0, 1]),  # 1/a = a^2 - 1 for a^3 = a + 1
+    ([-1, -1, 0, 0, 1], [-1, 0, 0, 1]),  # 1/a = a^3 - 1 for a^4 = a + 1
+])
+def test_near_zero_unit_powers_in_cubic_and_quartic_fields(poly, inverse):
+    # a^-n is tiny while its coefficients grow, so the higher powers of the
+    # ball decide it at raised precision
+    field = NumberField(poly, (1, 2))
+    unit = field.element(inverse)
+    reference = _ReferenceSign(poly, (1, 2))
+    x = rational(1)
+    for n in range(1, 301):
+        x = x * unit
+        assert x.sign() == 1
+        assert (-x).sign() == -1
+        shifted = x - rational(1, 2**n)
+        assert shifted.sign() == reference(shifted.coeffs)
+        assert shifted.compare(0) == -((0 - shifted).sign())
+    assert len(field._balls) >= 3
+    assert field.interval() == (Fraction(1), Fraction(2))
+
+
+def test_beyond_the_ball_ceiling_bisection_decides():
+    field = NumberField([-1, -1, 1], (1, 2))
+    phi = field.alpha()
+    f_n, f_next = _fibonacci(900)
+    # |F_901 - F_900 phi| = phi^-900 needs about 1250 bits
+    assert (f_next - f_n * phi).sign() == 1
+    assert phi.compare(rational(f_next, f_n)) == -1
+    lo, hi = field.interval()
+    assert hi - lo < Fraction(1, 2**1000)
+
+
+def test_ball_sign_tests_leave_the_shared_interval_alone():
+    rng = random.Random(3)
+    for field in (NumberField(poly, iso) for poly, iso in SEVEN_FIELDS):
+        before = field.interval()
+        for _ in range(1000 // len(SEVEN_FIELDS) + 1):
+            vec = [Fraction(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(field.degree)]
+            vec[1] = vec[1] or Fraction(1)
+            field.element(vec).sign()
+        assert field.interval() == before
+        # and enclosure() still refines it as before
+        lo, hi = field.alpha().enclosure(Fraction(1, 1000))
+        assert hi - lo <= Fraction(1, 1000)
+
+
+def test_zero_real_image_over_reducible_polynomial_raises():
+    # (x^2 - 2)(x^2 - 3) has its root sqrt2 alone in (1, 3/2)
+    field = NumberField([6, 0, -5, 0, 1], (1, Fraction(3, 2)))
+    a = field.alpha()
+    with pytest.raises(ReducibleMinimalPolynomial):
+        (a * a - 2).sign()
+    with pytest.raises(ReducibleMinimalPolynomial):
+        (a * a).compare(2)
+    assert (a * a - 3).sign() == -1
+
+
+def test_compare_rejects_mixed_fields(sqrt2_field, golden_field):
+    with pytest.raises(MixedFieldContexts):
+        sqrt2_field.alpha().compare(golden_field.alpha())
+    assert sqrt2_field.alpha().compare(NumberField([-2, 0, 1], (1, 2)).alpha()) == 0
+
+
+def test_hashes_are_the_tuple_hashes_of_the_field_key(golden_field):
+    x = golden_field.element([Fraction(1, 3), Fraction(-2, 7)])
+    assert hash(x) == hash(("Scalar", golden_field.key(), x.coeffs))
+    assert hash(golden_field) == hash(("NumberField", golden_field.key()))
