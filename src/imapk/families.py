@@ -320,12 +320,13 @@ def multimodal_kgroups(m, cap=10000, asserted=False):
         if not isinstance(status, ProvablyInfinite):
             provable = False
         for p in points:
-            if p in owner:
+            # the points of one orbit are distinct, so another owner is a collision
+            first = owner.setdefault(p, idx)
+            if first != idx:
                 raise HypothesisViolatedWithinCap(
                     "orbits of %s and %s collide at %s"
-                    % (interior[owner[p]].text(), a.text(), p.text())
+                    % (interior[first].text(), a.text(), p.text())
                 )
-            owner[p] = idx
     if not asserted and not provable:
         return None  # refused without assertion
     kg = KGroups(torsion=[], free_rank=q - 1, k1_rank=0, generator_note="")

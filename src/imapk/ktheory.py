@@ -143,12 +143,16 @@ def minimal_polynomial_iter(m, cap=64, breakpoint_cap=10000):
         raise NotSurjective("minimal polynomial route requires a surjective map")
     v0 = indicator(ZERO, ONE)
     vs = [v0]
+    # the breakpoints of v_0 .. v_{k-1}, carried across steps so that each
+    # breakpoint is hashed once rather than once per step
     accumulated = set(v0.breaks)
     for step in range(1, cap + 1):
         v = transfer(m, vs[-1])
-        if len(accumulated | set(v.breaks)) > breakpoint_cap:
+        grown = accumulated.union(v.breaks)
+        if len(grown) > breakpoint_cap:
             return NotFoundWithinCap(breakpoint_cap, step)
-        coeffs = _solve_dependence(vs, v)
+        # a dependence needs every breakpoint of v among the earlier ones
+        coeffs = _solve_dependence(vs, v) if len(grown) == len(accumulated) else None
         if coeffs is not None:
             if any(c.denominator != 1 for c in coeffs):
                 raise NonIntegerDependence(coeffs)
@@ -159,7 +163,7 @@ def minimal_polynomial_iter(m, cap=64, breakpoint_cap=10000):
                 )
             return MinPolyReport(poly, "iteration", "unknown", iterations=step)
         vs.append(v)
-        accumulated |= set(v.breaks)
+        accumulated = grown
     return NotFoundWithinCap(cap, cap)
 
 

@@ -157,16 +157,20 @@ def forward_orbit(m, x, cap=10000):
     if x < ZERO or x > ONE:
         raise OutOfDomain("%s is outside [0,1]" % x.text())
     cert = _GrowthCertificate(m)
+    # points[done:] is the queue of points not yet mapped; seen maps each
+    # point to its index in points
     seen = {x: 0}
     points = [x]
     succ = {}
     edges = []
-    queue = [x]
+    done = 0
     branched = False
-    while queue:
+    while done < len(points):
         if len(points) > cap:
             return OrbitResult(x, points, CapReached(cap), edges)
-        p = queue.pop(0)
+        i = done
+        p = points[done]
+        done += 1
         if _oversized(p):
             return OrbitResult(x, points, CapReached(len(points)), edges)
         if cert.certifies(p):
@@ -185,11 +189,10 @@ def forward_orbit(m, x, cap=10000):
             branched = True
         succ[p] = values
         for v in values:
-            if v not in seen:
-                seen[v] = len(points)
+            j = seen.setdefault(v, len(points))
+            if j == len(points):
                 points.append(v)
-                queue.append(v)
-            edges.append((seen[p], seen[v]))
+            edges.append((i, j))
     status = _closed_status(x, points, succ, branched)
     return OrbitResult(x, points, status, edges)
 
@@ -241,10 +244,9 @@ def tau_orbit(m, x, cap=10000):
                 _certificate_witness(m, cur),
             )
         nxt = step_right_continuous(m, cur)
-        if nxt in index:
-            k = index[nxt]
+        k = index.setdefault(nxt, len(points))
+        if k < len(points):
             return points, Closed(k, len(points) - k)
-        index[nxt] = len(points)
         points.append(nxt)
         cur = nxt
     return points, CapReached(cap)
@@ -307,8 +309,10 @@ def critical_closure(m, cap=10000):
                 ),
             )
         for v in imap.eval_multivalued(m, p):
-            if v not in seen:
-                seen.add(v)
+            # one hash per value: the set grows exactly when v is new
+            size = len(seen)
+            seen.add(v)
+            if len(seen) > size:
                 points.append(v)
     return CriticalClosure(sorted(points), True)
 

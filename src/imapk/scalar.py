@@ -31,6 +31,11 @@ vector.  The sign of a nonzero element is decided in two stages:
   error rather than silently mis-ordered.
 
 Both stages only ever return a sign that a certified enclosure proves.
+
+A scalar is immutable, so its hash is computed on first use and cached: a
+large rational in an orbit set or a breakpoint set is hashed once, however
+often it is looked up.  The cached value is the plain tuple hash, so set and
+dict order do not depend on the cache.
 """
 
 from __future__ import annotations
@@ -330,10 +335,12 @@ class Scalar:
 
     Immutable and hashable in canonical form: an algebraic element whose
     higher coefficients all vanish collapses to the plain rational, so equal
-    values hash equally and orbit lookups behave.
+    values hash equally and orbit lookups behave.  Field elements always hold
+    a full-length coefficient vector.  The hash is computed on first use and
+    kept in ``_hash``.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "_hash")
 
     def __init__(self, field, coeffs):
         if field is not None and all(c == 0 for c in coeffs[1:]):
@@ -487,23 +494,31 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.field is None and other.field is None:
+        fa, fb = self.field, other.field
+        if fa is None and fb is None:
             return self.coeffs[0] == other.coeffs[0]
-        try:
-            field, a, b = Scalar._join(self, other)
-        except MixedFieldContexts:
+        # canonical form: a rational never equals an irrational field element
+        if fa is None or fb is None:
             return False
-        return a == b
+        return (fa is fb or fa == fb) and self.coeffs == other.coeffs
 
     def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            pass
         if self.field is None:
-            return hash(("Scalar", self.coeffs[0]))
-        return hash(("Scalar", self.field._key_hash, self.coeffs))
+            h = hash(("Scalar", self.coeffs[0]))
+        else:
+            h = hash(("Scalar", self.field._key_hash, self.coeffs))
+        object.__setattr__(self, "_hash", h)
+        return h
 
     def compare(self, other):
-        other = self._coerce(other)
-        if other is None:
+        coerced = self._coerce(other)
+        if coerced is None:
             raise TypeError("cannot compare Scalar with %r" % (other,))
+        other = coerced
         fa, fb = self.field, other.field
         if fa is None and fb is None:
             a, b = self.coeffs[0], other.coeffs[0]

@@ -187,6 +187,16 @@ def test_multimodal_refuses_without_assertion():
     assert multimodal_kgroups(m, cap=500, asserted=False) is None
 
 
+def test_multimodal_colliding_critical_orbits_are_rejected():
+    # 1/3 -> 1 and 2/3 -> 0, and both endpoints map to 2/5
+    m = validate_map(
+        MULTIMODAL["partition"],
+        [MULTIMODAL["branches"][0], (-3, 2), (Fraction(6, 5), Fraction(-4, 5))],
+    )
+    with pytest.raises(HypothesisViolatedWithinCap, match="of 1/3 and 2/3 collide at 2/5"):
+        multimodal_kgroups(m, cap=500, asserted=True)
+
+
 def test_multimodal_endpoint_violation(tent):
     with pytest.raises(HypothesisViolatedWithinCap):
         multimodal_kgroups(tent, cap=100, asserted=True)

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from imapk import ktheory
 from imapk.errors import (
     CyclicityNotEstablished,
     InconsistentCaseData,
@@ -12,6 +14,7 @@ from imapk.families import FamilySpec, build
 from imapk.interval_map import validate_map
 from imapk.ktheory import (
     MinPolyReport,
+    NotFoundWithinCap,
     beta_minpoly,
     beta_orbit_data,
     kgroups_from_minpoly,
@@ -25,6 +28,9 @@ from imapk.ktheory import (
 from imapk.orbit import CapReached, ProvablyInfinite, forward_orbit
 from imapk.polynomials import IntPoly
 from imapk.scalar import NumberField, rational
+from imapk.specfile import parse_spec
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
 
 
 def test_iteration_tent(tent):
@@ -50,6 +56,53 @@ def test_iteration_requires_surjective():
     m = validate_map([0, Fraction(1, 2), 1], [(1, 0), (-1, 1)])
     with pytest.raises(NotSurjective):
         minimal_polynomial_iter(m)
+
+
+def _shipped_multimodal():
+    return parse_spec((SPECS / "multimodal.imapk").read_text()).map
+
+
+def _spy_on_solve(monkeypatch):
+    calls = []
+    solve = ktheory._solve_dependence
+
+    def spy(basis, target):
+        calls.append(len(basis))
+        return solve(basis, target)
+
+    monkeypatch.setattr(ktheory, "_solve_dependence", spy)
+    return calls
+
+
+def test_new_breakpoints_skip_the_dependence_solve(monkeypatch):
+    # every iterate of the shipped multimodal map has a breakpoint the earlier
+    # ones lack, so no step can be a dependence and none reaches the solve
+    calls = _spy_on_solve(monkeypatch)
+    result = minimal_polynomial_iter(_shipped_multimodal())
+    assert isinstance(result, NotFoundWithinCap)
+    assert (result.cap, result.iterations) == (64, 64)
+    assert calls == []
+
+
+def test_known_breakpoints_reach_the_dependence_solve(tent, monkeypatch):
+    calls = _spy_on_solve(monkeypatch)
+    assert minimal_polynomial_iter(tent).poly == IntPoly([-2, 1])
+    assert calls == [1]
+
+
+@pytest.mark.parametrize(
+    "caps, expected",
+    [
+        ({}, (64, 64)),
+        ({"cap": 10}, (10, 10)),
+        ({"breakpoint_cap": 20}, (20, 11)),
+        ({"breakpoint_cap": 100}, (100, 51)),
+    ],
+)
+def test_caps_stop_the_multimodal_iteration_at_the_same_step(caps, expected):
+    result = minimal_polynomial_iter(_shipped_multimodal(), **caps)
+    assert isinstance(result, NotFoundWithinCap)
+    assert (result.cap, result.iterations) == expected
 
 
 def test_unimodal_closed_forms_fixed(tent):

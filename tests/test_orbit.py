@@ -29,6 +29,15 @@ def test_tent_orbit_of_half(tent):
     assert reverify_closed(tent, r.points, r.status)
 
 
+def test_branched_orbit_edges_run_from_each_point_to_its_values():
+    doubling = build(FamilySpec("beta", {"beta": 2})).map
+    r = forward_orbit(doubling, Fraction(1, 4))
+    # 1/2 has the two one-sided limit values 1 and 0
+    assert [p.text() for p in r.points] == ["1/4", "1/2", "0", "1"]
+    assert r.edges == [(0, 1), (1, 2), (1, 3), (2, 2), (3, 3)]
+    assert r.status.branched
+
+
 def test_beta_three_halves_provably_infinite(beta_three_halves):
     r = forward_orbit(beta_three_halves, 1)
     assert isinstance(r.status, ProvablyInfinite)

@@ -354,3 +354,40 @@ def test_hashes_are_the_tuple_hashes_of_the_field_key(golden_field):
     x = golden_field.element([Fraction(1, 3), Fraction(-2, 7)])
     assert hash(x) == hash(("Scalar", golden_field.key(), x.coeffs))
     assert hash(golden_field) == hash(("NumberField", golden_field.key()))
+
+
+def test_hash_is_cached_with_the_unchanged_formula(golden_field):
+    x = rational(-22, 7)
+    y = golden_field.element([Fraction(1, 3), Fraction(-2, 7)])
+    cases = ((x, hash(("Scalar", Fraction(-22, 7)))),
+             (y, hash(("Scalar", golden_field.key(), y.coeffs))))
+    for s, expected in cases:
+        with pytest.raises(AttributeError):
+            s._hash = 0  # before the hash is cached
+        assert hash(s) == expected
+        with pytest.raises(AttributeError):
+            s._hash = 0  # after
+        assert hash(s) == expected
+
+
+def test_compare_error_names_the_operand():
+    with pytest.raises(TypeError, match="cannot compare Scalar with 'x'"):
+        rational(1).compare("x")
+
+
+def test_equality_and_hash_agree(golden_field, sqrt2_field):
+    # a field element with zero higher coefficients is the rational
+    lifted = golden_field.element([5, 0])
+    assert lifted == rational(5) and rational(5) == lifted
+    assert hash(lifted) == hash(rational(5))
+    # equal fields held as distinct objects
+    twin = NumberField([-1, -1, 1], (1, 2))
+    a, b = golden_field.element([1, 2]), twin.element([1, 2])
+    assert twin is not golden_field
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != twin.element([1, 3])
+    # mixed fields, and a rational against an irrational element
+    assert golden_field.alpha() != sqrt2_field.alpha()
+    assert sqrt2_field.alpha() != rational(1) and rational(1) != sqrt2_field.alpha()
+    assert len({golden_field.alpha(), sqrt2_field.alpha(), rational(1)}) == 3
