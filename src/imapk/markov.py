@@ -70,9 +70,9 @@ class ProvablyNotMarkov:
     kind = "provably_not_markov"
 
 
-def detect_markov(m, cap=10000):
-    """Detect Markov structure through the critical closure."""
-    cc = critical_closure(m, cap)
+def detect_markov(m, cap=10000, closure=None):
+    """Detect Markov structure through the critical closure (computed unless given)."""
+    cc = critical_closure(m, cap) if closure is None else closure
     if cc.certificate is not None:
         return ProvablyNotMarkov(cc.certificate.reason, cc.certificate.witness)
     if not cc.complete:
@@ -128,20 +128,21 @@ def _verify_row_images(m, data):
             raise CertificateFailure("row-image law violated for interval %d" % j)
 
 
-def markov_for_partition(m, points, cap=10000):
+def markov_for_partition(m, points, cap=10000, closure=None):
     """Validate a user-supplied (possibly coarser) Markov partition.
 
     Checks: endpoints 0 and 1; points inside the forward closure of the
     critical set (or mapping into it); monotonicity across each interval;
     images aligned with partition points; the critical set eventually
-    trapped in the partition point set.
+    trapped in the partition point set.  ``closure`` is the critical closure
+    at ``cap`` when the caller already has it.
     """
     points = sorted(as_scalar(p) for p in points)
     if not points or points[0] != ZERO or points[-1] != ONE:
         raise InvalidMarkovPartition("partition must run from 0 to 1")
     if len(set(points)) != len(points):
         raise InvalidMarkovPartition("partition points must be distinct")
-    cc = critical_closure(m, cap)
+    cc = critical_closure(m, cap) if closure is None else closure
     if not cc.complete:
         raise InvalidMarkovPartition("critical closure is not finite within cap")
     closure = set(cc.points)

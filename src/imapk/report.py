@@ -1,10 +1,14 @@
-"""Pipeline orchestration: run the analysis slices and assemble one report.
+"""Pipeline orchestration: compute what a command emits and assemble its report.
 
-Everything is computed once per run (the examples are small), then the
-command selects which sections to emit.  The JSON report is deterministic:
-keys are inserted in a fixed order and scalars are rendered through their
-canonical text form.  Every claim that is not computed outright carries a
-provenance string (certificate, assertion, or route name).
+One `Pipeline` object holds the analysis of one report.  Its stages (the
+critical closure, the Markov data, the K-group routes, the minimal
+polynomial, the entropy, the classification and the consistency checks) are
+computed on first use and kept, so each runs at most once per report.
+`_SECTIONS` says which sections a command emits; building those sections,
+and the exit-code rule, pulls only the stages they read.  The JSON report is
+deterministic: keys are inserted in a fixed order and scalars are rendered
+through their canonical text form.  Every claim that is not computed
+outright carries a provenance string (certificate, assertion, or route name).
 """
 
 from __future__ import annotations
@@ -12,9 +16,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import ktheory
-from .entropy import entropy_report
+from .entropy import entropy_report, uniform_abs_slope
 from .errors import ImapkError, NotSurjective
 from .families import exchange_kgroups, multimodal_kgroups
 from .interval_map import Certificate, dynamics_flags, is_surjective, validate_map
@@ -35,9 +40,8 @@ from .orbit import (
     idoc_check,
     is_exchange_map,
 )
-from .scalar import NumberField, Scalar, as_scalar, rational
+from .scalar import NumberField, Scalar, as_scalar, rational, scalar_from_text
 from .snf import kgroups_from_incidence, stationary_dimension_triple
-from .specfile import MapSpecFile
 
 DEFAULT_CAP = 10000
 DEFAULT_TOL = Fraction(1, 10**6)
@@ -115,6 +119,8 @@ class PipelineOptions:
                 raise ImapkError("unknown option %r" % key)
             setattr(opts, key, value)
         opts.tol = Fraction(opts.tol)
+        if opts.partition is not None:
+            opts.partition = [as_scalar(x, spec.field) for x in opts.partition]
         return opts
 
     def as_dict(self):
@@ -160,359 +166,360 @@ def map_from_echo(echo):
     field = None
     if echo.get("field"):
         field = NumberField(echo["field"]["poly"], tuple(Fraction(x) for x in echo["field"]["iso"]))
-    parse = lambda t: as_scalar(t) if not t.startswith("poly:") else _reparse(t, field)
+    parse = lambda t: scalar_from_text(t, field)
     partition = [parse(t) for t in echo["partition"]]
     branches = [(parse(b["slope"]), parse(b["intercept"])) for b in echo["branches"]]
     return validate_map(partition, branches)
 
 
-def _reparse(text, field):
-    from .scalar import scalar_from_text
-
-    return scalar_from_text(text, field)
+def _check(name, agree, detail):
+    return {"check": name, "status": "pass" if agree else "FAIL", "detail": detail}
 
 
-def compute(spec: MapSpecFile, options: PipelineOptions):
-    """Run every analysis route once; returns the full result bundle."""
-    m = spec.map
-    refusals = []
-    notes = []
-    consistency = []
-    cyclicity_refusal = None
+@dataclass
+class MinPolyRoute:
+    """What the minimal-polynomial stage found; None where it found nothing."""
 
-    surjective = is_surjective(m)
-    markov_result = detect_markov(m, options.cap)
-    markov_data = markov_result if isinstance(markov_result, MarkovData) else None
-    gflags = graph_flags(markov_data.matrix) if markov_data else None
+    report: ktheory.MinPolyReport | None = None
+    status: object = None  # why the iteration stopped without a polynomial
+    kgroups: tuple | None = None  # (K-groups, |m(1)|)
+    nonperiodic: tuple | None = None  # (K-groups, label): the critical orbit never closes
+    check: dict | None = None  # closed form against iteration
+    refusal: dict | None = None  # the route needs --assert-cyclic
 
-    certs = list(spec.certificates)
-    if spec.family is None:
-        beta_guess = recognize_beta(m)
-        if beta_guess is not None:
-            certs.append(
-                Certificate(
-                    "exact", True,
-                    "beta transformations are always topologically exact",
-                )
-            )
-        s_guess = recognize_restricted_tent(m)
-        if s_guess is not None:
-            cmp2 = (s_guess * s_guess).compare(2)
-            if cmp2 > 0:
+
+class Pipeline:
+    """The analysis of one report: each stage is computed on first use, once.
+
+    Stages call the library through the names this module imports, so a
+    tracer that rebinds those names sees every call.
+    """
+
+    def __init__(self, spec, options):
+        self.spec = spec
+        self.options = options
+        self.m = spec.map
+
+    @cached_property
+    def surjective(self):
+        return is_surjective(self.m)
+
+    @cached_property
+    def closure(self):
+        return critical_closure(self.m, self.options.cap)
+
+    @cached_property
+    def markov_result(self):
+        return detect_markov(self.m, self.options.cap, closure=self.closure)
+
+    @cached_property
+    def markov_data(self):
+        result = self.markov_result
+        return result if isinstance(result, MarkovData) else None
+
+    @cached_property
+    def graph_flags(self):
+        return None if self.markov_data is None else graph_flags(self.markov_data.matrix)
+
+    @cached_property
+    def beta(self):
+        """The beta parameter when the map is a beta transformation, else None."""
+        if self.spec.family is None:
+            return recognize_beta(self.m)
+        return self.spec.family_params.get("beta") if self.spec.family == "beta" else None
+
+    @cached_property
+    def exchange_route(self):
+        """(K-groups, label) of an interval exchange with disjoint infinite interior orbits."""
+        if not is_exchange_map(self.m):
+            return None
+        idoc = idoc_check(self.m, self.options.cap)
+        if not isinstance(idoc, IdocHolds):
+            return None
+        ek = exchange_kgroups(self.m, idoc)
+        if not isinstance(ek, tuple):
+            return None
+        kg, label = ek
+        if label != "unconditional" and self.options.assert_idoc:
+            label = "asserted"
+        return kg, label
+
+    @cached_property
+    def certs(self):
+        spec, m = self.spec, self.m
+        certs = list(spec.certificates)
+        if spec.family is None:
+            if self.beta is not None:
                 certs.append(
                     Certificate(
                         "exact", True,
-                        "restricted tent maps with slope above sqrt(2) are "
-                        "topologically exact",
+                        "beta transformations are always topologically exact",
                     )
                 )
-            elif cmp2 == 0:
-                certs.append(
-                    Certificate(
-                        "transitive", True,
-                        "the restricted tent map with slope sqrt(2) is transitive",
+            s = recognize_restricted_tent(m)
+            if s is not None:
+                cmp2 = (s * s).compare(2)
+                if cmp2 > 0:
+                    certs.append(
+                        Certificate(
+                            "exact", True,
+                            "restricted tent maps with slope above sqrt(2) are "
+                            "topologically exact",
+                        )
                     )
-                )
-    else:
-        beta_guess = spec.family_params.get("beta") if spec.family == "beta" else None
-        s_guess = spec.family_params.get("s") if spec.family == "restricted_tent" else None
-
-    if markov_data is not None:
-        certs.extend(dynamics_certificates(m, markov_data, gflags, surjective))
-
-    idoc_result = None
-    exchange_route = None
-    if is_exchange_map(m):
-        idoc_result = idoc_check(m, options.cap)
-        if isinstance(idoc_result, IdocHolds):
-            ek = exchange_kgroups(m, idoc_result)
-            if not isinstance(ek, tuple):
-                ek = None
-            else:
-                kg, label = ek
-                if label != "unconditional" and options.assert_idoc:
-                    label = "asserted"
-                ek = (kg, label)
-                if label == "unconditional":
+                elif cmp2 == 0:
                     certs.append(
                         Certificate(
                             "transitive", True,
-                            "interval exchange with provably infinite disjoint "
-                            "interior orbits is minimal",
+                            "the restricted tent map with slope sqrt(2) is transitive",
                         )
                     )
-            exchange_route = ek
-
-    flags = dynamics_flags(m, options.depth, certs)
-
-    separation = None
-    incidence_route = None
-    user_partition_info = None
-    if markov_data is not None:
-        separation = separation_check(m, markov_data, gflags)
-        if surjective:
-            incidence_route = kgroups_from_incidence(markov_data.matrix)
-            incidence_note = "incidence matrix of the canonical partition"
-        else:
-            restricted, idx = restrict_to_eventual_range(markov_data.matrix, gflags)
-            incidence_route = kgroups_from_incidence(restricted)
-            incidence_note = (
-                "matrix restricted to the eventual range (indices %s); invariants "
-                "are those of the equivalent restricted system"
-                % [j + 1 for j in idx]
+        if self.markov_data is not None:
+            certs.extend(
+                dynamics_certificates(m, self.markov_data, self.graph_flags, self.surjective)
             )
-        if options.partition:
-            coarse = markov_for_partition(m, options.partition, options.cap)
-            coarse_kg = kgroups_from_incidence(coarse.matrix)
-            agree = coarse_kg.as_dict() == incidence_route.as_dict()
-            consistency.append(
-                {
-                    "check": "kgroups invariant under Markov partition refinement",
-                    "status": "pass" if agree else "FAIL",
-                    "detail": "%s vs %s" % (incidence_route.text(), coarse_kg.text()),
-                }
+        if self.exchange_route is not None and self.exchange_route[1] == "unconditional":
+            certs.append(
+                Certificate(
+                    "transitive", True,
+                    "interval exchange with provably infinite disjoint "
+                    "interior orbits is minimal",
+                )
             )
-            user_partition_info = {
-                "partition": [p.text() for p in coarse.partition],
-                "matrix": [list(r) for r in coarse.matrix],
-                "kgroups": coarse_kg.as_dict(),
-            }
+        return certs
 
-    # minimal polynomial route
-    minpoly_report = None
-    minpoly_status = None
-    minpoly_kg = None
-    nonperiodic_route = None
-    family_for_nonperiodic = None
-    orbit_status = None
-    if surjective:
-        unimodal_c = ktheory.recognize_unimodal(m)
-        if unimodal_c is not None:
-            family_for_nonperiodic = "unimodal"
+    @cached_property
+    def flags(self):
+        return dynamics_flags(self.m, self.options.depth, self.certs)
+
+    @cached_property
+    def separation(self):
+        if self.markov_data is None:
+            return None
+        return separation_check(self.m, self.markov_data, self.graph_flags)
+
+    @cached_property
+    def incidence_route(self):
+        """K-groups from the incidence matrix, restricted to the eventual
+        range when the map is not surjective."""
+        if self.markov_data is None:
+            return None
+        matrix = self.markov_data.matrix
+        if not self.surjective:
+            matrix, _ = restrict_to_eventual_range(matrix, self.graph_flags)
+        return kgroups_from_incidence(matrix)
+
+    @cached_property
+    def user_partition(self):
+        """(Markov data, K-groups) of the user's coarser partition, or None."""
+        if self.markov_data is None or not self.options.partition:
+            return None
+        coarse = markov_for_partition(
+            self.m, self.options.partition, self.options.cap, closure=self.closure
+        )
+        return coarse, kgroups_from_incidence(coarse.matrix)
+
+    @cached_property
+    def minpoly(self):
+        """Closed form for the unimodal and beta families, checked against the
+        iterated minimal polynomial; the iteration alone for other maps."""
+        m, options = self.m, self.options
+        out = MinPolyRoute()
+        if not self.surjective:
+            return out
+        family = None
+        orbit_status = None
+        if ktheory.recognize_unimodal(m) is not None:
+            family = "unimodal"
             data, orbit_status = ktheory.unimodal_orbit_data(m, options.cap)
             if data is not None:
-                signs, k, p, case = data
-                closed = ktheory.unimodal_minpoly(signs, k, p, case)
-                minpoly_report = ktheory.MinPolyReport(
+                closed = ktheory.unimodal_minpoly(*data)
+                out.report = ktheory.MinPolyReport(
                     closed, "unimodal_closed_form", "certified:unimodal"
                 )
-        elif beta_guess is not None:
-            family_for_nonperiodic = "beta"
-            data, orbit_status = ktheory.beta_orbit_data(m, beta_guess, options.cap)
+        elif self.beta is not None:
+            family = "beta"
+            data, orbit_status = ktheory.beta_orbit_data(m, self.beta, options.cap)
             if data is not None:
-                digits, k, p, case = data
-                closed = ktheory.beta_minpoly(digits, k, p, case)
-                minpoly_report = ktheory.MinPolyReport(
-                    closed, "beta_closed_form", "certified:beta"
-                )
-        if minpoly_report is not None or family_for_nonperiodic is None:
-            iter_result = ktheory.minimal_polynomial_iter(
+                closed = ktheory.beta_minpoly(*data)
+                out.report = ktheory.MinPolyReport(closed, "beta_closed_form", "certified:beta")
+        if out.report is not None or family is None:
+            iterated = ktheory.minimal_polynomial_iter(
                 m, cap=min(options.cap, 64), breakpoint_cap=options.cap
             )
-            if isinstance(iter_result, ktheory.MinPolyReport):
-                if minpoly_report is None:
-                    cyc = "asserted" if options.assert_cyclic else "unknown"
-                    iter_result.cyclicity = cyc
-                    minpoly_report = iter_result
-                else:
-                    agree = iter_result.poly == minpoly_report.poly
-                    consistency.append(
-                        {
-                            "check": "closed-form vs iterated minimal polynomial",
-                            "status": "pass" if agree else "FAIL",
-                            "detail": "%s vs %s"
-                            % (minpoly_report.poly.text(), iter_result.poly.text()),
-                        }
-                    )
-                    minpoly_report.iterations = iter_result.iterations
+            if not isinstance(iterated, ktheory.MinPolyReport):
+                out.status = iterated
+            elif out.report is None:
+                iterated.cyclicity = "asserted" if options.assert_cyclic else "unknown"
+                out.report = iterated
             else:
-                minpoly_status = iter_result
-        if minpoly_report is not None:
+                out.check = _check(
+                    "closed-form vs iterated minimal polynomial",
+                    iterated.poly == out.report.poly,
+                    "%s vs %s" % (out.report.poly.text(), iterated.poly.text()),
+                )
+                out.report.iterations = iterated.iterations
+        if out.report is not None:
             try:
-                kg, n = ktheory.kgroups_from_minpoly(minpoly_report)
-                minpoly_kg = (kg, n)
+                out.kgroups = ktheory.kgroups_from_minpoly(out.report)
             except ImapkError:
-                cyclicity_refusal = {
+                out.refusal = {
                     "flag": "--assert-cyclic",
                     "reason": "the minimal polynomial route needs the constant "
                     "function to generate the module; pass --assert-cyclic "
                     "to assert it",
                 }
-        if family_for_nonperiodic and orbit_status is not None and not isinstance(
-            orbit_status, Closed
+        if family and orbit_status is not None and not isinstance(orbit_status, Closed):
+            out.nonperiodic = ktheory.nonperiodic_kgroups(family, orbit_status)
+        return out
+
+    @cached_property
+    def multimodal(self):
+        """(route, refusal, note) of the multimodal route, which runs only
+        when nothing else concluded the K-groups; at most one is not None."""
+        if not (
+            self.surjective
+            and self.m.is_continuous()
+            and self.markov_data is None
+            and self.minpoly.kgroups is None
+            and self.minpoly.nonperiodic is None
+            and self.exchange_route is None
         ):
-            nonperiodic_route = ktheory.nonperiodic_kgroups(
-                family_for_nonperiodic, orbit_status
-            )
-
-    # multimodal route: only when nothing else concluded the K-groups
-    multimodal_route = None
-    if (
-        surjective
-        and m.is_continuous()
-        and markov_data is None
-        and minpoly_kg is None
-        and nonperiodic_route is None
-        and exchange_route is None
-    ):
+            return None, None, None
         try:
-            mk = multimodal_kgroups(
-                m, options.cap, asserted=options.assert_orbit_infinite
+            route = multimodal_kgroups(
+                self.m, self.options.cap, asserted=self.options.assert_orbit_infinite
             )
-            if mk is None:
-                refusals.append(
-                    {
-                        "flag": "--assert-orbit-infinite",
-                        "reason": "critical orbits are disjoint up to the cap; "
-                        "pass --assert-orbit-infinite to conclude",
-                    }
-                )
-            else:
-                multimodal_route = mk
         except ImapkError as exc:
-            notes.append("multimodal route inapplicable: %s" % exc)
+            return None, None, "multimodal route inapplicable: %s" % exc
+        if route is None:
+            return None, {
+                "flag": "--assert-orbit-infinite",
+                "reason": "critical orbits are disjoint up to the cap; "
+                "pass --assert-orbit-infinite to conclude",
+            }, None
+        return route, None, None
 
-    # a cyclicity refusal only matters when no other route concluded
-    if cyclicity_refusal is not None and all(
-        r is None
-        for r in (incidence_route, exchange_route, multimodal_route, nonperiodic_route)
-    ):
-        refusals.append(cyclicity_refusal)
+    @cached_property
+    def refusals(self):
+        route, refusal, _ = self.multimodal
+        out = [] if refusal is None else [refusal]
+        # a cyclicity refusal only matters when no other route concluded
+        if self.minpoly.refusal is not None and all(
+            r is None
+            for r in (self.incidence_route, self.exchange_route, route, self.minpoly.nonperiodic)
+        ):
+            out.append(self.minpoly.refusal)
+        return out
 
-    # consistency: |m(1)| vs incidence torsion.  Equality needs the constant
-    # function to generate the module; without that, m divides the
-    # characteristic polynomial of A, so |m(1)| divides |det(id - A)|, the
-    # order of the cokernel (0 when it is infinite)
-    if minpoly_report is not None and incidence_route is not None:
-        n = minpoly_report.n_value
-        torsion_product = 1
-        for d in incidence_route.torsion:
-            torsion_product *= d
-        if minpoly_report.cyclicity == "unknown":
-            order = 0 if incidence_route.free_rank > 0 else torsion_product
-            check = "|m(1)| divides the order of the incidence cokernel"
-            agree = order % n == 0 if n else order == 0
-        else:
-            check = "|m(1)| equals the torsion of the incidence cokernel"
-            both_zero = n == 0 and incidence_route.free_rank > 0
-            agree = both_zero or (
-                n == torsion_product and incidence_route.free_rank == 0
+    @cached_property
+    def notes(self):
+        note = self.multimodal[2]
+        return [] if note is None else [note]
+
+    @cached_property
+    def classification(self):
+        extra_hyps = []
+        if self.markov_data is not None:
+            extra_hyps.append(
+                "markov with canonical partition of %d intervals" % self.markov_data.size
             )
-        consistency.append(
-            {
-                "check": check,
-                "status": "pass" if agree else "FAIL",
-                "detail": "|m(1)| = %d, torsion product = %d, free rank = %d"
-                % (n, torsion_product, incidence_route.free_rank),
-            }
+        return ktheory.classify(
+            self.flags,
+            minpoly_report=self.minpoly.report,
+            minpoly_kgroups=self.minpoly.kgroups,
+            nonperiodic=self.minpoly.nonperiodic,
+            markov_data=self.markov_data,
+            separation=self.separation,
+            incidence_kgroups=self.incidence_route,
+            exchange=self.exchange_route,
+            multimodal=self.multimodal[0],
+            refusals=self.refusals,
+            extra_hypotheses=extra_hyps,
         )
 
-    extra_hyps = []
-    if markov_data is not None:
-        extra_hyps.append("markov with canonical partition of %d intervals" % markov_data.size)
-    classification = ktheory.classify(
-        flags,
-        minpoly_report=minpoly_report,
-        minpoly_kgroups=minpoly_kg,
-        nonperiodic=nonperiodic_route,
-        markov_data=markov_data,
-        separation=separation,
-        incidence_kgroups=incidence_route,
-        exchange=exchange_route,
-        multimodal=multimodal_route,
-        refusals=refusals,
-        extra_hypotheses=extra_hyps,
-    )
+    @cached_property
+    def entropy(self):
+        return entropy_report(self.m, self.flags, self.markov_data, self.options.tol)
 
-    entropy = entropy_report(m, flags, markov_data, options.tol)
-    if entropy.method == "perron_markov" and minpoly_report is not None:
+    @cached_property
+    def consistency(self):
+        out = []
+        if self.user_partition is not None:
+            coarse_kg = self.user_partition[1]
+            out.append(_check(
+                "kgroups invariant under Markov partition refinement",
+                coarse_kg.as_dict() == self.incidence_route.as_dict(),
+                "%s vs %s" % (self.incidence_route.text(), coarse_kg.text()),
+            ))
+        if self.minpoly.check is not None:
+            out.append(self.minpoly.check)
+        mp, inc = self.minpoly.report, self.incidence_route
+        if mp is not None and inc is not None:
+            # equality needs the constant function to generate the module;
+            # without that, m divides the characteristic polynomial of A, so
+            # |m(1)| divides |det(id - A)|, the order of the cokernel (0 when
+            # it is infinite)
+            n = mp.n_value
+            torsion_product = 1
+            for d in inc.torsion:
+                torsion_product *= d
+            if mp.cyclicity == "unknown":
+                order = 0 if inc.free_rank > 0 else torsion_product
+                check = "|m(1)| divides the order of the incidence cokernel"
+                agree = order % n == 0 if n else order == 0
+            else:
+                check = "|m(1)| equals the torsion of the incidence cokernel"
+                agree = (n == 0 and inc.free_rank > 0) or (
+                    n == torsion_product and inc.free_rank == 0
+                )
+            out.append(_check(
+                check, agree,
+                "|m(1)| = %d, torsion product = %d, free rank = %d"
+                % (n, torsion_product, inc.free_rank),
+            ))
+        s = None if mp is None else uniform_abs_slope(self.m)
         # slope-Perron agreement for uniformly sloped transitive maps
-        from .entropy import uniform_abs_slope
+        if s is not None and self.flags.transitive:
+            ent = self.entropy
+            if ent.method == "perron_markov" and ent.s_lo is not None:
+                lo, hi = s.enclosure(self.options.tol)
+                out.append(_check(
+                    "uniform slope lies in the Perron enclosure",
+                    not (hi < ent.s_lo or lo > ent.s_hi),
+                    "slope in [%s, %s], enclosure [%s, %s]" % (lo, hi, ent.s_lo, ent.s_hi),
+                ))
+        return out
 
-        s = uniform_abs_slope(m)
-        if s is not None and flags.transitive and entropy.s_lo is not None:
-            lo, hi = s.enclosure(options.tol)
-            overlap = not (hi < entropy.s_lo or lo > entropy.s_hi)
-            consistency.append(
-                {
-                    "check": "uniform slope lies in the Perron enclosure",
-                    "status": "pass" if overlap else "FAIL",
-                    "detail": "slope in [%s, %s], enclosure [%s, %s]"
-                    % (lo, hi, entropy.s_lo, entropy.s_hi),
-                }
-            )
 
+def _orbits_section(p):
+    orbits = [forward_orbit(p.m, x, p.options.cap).as_dict() for x in p.m.partition]
+    return {"critical_closure": p.closure.as_dict(), "partition_orbits": orbits}
+
+
+def _route_dict(route, key):
+    if route is None:
+        return None
+    kg, value = route
+    d = kg.as_dict()
+    d[key] = value
+    return d
+
+
+def _kgroups_section(p):
+    inc = p.incidence_route
     return {
-        "spec": spec,
-        "options": options,
-        "flags": flags,
-        "markov_result": markov_result,
-        "markov_data": markov_data,
-        "graph_flags": gflags,
-        "separation": separation,
-        "incidence_route": incidence_route,
-        "user_partition_info": user_partition_info,
-        "minpoly_report": minpoly_report,
-        "minpoly_status": minpoly_status,
-        "minpoly_kg": minpoly_kg,
-        "nonperiodic_route": nonperiodic_route,
-        "exchange_route": exchange_route,
-        "idoc_result": idoc_result,
-        "multimodal_route": multimodal_route,
-        "classification": classification,
-        "entropy": entropy,
-        "certs": certs,
-        "consistency": consistency,
-        "refusals": refusals,
-        "notes": notes,
+        "incidence_route": None if inc is None else inc.as_dict(),
+        "minpoly_route": _route_dict(p.minpoly.kgroups, "n")
+        or _route_dict(p.minpoly.nonperiodic, "label"),
+        "family_route": _route_dict(p.exchange_route, "label")
+        or _route_dict(p.multimodal[0], "label"),
     }
 
 
-def _orbits_section(spec, options):
-    m = spec.map
-    cc = critical_closure(m, options.cap)
-    orbits = []
-    for p in m.partition:
-        r = forward_orbit(m, p, options.cap)
-        orbits.append(r.as_dict())
-    return {"critical_closure": cc.as_dict(), "partition_orbits": orbits}
-
-
-def _kgroups_section(bundle):
-    out = {}
-    inc = bundle["incidence_route"]
-    out["incidence_route"] = None if inc is None else inc.as_dict()
-    mkg = bundle["minpoly_kg"]
-    if mkg is not None:
-        kg, n = mkg
-        d = kg.as_dict()
-        d["n"] = n
-        out["minpoly_route"] = d
-    elif bundle["nonperiodic_route"] is not None:
-        kg, label = bundle["nonperiodic_route"]
-        d = kg.as_dict()
-        d["label"] = label
-        out["minpoly_route"] = d
-    else:
-        out["minpoly_route"] = None
-    if bundle["exchange_route"] is not None:
-        kg, label = bundle["exchange_route"]
-        d = kg.as_dict()
-        d["label"] = label
-        out["family_route"] = d
-    elif bundle["multimodal_route"] is not None:
-        kg, label = bundle["multimodal_route"]
-        d = kg.as_dict()
-        d["label"] = label
-        out["family_route"] = d
-    else:
-        out["family_route"] = None
-    return out
-
-
-def _markov_section(bundle):
-    result = bundle["markov_result"]
-    if bundle["markov_data"] is None:
+def _markov_section(p):
+    result = p.markov_result
+    if p.markov_data is None:
         section = {"status": result.kind}
         if hasattr(result, "reason"):
             section["reason"] = result.reason
@@ -520,86 +527,83 @@ def _markov_section(bundle):
         if hasattr(result, "cap"):
             section["cap"] = result.cap
         return section
-    data = bundle["markov_data"]
     section = {
         "status": "markov",
-        "data": data.as_dict(),
-        "graph": bundle["graph_flags"].as_dict(),
-        "separation": bundle["separation"].as_dict(),
+        "data": p.markov_data.as_dict(),
+        "graph": p.graph_flags.as_dict(),
+        "separation": p.separation.as_dict(),
     }
-    if bundle["user_partition_info"] is not None:
-        section["user_partition"] = bundle["user_partition_info"]
+    if p.user_partition is not None:
+        coarse, coarse_kg = p.user_partition
+        section["user_partition"] = {
+            "partition": [x.text() for x in coarse.partition],
+            "matrix": [list(r) for r in coarse.matrix],
+            "kgroups": coarse_kg.as_dict(),
+        }
     return section
 
 
-def _dimension_module_section(bundle):
-    spec = bundle["spec"]
-    m = spec.map
+def _minimal_polynomial_section(p):
+    if p.minpoly.report is not None:
+        return p.minpoly.report.as_dict()
+    if p.minpoly.status is not None:
+        return {"status": p.minpoly.status.kind}
+    return None
+
+
+def _dimension_module_section(p):
     section = {}
     try:
-        gens = ktheory.module_generators(m)
+        gens = ktheory.module_generators(p.m)
         section["generators"] = [[a.text(), b.text()] for a, b in gens]
     except NotSurjective:
         section["generators"] = None
-    if bundle["markov_data"] is not None:
-        section["stationary_presentation"] = stationary_dimension_triple(
-            bundle["markov_data"].matrix
-        ).as_dict()
-    else:
-        section["stationary_presentation"] = None
+    section["stationary_presentation"] = (
+        None
+        if p.markov_data is None
+        else stationary_dimension_triple(p.markov_data.matrix).as_dict()
+    )
     return section
 
 
-def assemble_report(command, spec, options, bundle):
-    sections = _SECTIONS[command]
-    report = {"command": command}
-    report["map"] = _map_echo(spec)
-    report["options"] = options.as_dict()
-    if "dynamics" in sections:
-        report["dynamics"] = bundle["flags"].as_dict()
-    if "certificates" in sections:
-        report["certificates"] = [
-            {"property": c.prop, "value": c.value, "source": c.source}
-            for c in bundle["certs"]
-        ]
-    if "orbits" in sections:
-        report["orbits"] = _orbits_section(spec, options)
-    if "markov" in sections:
-        report["markov"] = _markov_section(bundle)
-    if "kgroups" in sections:
-        report["kgroups"] = _kgroups_section(bundle)
-    if "minimal_polynomial" in sections:
-        if bundle["minpoly_report"] is not None:
-            report["minimal_polynomial"] = bundle["minpoly_report"].as_dict()
-        elif bundle["minpoly_status"] is not None:
-            report["minimal_polynomial"] = {"status": bundle["minpoly_status"].kind}
-        else:
-            report["minimal_polynomial"] = None
-    if "dimension_module" in sections:
-        report["dimension_module"] = _dimension_module_section(bundle)
-    if "entropy" in sections:
-        report["entropy"] = bundle["entropy"].as_dict()
-    if "classification" in sections:
-        report["classification"] = bundle["classification"].as_dict()
-    if "consistency" in sections:
-        report["consistency"] = bundle["consistency"]
-    if "refusals" in sections:
-        report["refusals"] = bundle["refusals"]
-    if "notes" in sections:
-        report["notes"] = bundle["notes"]
-    return report
+# section name -> builder reading the Pipeline stages it needs
+_BUILDERS = {
+    "map": lambda p: _map_echo(p.spec),
+    "options": lambda p: p.options.as_dict(),
+    "dynamics": lambda p: p.flags.as_dict(),
+    "certificates": lambda p: [
+        {"property": c.prop, "value": c.value, "source": c.source} for c in p.certs
+    ],
+    "orbits": _orbits_section,
+    "markov": _markov_section,
+    "kgroups": _kgroups_section,
+    "minimal_polynomial": _minimal_polynomial_section,
+    "dimension_module": _dimension_module_section,
+    "entropy": lambda p: p.entropy.as_dict(),
+    "classification": lambda p: p.classification.as_dict(),
+    "consistency": lambda p: p.consistency,
+    "refusals": lambda p: p.refusals,
+    "notes": lambda p: p.notes,
+}
 
 
 def run(command, spec, overrides=None):
-    """Execute a pipeline slice; returns (report_dict, exit_code)."""
+    """Execute a pipeline slice; returns (report_dict, exit_code).
+
+    The exit code is 3 when a consistency check failed, else 2 when the
+    classification was refused for want of an assertion flag, else 0.
+    """
     if command not in _SECTIONS:
         raise ImapkError("unknown command %r" % command)
-    options = PipelineOptions.from_spec(spec, overrides)
-    bundle = compute(spec, options)
-    report = assemble_report(command, spec, options, bundle)
+    p = Pipeline(spec, PipelineOptions.from_spec(spec, overrides))
+    report = {"command": command}
+    for name in _SECTIONS[command]:
+        report[name] = _BUILDERS[name](p)
     exit_code = 0
-    if command in ("ktheory", "classify", "all") and bundle["refusals"]:
-        cls = bundle["classification"]
+    if any(c["status"] == "FAIL" for c in report.get("consistency", ())):
+        exit_code = 3
+    elif command in ("ktheory", "classify", "all") and p.refusals:
+        cls = p.classification
         if cls.verdict == "invariants_only" and not cls.k0:
             exit_code = 2
     return report, exit_code

@@ -203,14 +203,16 @@ class NumberField:
         """Current refined interval; shrinks monotonically, always isolates alpha."""
         return self._lo, self._hi
 
+    def _halve(self, lo, hi):
+        """The half of the isolating interval [lo, hi] that holds alpha."""
+        mid = (lo + hi) / 2
+        # no rational roots, so the value at mid is nonzero
+        if (poly_eval(self.poly, mid) > 0) == (self._sign_lo > 0):
+            return mid, hi
+        return lo, mid
+
     def refine(self):
-        mid = (self._lo + self._hi) / 2
-        v = poly_eval(self.poly, mid)
-        # no rational roots, so v != 0
-        if (v > 0) == (self._sign_lo > 0):
-            self._lo = mid
-        else:
-            self._hi = mid
+        self._lo, self._hi = self._halve(self._lo, self._hi)
 
     def _ball(self, bits):
         """Integer enclosures (L, H) of alpha^k * 2^bits, k < degree.
@@ -373,16 +375,21 @@ class Scalar:
 
     @staticmethod
     def _join(a, b):
-        """Common field context, lifting rationals; distinct fields are an error."""
-        if a.field is None and b.field is None:
-            return None, a.coeffs, b.coeffs
-        field = a.field or b.field
-        if a.field is not None and b.field is not None and a.field != b.field:
+        """Common field context, lifting a rational operand; distinct fields are
+        an error.  A field element is always full length, so only a rational
+        is padded."""
+        fa, fb = a.field, b.field
+        if fa is fb:
+            return fa, a.coeffs, b.coeffs
+        if fa is None:
+            return fb, a.coeffs + (Fraction(0),) * (fb.degree - len(a.coeffs)), b.coeffs
+        if fb is None:
+            return fa, a.coeffs, b.coeffs + (Fraction(0),) * (fa.degree - len(b.coeffs))
+        if fa != fb:
             raise MixedFieldContexts(
-                "operands live in different number fields: %r vs %r" % (a.field, b.field)
+                "operands live in different number fields: %r vs %r" % (fa, fb)
             )
-        pad = lambda s: s.coeffs + (Fraction(0),) * (field.degree - len(s.coeffs))
-        return field, pad(a), pad(b)
+        return fa, a.coeffs, b.coeffs
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -568,16 +575,20 @@ class Scalar:
         raise ReducibleMinimalPolynomial("floor refinement did not converge")
 
     def enclosure(self, tol=Fraction(1, 10**6)):
-        """Rational interval [lo, hi] containing the value, of width <= tol."""
+        """Rational interval [lo, hi] containing the value, of width <= tol.
+
+        It bisects its own copy of the isolating interval and leaves the
+        shared one alone, so the result depends only on the element and tol.
+        """
         if self.field is None:
             return self.coeffs[0], self.coeffs[0]
         g = poly_trim(self.coeffs)
+        lo, hi = self.field.iso
         for _ in range(_MAX_REFINE):
-            lo, hi = self.field.interval()
             mn, mx = _interval_eval(g, lo, hi)
             if mx - mn <= tol:
                 return mn, mx
-            self.field.refine()
+            lo, hi = self.field._halve(lo, hi)
         raise ReducibleMinimalPolynomial("enclosure refinement did not converge")
 
     # -- text forms ----------------------------------------------------------

@@ -391,3 +391,29 @@ def test_equality_and_hash_agree(golden_field, sqrt2_field):
     assert golden_field.alpha() != sqrt2_field.alpha()
     assert sqrt2_field.alpha() != rational(1) and rational(1) != sqrt2_field.alpha()
     assert len({golden_field.alpha(), sqrt2_field.alpha(), rational(1)}) == 3
+
+
+def test_enclosure_depends_only_on_the_element_and_tol(golden_field):
+    phi = golden_field.alpha()
+    tol = Fraction(1, 10**6)
+    before = phi.enclosure(tol)
+    # the shared interval is left alone, and refining it changes nothing
+    assert golden_field.interval() == (1, 2)
+    for _ in range(10):
+        golden_field.refine()
+    assert phi.enclosure(tol) == before
+    lo, hi = before
+    assert hi - lo == Fraction(1, 2**20)
+    assert lo < phi < hi
+
+
+def test_a_rational_operand_is_lifted_on_either_side():
+    field = NumberField([-1, -1, 0, 1], (1, 2))  # x^3 - x - 1
+    a = field.alpha()
+    for value in (a + 2, 2 + a, a - rational(1, 2) + rational(5, 2)):
+        assert value.coeffs == (2, 1, 0)
+    assert (3 * a).coeffs == (a * 3).coeffs == (0, 3, 0)
+    twin = NumberField([-1, -1, 0, 1], (1, 2))
+    assert (a + twin.alpha()).coeffs == (0, 2, 0)
+    with pytest.raises(MixedFieldContexts):
+        a * NumberField([-2, 0, 1], (1, 2)).alpha()
