@@ -21,7 +21,7 @@ from .errors import (
 )
 from .interval_map import Certificate, PMMap, validate_map
 from .markov import check_zero_one
-from .orbit import Closed, IdocFails, IdocHolds, ProvablyInfinite, tau_orbit
+from .orbit import IdocFails, IdocHolds, interior_orbits_disjoint
 from .scalar import ONE, ZERO, as_scalar, rational
 from .snf import KGroups
 
@@ -83,6 +83,28 @@ def _build_tent():
     return BuildResult(m, [], "tent", {})
 
 
+def restricted_tent_certificates(s):
+    """The family-wide certificates of the restricted tent map with slope s."""
+    s2 = (s * s).compare(2)
+    if s2 > 0:
+        return [
+            Certificate(
+                "exact",
+                True,
+                "restricted tent maps with slope above sqrt(2) are topologically exact",
+            )
+        ]
+    if s2 == 0:
+        return [
+            Certificate(
+                "transitive",
+                True,
+                "the restricted tent map with slope sqrt(2) is transitive",
+            )
+        ]
+    return []
+
+
 def _build_restricted_tent(s):
     if not (rational(1) < s and s < rational(2)):
         raise ParameterOutOfRange("restricted tent needs 1 < s < 2")
@@ -91,25 +113,7 @@ def _build_restricted_tent(s):
         [ZERO, c, ONE],
         [(s, 2 - s), (-s, s)],
     )
-    certs = []
-    s2 = (s * s).compare(2)
-    if s2 > 0:
-        certs.append(
-            Certificate(
-                "exact",
-                True,
-                "restricted tent maps with slope above sqrt(2) are topologically exact",
-            )
-        )
-    elif s2 == 0:
-        certs.append(
-            Certificate(
-                "transitive",
-                True,
-                "the restricted tent map with slope sqrt(2) is transitive",
-            )
-        )
-    return BuildResult(m, certs, "restricted_tent", {"s": s})
+    return BuildResult(m, restricted_tent_certificates(s), "restricted_tent", {"s": s})
 
 
 def _build_uniform_pl(partition, signs, s):
@@ -143,6 +147,9 @@ def _build_uniform_pl(partition, signs, s):
     return BuildResult(m, [], "uniform_pl", {"s": s})
 
 
+BETA_EXACT = Certificate("exact", True, "beta transformations are always topologically exact")
+
+
 def _build_beta(beta):
     if not rational(1) < beta:
         raise ParameterOutOfRange("beta must exceed 1")
@@ -155,12 +162,7 @@ def _build_beta(beta):
     pts.append(ONE)
     branches = [(beta, rational(-j)) for j in range(len(pts) - 1)]
     m = validate_map(pts, branches)
-    certs = [
-        Certificate(
-            "exact", True, "beta transformations are always topologically exact"
-        )
-    ]
-    return BuildResult(m, certs, "beta", {"beta": beta, "digit_base": n})
+    return BuildResult(m, [BETA_EXACT], "beta", {"beta": beta, "digit_base": n})
 
 
 def _build_exchange(lengths, permutation):
@@ -308,25 +310,7 @@ def multimodal_kgroups(m, cap=10000, asserted=False):
             raise HypothesisViolatedWithinCap(
                 "an endpoint maps to an endpoint (%s -> %s)" % (e.text(), img.text())
             )
-    owner = {}
-    interior = list(m.partition[1:-1])
-    provable = True
-    for idx, a in enumerate(interior):
-        points, status = tau_orbit(m, a, cap)
-        if isinstance(status, Closed):
-            raise HypothesisViolatedWithinCap(
-                "orbit of %s is eventually periodic" % a.text()
-            )
-        if not isinstance(status, ProvablyInfinite):
-            provable = False
-        for p in points:
-            # the points of one orbit are distinct, so another owner is a collision
-            first = owner.setdefault(p, idx)
-            if first != idx:
-                raise HypothesisViolatedWithinCap(
-                    "orbits of %s and %s collide at %s"
-                    % (interior[first].text(), a.text(), p.text())
-                )
+    provable = interior_orbits_disjoint(m, cap)
     if not asserted and not provable:
         return None  # refused without assertion
     kg = KGroups(torsion=[], free_rank=q - 1, k1_rank=0, generator_note="")

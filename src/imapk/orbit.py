@@ -1,9 +1,21 @@
 """Forward orbits, the critical closure, and orbit-disjointness checks.
 
-Orbits under the multivalued map branch at partition points: both one-sided
-limit values are followed, each as its own thread, and the result is the
-union.  Eventual periodicity is detected by exact revisit lookup (scalars are
-canonical and hashable), never by floating shadows.
+One breadth-first search, ``_search``, serves three wrappers:
+
+* ``forward_orbit`` follows the multivalued map from one point.  Orbits
+  branch at partition points: both one-sided limit values are followed, each
+  as its own thread, and the result is the union;
+* ``tau_orbit`` follows the single-valued right-continuous map from one
+  point;
+* ``critical_closure`` follows the multivalued map from every partition
+  point at once.
+
+A search stops for one of four reasons: it completes (every value was
+already seen), it passes the cap, a coordinate passes ``MAX_COEFF_BITS``
+(reported as ``CapReached`` with the point count), or the growth
+certificate below proves the orbit infinite.  Eventual periodicity is
+detected by exact revisit lookup (scalars are canonical and hashable), never
+by floating shadows.
 
 The ``ProvablyInfinite`` status carries a machine-checkable certificate: when
 every branch slope has the same reduced denominator q > 1 and every intercept
@@ -13,12 +25,21 @@ exponent e, and larger than every partition denominator) has all later
 iterates with strictly growing pure q-power denominators.  Such an orbit
 never revisits a point and never lands on a partition point, so it is
 infinite; the cap result is upgraded to a theorem.
+
+``interior_orbits_disjoint`` is the one check that the interior partition
+points have infinite, pairwise disjoint orbits; ``idoc_check`` and the
+multimodal K-theory route both use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from .errors import CertificateFailure, NotAnExchangeMap, OutOfDomain
+from .errors import (
+    CertificateFailure,
+    HypothesisViolatedWithinCap,
+    NotAnExchangeMap,
+    OutOfDomain,
+)
 from .interval_map import PLUS
 from .scalar import ONE, ZERO, Scalar, as_scalar
 from . import interval_map as imap
@@ -151,67 +172,66 @@ def _certificate_witness(m, x, steps=10):
     return "denominators %s..." % (denoms[: min(6, len(denoms))],)
 
 
-def forward_orbit(m, x, cap=10000):
-    """Forward orbit under the multivalued map, following every limit-value thread."""
-    x = as_scalar(x)
-    if x < ZERO or x > ONE:
-        raise OutOfDomain("%s is outside [0,1]" % x.text())
+def _search(m, seeds, cap, step, edges=None):
+    """Breadth-first search from the seeds under ``step(m, x) -> values``.
+
+    Returns (points, stop): the distinct points in discovery order, and None
+    when the search completed, else the CapReached or ProvablyInfinite status
+    that ended it.  When ``edges`` is a list it receives one (i, j) pair per
+    value, from the index of a point to the index of its value.
+    """
     cert = _GrowthCertificate(m)
     # points[done:] is the queue of points not yet mapped; seen maps each
     # point to its index in points
-    seen = {x: 0}
-    points = [x]
-    succ = {}
-    edges = []
+    points = list(seeds)
+    seen = {p: i for i, p in enumerate(points)}
     done = 0
-    branched = False
     while done < len(points):
         if len(points) > cap:
-            return OrbitResult(x, points, CapReached(cap), edges)
+            return points, CapReached(cap)
         i = done
         p = points[done]
         done += 1
         if _oversized(p):
-            return OrbitResult(x, points, CapReached(len(points)), edges)
+            return points, CapReached(len(points))
         if cert.certifies(p):
-            return OrbitResult(
-                x,
-                points,
-                ProvablyInfinite(
-                    "denominator-growth: slopes with reduced denominator %d "
-                    "force strictly increasing q-power denominators" % cert.q,
-                    _certificate_witness(m, p),
-                ),
-                edges,
+            return points, ProvablyInfinite(
+                "denominator-growth: slopes with reduced denominator %d "
+                "force strictly increasing q-power denominators" % cert.q,
+                _certificate_witness(m, p),
             )
-        values = imap.eval_multivalued(m, p)
-        if len(values) > 1:
-            branched = True
-        succ[p] = values
-        for v in values:
+        for v in step(m, p):
             j = seen.setdefault(v, len(points))
             if j == len(points):
                 points.append(v)
-            edges.append((i, j))
-    status = _closed_status(x, points, succ, branched)
-    return OrbitResult(x, points, status, edges)
+            if edges is not None:
+                edges.append((i, j))
+    return points, None
 
 
-def _closed_status(seed, points, succ, branched):
-    if branched:
+def _checked_seed(x):
+    x = as_scalar(x)
+    if x < ZERO or x > ONE:
+        raise OutOfDomain("%s is outside [0,1]" % x.text())
+    return x
+
+
+def _closed(points, edges):
+    """Status of a search from one seed that completed."""
+    if len(edges) > len(points):
         return Closed(None, None, branched=True)
-    # linear orbit: walk until first revisit
-    order = [seed]
-    index = {seed: 0}
-    cur = seed
-    while True:
-        nxt = succ[cur][0]
-        if nxt in index:
-            k = index[nxt]
-            return Closed(k, len(order) - k, branched=False)
-        index[nxt] = len(order)
-        order.append(nxt)
-        cur = nxt
+    # one value per point: the points are the orbit in order, and the last
+    # edge closes it
+    k = edges[-1][1]
+    return Closed(k, len(points) - k)
+
+
+def forward_orbit(m, x, cap=10000):
+    """Forward orbit under the multivalued map, following every limit-value thread."""
+    x = _checked_seed(x)
+    edges = []
+    points, stop = _search(m, [x], cap, imap.eval_multivalued, edges)
+    return OrbitResult(x, points, _closed(points, edges) if stop is None else stop, edges)
 
 
 def step_right_continuous(m, x):
@@ -227,29 +247,10 @@ def tau_orbit(m, x, cap=10000):
 
     Returns (points, status) where points are the distinct iterates in order.
     """
-    x = as_scalar(x)
-    if x < ZERO or x > ONE:
-        raise OutOfDomain("%s is outside [0,1]" % x.text())
-    cert = _GrowthCertificate(m)
-    points = [x]
-    index = {x: 0}
-    cur = x
-    while len(points) <= cap:
-        if _oversized(cur):
-            return points, CapReached(len(points))
-        if cert.certifies(cur) and cur not in m.partition:
-            return points, ProvablyInfinite(
-                "denominator-growth certificate (reduced denominators are "
-                "strictly increasing powers of %d)" % cert.q,
-                _certificate_witness(m, cur),
-            )
-        nxt = step_right_continuous(m, cur)
-        k = index.setdefault(nxt, len(points))
-        if k < len(points):
-            return points, Closed(k, len(points) - k)
-        points.append(nxt)
-        cur = nxt
-    return points, CapReached(cap)
+    x = _checked_seed(x)
+    edges = []
+    points, stop = _search(m, [x], cap, lambda m, y: (step_right_continuous(m, y),), edges)
+    return points, _closed(points, edges) if stop is None else stop
 
 
 def reverify_closed(m, points, status):
@@ -288,33 +289,14 @@ def critical_closure(m, cap=10000):
     ``complete`` is the Markov criterion used downstream: the forward closure
     of the critical set is finite and was reached within the cap.
     """
-    cert = _GrowthCertificate(m)
-    # points[done:] is the queue of points not yet mapped
-    points = list(m.partition)
-    seen = set(points)
-    done = 0
-    while done < len(points):
-        if len(points) > cap:
-            return CriticalClosure(points, False)
-        p = points[done]
-        done += 1
-        if _oversized(p):
-            return CriticalClosure(points, False)
-        if cert.certifies(p):
-            return CriticalClosure(
-                points,
-                False,
-                ProvablyInfinite(
-                    "denominator-growth certificate", _certificate_witness(m, p)
-                ),
-            )
-        for v in imap.eval_multivalued(m, p):
-            # one hash per value: the set grows exactly when v is new
-            size = len(seen)
-            seen.add(v)
-            if len(seen) > size:
-                points.append(v)
-    return CriticalClosure(sorted(points), True)
+    points, stop = _search(m, m.partition, cap, imap.eval_multivalued)
+    if stop is None:
+        return CriticalClosure(sorted(points), True)
+    if isinstance(stop, ProvablyInfinite):
+        return CriticalClosure(
+            points, False, ProvablyInfinite("denominator-growth certificate", stop.witness)
+        )
+    return CriticalClosure(points, False)
 
 
 def is_exchange_map(m):
@@ -349,34 +331,45 @@ class IdocFails:
     kind = "fails"
 
 
-def idoc_check(m, cap=1000):
-    """Disjointness and non-periodicity of the interior partition point orbits.
+def interior_orbits_disjoint(m, cap):
+    """Check the orbits of the interior partition points to the cap.
 
     Uses true single-valued orbits under the right-continuous convention.
+    Raises HypothesisViolatedWithinCap when an orbit is eventually periodic
+    or two orbits meet; otherwise returns whether every orbit is provably
+    infinite.
     """
+    interior = list(m.partition[1:-1])
+    owner = {}
+    provable = True
+    for idx, a in enumerate(interior):
+        points, status = tau_orbit(m, a, cap)
+        if isinstance(status, Closed):
+            raise HypothesisViolatedWithinCap(
+                "orbit of %s is eventually periodic (preperiod %d, period %d)"
+                % (a.text(), status.preperiod, status.period)
+            )
+        if not isinstance(status, ProvablyInfinite):
+            provable = False
+        for p in points:
+            # the points of one orbit are distinct, so another owner is a collision
+            first = owner.setdefault(p, idx)
+            if first != idx:
+                raise HypothesisViolatedWithinCap(
+                    "orbits of %s and %s collide at %s"
+                    % (interior[first].text(), a.text(), p.text())
+                )
+    return provable
+
+
+def idoc_check(m, cap=1000):
+    """Disjointness and non-periodicity of the interior partition point orbits."""
     if not is_exchange_map(m):
         raise NotAnExchangeMap(
             "map is not a generalized interval exchange (increasing bijective)"
         )
-    interior = list(m.partition[1:-1])
-    owner = {}
-    orbits = []
-    statuses = []
-    for idx, a in enumerate(interior):
-        points, status = tau_orbit(m, a, cap)
-        if isinstance(status, Closed):
-            return IdocFails(
-                "orbit of %s is eventually periodic (preperiod %d, period %d)"
-                % (a.text(), status.preperiod, status.period)
-            )
-        for p in points:
-            if p in owner:
-                return IdocFails(
-                    "orbits of %s and %s collide at %s"
-                    % (interior[owner[p]].text(), a.text(), p.text())
-                )
-            owner[p] = idx
-        orbits.append(points)
-        statuses.append(status)
-    provable = all(isinstance(s, ProvablyInfinite) for s in statuses)
+    try:
+        provable = interior_orbits_disjoint(m, cap)
+    except HypothesisViolatedWithinCap as exc:
+        return IdocFails(str(exc))
     return IdocHolds(cap, provably_infinite=provable)

@@ -21,7 +21,12 @@ from functools import cached_property
 from . import ktheory
 from .entropy import entropy_report, uniform_abs_slope
 from .errors import ImapkError, NotSurjective
-from .families import exchange_kgroups, multimodal_kgroups
+from .families import (
+    BETA_EXACT,
+    exchange_kgroups,
+    multimodal_kgroups,
+    restricted_tent_certificates,
+)
 from .interval_map import Certificate, dynamics_flags, is_surjective, validate_map
 from .markov import (
     MarkovData,
@@ -250,30 +255,10 @@ class Pipeline:
         certs = list(spec.certificates)
         if spec.family is None:
             if self.beta is not None:
-                certs.append(
-                    Certificate(
-                        "exact", True,
-                        "beta transformations are always topologically exact",
-                    )
-                )
+                certs.append(BETA_EXACT)
             s = recognize_restricted_tent(m)
             if s is not None:
-                cmp2 = (s * s).compare(2)
-                if cmp2 > 0:
-                    certs.append(
-                        Certificate(
-                            "exact", True,
-                            "restricted tent maps with slope above sqrt(2) are "
-                            "topologically exact",
-                        )
-                    )
-                elif cmp2 == 0:
-                    certs.append(
-                        Certificate(
-                            "transitive", True,
-                            "the restricted tent map with slope sqrt(2) is transitive",
-                        )
-                    )
+                certs.extend(restricted_tent_certificates(s))
         if self.markov_data is not None:
             certs.extend(
                 dynamics_certificates(m, self.markov_data, self.graph_flags, self.surjective)

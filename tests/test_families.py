@@ -197,6 +197,17 @@ def test_multimodal_colliding_critical_orbits_are_rejected():
         multimodal_kgroups(m, cap=500, asserted=True)
 
 
+def test_multimodal_eventually_periodic_critical_orbit_is_rejected():
+    # continuous and onto, 0 -> 1/4 and 1 -> 1/2, and 1/3 -> 1 -> 1/2 -> 1/2
+    m = validate_map(
+        [0, Fraction(1, 3), Fraction(2, 3), 1],
+        [(Fraction(9, 4), Fraction(1, 4)), (-3, 2), (Fraction(3, 2), -1)],
+    )
+    with pytest.raises(HypothesisViolatedWithinCap) as info:
+        multimodal_kgroups(m, cap=500, asserted=True)
+    assert str(info.value) == "orbit of 1/3 is eventually periodic (preperiod 2, period 1)"
+
+
 def test_multimodal_endpoint_violation(tent):
     with pytest.raises(HypothesisViolatedWithinCap):
         multimodal_kgroups(tent, cap=100, asserted=True)

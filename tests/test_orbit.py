@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,9 @@ from imapk.orbit import (
     Closed,
     IdocFails,
     IdocHolds,
+    MAX_COEFF_BITS,
     ProvablyInfinite,
+    _GrowthCertificate,
     _certificate_witness,
     critical_closure,
     forward_orbit,
@@ -18,7 +22,11 @@ from imapk.orbit import (
     reverify_closed,
     tau_orbit,
 )
+from imapk.interval_map import validate_map
 from imapk.scalar import rational
+from imapk.specfile import parse_spec
+
+SPECS = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.imapk"))
 
 
 def test_tent_orbit_of_half(tent):
@@ -104,6 +112,8 @@ def test_idoc_rational_rotation_fails():
     ).map
     result = idoc_check(m, 1000)
     assert isinstance(result, IdocFails)
+    # 1/3 -> 0 -> 2/3 -> 1/3
+    assert result.witness == "orbit of 1/3 is eventually periodic (preperiod 0, period 3)"
 
 
 def test_idoc_rational_three_exchange_fails():
@@ -125,23 +135,65 @@ def test_idoc_requires_exchange(tent):
         idoc_check(tent, 100)
 
 
-def test_denominator_certificate_random_beta():
+def _seeded_beta_maps(count=20):
+    """(beta, map) for `count` random rational betas p/q in (1, 3), seeded."""
     rng = random.Random(101)
-    count = 0
-    while count < 20:
+    out = []
+    while len(out) < count:
         q = rng.randint(2, 9)
         p = rng.randint(q + 1, 3 * q - 1)
-        from math import gcd
-
         if gcd(p, q) != 1:
             continue
         beta = Fraction(p, q)
         if beta <= 1 or beta >= 3:
             continue
-        m = build(FamilySpec("beta", {"beta": beta})).map
+        out.append((beta, build(FamilySpec("beta", {"beta": beta})).map))
+    return out
+
+
+def test_denominator_certificate_random_beta():
+    for beta, m in _seeded_beta_maps():
         r = forward_orbit(m, 1)
         assert isinstance(r.status, ProvablyInfinite), beta
-        count += 1
+
+
+def test_no_partition_point_is_certified():
+    # the certificate needs a denominator above every partition denominator,
+    # so the search never certifies a point where the map has two values
+    maps = [parse_spec(path.read_text()).map for path in SPECS]
+    maps += [m for _, m in _seeded_beta_maps()]
+    for m in maps:
+        cert = _GrowthCertificate(m)
+        assert not any(cert.certifies(p) for p in m.partition)
+
+
+def _size_limited_map():
+    # slopes with denominators 3^50 and 5^34 add about 79 bits per step, and
+    # differ, so the growth certificate does not apply
+    s = Fraction(2 * 3**50 - 1, 3**50)
+    t = Fraction(2 * 5**34 - 1, 5**34)
+    m = validate_map([0, Fraction(1, 2), 1], [(s, 0), (-t, t)])
+    assert not _GrowthCertificate(m).ok
+    return m
+
+
+def test_size_limit_ends_forward_and_tau_orbits():
+    m = _size_limited_map()
+    r = forward_orbit(m, Fraction(1, 3))
+    assert r.status == CapReached(53)
+    assert len(r.points) == 53 and len(r.edges) == 52
+    points, status = tau_orbit(m, Fraction(1, 3))
+    assert status == CapReached(53) and len(points) == 53
+    assert points == r.points
+
+
+def test_size_limit_ends_the_closure():
+    cc = critical_closure(_size_limited_map())
+    assert not cc.complete and cc.certificate is None
+    assert len(cc.points) == 107
+    assert any(
+        p.as_fraction().denominator.bit_length() > MAX_COEFF_BITS for p in cc.points
+    )
 
 
 def test_cap_reached():

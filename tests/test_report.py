@@ -117,3 +117,20 @@ def test_a_failed_check_takes_precedence_over_a_refusal(monkeypatch):
     monkeypatch.setattr(report.Pipeline, "consistency", property(lambda p: failed))
     got, code = run("classify", spec, {"cap": 400})
     assert got["refusals"] and code == 3
+
+
+def test_all_notes_an_eventually_periodic_multimodal_orbit():
+    # continuous and onto, and 1/3 -> 1 -> 1/2 -> 1/2; the closure is not
+    # finite, so the multimodal route runs and rejects the map
+    spec = parse_spec(
+        "map { partition = [0, 1/3, 2/3, 1]\n"
+        "  branch = { slope = 9/4, intercept = 1/4 }\n"
+        "  branch = { slope = -3, intercept = 2 }\n"
+        "  branch = { slope = 3/2, intercept = -1 } }"
+    )
+    got, code = run("all", spec, {"cap": 20})
+    assert code == 0
+    assert got["notes"] == [
+        "multimodal route inapplicable: orbit of 1/3 is eventually periodic "
+        "(preperiod 2, period 1)"
+    ]

@@ -328,7 +328,7 @@ def test_ball_sign_tests_leave_the_shared_interval_alone():
             vec[1] = vec[1] or Fraction(1)
             field.element(vec).sign()
         assert field.interval() == before
-        # and enclosure() still refines it as before
+        # enclosure() still meets its width bound after the ball sign tests
         lo, hi = field.alpha().enclosure(Fraction(1, 1000))
         assert hi - lo <= Fraction(1, 1000)
 
