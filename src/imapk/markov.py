@@ -4,7 +4,10 @@ The canonical Markov partition is the sorted critical closure (the finest
 choice).  Coarser user-supplied partitions are accepted after validation and
 must produce the same K-groups, which the tests exercise.  The incidence
 convention is A[i][j] = 1 iff the image of the i-th open interval contains
-the j-th open interval.
+the j-th open interval.  One builder fills the rows for both kinds of
+partition: it checks that the map is monotonic on each interval and that the
+image ends at partition points, and then certifies every row against that
+image (the row-image law).
 """
 
 from __future__ import annotations
@@ -77,55 +80,72 @@ def detect_markov(m, cap=10000, closure=None):
         return ProvablyNotMarkov(cc.certificate.reason, cc.certificate.witness)
     if not cc.complete:
         return NotMarkovWithinCap(cap)
-    return _markov_from_points(m, cc.points, canonical=True)
+    return _markov_data(m, cc.points, canonical=True)
 
 
-def _locate(points, x):
+def _not_monotonic(lo, hi):
+    return InvalidMarkovPartition("map is not monotonic on (%s, %s)" % (lo.text(), hi.text()))
+
+
+def _locate(points, x, lo, hi):
+    """Index of x among the sorted partition points; x ends the image of (lo, hi)."""
     i = bisect.bisect_left(points, x)
-    if i >= len(points) or points[i] != x:
-        raise InvalidMarkovPartition("%s is not a partition point" % x.text())
+    if i == len(points) or points[i] != x:
+        raise InvalidMarkovPartition(
+            "image of (%s, %s) is not aligned with the partition" % (lo.text(), hi.text())
+        )
     return i
 
 
-def _markov_from_points(m, points, canonical):
+def _markov_data(m, points, canonical):
+    """Incidence matrix of the sorted partition ``points``.
+
+    On each interval (lo, hi) the branches over it, found by bisection, must
+    share one slope sign and have their image pieces in monotone order.  The
+    merged image must end at partition points, and the row selects the
+    intervals it covers.  The branch index is None for an interval that spans
+    several branches.
+    """
     size = len(points) - 1
     matrix = [[0] * size for _ in range(size)]
+    images = []
     branch_for_interval = []
-    for j in range(1, size + 1):
-        lo, hi = points[j - 1], points[j]
-        bi = m.branch_index_at(lo, PLUS)
-        b = m.branches[bi]
-        if not (b.lo <= lo and hi <= b.hi):
-            raise InvalidMarkovPartition(
-                "interval (%s, %s) is not inside one branch" % (lo.text(), hi.text())
-            )
-        branch_for_interval.append(bi)
-        u, v = b(lo), b(hi)
-        img_lo, img_hi = (u, v) if u <= v else (v, u)
-        a = _locate(points, img_lo)
-        c = _locate(points, img_hi)
-        for k in range(a + 1, c + 1):
-            matrix[j - 1][k - 1] = 1
+    for j in range(size):
+        lo, hi = points[j], points[j + 1]
+        first, last = m.branch_index_at(lo, PLUS), m.branch_index_at(hi, MINUS)
+        sub = m.branches[first : last + 1]
+        increasing = sub[0].increasing
+        if any(b.increasing != increasing for b in sub[1:]):
+            raise _not_monotonic(lo, hi)
+        pieces = []
+        for i, b in enumerate(sub):
+            u, v = b(lo if i == 0 else b.lo), b(hi if i == len(sub) - 1 else b.hi)
+            pieces.append((u, v) if increasing else (v, u))
+        ordered = pieces if increasing else pieces[::-1]
+        if any(not v1 <= u2 for (_, v1), (u2, _) in zip(ordered, ordered[1:])):
+            raise _not_monotonic(lo, hi)
+        image = merge_closed_intervals(pieces)
+        for u, v in image:
+            a, c = _locate(points, u, lo, hi), _locate(points, v, lo, hi)
+            for k in range(a, c):
+                matrix[j][k] = 1
+        images.append(image)
+        branch_for_interval.append(first if first == last else None)
     data = MarkovData(tuple(points), matrix, tuple(branch_for_interval), canonical)
-    _verify_row_images(m, data)
+    _verify_row_images(data, images)
     return data
 
 
-def _verify_row_images(m, data):
-    """Closure of each interval image must equal the union its row selects."""
-    for j in range(1, data.size + 1):
-        lo, hi = data.interval(j)
-        b = m.branches[data.branch_for_interval[j - 1]]
-        u, v = b(lo), b(hi)
-        img = (u, v) if u <= v else (v, u)
+def _verify_row_images(data, images):
+    """The intervals each row selects must cover exactly that interval's image."""
+    for j, image in enumerate(images):
         selected = [
             (data.partition[k], data.partition[k + 1])
             for k in range(data.size)
-            if data.matrix[j - 1][k]
+            if data.matrix[j][k]
         ]
-        merged = merge_closed_intervals(selected)
-        if merged != [img]:
-            raise CertificateFailure("row-image law violated for interval %d" % j)
+        if merge_closed_intervals(selected) != image:
+            raise CertificateFailure("row-image law violated for interval %d" % (j + 1))
 
 
 def markov_for_partition(m, points, cap=10000, closure=None):
@@ -169,52 +189,9 @@ def markov_for_partition(m, points, cap=10000, closure=None):
             raise InvalidMarkovPartition(
                 "%s is not in the generalized orbit of the critical set" % p.text()
             )
-    pset = set(points)
-    size = len(points) - 1
-    matrix = [[0] * size for _ in range(size)]
-    branch_for_interval = []
-    for j in range(1, size + 1):
-        lo, hi = points[j - 1], points[j]
-        sub = [
-            b
-            for b in m.branches
-            if b.lo < hi and lo < b.hi
-        ]
-        signs = {b.slope.sign() for b in sub}
-        if len(signs) != 1:
-            raise InvalidMarkovPartition(
-                "map is not monotonic on (%s, %s)" % (lo.text(), hi.text())
-            )
-        sign = signs.pop()
-        # monotone across interior jumps: pieces in increasing domain order must
-        # have images in weakly monotone order
-        prev_hi = None
-        pieces = []
-        for b in sorted(sub, key=lambda b: b.lo):
-            clo = lo if lo > b.lo else b.lo
-            chi = hi if hi < b.hi else b.hi
-            u, v = b(clo), b(chi)
-            pieces.append((u, v) if u <= v else (v, u))
-        ordered = pieces if sign > 0 else list(reversed(pieces))
-        for (u1, v1), (u2, v2) in zip(ordered, ordered[1:]):
-            if not v1 <= u2:
-                raise InvalidMarkovPartition(
-                    "map is not monotonic on (%s, %s)" % (lo.text(), hi.text())
-                )
-        merged = merge_closed_intervals(pieces)
-        for u, v in merged:
-            if u not in pset or v not in pset:
-                raise InvalidMarkovPartition(
-                    "image of (%s, %s) is not aligned with the partition"
-                    % (lo.text(), hi.text())
-                )
-            a, c = _locate(points, u), _locate(points, v)
-            for k in range(a + 1, c + 1):
-                matrix[j - 1][k - 1] = 1
-        branch_for_interval.append(
-            m.branch_index_at(lo, PLUS) if len(sub) == 1 else None
-        )
+    data = _markov_data(m, points, canonical=False)
     # the critical set must be eventually trapped in the partition point set
+    pset = set(points)
     current = set(m.partition)
     trapped = False
     for _ in range(4 * len(closure) * len(closure) + 8):
@@ -226,7 +203,7 @@ def markov_for_partition(m, points, cap=10000, closure=None):
         raise InvalidMarkovPartition(
             "forward images of the critical set never enter the partition set"
         )
-    return MarkovData(tuple(points), matrix, tuple(branch_for_interval), canonical=False)
+    return data
 
 
 # -- graph flags ------------------------------------------------------------

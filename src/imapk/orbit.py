@@ -300,16 +300,13 @@ def critical_closure(m, cap=10000):
 
 
 def is_exchange_map(m):
-    """All slopes positive and the branch images tile [0,1]."""
-    if any(not b.increasing for b in m.branches):
-        return False
-    images = sorted((b.image() for b in m.branches), key=lambda iv: iv[0])
-    cursor = ZERO
-    for lo, hi in images:
-        if lo != cursor:
-            return False
-        cursor = hi
-    return cursor == ONE
+    """All slopes positive and the branch images tile [0,1]: no image is a
+    single point, so covering [0,1] with disjoint interiors is tiling."""
+    return (
+        all(b.increasing for b in m.branches)
+        and imap.is_surjective(m)
+        and imap.is_essentially_injective(m)
+    )
 
 
 @dataclass

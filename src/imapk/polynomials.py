@@ -9,7 +9,7 @@ where coefficients stay arbitrary-precision integers throughout.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import CertificateFailure
 
@@ -171,10 +171,7 @@ class IntPoly:
         return IntPoly(poly_neg(self.coeffs))
 
     def content(self):
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
-        return g
+        return gcd(*self.coeffs)
 
     def primitive_part(self):
         g = self.content()
@@ -191,11 +188,7 @@ class IntPoly:
             q, r = poly_divmod(self.coeffs, g)
             if r:
                 raise CertificateFailure("squarefree part: the gcd does not divide the polynomial")
-            denoms = 1
-            for c in q:
-                denoms = denoms * Fraction(c).denominator // gcd(
-                    denoms, Fraction(c).denominator
-                )
+            denoms = lcm(*[Fraction(c).denominator for c in q])
             p = IntPoly(Fraction(c) * denoms for c in q).primitive_part()
         if p.coeffs and p.coeffs[-1] < 0:
             p = -p

@@ -45,7 +45,7 @@ from .orbit import (
     idoc_check,
     is_exchange_map,
 )
-from .scalar import NumberField, Scalar, as_scalar, rational, scalar_from_text
+from .scalar import NumberField, as_scalar, rational, scalar_from_text
 from .snf import kgroups_from_incidence, stationary_dimension_triple
 
 DEFAULT_CAP = 10000
@@ -144,13 +144,7 @@ class PipelineOptions:
 
 def _map_echo(spec):
     m = spec.map
-    field = None
-    for p in list(m.partition) + [b.slope for b in m.branches] + [
-        b.intercept for b in m.branches
-    ]:
-        if isinstance(p, Scalar) and p.field is not None:
-            field = p.field
-            break
+    field = m.field
     echo = {
         "family": spec.family or "explicit",
         "field": None

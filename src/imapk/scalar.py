@@ -8,29 +8,28 @@ no rational roots together with an isolating interval certified (by sign
 change and a Sturm count of one) to contain exactly one real root.
 
 Comparisons are decided exactly.  Equality reduces to the zero coefficient
-vector.  The sign of a nonzero element is decided in two stages:
+vector.  The sign of a nonzero element is read off integer balls.  A field
+keeps one integer bracket lo/scale < alpha < hi/scale, made from the
+isolating interval; :meth:`NumberField.refine` halves it by homogeneous
+integer Horner (no ``Fraction``).  Because the defining polynomial has no
+rational roots, a midpoint is never a root, so every halving makes progress.
+For a precision P the bracket is halved until it is at most 2^-P wide, and
+integer enclosures [L_k, H_k] of alpha^k * 2^P, k < degree, are cached.  The
+element's denominators are cleared, and one integer dot product, taking L_k
+or H_k by the sign of each coefficient, encloses its value times a positive
+integer.  If that enclosure contains zero, P doubles from 64 bits, without a
+ceiling (midpoint-radius ball arithmetic as in Johansson's Arb; integer
+coefficient vectors as in Hart's ANTIC).  A nonzero element of a genuine
+field has a nonzero real image, so some precision decides it.  Once the
+1024-bit ball has failed, one exact zero-image test runs: if the gcd of the
+element with the defining polynomial has a root in the bracket, the user
+supplied a reducible polynomial and an element whose real image vanishes,
+and that is reported as an error rather than silently mis-ordered.  A sign
+is only ever returned when a certified enclosure proves it.
 
-* Integer ball.  On its first algebraic sign test a field bisects a private
-  integer bracket of alpha inside the isolating interval (homogeneous integer
-  Horner, no ``Fraction``) and caches integer enclosures [L_k, H_k] of
-  alpha^k * 2^P for k < degree.  The element's denominators are cleared and
-  one integer dot product, taking L_k or H_k by the sign of each coefficient,
-  encloses its value times a positive integer.  If that enclosure contains
-  zero, P doubles, from 64 bits up to a fixed ceiling (midpoint-radius ball
-  arithmetic as in Johansson's Arb; integer coefficient vectors as in Hart's
-  ANTIC).  The bracket is private: the shared interval that
-  :meth:`Scalar.enclosure` reports is left as it was.
-* Bisection, the last resort.  The shared isolating interval is refined by
-  exact bisection until the interval evaluation of the element excludes
-  zero.  Because the defining polynomial has no rational roots, the
-  bisection midpoints never land on a root, so refinement always makes
-  progress; because a nonzero element of a genuine field has a nonzero real
-  image, the loop terminates.  If the user supplies a reducible polynomial
-  and an element whose real image happens to vanish, the degeneracy is
-  detected symbolically (gcd with the defining polynomial) and reported as an
-  error rather than silently mis-ordered.
-
-Both stages only ever return a sign that a certified enclosure proves.
+:meth:`Scalar.enclosure` halves its own copy of the isolating interval with
+the same routine, so its result depends only on the element and the
+tolerance; :meth:`Scalar.floor` reads its two candidates off that enclosure.
 
 A scalar is immutable, so its hash is computed on first use and cached: a
 large rational in an orbit set or a breakpoint set is hashed once, however
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     DivisionByZero,
@@ -60,15 +59,14 @@ from .polynomials import (
     poly_mul,
     poly_sub,
     poly_trim,
-    sturm_sequence,
 )
 
 _MAX_REFINE = 4096
 
-# precision of the first integer ball, and the precision past which the ball
-# gives up and the bisection decides
+# precision of the first integer ball, and the precision whose failed ball
+# runs the exact zero-image test
 _BALL_BITS = 64
-_BALL_MAX_BITS = 1024
+_ZERO_TEST_BITS = 1024
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -100,6 +98,12 @@ def _cleared(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs]
 
 
+def _integer_bracket(lo, hi):
+    """(lo, hi, scale) in integers for the rational interval [lo, hi]."""
+    scale = lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (scale // lo.denominator), hi.numerator * (scale // hi.denominator), scale
+
+
 def _interval_eval(coeffs, lo, hi):
     """Range enclosure of a polynomial over [lo, hi] by interval Horner."""
     mn = mx = Fraction(coeffs[-1]) if coeffs else Fraction(0)
@@ -119,8 +123,7 @@ class NumberField:
     """
 
     __slots__ = (
-        "poly", "degree", "iso", "_lo", "_hi", "_sign_lo", "_sturm", "_powers",
-        "_key_hash", "_bracket", "_balls",
+        "poly", "degree", "iso", "_sign_lo", "_powers", "_key_hash", "_bracket", "_balls",
     )
 
     def __init__(self, coeffs, isolating_interval, degree_cap=DEFAULT_DEGREE_CAP):
@@ -128,13 +131,9 @@ class NumberField:
         cleared = poly_trim(cleared)
         if not cleared:
             raise InvalidNumberField("defining polynomial is zero")
-        denom = 1
-        for c in cleared:
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
+        denom = lcm(*[c.denominator for c in cleared])
         ints = [int(c * denom) for c in cleared]
-        content = 0
-        for c in ints:
-            content = _gcd(content, abs(c))
+        content = gcd(*ints)
         ints = [c // content for c in ints]
         if ints[-1] < 0:
             ints = [-c for c in ints]
@@ -161,11 +160,9 @@ class NumberField:
         s_hi = poly_eval(self.poly, hi)
         if s_lo == 0 or s_hi == 0 or (s_lo > 0) == (s_hi > 0):
             raise InvalidNumberField("no sign change over the isolating interval")
-        self._sturm = sturm_sequence(self.poly)
-        if count_real_roots(self.poly, lo, hi, self._sturm) != 1:
+        if count_real_roots(self.poly, lo, hi) != 1:
             raise InvalidNumberField("isolating interval does not contain exactly one root")
         self.iso = (lo, hi)
-        self._lo, self._hi = lo, hi
         self._sign_lo = 1 if s_lo > 0 else -1
         # x^degree .. x^(2*degree-2) reduced mod poly, for multiplication
         powers = []
@@ -178,9 +175,8 @@ class NumberField:
             powers.append(tuple(current))
         self._powers = tuple(powers)
         self._key_hash = _KeyHash(self.key())
-        # integer bracket (lo, hi, scale) of alpha and the balls built from it,
-        # both made on the first algebraic sign test
-        self._bracket = None
+        # integer bracket (lo, hi, scale) of alpha, and the balls built from it
+        self._bracket = _integer_bracket(lo, hi)
         self._balls = []
 
     def key(self):
@@ -199,42 +195,26 @@ class NumberField:
             self.iso[1],
         )
 
-    def interval(self):
-        """Current refined interval; shrinks monotonically, always isolates alpha."""
-        return self._lo, self._hi
-
-    def _halve(self, lo, hi):
-        """The half of the isolating interval [lo, hi] that holds alpha."""
-        mid = (lo + hi) / 2
-        # no rational roots, so the value at mid is nonzero
-        if (poly_eval(self.poly, mid) > 0) == (self._sign_lo > 0):
-            return mid, hi
-        return lo, mid
+    def _halve(self, lo, hi, scale):
+        """The half of the bracket lo/scale < alpha < hi/scale that holds alpha."""
+        mid = lo + hi
+        scale *= 2
+        # no rational roots, so the value at the midpoint is nonzero
+        if (_homogeneous_eval(self.poly, mid, scale) > 0) == (self._sign_lo > 0):
+            return mid, 2 * hi, scale
+        return 2 * lo, mid, scale
 
     def refine(self):
-        self._lo, self._hi = self._halve(self._lo, self._hi)
+        """Halve the bracket of alpha once."""
+        self._bracket = self._halve(*self._bracket)
 
     def _ball(self, bits):
-        """Integer enclosures (L, H) of alpha^k * 2^bits, k < degree.
-
-        The private bracket lo/scale < alpha < hi/scale is bisected until it
-        is at most 2^-bits wide; the shared interval is not touched.
-        """
-        if self._bracket is None:
-            lo, hi = self.iso
-            scale = lcm(lo.denominator, hi.denominator)
-            self._bracket = (lo.numerator * (scale // lo.denominator),
-                             hi.numerator * (scale // hi.denominator), scale)
+        """Integer enclosures (L, H) of alpha^k * 2^bits, k < degree, from the
+        bracket refined to at most 2^-bits wide."""
         lo, hi, scale = self._bracket
         while (hi - lo) << bits > scale:
-            mid = lo + hi
-            scale *= 2
-            # no rational roots, so the value at the midpoint is nonzero
-            if (_homogeneous_eval(self.poly, mid, scale) > 0) == (self._sign_lo > 0):
-                lo, hi = mid, 2 * hi
-            else:
-                lo, hi = 2 * lo, mid
-        self._bracket = (lo, hi, scale)
+            self.refine()
+            lo, hi, scale = self._bracket
         a = (lo << bits) // scale
         b = -((-hi << bits) // scale)
         L, H = [1 << bits], [1 << bits]
@@ -247,10 +227,10 @@ class NumberField:
 
     def sign_of(self, vec):
         """Sign of sum(vec[k] * alpha^k) for an integer vector with a nonzero
-        irrational part: integer balls of doubling precision, then bisection."""
+        irrational part, by integer balls of doubling precision."""
         balls = self._balls
         level = 0
-        while _BALL_BITS << level <= _BALL_MAX_BITS:
+        while True:
             if level == len(balls):
                 balls.append(self._ball(_BALL_BITS << level))
             L, H = balls[level]
@@ -266,29 +246,17 @@ class NumberField:
                 return 1
             if hi < 0:
                 return -1
-            level += 1
-        return self._bisection_sign(poly_trim(vec))
-
-    def _bisection_sign(self, g):
-        """Sign by bisecting the shared interval: the last resort of sign_of."""
-        for step in range(_MAX_REFINE):
-            lo, hi = self.interval()
-            mn, mx = _interval_eval(g, lo, hi)
-            if mn > 0:
-                return 1
-            if mx < 0:
-                return -1
-            if step == 64:
-                # refinement is stalling: rule out a zero real image (possible
-                # only when the defining polynomial is reducible)
-                shared = poly_gcd(g, self.poly)
-                if len(shared) - 1 > 0 and count_real_roots(shared, lo, hi) >= 1:
+            if _BALL_BITS << level == _ZERO_TEST_BITS:
+                # rule out a zero real image (possible only when the defining
+                # polynomial is reducible); the bracket isolates alpha
+                shared = poly_gcd(poly_trim(vec), self.poly)
+                a, b, scale = self._bracket
+                if len(shared) > 1 and count_real_roots(shared, Fraction(a, scale), Fraction(b, scale)):
                     raise ReducibleMinimalPolynomial(
                         "element has zero real image but nonzero coefficients; "
                         "the defining polynomial is reducible"
                     )
-            self.refine()
-        raise ReducibleMinimalPolynomial("sign refinement did not converge")
+            level += 1
 
     def alpha(self):
         return Scalar(self, (Fraction(0), Fraction(1)) + (Fraction(0),) * (self.degree - 2))
@@ -312,12 +280,6 @@ class NumberField:
             for i in range(self.degree):
                 out[i] += c * power[i]
         return tuple(out)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 class _KeyHash:
@@ -560,35 +522,27 @@ class Scalar:
     def floor(self):
         if self.field is None:
             return self.coeffs[0].numerator // self.coeffs[0].denominator
-        for _ in range(_MAX_REFINE):
-            lo, hi = self.field.interval()
-            mn, mx = _interval_eval(poly_trim(self.coeffs), lo, hi)
-            k_lo = mn.numerator // mn.denominator
-            k_hi = mx.numerator // mx.denominator
-            if k_lo == k_hi:
-                return k_lo
-            if k_hi - k_lo == 1:
-                # value irrational unless degenerate; settle by exact sign
-                s = (self - k_hi).sign()
-                return k_hi if s > 0 else k_lo
-            self.field.refine()
-        raise ReducibleMinimalPolynomial("floor refinement did not converge")
+        # an enclosure of width <= 1/2 leaves at most two candidates
+        mn, mx = self.enclosure(Fraction(1, 2))
+        k_lo, k_hi = mn.numerator // mn.denominator, mx.numerator // mx.denominator
+        return k_hi if self.compare(k_hi) >= 0 else k_lo
 
     def enclosure(self, tol=Fraction(1, 10**6)):
         """Rational interval [lo, hi] containing the value, of width <= tol.
 
-        It bisects its own copy of the isolating interval and leaves the
-        shared one alone, so the result depends only on the element and tol.
+        It halves its own copy of the isolating interval, so the result
+        depends only on the element and tol.
         """
         if self.field is None:
             return self.coeffs[0], self.coeffs[0]
         g = poly_trim(self.coeffs)
-        lo, hi = self.field.iso
+        field = self.field
+        lo, hi, scale = _integer_bracket(*field.iso)
         for _ in range(_MAX_REFINE):
-            mn, mx = _interval_eval(g, lo, hi)
+            mn, mx = _interval_eval(g, Fraction(lo, scale), Fraction(hi, scale))
             if mx - mn <= tol:
                 return mn, mx
-            lo, hi = self.field._halve(lo, hi)
+            lo, hi, scale = field._halve(lo, hi, scale)
         raise ReducibleMinimalPolynomial("enclosure refinement did not converge")
 
     # -- text forms ----------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from imapk.errors import CertificateFailure, InvalidMarkovPartition, NotSquare, NotZeroOne
-from imapk.interval_map import MINUS, PLUS, CutPoint
+from imapk.interval_map import MINUS, PLUS, CutPoint, validate_map
 from imapk.markov import (
     MarkovData,
     ProvablyNotMarkov,
@@ -190,5 +190,52 @@ def test_row_image_law(tent, golden_beta, offdiag_realization):
 def test_tampered_row_image_raises(tent):
     data = detect_markov(tent)
     data.matrix[0][0] = 0
+    # both intervals of the tent map onto [0, 1]
     with pytest.raises(CertificateFailure):
-        _verify_row_images(tent, data)
+        _verify_row_images(data, [[(rational(0), rational(1))]] * 2)
+
+
+def test_tampered_row_image_raises_on_a_user_partition(offdiag_realization):
+    third = rational(1, 3)
+    data = markov_for_partition(offdiag_realization, [0, Fraction(1, 3), Fraction(2, 3), 1])
+    assert not data.canonical and data.matrix == A_OFFDIAG3
+    # the rows of A_OFFDIAG3: each interval covers the two others
+    images = [[(third, rational(1))], [(rational(0), third), (2 * third, rational(1))],
+              [(rational(0), 2 * third)]]
+    _verify_row_images(data, images)
+    data.matrix[1][2] = 0
+    with pytest.raises(CertificateFailure, match="row-image law violated for interval 2"):
+        _verify_row_images(data, images)
+
+
+def _doubling():
+    return validate_map([0, Fraction(1, 2), 1], [(2, 0), (2, -1)])
+
+
+def _period_two_kinks():
+    """Continuous, decreasing and onto, with the kinks 1/4 <-> 1/2 a 2-cycle."""
+    q = Fraction(1, 4)
+    return validate_map([0, q, 2 * q, 1], [(-2, 1), (-1, 3 * q), (Fraction(-1, 2), 2 * q)])
+
+
+@pytest.mark.parametrize("make, points, message", [
+    # the first failing check is the one reported: orbit membership before
+    # the intervals, the intervals left to right, monotonicity before alignment
+    ("tent", [0, Fraction(1, 3), 1],
+     "1/3 is not in the generalized orbit of the critical set"),
+    ("tent", [0, 1], "map is not monotonic on (0, 1)"),
+    ("doubling", [0, 1], "map is not monotonic on (0, 1)"),
+    ("doubling", [0, Fraction(3, 8), Fraction(1, 2), 1],
+     "image of (0, 3/8) is not aligned with the partition"),
+    ("doubling", [0, Fraction(3, 8), 1],
+     "image of (0, 3/8) is not aligned with the partition"),
+    ("doubling", [0, Fraction(1, 2), Fraction(5, 8), 1],
+     "image of (1/2, 5/8) is not aligned with the partition"),
+    ("kinks", [0, 1],
+     "forward images of the critical set never enter the partition set"),
+])
+def test_user_partition_rejection_texts(tent, make, points, message):
+    m = {"tent": tent, "doubling": _doubling(), "kinks": _period_two_kinks()}[make]
+    with pytest.raises(InvalidMarkovPartition) as info:
+        markov_for_partition(m, points)
+    assert str(info.value) == message

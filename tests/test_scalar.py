@@ -168,19 +168,46 @@ class _ReferenceSign:
             acc = acc * x + c
         return acc
 
+    def range(self, coeffs):
+        """Interval Horner enclosure of the element over the current interval."""
+        mn = mx = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            ends = (mn * self.lo, mn * self.hi, mx * self.lo, mx * self.hi)
+            mn, mx = min(ends) + c, max(ends) + c
+        return mn, mx
+
     def __call__(self, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
         if not any(coeffs[1:]):
             return (coeffs[0] > 0) - (coeffs[0] < 0)
         while True:
-            mn = mx = coeffs[-1]
-            for c in reversed(coeffs[:-1]):
-                ends = (mn * self.lo, mn * self.hi, mx * self.lo, mx * self.hi)
-                mn, mx = min(ends) + c, max(ends) + c
+            mn, mx = self.range(coeffs)
             if mn > 0:
                 return 1
             if mx < 0:
                 return -1
+            self.bisect()
+
+    def floor(self, coeffs):
+        """Floor by bisection, the two-candidate case settled by the sign."""
+        coeffs = [Fraction(c) for c in coeffs]
+        while True:
+            mn, mx = self.range(coeffs)
+            k_lo, k_hi = mn.numerator // mn.denominator, mx.numerator // mx.denominator
+            if k_lo == k_hi:
+                return k_lo
+            if k_hi - k_lo == 1:
+                return k_hi if self([coeffs[0] - k_hi] + coeffs[1:]) >= 0 else k_lo
+            self.bisect()
+
+    def enclosure(self, coeffs, tol):
+        """Enclosure of width <= tol; on a fresh reference it bisects the isolating interval."""
+        while coeffs and coeffs[-1] == 0:
+            coeffs = coeffs[:-1]
+        while True:
+            mn, mx = self.range(coeffs)
+            if mx - mn <= tol:
+                return mn, mx
             self.bisect()
 
     def bisect(self):
@@ -254,7 +281,6 @@ def test_ball_encloses_the_powers_of_alpha(poly, iso):
             assert L[k] <= min(ends) * 2**bits
             assert H[k] >= max(ends) * 2**bits
             assert H[k] - L[k] <= 4 ** (k + 1)
-    assert field.interval() == (Fraction(iso[0]), Fraction(iso[1]))
 
 
 def _fibonacci(n):
@@ -267,7 +293,6 @@ def _fibonacci(n):
 def test_near_zero_golden_and_pell_elements_double_the_precision():
     phi_field = NumberField([-1, -1, 1], (1, 2))
     sqrt2_field = NumberField([-2, 0, 1], (1, 2))
-    before = (phi_field.interval(), sqrt2_field.interval())
     phi, sqrt2 = phi_field.alpha(), sqrt2_field.alpha()
     p, q = 1, 0
     for n in range(1, 301):
@@ -280,10 +305,8 @@ def test_near_zero_golden_and_pell_elements_double_the_precision():
         assert (f_n * phi).compare(f_next) == -sign
         assert (p - q * sqrt2).sign() == sign
         assert rational(p).compare(q * sqrt2) == sign
-    # the precision doubled (Pell at n = 300 needs more than 512 bits) and the
-    # shared interval was never refined
+    # the precision doubled (Pell at n = 300 needs more than 512 bits)
     assert len(sqrt2_field._balls) >= 5
-    assert (phi_field.interval(), sqrt2_field.interval()) == before
 
 
 @pytest.mark.parametrize("poly, inverse", [
@@ -305,32 +328,31 @@ def test_near_zero_unit_powers_in_cubic_and_quartic_fields(poly, inverse):
         assert shifted.sign() == reference(shifted.coeffs)
         assert shifted.compare(0) == -((0 - shifted).sign())
     assert len(field._balls) >= 3
-    assert field.interval() == (Fraction(1), Fraction(2))
 
 
-def test_beyond_the_ball_ceiling_bisection_decides():
+def test_beyond_the_zero_test_precision_a_2048_bit_ball_decides():
     field = NumberField([-1, -1, 1], (1, 2))
     phi = field.alpha()
     f_n, f_next = _fibonacci(900)
     # |F_901 - F_900 phi| = phi^-900 needs about 1250 bits
     assert (f_next - f_n * phi).sign() == 1
     assert phi.compare(rational(f_next, f_n)) == -1
-    lo, hi = field.interval()
-    assert hi - lo < Fraction(1, 2**1000)
+    assert len(field._balls) >= 6
 
 
 def test_ball_sign_tests_leave_the_shared_interval_alone():
     rng = random.Random(3)
     for field in (NumberField(poly, iso) for poly, iso in SEVEN_FIELDS):
-        before = field.interval()
+        before = field.alpha().enclosure(Fraction(1, 1000))
         for _ in range(1000 // len(SEVEN_FIELDS) + 1):
             vec = [Fraction(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(field.degree)]
             vec[1] = vec[1] or Fraction(1)
             field.element(vec).sign()
-        assert field.interval() == before
-        # enclosure() still meets its width bound after the ball sign tests
+        # enclosure() still meets its width bound after the ball sign tests,
+        # and reports what it reported before them
         lo, hi = field.alpha().enclosure(Fraction(1, 1000))
         assert hi - lo <= Fraction(1, 1000)
+        assert (lo, hi) == before
 
 
 def test_zero_real_image_over_reducible_polynomial_raises():
@@ -397,8 +419,7 @@ def test_enclosure_depends_only_on_the_element_and_tol(golden_field):
     phi = golden_field.alpha()
     tol = Fraction(1, 10**6)
     before = phi.enclosure(tol)
-    # the shared interval is left alone, and refining it changes nothing
-    assert golden_field.interval() == (1, 2)
+    # refining the field's bracket changes nothing
     for _ in range(10):
         golden_field.refine()
     assert phi.enclosure(tol) == before
@@ -417,3 +438,70 @@ def test_a_rational_operand_is_lifted_on_either_side():
     assert (a + twin.alpha()).coeffs == (0, 2, 0)
     with pytest.raises(MixedFieldContexts):
         a * NumberField([-2, 0, 1], (1, 2)).alpha()
+
+
+# a unit of each of the seven fields with real image in (0, 1), and the least
+# n with u^n < 2^-200: from there on k + u^n is within 2^-200 of the integer k
+SMALL_UNITS = [[-1, 1], [-1, 1], [2, -1], [-2, 1], [8, -3], [-1, 0, 1], [-1, 0, 0, 1]]
+DEEP_POWERS = [289, 158, 106, 97, 51, 493, 696]
+FLOOR_SETTINGS = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def field_elements(draw):
+    """A field index and an element: random, or an integer plus a power of a small unit."""
+    index = draw(st.integers(0, len(SEVEN_FIELDS) - 1))
+    field = _FIELDS[index]
+    if draw(st.booleans()):
+        return index, field.element(draw(st.lists(coefficient, min_size=field.degree, max_size=field.degree)))
+    n = draw(st.integers(1, 60) | st.integers(DEEP_POWERS[index], DEEP_POWERS[index] + 20))
+    k = draw(st.integers(-5, 5))
+    sign = draw(st.sampled_from((1, -1)))
+    return index, k + sign * field.element(SMALL_UNITS[index]) ** n
+
+
+_FLOOR_REFERENCES = [_ReferenceSign(poly, iso) for poly, iso in SEVEN_FIELDS]
+
+
+def test_small_units_are_units_below_one():
+    for index, unit in enumerate(SMALL_UNITS):
+        u = _FIELDS[index].element(unit)
+        assert 0 < u < 1
+        assert u.inverse().inverse() == u
+        n = DEEP_POWERS[index]
+        assert u ** n < rational(1, 2**200) <= u ** (n - 1)
+
+
+@FLOOR_SETTINGS
+@given(field_elements())
+def test_floor_matches_bisection(case):
+    index, x = case
+    expected = _FLOOR_REFERENCES[index].floor(list(x.coeffs))
+    assert x.floor() == expected
+    assert (x - expected).sign() >= 0 and (x - expected - 1).sign() < 0
+
+
+@pytest.mark.parametrize("index", range(len(SEVEN_FIELDS)))
+def test_floor_within_2_to_the_minus_200_of_an_integer(index):
+    tiny = _FIELDS[index].element(SMALL_UNITS[index]) ** DEEP_POWERS[index]
+    for k in (-3, 0, 4):
+        for x, expected in ((k + tiny, k), (k - tiny, k - 1)):
+            assert x.floor() == expected
+            assert _FLOOR_REFERENCES[index].floor(list(x.coeffs)) == expected
+
+
+@pytest.mark.parametrize("index", range(len(SEVEN_FIELDS)))
+@pytest.mark.parametrize("tol", [Fraction(1, 10**6), Fraction(1, 2)])
+def test_enclosure_matches_fraction_halving(index, tol):
+    poly, iso = SEVEN_FIELDS[index]
+    field = _FIELDS[index]
+    rng = random.Random(index)
+    elements = [field.alpha(), field.element(SMALL_UNITS[index]) ** 40 + 3]
+    for _ in range(20):
+        vec = [Fraction(rng.randint(-999, 999), rng.randint(1, 99)) for _ in range(field.degree)]
+        elements.append(field.element(vec))
+    for x in elements:
+        expected = _ReferenceSign(poly, iso).enclosure(list(x.coeffs), tol)
+        assert x.enclosure(tol) == expected
+        lo, hi = expected
+        assert hi - lo <= tol and lo < x < hi

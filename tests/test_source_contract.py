@@ -1,0 +1,62 @@
+"""The library keeps its exactness contract in its source.
+
+No ``assert`` statement (``python -O`` would strip a check), no float literal,
+no call of ``float`` and nothing from ``math`` beyond the integer functions:
+no floating-point value may decide anything.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "imapk"
+MATH_ALLOWED = {"gcd", "lcm", "isqrt", "comb"}
+
+
+def violations(tree):
+    """(line, reason) for each breach of the contract in a parsed module."""
+    found = []
+    math_modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            math_modules.update(a.asname or a.name for a in node.names if a.name == "math")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            found.append((node.lineno, "assert statement"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, "float literal %r" % node.value))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            found.append((node.lineno, "call of float"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, "math.%s imported" % a.name)
+                      for a in node.names if a.name not in MATH_ALLOWED]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in math_modules and node.attr not in MATH_ALLOWED):
+            found.append((node.lineno, "math.%s used" % node.attr))
+    return sorted(found)
+
+
+MODULES = sorted(SOURCE.rglob("*.py"))
+
+
+def test_every_module_is_checked():
+    assert {p.name for p in MODULES} >= {"scalar.py", "markov.py", "report.py", "orbit.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_keeps_the_exactness_contract(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert violations(tree) == []
+
+
+@pytest.mark.parametrize("source, reason", [
+    ("assert x > 0", "assert statement"),
+    ("y = 0.5", "float literal 0.5"),
+    ("y = float(x)", "call of float"),
+    ("from math import floor", "math.floor imported"),
+    ("import math\ny = math.sqrt(2)", "math.sqrt used"),
+])
+def test_each_breach_is_caught(source, reason):
+    assert [r for _, r in violations(ast.parse(source))] == [reason]
+    assert violations(ast.parse("from math import gcd, lcm\nimport math\nn = math.isqrt(8) + 1")) == []
