@@ -44,7 +44,10 @@ def _overrides(args, field):
     if args.cap is not None:
         out["cap"] = args.cap
     if args.tol is not None:
-        out["tol"] = Fraction(args.tol)
+        try:
+            out["tol"] = Fraction(args.tol)
+        except (ValueError, ZeroDivisionError):
+            raise ImapkError("--tol expects a rational, got %r" % args.tol) from None
     if args.depth is not None:
         out["depth"] = args.depth
     if args.assert_cyclic:

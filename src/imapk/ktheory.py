@@ -34,7 +34,7 @@ from .errors import (
 )
 from .interval_map import ONE, ZERO, is_surjective
 from .polynomials import IntPoly, monic_from_dependence
-from .scalar import as_scalar
+from .scalar import as_scalar, sort_scalars
 from .snf import KGroups
 from .stepfun import apply_int_poly, indicator, transfer
 from . import orbit as orbit_mod
@@ -94,7 +94,7 @@ def _solve_dependence(basis, target):
     known = set(b for f in basis for b in f.breaks)
     if any(b not in known for b in target.breaks):
         return None
-    breaks = sorted(known)
+    breaks = sort_scalars(known)
     # repeated samples carry no information: the solution set stays the same
     sampled = dict.fromkeys(map(tuple, _sample_rows(basis + [target], breaks)))
     aug = [list(row) for row in sampled]
@@ -401,7 +401,7 @@ def module_generators(m, endpoint_index=0):
         endpoints.append(b(b.lo))
         endpoints.append(b(b.hi))
     M = endpoints[endpoint_index % len(endpoints)]
-    marks = sorted(set(pts + [M]))
+    marks = sort_scalars(set(pts + [M]))
     j1 = [(marks[i], marks[i + 1]) for i in range(len(marks) - 1)]
     j2 = []
     for i in range(1, len(pts) - 1):

@@ -32,7 +32,7 @@ from .interval_map import (
     merge_closed_intervals,
 )
 from .orbit import critical_closure
-from .scalar import ONE, ZERO, as_scalar
+from .scalar import ONE, ZERO, as_scalar, sort_scalars
 
 
 @dataclass
@@ -157,7 +157,7 @@ def markov_for_partition(m, points, cap=10000, closure=None):
     trapped in the partition point set.  ``closure`` is the critical closure
     at ``cap`` when the caller already has it.
     """
-    points = sorted(as_scalar(p) for p in points)
+    points = sort_scalars(as_scalar(p) for p in points)
     if not points or points[0] != ZERO or points[-1] != ONE:
         raise InvalidMarkovPartition("partition must run from 0 to 1")
     if len(set(points)) != len(points):

@@ -41,7 +41,7 @@ from .errors import (
     OutOfDomain,
 )
 from .interval_map import PLUS
-from .scalar import ONE, ZERO, Scalar, as_scalar
+from .scalar import ONE, ZERO, Scalar, as_scalar, sort_scalars
 from . import interval_map as imap
 
 
@@ -172,13 +172,15 @@ def _certificate_witness(m, x, steps=10):
     return "denominators %s..." % (denoms[: min(6, len(denoms))],)
 
 
-def _search(m, seeds, cap, step, edges=None):
-    """Breadth-first search from the seeds under ``step(m, x) -> values``.
+def _search(m, seeds, cap, step, edges=None, single_valued=False):
+    """Breadth-first search from the seeds under ``step(m, x) -> values``,
+    or ``step(m, x) -> value`` when ``single_valued``.
 
-    Returns (points, stop): the distinct points in discovery order, and None
-    when the search completed, else the CapReached or ProvablyInfinite status
-    that ended it.  When ``edges`` is a list it receives one (i, j) pair per
-    value, from the index of a point to the index of its value.
+    Returns (points, stop, last): the distinct points in discovery order;
+    None when the search completed, else the CapReached or ProvablyInfinite
+    status that ended it; and the index of the last value visited.  When
+    ``edges`` is a list it receives one (i, j) pair per value, from the index
+    of a point to the index of its value.
     """
     cert = _GrowthCertificate(m)
     # points[done:] is the queue of points not yet mapped; seen maps each
@@ -186,27 +188,34 @@ def _search(m, seeds, cap, step, edges=None):
     points = list(seeds)
     seen = {p: i for i, p in enumerate(points)}
     done = 0
+    last = None
     while done < len(points):
         if len(points) > cap:
-            return points, CapReached(cap)
+            return points, CapReached(cap), last
         i = done
         p = points[done]
         done += 1
         if _oversized(p):
-            return points, CapReached(len(points))
+            return points, CapReached(len(points)), last
         if cert.certifies(p):
             return points, ProvablyInfinite(
                 "denominator-growth: slopes with reduced denominator %d "
                 "force strictly increasing q-power denominators" % cert.q,
                 _certificate_witness(m, p),
-            )
+            ), last
+        if single_valued:
+            v = step(m, p)
+            last = seen.setdefault(v, len(points))
+            if last == len(points):
+                points.append(v)
+            continue
         for v in step(m, p):
-            j = seen.setdefault(v, len(points))
-            if j == len(points):
+            last = seen.setdefault(v, len(points))
+            if last == len(points):
                 points.append(v)
             if edges is not None:
-                edges.append((i, j))
-    return points, None
+                edges.append((i, last))
+    return points, None, last
 
 
 def _checked_seed(x):
@@ -216,22 +225,17 @@ def _checked_seed(x):
     return x
 
 
-def _closed(points, edges):
-    """Status of a search from one seed that completed."""
-    if len(edges) > len(points):
-        return Closed(None, None, branched=True)
-    # one value per point: the points are the orbit in order, and the last
-    # edge closes it
-    k = edges[-1][1]
-    return Closed(k, len(points) - k)
-
-
 def forward_orbit(m, x, cap=10000):
     """Forward orbit under the multivalued map, following every limit-value thread."""
     x = _checked_seed(x)
     edges = []
-    points, stop = _search(m, [x], cap, imap.eval_multivalued, edges)
-    return OrbitResult(x, points, _closed(points, edges) if stop is None else stop, edges)
+    points, stop, last = _search(m, [x], cap, imap.eval_multivalued, edges)
+    if stop is None:
+        # one value per point: the points are the orbit in order, and the
+        # last value closes it
+        branched = len(edges) > len(points)
+        stop = Closed(None, None, branched=True) if branched else Closed(last, len(points) - last)
+    return OrbitResult(x, points, stop, edges)
 
 
 def step_right_continuous(m, x):
@@ -248,9 +252,8 @@ def tau_orbit(m, x, cap=10000):
     Returns (points, status) where points are the distinct iterates in order.
     """
     x = _checked_seed(x)
-    edges = []
-    points, stop = _search(m, [x], cap, lambda m, y: (step_right_continuous(m, y),), edges)
-    return points, _closed(points, edges) if stop is None else stop
+    points, stop, last = _search(m, [x], cap, step_right_continuous, single_valued=True)
+    return points, Closed(last, len(points) - last) if stop is None else stop
 
 
 def reverify_closed(m, points, status):
@@ -266,14 +269,20 @@ def reverify_closed(m, points, status):
 
 @dataclass
 class CriticalClosure:
-    """Points of the closure: sorted when complete, else in discovery order."""
+    """Points of the closure: sorted when complete, else in discovery order.
+
+    ``as_dict`` prints the points in increasing order either way.  Both sorts
+    go through ``sort_scalars``, which orders the points by integer keys from
+    64-bit balls and compares exactly only where two balls overlap; the
+    order is the one ``sorted`` gives.
+    """
 
     points: list
     complete: bool
     certificate: ProvablyInfinite | None = None
 
     def as_dict(self):
-        points = self.points if self.complete else sorted(self.points)
+        points = self.points if self.complete else sort_scalars(self.points)
         return {
             "points": [p.text() for p in points],
             "complete": self.complete,
@@ -289,9 +298,9 @@ def critical_closure(m, cap=10000):
     ``complete`` is the Markov criterion used downstream: the forward closure
     of the critical set is finite and was reached within the cap.
     """
-    points, stop = _search(m, m.partition, cap, imap.eval_multivalued)
+    points, stop, _ = _search(m, m.partition, cap, imap.eval_multivalued)
     if stop is None:
-        return CriticalClosure(sorted(points), True)
+        return CriticalClosure(sort_scalars(points), True)
     if isinstance(stop, ProvablyInfinite):
         return CriticalClosure(
             points, False, ProvablyInfinite("denominator-growth certificate", stop.witness)

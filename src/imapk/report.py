@@ -20,7 +20,7 @@ from functools import cached_property
 
 from . import ktheory
 from .entropy import entropy_report, uniform_abs_slope
-from .errors import ImapkError, NotSurjective
+from .errors import ImapkError, NotSurjective, ParameterOutOfRange
 from .families import (
     BETA_EXACT,
     exchange_kgroups,
@@ -124,6 +124,8 @@ class PipelineOptions:
                 raise ImapkError("unknown option %r" % key)
             setattr(opts, key, value)
         opts.tol = Fraction(opts.tol)
+        if opts.tol <= 0:
+            raise ParameterOutOfRange("tol must be positive, got %s" % opts.tol)
         if opts.partition is not None:
             opts.partition = [as_scalar(x, spec.field) for x in opts.partition]
         return opts

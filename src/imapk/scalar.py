@@ -14,12 +14,13 @@ isolating interval; :meth:`NumberField.refine` halves it by homogeneous
 integer Horner (no ``Fraction``).  Because the defining polynomial has no
 rational roots, a midpoint is never a root, so every halving makes progress.
 For a precision P the bracket is halved until it is at most 2^-P wide, and
-integer enclosures [L_k, H_k] of alpha^k * 2^P, k < degree, are cached.  The
-element's denominators are cleared, and one integer dot product, taking L_k
-or H_k by the sign of each coefficient, encloses its value times a positive
-integer.  If that enclosure contains zero, P doubles from 64 bits, without a
-ceiling (midpoint-radius ball arithmetic as in Johansson's Arb; integer
-coefficient vectors as in Hart's ANTIC).  A nonzero element of a genuine
+integer enclosures [L_k, H_k] of alpha^k * 2^P, k < degree, are cached, one
+pair per level P = 64 * 2^level.  The element's denominators are cleared,
+and one integer dot product, taking L_k or H_k by the sign of each
+coefficient, encloses its value times a positive integer.  If that
+enclosure contains zero, P doubles from 64 bits, without a ceiling
+(midpoint-radius ball arithmetic as in Johansson's Arb; integer coefficient
+vectors as in Hart's ANTIC).  A nonzero element of a genuine
 field has a nonzero real image, so some precision decides it.  Once the
 1024-bit ball has failed, one exact zero-image test runs: if the gcd of the
 element with the defining polynomial has a root in the bracket, the user
@@ -27,9 +28,20 @@ supplied a reducible polynomial and an element whose real image vanishes,
 and that is reported as an error rather than silently mis-ordered.  A sign
 is only ever returned when a certified enclosure proves it.
 
+:meth:`NumberField.ball` is the one dot product, and three things read it.
+``sign_of`` is one.  :meth:`Scalar.floor` is another: it reads the floors of
+both ends off the ball, doubling P until they agree or the ball is narrower
+than 1, and then one exact compare picks between the two candidates.  The
+third is :func:`sort_scalars`, which keys each point by its 64-bit ball
+(floor(n * 2^P / d) and one more for a rational n/d), sorts by the lower ends
+as plain ints, and orders only runs of overlapping balls with the exact
+compare; its result is the list ``sorted`` returns.
+
 :meth:`Scalar.enclosure` halves its own copy of the isolating interval with
-the same routine, so its result depends only on the element and the
-tolerance; :meth:`Scalar.floor` reads its two candidates off that enclosure.
+the same halving step and bounds the element by interval Horner in integers
+until the width is at most the tolerance, so its result depends only on the
+element and the tolerance.  Interval Horner converges for any polynomial, so
+no halving limit is needed.
 
 A scalar is immutable, so its hash is computed on first use and cached: a
 large rational in an orbit set or a breakpoint set is hashed once, however
@@ -42,6 +54,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import (
     DivisionByZero,
@@ -61,11 +74,9 @@ from .polynomials import (
     poly_trim,
 )
 
-_MAX_REFINE = 4096
-
-# precision of the first integer ball, and the precision whose failed ball
-# runs the exact zero-image test
-_BALL_BITS = 64
+# precision of the first integer ball (the sort keys are taken at it), and
+# the precision whose failed ball runs the exact zero-image test
+P = 64
 _ZERO_TEST_BITS = 1024
 
 DEFAULT_DEGREE_CAP = 8
@@ -92,10 +103,10 @@ def _power_range(a, b, k):
 
 
 def _cleared(coeffs):
-    """Integer vector equal to coeffs times a positive integer."""
+    """(den, vec): the least positive integer den making vec = coeffs * den integral."""
     # a list: with a generator here the alg_exchange benchmark peaked 0.5 MB higher
     den = lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs]
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 def _integer_bracket(lo, hi):
@@ -104,12 +115,15 @@ def _integer_bracket(lo, hi):
     return lo.numerator * (scale // lo.denominator), hi.numerator * (scale // hi.denominator), scale
 
 
-def _interval_eval(coeffs, lo, hi):
-    """Range enclosure of a polynomial over [lo, hi] by interval Horner."""
-    mn = mx = Fraction(coeffs[-1]) if coeffs else Fraction(0)
+def _interval_eval(coeffs, lo, hi, scale):
+    """Interval Horner enclosure of an integer polynomial over [lo/scale,
+    hi/scale], times scale^deg, in integers."""
+    mn = mx = coeffs[-1]
+    power = 1
     for c in reversed(coeffs[:-1]):
+        power *= scale
         candidates = (mn * lo, mn * hi, mx * lo, mx * hi)
-        mn, mx = min(candidates) + c, max(candidates) + c
+        mn, mx = min(candidates) + c * power, max(candidates) + c * power
     return mn, mx
 
 
@@ -225,28 +239,34 @@ class NumberField:
             H.append(-(-q >> shift))
         return tuple(L), tuple(H)
 
+    def ball(self, vec, level):
+        """Integers lo <= sum(vec[k] * alpha^k) * 2^(P << level) <= hi for an
+        integer vector, from the cached enclosures of the powers of alpha."""
+        balls = self._balls
+        while level >= len(balls):
+            balls.append(self._ball(P << len(balls)))
+        L, H = balls[level]
+        lo = hi = 0
+        for n, l, h in zip(vec, L, H):
+            if n > 0:
+                lo += n * l
+                hi += n * h
+            elif n < 0:
+                lo += n * h
+                hi += n * l
+        return lo, hi
+
     def sign_of(self, vec):
         """Sign of sum(vec[k] * alpha^k) for an integer vector with a nonzero
         irrational part, by integer balls of doubling precision."""
-        balls = self._balls
         level = 0
         while True:
-            if level == len(balls):
-                balls.append(self._ball(_BALL_BITS << level))
-            L, H = balls[level]
-            lo = hi = 0
-            for n, l, h in zip(vec, L, H):
-                if n > 0:
-                    lo += n * l
-                    hi += n * h
-                elif n < 0:
-                    lo += n * h
-                    hi += n * l
+            lo, hi = self.ball(vec, level)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            if _BALL_BITS << level == _ZERO_TEST_BITS:
+            if P << level == _ZERO_TEST_BITS:
                 # rule out a zero real image (possible only when the defining
                 # polynomial is reducible); the bracket isolates alpha
                 shared = poly_gcd(poly_trim(vec), self.poly)
@@ -457,7 +477,7 @@ class Scalar:
         if self.field is None:
             c = self.coeffs[0]
             return 0 if c == 0 else (1 if c > 0 else -1)
-        return self.field.sign_of(_cleared(self.coeffs))
+        return self.field.sign_of(_cleared(self.coeffs)[1])
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -498,7 +518,7 @@ class Scalar:
             )
         # the coefficient difference, denominators cleared, without a new Scalar
         n = len(self.coeffs)
-        ints = _cleared(self.coeffs + other.coeffs)
+        ints = _cleared(self.coeffs + other.coeffs)[1]
         diff = [x - y for x, y in zip_longest(ints[:n], ints[n:], fillvalue=0)]
         if not any(diff[1:]):
             d = diff[0]
@@ -522,28 +542,41 @@ class Scalar:
     def floor(self):
         if self.field is None:
             return self.coeffs[0].numerator // self.coeffs[0].denominator
-        # an enclosure of width <= 1/2 leaves at most two candidates
-        mn, mx = self.enclosure(Fraction(1, 2))
-        k_lo, k_hi = mn.numerator // mn.denominator, mx.numerator // mx.denominator
-        return k_hi if self.compare(k_hi) >= 0 else k_lo
+        den, vec = _cleared(self.coeffs)
+        level = 0
+        while True:
+            lo, hi = self.field.ball(vec, level)
+            unit = den << (P << level)
+            k_lo, k_hi = lo // unit, hi // unit
+            if k_lo == k_hi:
+                return k_lo
+            if hi - lo < unit:
+                # narrower than 1, so the candidates are k_lo and k_lo + 1
+                return k_hi if self.compare(k_hi) >= 0 else k_lo
+            level += 1
 
     def enclosure(self, tol=Fraction(1, 10**6)):
         """Rational interval [lo, hi] containing the value, of width <= tol.
 
-        It halves its own copy of the isolating interval, so the result
-        depends only on the element and tol.
+        It halves its own copy of the isolating interval until interval
+        Horner is that narrow, so the result depends only on the element and
+        tol.
         """
+        tol = Fraction(tol)
+        if tol <= 0:
+            raise ValueError("tol must be positive")
         if self.field is None:
             return self.coeffs[0], self.coeffs[0]
-        g = poly_trim(self.coeffs)
+        den, g = _cleared(poly_trim(self.coeffs))
         field = self.field
         lo, hi, scale = _integer_bracket(*field.iso)
-        for _ in range(_MAX_REFINE):
-            mn, mx = _interval_eval(g, Fraction(lo, scale), Fraction(hi, scale))
-            if mx - mn <= tol:
-                return mn, mx
+        while True:
+            # interval Horner over [lo/scale, hi/scale] of the element times unit
+            mn, mx = _interval_eval(g, lo, hi, scale)
+            unit = den * scale ** (len(g) - 1)
+            if (mx - mn) * tol.denominator <= tol.numerator * unit:
+                return Fraction(mn, unit), Fraction(mx, unit)
             lo, hi, scale = field._halve(lo, hi, scale)
-        raise ReducibleMinimalPolynomial("enclosure refinement did not converge")
 
     # -- text forms ----------------------------------------------------------
 
@@ -588,6 +621,46 @@ def common_field(*values):
             elif field != v.field:
                 raise MixedFieldContexts("values mix distinct number fields")
     return field
+
+
+def _sort_key(x):
+    """Integers lo <= x * 2^P <= hi for a Scalar, from the 64-bit ball."""
+    if x.field is None:
+        c = x.coeffs[0]
+        lo = (c.numerator << P) // c.denominator
+        return lo, lo + 1
+    den, vec = _cleared(x.coeffs)
+    lo, hi = x.field.ball(vec, 0)
+    return lo // den, -(-hi // den)
+
+
+def sort_scalars(points):
+    """The list sorted(points), ordered by certified integer keys.
+
+    Each point gets one integer ball [lo, hi] around x * 2^P, and the list is
+    sorted by lo.  A point whose ball lies wholly above the balls before it
+    is greater than all of them, so only runs of chained overlapping balls
+    are ordered with the exact compare.  Equal points have equal balls and
+    both sorts are stable, so the result equals sorted(points) also when
+    points repeat.
+    """
+    points = list(points)
+    common_field(*points)
+    keyed = sorted(((*_sort_key(x), x) for x in points), key=itemgetter(0))
+    out = []
+    i = 0
+    while i < len(keyed):
+        j = i + 1
+        top = keyed[i][1]
+        while j < len(keyed) and keyed[j][0] <= top:
+            top = max(top, keyed[j][1])
+            j += 1
+        if j == i + 1:
+            out.append(keyed[i][2])
+        else:
+            out.extend(sorted(entry[2] for entry in keyed[i:j]))
+        i = j
+    return out
 
 
 def _parse_bracketed(text, label):

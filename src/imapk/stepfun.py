@@ -22,7 +22,7 @@ import bisect
 
 from .errors import OutOfDomain
 from .interval_map import MINUS, PLUS, CutPoint
-from .scalar import ONE, ZERO, as_scalar
+from .scalar import ONE, ZERO, as_scalar, sort_scalars
 
 
 class StepFn:
@@ -152,7 +152,7 @@ def linear_comb(coeffs, fns):
         raise ValueError("one coefficient per function")
     if not fns:
         return ZERO_FN
-    merged = sorted(set(b for f in fns for b in f.breaks))
+    merged = sort_scalars(set(b for f in fns for b in f.breaks))
     values = []
     # value on the piece left of each boundary list entry; iterate pieces
     positions = [0] * len(fns)  # current piece index per function

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from imapk.cli import main
-from imapk.errors import SpecSemanticError, SpecSyntaxError
+from imapk.errors import ParameterOutOfRange, SpecSemanticError, SpecSyntaxError
 from imapk.report import map_from_echo, run, to_json
 from imapk.specfile import parse_spec
 
@@ -189,3 +189,29 @@ def test_cli_json_is_the_same_under_optimize(spec_path, capsys):
     )
     assert done.returncode == code, done.stderr
     assert done.stdout == expected
+
+
+# -- a bad tolerance is an error message, not a traceback ------------------------
+
+@pytest.mark.parametrize("tol, message", [
+    ("0", "tol must be positive, got 0"),
+    ("-1/3", "tol must be positive, got -1/3"),
+    ("abc", "--tol expects a rational, got 'abc'"),
+    ("1/0", "--tol expects a rational, got '1/0'"),
+])
+def test_cli_rejects_a_bad_tol(tmp_path, capsys, tol, message):
+    path = tmp_path / "golden_beta.imapk"
+    path.write_text(GOLDEN_BETA_SPEC)
+    assert main(["entropy", str(path), "--tol=" + tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == ""
+
+
+def test_a_zero_tol_in_the_spec_file_is_rejected(tmp_path, capsys):
+    path = tmp_path / "tent.imapk"
+    path.write_text(TENT_SPEC + "options { tol = 0 }\n")
+    assert main(["entropy", str(path)]) == 1
+    assert capsys.readouterr().err == "error: tol must be positive, got 0\n"
+    with pytest.raises(ParameterOutOfRange):
+        run("entropy", parse_spec(TENT_SPEC), {"tol": Fraction(0)})

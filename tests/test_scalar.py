@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,11 @@ from imapk.errors import (
     MixedFieldContexts,
     ReducibleMinimalPolynomial,
 )
-from imapk.scalar import NumberField, rational, scalar_from_text
+from imapk.orbit import critical_closure
+from imapk.scalar import NumberField, Scalar, rational, scalar_from_text, sort_scalars
+from imapk.specfile import parse_spec
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
 
 
 def test_rational_arithmetic():
@@ -505,3 +510,140 @@ def test_enclosure_matches_fraction_halving(index, tol):
         assert x.enclosure(tol) == expected
         lo, hi = expected
         assert hi - lo <= tol and lo < x < hi
+
+
+# -- floor and enclosure of elements with coefficients past 4096 bits ----------
+
+def _sqrt7_near_three(n):
+    # 8 - 3 sqrt7 is a unit in (0, 1): the n-th power is below 2^-4n
+    field = NumberField([-7, 0, 1], (2, 3))
+    return 3 + field.element([8, -3]) ** n
+
+
+def test_floor_of_elements_with_coefficients_past_4096_bits():
+    for n in (1000, 1100):
+        x = _sqrt7_near_three(n)
+        assert x.floor() == 3
+        assert (-x).floor() == -4
+    assert max(c.numerator.bit_length() for c in x.coeffs) == 4393
+
+
+def test_enclosure_of_a_4393_bit_element():
+    x = _sqrt7_near_three(1100)
+    lo, hi = x.enclosure(Fraction(1, 2))
+    assert hi - lo <= Fraction(1, 2) and lo < x < hi
+    assert lo < 3 < hi
+
+
+def test_enclosure_rejects_a_tolerance_that_is_not_positive(golden_field):
+    for x in (golden_field.alpha(), rational(1, 3)):
+        for tol in (0, Fraction(-1, 2)):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                x.enclosure(tol)
+
+
+# -- sorting by certified integer keys ------------------------------------------
+
+SORT_SETTINGS = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+def _fibonacci_gap(n):
+    """F_(n+1) - F_n phi = (-1/phi)^n in Q(phi)."""
+    f_n, f_next = _fibonacci(n)
+    return f_next - f_n * _FIELDS[0].alpha()
+
+
+def _copy(x):
+    """An equal Scalar that is a different object."""
+    return Scalar(x.field, x.coeffs)
+
+
+@st.composite
+def sort_inputs(draw):
+    """Scalars of at most one of the seven fields: rationals (some of 4096 bits,
+    some 2^-100 apart), field elements (some within 2^-100 of each other or of
+    a rational), and repeats, both the same object and equal copies."""
+    index = draw(st.integers(0, len(SEVEN_FIELDS) - 1))
+    field = _FIELDS[index]
+    unit = field.element(SMALL_UNITS[index])
+    big = st.integers(2**4095, 2**4096)
+    points = []
+    for kind in draw(st.lists(st.sampled_from(
+        ("rational", "big", "apart", "element", "near", "fibonacci", "repeat")
+    ), max_size=25)):
+        if kind == "rational":
+            points.append(rational(draw(coefficient)))
+        elif kind == "big":
+            points.append(rational(draw(big) * draw(st.sampled_from((1, -1))), draw(big)))
+        elif kind == "apart":
+            r = draw(coefficient)
+            points += [rational(r), rational(r + Fraction(1, 2**100))]
+        elif kind == "element":
+            points.append(field.element(draw(st.lists(coefficient, min_size=field.degree, max_size=field.degree))))
+        elif kind == "near":
+            # x = k + s u^n, x + 2^-100, and the rationals k and k + s 2^-100
+            k, s = draw(st.integers(-3, 3)), draw(st.sampled_from((1, -1)))
+            x = k + s * unit ** draw(st.integers(100, 700))
+            points += [x, x + rational(1, 2**100), rational(k), rational(k) + rational(s, 2**100)]
+        elif kind == "fibonacci":
+            # Q(phi) only: elements of one field per list
+            if index == 0:
+                points.append(_fibonacci_gap(draw(st.integers(1, 200))))
+        elif points:
+            x = draw(st.sampled_from(points))
+            points.append(draw(st.sampled_from((x, _copy(x)))))
+    return draw(st.permutations(points))
+
+
+@SORT_SETTINGS
+@given(sort_inputs())
+def test_sort_scalars_is_sorted_element_for_element(points):
+    keyed, expected = sort_scalars(points), sorted(points)
+    assert len(keyed) == len(expected)
+    assert all(a is b for a, b in zip(keyed, expected))
+
+
+def _count_compares(monkeypatch):
+    """Count Scalar.compare calls from here on; sorted() reaches it through __lt__."""
+    calls = [0]
+    original = Scalar.compare
+
+    def counted(self, other):
+        calls[0] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(Scalar, "compare", counted)
+    return calls
+
+
+def test_sort_scalars_falls_back_to_compare_on_overlapping_balls(monkeypatch):
+    # (-1/phi)^n for n up to 200, beside 0 and +-2^-100: the balls of all
+    # but the first few overlap, so the exact compare orders them
+    points = [_fibonacci_gap(n) for n in range(200, 0, -1)]
+    points += [rational(0), rational(1, 2**100), rational(-1, 2**100)]
+    expected = sorted(points)
+    calls = _count_compares(monkeypatch)
+    keyed = sort_scalars(points)
+    assert calls[0] > 0
+    assert all(a is b for a, b in zip(keyed, expected)) and len(keyed) == len(expected)
+
+
+def test_sort_scalars_rejects_two_fields(golden_field, sqrt2_field):
+    with pytest.raises(MixedFieldContexts):
+        sort_scalars([golden_field.alpha(), rational(1), sqrt2_field.alpha()])
+    assert sort_scalars([]) == []
+
+
+@pytest.mark.parametrize("name, size", [("multimodal", 5816), ("golden_exchange", 10001)])
+def test_shipped_closures_sort_without_a_single_compare(name, size, monkeypatch):
+    spec = parse_spec((SPECS / ("%s.imapk" % name)).read_text())
+    points = critical_closure(spec.map).points
+    assert len(points) == size
+    calls = _count_compares(monkeypatch)
+    keyed = sort_scalars(points)
+    assert calls[0] == 0
+    monkeypatch.undo()
+    # a permutation of distinct points whose neighbours increase strictly is
+    # the one sorted order, so this is keyed == sorted(points) by identity
+    assert sorted(map(id, keyed)) == sorted(map(id, points))
+    assert all(a < b for a, b in zip(keyed, keyed[1:]))
