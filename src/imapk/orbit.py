@@ -172,9 +172,8 @@ def _certificate_witness(m, x, steps=10):
     return "denominators %s..." % (denoms[: min(6, len(denoms))],)
 
 
-def _search(m, seeds, cap, step, edges=None, single_valued=False):
-    """Breadth-first search from the seeds under ``step(m, x) -> values``,
-    or ``step(m, x) -> value`` when ``single_valued``.
+def _search(m, seeds, cap, step, edges=None):
+    """Breadth-first search from the seeds under ``step(m, x) -> values``.
 
     Returns (points, stop, last): the distinct points in discovery order;
     None when the search completed, else the CapReached or ProvablyInfinite
@@ -203,12 +202,6 @@ def _search(m, seeds, cap, step, edges=None, single_valued=False):
                 "force strictly increasing q-power denominators" % cert.q,
                 _certificate_witness(m, p),
             ), last
-        if single_valued:
-            v = step(m, p)
-            last = seen.setdefault(v, len(points))
-            if last == len(points):
-                points.append(v)
-            continue
         for v in step(m, p):
             last = seen.setdefault(v, len(points))
             if last == len(points):
@@ -252,7 +245,7 @@ def tau_orbit(m, x, cap=10000):
     Returns (points, status) where points are the distinct iterates in order.
     """
     x = _checked_seed(x)
-    points, stop, last = _search(m, [x], cap, step_right_continuous, single_valued=True)
+    points, stop, last = _search(m, [x], cap, lambda m, y: (step_right_continuous(m, y),))
     return points, Closed(last, len(points) - last) if stop is None else stop
 
 

@@ -33,7 +33,7 @@ is only ever returned when a certified enclosure proves it.
 both ends off the ball, doubling P until they agree or the ball is narrower
 than 1, and then one exact compare picks between the two candidates.  The
 third is :func:`sort_scalars`, which keys each point by its 64-bit ball
-(floor(n * 2^P / d) and one more for a rational n/d), sorts by the lower ends
+(floor(n * 2^64 / d) and one more for a rational n/d), sorts by the lower ends
 as plain ints, and orders only runs of overlapping balls with the exact
 compare; its result is the list ``sorted`` returns.
 
@@ -76,7 +76,7 @@ from .polynomials import (
 
 # precision of the first integer ball (the sort keys are taken at it), and
 # the precision whose failed ball runs the exact zero-image test
-P = 64
+_BALL_BITS = 64
 _ZERO_TEST_BITS = 1024
 
 DEFAULT_DEGREE_CAP = 8
@@ -240,11 +240,11 @@ class NumberField:
         return tuple(L), tuple(H)
 
     def ball(self, vec, level):
-        """Integers lo <= sum(vec[k] * alpha^k) * 2^(P << level) <= hi for an
+        """Integers lo <= sum(vec[k] * alpha^k) * 2^(64 * 2^level) <= hi for an
         integer vector, from the cached enclosures of the powers of alpha."""
         balls = self._balls
         while level >= len(balls):
-            balls.append(self._ball(P << len(balls)))
+            balls.append(self._ball(_BALL_BITS << len(balls)))
         L, H = balls[level]
         lo = hi = 0
         for n, l, h in zip(vec, L, H):
@@ -266,7 +266,7 @@ class NumberField:
                 return 1
             if hi < 0:
                 return -1
-            if P << level == _ZERO_TEST_BITS:
+            if _BALL_BITS << level == _ZERO_TEST_BITS:
                 # rule out a zero real image (possible only when the defining
                 # polynomial is reducible); the bracket isolates alpha
                 shared = poly_gcd(poly_trim(vec), self.poly)
@@ -546,7 +546,7 @@ class Scalar:
         level = 0
         while True:
             lo, hi = self.field.ball(vec, level)
-            unit = den << (P << level)
+            unit = den << (_BALL_BITS << level)
             k_lo, k_hi = lo // unit, hi // unit
             if k_lo == k_hi:
                 return k_lo
@@ -624,10 +624,10 @@ def common_field(*values):
 
 
 def _sort_key(x):
-    """Integers lo <= x * 2^P <= hi for a Scalar, from the 64-bit ball."""
+    """Integers lo <= x * 2^64 <= hi for a Scalar, from the 64-bit ball."""
     if x.field is None:
         c = x.coeffs[0]
-        lo = (c.numerator << P) // c.denominator
+        lo = (c.numerator << _BALL_BITS) // c.denominator
         return lo, lo + 1
     den, vec = _cleared(x.coeffs)
     lo, hi = x.field.ball(vec, 0)
@@ -637,7 +637,7 @@ def _sort_key(x):
 def sort_scalars(points):
     """The list sorted(points), ordered by certified integer keys.
 
-    Each point gets one integer ball [lo, hi] around x * 2^P, and the list is
+    Each point gets one integer ball [lo, hi] around x * 2^64, and the list is
     sorted by lo.  A point whose ball lies wholly above the balls before it
     is greater than all of them, so only runs of chained overlapping balls
     are ordered with the exact compare.  Equal points have equal balls and
