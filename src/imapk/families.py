@@ -1,9 +1,11 @@
-"""Constructors for the named map families, with their dynamical certificates.
+"""Constructors for the named map families, and the family facts of a map.
 
-Each constructor returns a validated map plus certificates for facts that
-hold family-wide (beta-transformations are topologically exact; restricted
-tent maps with slope above sqrt(2) are topologically exact, and transitive at
-sqrt(2) itself).  Certificates are attached, not re-proved.
+Each constructor only builds: it returns the validated map.  Facts that hold
+family-wide (beta-transformations are topologically exact; restricted tent
+maps with slope above sqrt(2) are topologically exact, and transitive at
+sqrt(2) itself; a two-interval exchange by an irrational length is minimal)
+are recognized from the map, however it is spelled.  `family_certificates`
+is the one place that decides them, with the validated map as its only input.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from .errors import (
     UnrealizableMatrix,
     WrongFamily,
 )
-from .interval_map import Certificate, PMMap, validate_map
+from .interval_map import Certificate, is_surjective, validate_map
 from .markov import check_zero_one
-from .orbit import IdocFails, IdocHolds, interior_orbits_disjoint
+from .orbit import IdocFails, IdocHolds, interior_orbits_disjoint, is_exchange_map
 from .scalar import ONE, ZERO, as_scalar, rational
 from .snf import KGroups
 
@@ -32,25 +34,8 @@ class FamilySpec:
     params: dict = dc_field(default_factory=dict)
 
 
-@dataclass
-class BuildResult:
-    map: PMMap
-    certificates: list
-    family: str
-    params: dict
-
-    def as_dict(self):
-        return {
-            "family": self.family,
-            "certificates": [
-                {"property": c.prop, "value": c.value, "source": c.source}
-                for c in self.certificates
-            ],
-        }
-
-
 def build(spec):
-    """Build the map of a family spec; raises ParameterOutOfRange on bad data."""
+    """The validated map of a family spec; raises ParameterOutOfRange on bad data."""
     kind = spec.kind
     params = spec.params
     if kind == "tent":
@@ -73,47 +58,19 @@ def build(spec):
     if kind == "markov_realization":
         return _build_markov_realization(params["matrix"])
     if kind == "multimodal":
-        m = validate_map(params["partition"], params["branches"])
-        return BuildResult(m, [], "multimodal", params)
+        return validate_map(params["partition"], params["branches"])
     raise WrongFamily("unknown family %r" % kind)
 
 
 def _build_tent():
-    m = validate_map([0, Fraction(1, 2), 1], [(2, 0), (-2, 2)])
-    return BuildResult(m, [], "tent", {})
-
-
-def restricted_tent_certificates(s):
-    """The family-wide certificates of the restricted tent map with slope s."""
-    s2 = (s * s).compare(2)
-    if s2 > 0:
-        return [
-            Certificate(
-                "exact",
-                True,
-                "restricted tent maps with slope above sqrt(2) are topologically exact",
-            )
-        ]
-    if s2 == 0:
-        return [
-            Certificate(
-                "transitive",
-                True,
-                "the restricted tent map with slope sqrt(2) is transitive",
-            )
-        ]
-    return []
+    return validate_map([0, Fraction(1, 2), 1], [(2, 0), (-2, 2)])
 
 
 def _build_restricted_tent(s):
     if not (rational(1) < s and s < rational(2)):
         raise ParameterOutOfRange("restricted tent needs 1 < s < 2")
     c = 1 - 1 / s
-    m = validate_map(
-        [ZERO, c, ONE],
-        [(s, 2 - s), (-s, s)],
-    )
-    return BuildResult(m, restricted_tent_certificates(s), "restricted_tent", {"s": s})
+    return validate_map([ZERO, c, ONE], [(s, 2 - s), (-s, s)])
 
 
 def _build_uniform_pl(partition, signs, s):
@@ -143,11 +100,7 @@ def _build_uniform_pl(partition, signs, s):
         slope = s if sg == 1 else -s
         intercept = vertices[i] - slope * partition[i]
         branches.append((slope, intercept))
-    m = validate_map(partition, branches)
-    return BuildResult(m, [], "uniform_pl", {"s": s})
-
-
-BETA_EXACT = Certificate("exact", True, "beta transformations are always topologically exact")
+    return validate_map(partition, branches)
 
 
 def _build_beta(beta):
@@ -161,8 +114,7 @@ def _build_beta(beta):
         pts.append(rational(j) / beta)
     pts.append(ONE)
     branches = [(beta, rational(-j)) for j in range(len(pts) - 1)]
-    m = validate_map(pts, branches)
-    return BuildResult(m, [BETA_EXACT], "beta", {"beta": beta, "digit_base": n})
+    return validate_map(pts, branches)
 
 
 def _build_exchange(lengths, permutation):
@@ -189,17 +141,7 @@ def _build_exchange(lengths, permutation):
         offsets.append(off)
     pts = starts + [ONE]
     branches = [(1, offsets[i] - starts[i]) for i in range(k)]
-    m = validate_map(pts, branches)
-    certs = []
-    if k == 2 and not lengths[0].is_rational:
-        certs.append(
-            Certificate(
-                "transitive",
-                True,
-                "two-interval exchange by a provably irrational length is minimal",
-            )
-        )
-    return BuildResult(m, certs, "interval_exchange", {"lengths": lengths})
+    return validate_map(pts, branches)
 
 
 def _runs(row):
@@ -245,15 +187,85 @@ def _build_markov_realization(A):
         if cursor != Fraction(i + 1, mdim):
             raise CertificateFailure("realization: row %d does not fill its interval" % (i + 1))
     pts.append(ONE)
-    m = validate_map(pts, branches)
-    notes = list(m.notes)
-    result = BuildResult(m, [], "markov_realization", {"matrix": A})
-    if any("merged" in n for n in notes):
-        result.params["warning"] = (
-            "adjacent realization branches merged; the canonical partition "
-            "may be coarser than the matrix dimension"
-        )
-    return result
+    return validate_map(pts, branches)
+
+
+# -- family facts, recognized from the map ----------------------------------
+
+
+def recognize_beta(m):
+    """The beta parameter if the map is exactly x -> beta*x mod 1, else None."""
+    slopes = {b.slope for b in m.branches}
+    if len(slopes) != 1:
+        return None
+    beta = slopes.pop()
+    if beta.sign() <= 0 or not rational(1) < beta:
+        return None
+    for j, b in enumerate(m.branches):
+        if b.intercept != as_scalar(-j):
+            return None
+    for j in range(1, len(m.branches)):
+        if m.partition[j] != as_scalar(j) / beta:
+            return None
+    return beta
+
+
+def recognize_restricted_tent(m):
+    """The slope parameter of the restricted tent normal form, else None."""
+    if len(m.branches) != 2:
+        return None
+    b1, b2 = m.branches
+    s = b1.slope
+    if s.sign() <= 0 or not (rational(1) < s and s < rational(2)):
+        return None
+    if b2.slope != -s or b1.intercept != 2 - s or b2.intercept != s:
+        return None
+    if m.partition[1] != 1 - 1 / s:
+        return None
+    return s
+
+
+BETA_EXACT = Certificate("exact", True, "beta transformations are always topologically exact")
+TENT_EXACT = Certificate(
+    "exact", True, "restricted tent maps with slope above sqrt(2) are topologically exact"
+)
+TENT_TRANSITIVE = Certificate(
+    "transitive", True, "the restricted tent map with slope sqrt(2) is transitive"
+)
+ROTATION_MINIMAL = Certificate(
+    "transitive", True, "two-interval exchange by a provably irrational length is minimal"
+)
+
+
+def is_irrational_rotation(m):
+    """True when m is a two-interval exchange by an irrational length.
+
+    Two branches of slope 1 that tile [0,1] swap their intervals (in place
+    they would have merged), so m is a rotation, minimal when irrational.
+    """
+    return (
+        len(m.branches) == 2
+        and all(b.slope == ONE for b in m.branches)
+        and is_exchange_map(m)
+        and not m.partition[1].is_rational
+    )
+
+
+def family_certificates(m):
+    """The beta, restricted-tent and rotation certificates that m satisfies."""
+    certs = []
+    if recognize_beta(m) is not None:
+        certs.append(BETA_EXACT)
+    s = recognize_restricted_tent(m)
+    if s is not None:
+        s2 = (s * s).compare(2)
+        if s2 > 0:
+            certs.append(TENT_EXACT)
+        elif s2 == 0:
+            certs.append(TENT_TRANSITIVE)
+    if is_irrational_rotation(m):
+        certs.append(ROTATION_MINIMAL)
+    return certs
 
 
 # -- family-specific K-groups --------------------------------------------------
@@ -266,23 +278,19 @@ class NotApplicable:
     kind = "not_applicable"
 
 
-def exchange_kgroups(m, idoc_result, lengths=None):
+def exchange_kgroups(m, idoc_result):
     """K-groups of an interval exchange under orbit disjointness.
 
-    Unconditional for a two-interval exchange whose length is irrational (a
-    nonrational coefficient vector in its field); otherwise labeled
-    conditional on the cap-checked disjointness.
+    Unconditional for a rotation by an irrational length
+    (`is_irrational_rotation`) or when every interior orbit is provably
+    infinite; otherwise labeled conditional on the cap-checked disjointness.
     """
     if isinstance(idoc_result, IdocFails):
         return NotApplicable(idoc_result.witness)
     if not isinstance(idoc_result, IdocHolds):
         raise NotAnExchangeMap("idoc result required")
     n = len(m.branches)
-    unconditional = idoc_result.provably_infinite
-    if n == 2:
-        lam = m.partition[1]
-        if not lam.is_rational:
-            unconditional = True
+    unconditional = idoc_result.provably_infinite or is_irrational_rotation(m)
     label = (
         "unconditional"
         if unconditional
@@ -299,8 +307,6 @@ def multimodal_kgroups(m, cap=10000, asserted=False):
     not mapping to endpoints) is checked to the cap; concluding requires the
     user assertion because infinitude beyond the cap is not decidable here.
     """
-    from .interval_map import is_surjective
-
     if not m.is_continuous() or not is_surjective(m):
         raise WrongFamily("multimodal route needs a continuous surjective map")
     q = len(m.branches)

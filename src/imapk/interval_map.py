@@ -346,8 +346,8 @@ def dynamics_flags(m, depth=64, certificates=()):
     """Geometric flags plus whatever transitivity/exactness certificates supply.
 
     ``certificates`` is an iterable of objects with attributes ``prop`` in
-    {"transitive", "exact"}, ``value`` (bool), ``source`` (str) and
-    ``conditional`` (bool); the markov and families modules produce them.
+    {"transitive", "exact"}, ``value`` (bool) and ``source`` (str); the
+    markov and families modules produce them.
     Flags degrade to unknown when no certificate decides them.
     """
     surj = is_surjective(m)
@@ -409,4 +409,3 @@ class Certificate:
     prop: str
     value: bool
     source: str
-    conditional: bool = False

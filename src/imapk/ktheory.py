@@ -372,6 +372,11 @@ def nonperiodic_kgroups(family, certificate):
         label = "unconditional"
     elif isinstance(certificate, orbit_mod.CapReached):
         label = "conditional on non-eventual-periodicity (cap %d)" % certificate.cap
+    elif isinstance(certificate, orbit_mod.SizeLimitReached):
+        label = (
+            "conditional on non-eventual-periodicity (coordinates past %d bits)"
+            % certificate.max_coeff_bits
+        )
     elif certificate == "asserted":
         label = "asserted"
     else:

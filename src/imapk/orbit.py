@@ -11,11 +11,11 @@ One breadth-first search, ``_search``, serves three wrappers:
   point at once.
 
 A search stops for one of four reasons: it completes (every value was
-already seen), it passes the cap, a coordinate passes ``MAX_COEFF_BITS``
-(reported as ``CapReached`` with the point count), or the growth
-certificate below proves the orbit infinite.  Eventual periodicity is
-detected by exact revisit lookup (scalars are canonical and hashable), never
-by floating shadows.
+already seen), it passes the cap (``CapReached``), a coordinate passes
+``MAX_COEFF_BITS`` (``SizeLimitReached``), or the growth certificate below
+proves the orbit infinite.  Eventual periodicity is detected by exact
+revisit lookup (scalars are canonical and hashable), never by floating
+shadows.
 
 The ``ProvablyInfinite`` status carries a machine-checkable certificate: when
 every branch slope has the same reduced denominator q > 1 and every intercept
@@ -62,6 +62,13 @@ class CapReached:
 
 
 @dataclass(frozen=True)
+class SizeLimitReached:
+    max_coeff_bits: int
+
+    kind = "size_limit_reached"
+
+
+@dataclass(frozen=True)
 class ProvablyInfinite:
     reason: str
     witness: str
@@ -89,6 +96,8 @@ class OrbitResult:
             d["status"]["branched"] = self.status.branched
         elif isinstance(self.status, CapReached):
             d["status"]["cap"] = self.status.cap
+        elif isinstance(self.status, SizeLimitReached):
+            d["status"]["max_coeff_bits"] = self.status.max_coeff_bits
         elif isinstance(self.status, ProvablyInfinite):
             d["status"]["reason"] = self.status.reason
             d["status"]["witness"] = self.status.witness
@@ -97,7 +106,7 @@ class OrbitResult:
 
 # Point coordinates whose denominators pass this size stop the search early:
 # a revisit would need matching denominators, so nothing is learned by pushing
-# arbitrarily large exact numbers further, and the honest answer is the cap.
+# arbitrarily large exact numbers further, and the honest answer is the limit.
 MAX_COEFF_BITS = 4096
 
 
@@ -176,10 +185,10 @@ def _search(m, seeds, cap, step, edges=None):
     """Breadth-first search from the seeds under ``step(m, x) -> values``.
 
     Returns (points, stop, last): the distinct points in discovery order;
-    None when the search completed, else the CapReached or ProvablyInfinite
-    status that ended it; and the index of the last value visited.  When
-    ``edges`` is a list it receives one (i, j) pair per value, from the index
-    of a point to the index of its value.
+    None when the search completed, else the CapReached, SizeLimitReached
+    or ProvablyInfinite status that ended it; and the index of the last
+    value visited.  When ``edges`` is a list it receives one (i, j) pair per
+    value, from the index of a point to the index of its value.
     """
     cert = _GrowthCertificate(m)
     # points[done:] is the queue of points not yet mapped; seen maps each
@@ -195,7 +204,7 @@ def _search(m, seeds, cap, step, edges=None):
         p = points[done]
         done += 1
         if _oversized(p):
-            return points, CapReached(len(points)), last
+            return points, SizeLimitReached(MAX_COEFF_BITS), last
         if cert.certifies(p):
             return points, ProvablyInfinite(
                 "denominator-growth: slopes with reduced denominator %d "
@@ -336,11 +345,12 @@ def interior_orbits_disjoint(m, cap):
     Uses true single-valued orbits under the right-continuous convention.
     Raises HypothesisViolatedWithinCap when an orbit is eventually periodic
     or two orbits meet; otherwise returns whether every orbit is provably
-    infinite.
+    infinite.  With no interior point nothing was checked, so nothing is
+    proved: the answer is False.
     """
     interior = list(m.partition[1:-1])
     owner = {}
-    provable = True
+    provable = bool(interior)
     for idx, a in enumerate(interior):
         points, status = tau_orbit(m, a, cap)
         if isinstance(status, Closed):

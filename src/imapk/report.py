@@ -5,7 +5,10 @@ critical closure, the Markov data, the K-group routes, the minimal
 polynomial, the entropy, the classification and the consistency checks) are
 computed on first use and kept, so each runs at most once per report.
 `_SECTIONS` says which sections a command emits; building those sections,
-and the exit-code rule, pulls only the stages they read.  The JSON report is
+and the exit-code rule, pulls only the stages they read.  Every stage reads
+the validated map alone: family facts come from
+`families.family_certificates`, and the spec's family name appears only in
+the map echo, so two spellings of one map give one report.  The JSON report is
 deterministic: keys are inserted in a fixed order and scalars are rendered
 through their canonical text form.  Every claim that is not computed
 outright carries a provenance string (certificate, assertion, or route name).
@@ -22,10 +25,10 @@ from . import ktheory
 from .entropy import entropy_report, uniform_abs_slope
 from .errors import ImapkError, NotSurjective, ParameterOutOfRange
 from .families import (
-    BETA_EXACT,
     exchange_kgroups,
+    family_certificates,
     multimodal_kgroups,
-    restricted_tent_certificates,
+    recognize_beta,
 )
 from .interval_map import Certificate, dynamics_flags, is_surjective, validate_map
 from .markov import (
@@ -45,7 +48,7 @@ from .orbit import (
     idoc_check,
     is_exchange_map,
 )
-from .scalar import NumberField, as_scalar, rational, scalar_from_text
+from .scalar import NumberField, as_scalar, scalar_from_text
 from .snf import kgroups_from_incidence, stationary_dimension_triple
 
 DEFAULT_CAP = 10000
@@ -70,38 +73,6 @@ _SECTIONS = {
         "classification", "consistency", "refusals", "notes",
     ],
 }
-
-
-def recognize_beta(m):
-    """The beta parameter if the map is exactly x -> beta*x mod 1, else None."""
-    slopes = {b.slope for b in m.branches}
-    if len(slopes) != 1:
-        return None
-    beta = slopes.pop()
-    if beta.sign() <= 0 or not rational(1) < beta:
-        return None
-    for j, b in enumerate(m.branches):
-        if b.intercept != as_scalar(-j):
-            return None
-    for j in range(1, len(m.branches)):
-        if m.partition[j] != as_scalar(j) / beta:
-            return None
-    return beta
-
-
-def recognize_restricted_tent(m):
-    """The slope parameter of the restricted tent normal form, else None."""
-    if len(m.branches) != 2:
-        return None
-    b1, b2 = m.branches
-    s = b1.slope
-    if s.sign() <= 0 or not (rational(1) < s and s < rational(2)):
-        return None
-    if b2.slope != -s or b1.intercept != 2 - s or b2.intercept != s:
-        return None
-    if m.partition[1] != 1 - 1 / s:
-        return None
-    return s
 
 
 @dataclass
@@ -225,9 +196,7 @@ class Pipeline:
     @cached_property
     def beta(self):
         """The beta parameter when the map is a beta transformation, else None."""
-        if self.spec.family is None:
-            return recognize_beta(self.m)
-        return self.spec.family_params.get("beta") if self.spec.family == "beta" else None
+        return recognize_beta(self.m)
 
     @cached_property
     def exchange_route(self):
@@ -237,27 +206,17 @@ class Pipeline:
         idoc = idoc_check(self.m, self.options.cap)
         if not isinstance(idoc, IdocHolds):
             return None
-        ek = exchange_kgroups(self.m, idoc)
-        if not isinstance(ek, tuple):
-            return None
-        kg, label = ek
+        kg, label = exchange_kgroups(self.m, idoc)
         if label != "unconditional" and self.options.assert_idoc:
             label = "asserted"
         return kg, label
 
     @cached_property
     def certs(self):
-        spec, m = self.spec, self.m
-        certs = list(spec.certificates)
-        if spec.family is None:
-            if self.beta is not None:
-                certs.append(BETA_EXACT)
-            s = recognize_restricted_tent(m)
-            if s is not None:
-                certs.extend(restricted_tent_certificates(s))
+        certs = family_certificates(self.m)
         if self.markov_data is not None:
             certs.extend(
-                dynamics_certificates(m, self.markov_data, self.graph_flags, self.surjective)
+                dynamics_certificates(self.m, self.markov_data, self.graph_flags, self.surjective)
             )
         if self.exchange_route is not None and self.exchange_route[1] == "unconditional":
             certs.append(

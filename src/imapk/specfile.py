@@ -15,7 +15,7 @@ are rejected with a line/column diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SpecSemanticError, SpecSyntaxError
@@ -187,9 +187,7 @@ class MapSpecFile:
     field: NumberField | None
     map: PMMap
     family: str | None
-    family_params: dict
     options: dict
-    certificates: list = dc_field(default_factory=list)
 
 
 _OPTION_KEYS = {
@@ -383,11 +381,7 @@ def _parse_map(entries, field, options):
             raise SpecSemanticError(
                 "family %s needs %s" % (family, ", ".join(sorted(missing)))
             )
-        result = build(FamilySpec(family, params))
-        return MapSpecFile(
-            field, result.map, family, result.params, options, result.certificates
-        )
+        return MapSpecFile(field, build(FamilySpec(family, params)), family, options)
     if partition is None or not branches:
         raise SpecSemanticError("map section needs a family or partition + branches")
-    m = validate_map(partition, branches)
-    return MapSpecFile(field, m, None, {}, options, [])
+    return MapSpecFile(field, validate_map(partition, branches), None, options)

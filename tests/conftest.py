@@ -29,12 +29,12 @@ def phi(golden_field):
 
 @pytest.fixture
 def golden_beta(phi):
-    return build(FamilySpec("beta", {"beta": phi})).map
+    return build(FamilySpec("beta", {"beta": phi}))
 
 
 @pytest.fixture
 def beta_three_halves():
-    return build(FamilySpec("beta", {"beta": Fraction(3, 2)})).map
+    return build(FamilySpec("beta", {"beta": Fraction(3, 2)}))
 
 
 @pytest.fixture
@@ -42,7 +42,7 @@ def golden_exchange(phi):
     lam = (phi - 1) * (phi - 1)
     return build(
         FamilySpec("interval_exchange", {"lengths": [lam, phi - 1], "permutation": [2, 1]})
-    ).map
+    )
 
 
 A_OFFDIAG3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
@@ -50,7 +50,7 @@ A_OFFDIAG3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
 @pytest.fixture
 def offdiag_realization():
-    return build(FamilySpec("markov_realization", {"matrix": A_OFFDIAG3})).map
+    return build(FamilySpec("markov_realization", {"matrix": A_OFFDIAG3}))
 
 
 def make_rational_map(rng, max_branches=5):

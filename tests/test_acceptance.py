@@ -62,7 +62,7 @@ def test_criterion_2_example_matrix_and_realization():
     kg = kgroups_from_incidence(A_OFFDIAG3)
     assert kg.torsion == [2, 2] and kg.free_rank == 0 and kg.k1_rank == 0
     assert graph_flags(A_OFFDIAG3).primitive
-    realization = build(FamilySpec("markov_realization", {"matrix": A_OFFDIAG3})).map
+    realization = build(FamilySpec("markov_realization", {"matrix": A_OFFDIAG3}))
     fine = detect_markov(realization)
     assert fine.size == 4
     fine_kg = kgroups_from_incidence(fine.matrix)
@@ -285,7 +285,7 @@ def test_criterion_8_orbit_certificates():
         for row in A:
             if not any(row):
                 row[rng.randrange(n)] = 1
-        m = build(FamilySpec("markov_realization", {"matrix": A})).map
+        m = build(FamilySpec("markov_realization", {"matrix": A}))
         x = Fraction(rng.randint(0, 3 * n), 3 * n)
         points, status = tau_orbit(m, x, 4000)
         assert isinstance(status, Closed)
@@ -301,7 +301,7 @@ def test_criterion_8_orbit_certificates():
         if gcd(p, q) == 1 and Fraction(p, q) < 3:
             betas.add(Fraction(p, q))
     for beta in sorted(betas):
-        m = build(FamilySpec("beta", {"beta": beta})).map
+        m = build(FamilySpec("beta", {"beta": beta}))
         result = forward_orbit(m, 1)
         assert isinstance(result.status, ProvablyInfinite), beta
         points, _ = tau_orbit(m, rational(1), 12)

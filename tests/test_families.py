@@ -13,6 +13,7 @@ from imapk.families import (
     NotApplicable,
     build,
     exchange_kgroups,
+    family_certificates,
     multimodal_kgroups,
 )
 from imapk.interval_map import validate_map
@@ -25,28 +26,26 @@ from conftest import A_OFFDIAG3
 
 
 def test_tent_is_uniform_pl():
-    tent = build(FamilySpec("tent")).map
+    tent = build(FamilySpec("tent"))
     upl = build(
         FamilySpec(
             "uniform_pl",
             {"partition": [0, Fraction(1, 2), 1], "signs": [1, -1], "s": 2},
         )
-    ).map
+    )
     assert tent == upl
 
 
 def test_build_beta_golden(phi):
-    result = build(FamilySpec("beta", {"beta": phi}))
-    m = result.map
+    m = build(FamilySpec("beta", {"beta": phi}))
     assert [p.text() for p in m.partition] == ["0", (phi - 1).text(), "1"]
     assert m.branches[0].slope == phi and m.branches[0].intercept == rational(0)
     assert m.branches[1].slope == phi and m.branches[1].intercept == rational(-1)
-    assert any(c.prop == "exact" and c.value for c in result.certificates)
+    assert any(c.prop == "exact" and c.value for c in family_certificates(m))
 
 
 def test_build_beta_integer_full_shift():
-    result = build(FamilySpec("beta", {"beta": 3}))
-    data = detect_markov(result.map)
+    data = detect_markov(build(FamilySpec("beta", {"beta": 3})))
     assert data.matrix == [[1, 1, 1]] * 3
     kg = kgroups_from_incidence(data.matrix)
     assert kg.torsion == [2] and kg.free_rank == 0  # Z/(3-1)
@@ -55,7 +54,7 @@ def test_build_beta_integer_full_shift():
 def test_restricted_tent_endpoints():
     field = NumberField([-2, 0, 1], (1, 2))
     s = field.alpha()
-    m = build(FamilySpec("restricted_tent", {"s": s})).map
+    m = build(FamilySpec("restricted_tent", {"s": s}))
     c = m.partition[1]
     assert m.branches[0](c) == rational(1)
     assert m.branches[1](rational(1)) == rational(0)
@@ -71,11 +70,11 @@ def test_restricted_tent_range_check():
 
 def test_restricted_tent_certificates():
     above = build(FamilySpec("restricted_tent", {"s": Fraction(3, 2)}))
-    assert any(c.prop == "exact" for c in above.certificates)
+    assert any(c.prop == "exact" for c in family_certificates(above))
     below = build(FamilySpec("restricted_tent", {"s": Fraction(13, 10)}))
-    assert not below.certificates
+    assert not family_certificates(below)
     at = build(FamilySpec("restricted_tent", {"s": NumberField([-2, 0, 1], (1, 2)).alpha()}))
-    assert any(c.prop == "transitive" for c in at.certificates)
+    assert any(c.prop == "transitive" for c in family_certificates(at))
 
 
 def test_build_validates(phi):
@@ -91,12 +90,12 @@ def test_build_validates(phi):
         FamilySpec("markov_realization", {"matrix": A_OFFDIAG3}),
     ]
     for spec in specs:
-        m = build(spec).map
+        m = build(spec)
         assert validate_map(m.partition, m.branches) == m
 
 
 def test_markov_realization_example():
-    m = build(FamilySpec("markov_realization", {"matrix": A_OFFDIAG3})).map
+    m = build(FamilySpec("markov_realization", {"matrix": A_OFFDIAG3}))
     assert [p.text() for p in m.partition] == ["0", "1/3", "1/2", "2/3", "1"]
     assert all(b.slope == rational(2) for b in m.branches)
     data = detect_markov(m)
@@ -114,10 +113,10 @@ def test_markov_realization_invariance_random():
         A = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
         if any(not any(row) for row in A):
             continue
-        result = build(FamilySpec("markov_realization", {"matrix": A}))
-        if "warning" in result.params:
+        m = build(FamilySpec("markov_realization", {"matrix": A}))
+        if any("merged" in note for note in m.notes):
             continue  # merged branches change the canonical partition
-        data = detect_markov(result.map)
+        data = detect_markov(m)
         assert (
             kgroups_from_incidence(data.matrix).as_dict()
             == kgroups_from_incidence(A).as_dict()
@@ -143,10 +142,23 @@ def test_exchange_kgroups_rational_not_applicable():
             "interval_exchange",
             {"lengths": [Fraction(1, 3), Fraction(2, 3)], "permutation": [2, 1]},
         )
-    ).map
+    )
     result = idoc_check(m, 1000)
     out = exchange_kgroups(m, result)
     assert isinstance(out, NotApplicable)
+
+
+def test_a_two_branch_exchange_with_other_slopes_is_not_a_rotation(phi):
+    # increasing, onto and injective, but 0 and 1 are fixed points: the
+    # irrational break point c does not make it minimal
+    c = phi - 1
+    s1, s2 = rational(Fraction(1, 2)) / c, rational(Fraction(1, 2)) / (1 - c)
+    m = validate_map([0, c, 1], [(s1, 0), (s2, 1 - s2)])
+    assert family_certificates(m) == []
+    _, label = exchange_kgroups(m, idoc_check(m, 200))
+    assert label == "conditional on disjointness beyond cap 200"
+    rotation = build(FamilySpec("interval_exchange", {"lengths": [c, 1 - c], "permutation": [2, 1]}))
+    assert [cert.prop for cert in family_certificates(rotation)] == ["transitive"]
 
 
 def test_exchange_three_intervals_conditional(phi):
@@ -156,7 +168,7 @@ def test_exchange_three_intervals_conditional(phi):
     lengths = [l1, l2, 1 - l1 - l2]
     m = build(
         FamilySpec("interval_exchange", {"lengths": lengths, "permutation": [3, 2, 1]})
-    ).map
+    )
     result = idoc_check(m, 1000)
     kg, label = exchange_kgroups(m, result)
     assert kg.free_rank == 3 and kg.k1_rank == 1

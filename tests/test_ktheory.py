@@ -25,7 +25,7 @@ from imapk.ktheory import (
     unimodal_minpoly,
     unimodal_orbit_data,
 )
-from imapk.orbit import CapReached, ProvablyInfinite, forward_orbit
+from imapk.orbit import CapReached, ProvablyInfinite, SizeLimitReached, forward_orbit
 from imapk.polynomials import IntPoly
 from imapk.scalar import NumberField, rational
 from imapk.specfile import parse_spec
@@ -41,7 +41,7 @@ def test_iteration_tent(tent):
 
 def test_iteration_restricted_tent_sqrt2(sqrt2_field):
     s = sqrt2_field.alpha()
-    m = build(FamilySpec("restricted_tent", {"s": s})).map
+    m = build(FamilySpec("restricted_tent", {"s": s}))
     report = minimal_polynomial_iter(m)
     assert report.poly == IntPoly([-2, 0, 1])
     assert report.iterations <= 3
@@ -114,7 +114,7 @@ def test_unimodal_closed_forms_fixed(tent):
 
 def test_unimodal_closed_form_case5(sqrt2_field):
     s = sqrt2_field.alpha()
-    m = build(FamilySpec("restricted_tent", {"s": s})).map
+    m = build(FamilySpec("restricted_tent", {"s": s}))
     data, _ = unimodal_orbit_data(m)
     signs, k, p, case = data
     assert (k, p, case) == (1, 2, "eventually_periodic_k=1")
@@ -127,7 +127,7 @@ def test_unimodal_closed_form_case5(sqrt2_field):
 def test_unimodal_closed_form_periodic3(golden_field):
     # slope phi: the critical value orbit is 0 -> c -> 1 -> 0, period 3
     phi = golden_field.alpha()
-    m = build(FamilySpec("restricted_tent", {"s": phi})).map
+    m = build(FamilySpec("restricted_tent", {"s": phi}))
     data, _ = unimodal_orbit_data(m)
     signs, k, p, case = data
     assert (k, p, case) == (0, 3, "periodic_p>=3")
@@ -140,7 +140,7 @@ def test_unimodal_closed_form_case4_cubic():
     # slope s with s^3 = 2s + 2: orbit of 0 has preperiod 2 onto a fixed point
     field = NumberField([-2, -2, 0, 1], (Fraction(17, 10), Fraction(9, 5)))
     s = field.alpha()
-    m = build(FamilySpec("restricted_tent", {"s": s})).map
+    m = build(FamilySpec("restricted_tent", {"s": s}))
     data, _ = unimodal_orbit_data(m)
     signs, k, p, case = data
     assert (k, p, case) == (2, 3, "eventually_periodic_k>1")
@@ -168,7 +168,7 @@ def test_beta_closed_forms(golden_beta, phi):
     assert (digits, k, p, case) == ([1, 1], 2, 3, "hits_zero")
     assert beta_minpoly(digits, k, p, case) == IntPoly([-1, -1, 1])
 
-    m2 = build(FamilySpec("beta", {"beta": 2})).map
+    m2 = build(FamilySpec("beta", {"beta": 2}))
     data2, _ = beta_orbit_data(m2, rational(2))
     digits2, k2, p2, case2 = data2
     assert (digits2, k2, p2, case2) == ([2], 0, 1, "tau1_fixed")
@@ -177,7 +177,7 @@ def test_beta_closed_forms(golden_beta, phi):
 
 def test_beta_generic_case(phi):
     beta = phi * phi
-    m = build(FamilySpec("beta", {"beta": beta})).map
+    m = build(FamilySpec("beta", {"beta": beta}))
     data, _ = beta_orbit_data(m, beta)
     digits, k, p, case = data
     assert (digits, k, p, case) == ([2, 1], 1, 2, "generic")
@@ -189,7 +189,7 @@ def test_beta_generic_case(phi):
 def test_beta_integer_torsion():
     # integer beta: K0 has torsion beta - 1
     for n in (2, 3, 4):
-        m = build(FamilySpec("beta", {"beta": n})).map
+        m = build(FamilySpec("beta", {"beta": n}))
         report = minimal_polynomial_iter(m)
         report.cyclicity = "certified:beta"
         kg, torsion = kgroups_from_minpoly(report)
@@ -223,7 +223,9 @@ def test_nonperiodic_kgroups(beta_three_halves):
     assert label == "unconditional"
     assert kg.free_rank == 1 and kg.k1_rank == 0
     kg2, label2 = nonperiodic_kgroups("unimodal", CapReached(100))
-    assert label2.startswith("conditional")
+    assert label2 == "conditional on non-eventual-periodicity (cap 100)"
+    _, label3 = nonperiodic_kgroups("beta", SizeLimitReached(4096))
+    assert label3 == "conditional on non-eventual-periodicity (coordinates past 4096 bits)"
     with pytest.raises(WrongFamily):
         nonperiodic_kgroups("exchange", status)
 

@@ -145,7 +145,7 @@ def test_separation_fails_for_rotation():
             "interval_exchange",
             {"lengths": [Fraction(1, 2), Fraction(1, 2)], "permutation": [2, 1]},
         )
-    ).map
+    )
     data = detect_markov(m)
     assert data.matrix == [[0, 1], [1, 0]]
     rep = separation_check(m, data)

@@ -14,6 +14,7 @@ from imapk.orbit import (
     IdocHolds,
     MAX_COEFF_BITS,
     ProvablyInfinite,
+    SizeLimitReached,
     _GrowthCertificate,
     _certificate_witness,
     critical_closure,
@@ -38,7 +39,7 @@ def test_tent_orbit_of_half(tent):
 
 
 def test_branched_orbit_edges_run_from_each_point_to_its_values():
-    doubling = build(FamilySpec("beta", {"beta": 2})).map
+    doubling = build(FamilySpec("beta", {"beta": 2}))
     r = forward_orbit(doubling, Fraction(1, 4))
     # 1/2 has the two one-sided limit values 1 and 0
     assert [p.text() for p in r.points] == ["1/4", "1/2", "0", "1"]
@@ -88,7 +89,7 @@ def test_closed_reverification_random_markov_maps():
         for row in A:
             if not any(row):
                 row[rng.randrange(n)] = 1
-        m = build(FamilySpec("markov_realization", {"matrix": A})).map
+        m = build(FamilySpec("markov_realization", {"matrix": A}))
         for _ in range(3):
             x = Fraction(rng.randint(0, 4 * n), 4 * n)
             points, status = tau_orbit(m, x, 4000)
@@ -109,7 +110,7 @@ def test_idoc_rational_rotation_fails():
             "interval_exchange",
             {"lengths": [Fraction(1, 3), Fraction(2, 3)], "permutation": [2, 1]},
         )
-    ).map
+    )
     result = idoc_check(m, 1000)
     assert isinstance(result, IdocFails)
     # 1/3 -> 0 -> 2/3 -> 1/3
@@ -125,9 +126,14 @@ def test_idoc_rational_three_exchange_fails():
                 "permutation": [3, 1, 2],
             },
         )
-    ).map
+    )
     result = idoc_check(m, 1000)
     assert isinstance(result, IdocFails)
+
+
+def test_idoc_proves_nothing_without_an_interior_point():
+    identity = validate_map([0, 1], [(1, 0)])
+    assert idoc_check(identity, 100) == IdocHolds(100, provably_infinite=False)
 
 
 def test_idoc_requires_exchange(tent):
@@ -147,7 +153,7 @@ def _seeded_beta_maps(count=20):
         beta = Fraction(p, q)
         if beta <= 1 or beta >= 3:
             continue
-        out.append((beta, build(FamilySpec("beta", {"beta": beta})).map))
+        out.append((beta, build(FamilySpec("beta", {"beta": beta}))))
     return out
 
 
@@ -180,10 +186,11 @@ def _size_limited_map():
 def test_size_limit_ends_forward_and_tau_orbits():
     m = _size_limited_map()
     r = forward_orbit(m, Fraction(1, 3))
-    assert r.status == CapReached(53)
+    assert r.status == SizeLimitReached(MAX_COEFF_BITS)
+    assert r.as_dict()["status"] == {"kind": "size_limit_reached", "max_coeff_bits": 4096}
     assert len(r.points) == 53 and len(r.edges) == 52
     points, status = tau_orbit(m, Fraction(1, 3))
-    assert status == CapReached(53) and len(points) == 53
+    assert status == SizeLimitReached(MAX_COEFF_BITS) and len(points) == 53
     assert points == r.points
 
 
@@ -198,7 +205,7 @@ def test_size_limit_ends_the_closure():
 
 def test_cap_reached():
     # irrational-slope-free map with a long pre-period still caps out honestly
-    m = build(FamilySpec("beta", {"beta": Fraction(5, 2)})).map
+    m = build(FamilySpec("beta", {"beta": Fraction(5, 2)}))
     points, status = tau_orbit(m, rational(1), 5)
     assert isinstance(status, (CapReached, ProvablyInfinite))
 

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from imapk.interval_map import eval_multivalued
 from imapk.ktheory import unimodal_minpoly, unimodal_orbit_data
 from imapk.orbit import critical_closure, forward_orbit
@@ -49,6 +51,23 @@ def test_identity_map_flags_and_kgroups():
     assert kg["k0"] == {"torsion": [], "free_rank": 1}
     assert kg["k1"] == {"free_rank": 1}
     assert report["classification"]["verdict"] == "invariants_only"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "map { partition = [0, 1]; branch = {slope=1, intercept=0} }",
+        "map { family = interval_exchange; lengths = [1]; permutation = [1] }",
+    ],
+    ids=["explicit", "one_interval_exchange"],
+)
+def test_identity_map_claims_no_minimality(text):
+    # the identity has no interior partition point, so the orbit-disjointness
+    # check has nothing to check and proves nothing
+    for command in ("classify", "all"):
+        report, _ = run(command, parse_spec(text))
+        assert report["dynamics"]["transitive"] == "no"
+        assert not [c for c in report["certificates"] if c["property"] == "transitive" and c["value"]]
 
 
 def test_rotation_realization_not_transitive():
@@ -128,7 +147,7 @@ def test_closed_form_polynomials_annihilate(tent, golden_field):
     from imapk.families import FamilySpec, build
 
     phi = golden_field.alpha()
-    for m in (tent, build(FamilySpec("restricted_tent", {"s": phi})).map):
+    for m in (tent, build(FamilySpec("restricted_tent", {"s": phi}))):
         data, _ = unimodal_orbit_data(m)
         signs, k, p, case = data
         poly = unimodal_minpoly(signs, k, p, case)
