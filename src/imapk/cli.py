@@ -8,8 +8,7 @@ from fractions import Fraction
 
 from .errors import ImapkError
 from .report import render_text, run, to_json
-from .scalar import scalar_from_text
-from .specfile import parse_spec
+from .specfile import parse_option, parse_spec
 
 COMMANDS = ("orbit", "markov", "ktheory", "entropy", "classify", "all")
 
@@ -34,7 +33,8 @@ def build_parser():
     parser.add_argument("--assert-orbit-infinite", action="store_true",
                         help="assert the critical orbits are infinite beyond the cap")
     parser.add_argument("--partition", type=str, default=None,
-                        help="coarser Markov partition, e.g. '[0,1/3,2/3,1]'")
+                        help="coarser Markov partition in spec syntax, e.g. '[0,1/3,2/3,1]'; "
+                        "points may be alg:[...] or quoted scalars")
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
     return parser
 
@@ -57,11 +57,10 @@ def _overrides(args, field):
     if args.assert_orbit_infinite:
         out["assert_orbit_infinite"] = True
     if args.partition is not None:
-        text = args.partition.strip()
-        if not (text.startswith("[") and text.endswith("]")):
-            raise ImapkError("--partition expects a bracketed list")
-        parts = [p.strip() for p in text[1:-1].split(",") if p.strip()]
-        out["partition"] = [scalar_from_text(p, field) for p in parts]
+        try:
+            out["partition"] = parse_option("partition", args.partition, field)
+        except ImapkError as exc:
+            raise ImapkError("--partition: %s" % exc) from None
     return out
 
 

@@ -1,6 +1,7 @@
 """Constructors for the named map families, and the family facts of a map.
 
-Each constructor only builds: it returns the validated map.  Facts that hold
+`FAMILIES` declares each family once: its builder and the kinds of its
+parameters.  Each constructor only builds: it returns the validated map.  Facts that hold
 family-wide (beta-transformations are topologically exact; restricted tent
 maps with slope above sqrt(2) are topologically exact, and transitive at
 sqrt(2) itself; a two-interval exchange by an irrational length is minimal)
@@ -32,34 +33,6 @@ from .snf import KGroups
 class FamilySpec:
     kind: str
     params: dict = dc_field(default_factory=dict)
-
-
-def build(spec):
-    """The validated map of a family spec; raises ParameterOutOfRange on bad data."""
-    kind = spec.kind
-    params = spec.params
-    if kind == "tent":
-        return _build_tent()
-    if kind == "restricted_tent":
-        return _build_restricted_tent(as_scalar(params["s"]))
-    if kind == "uniform_pl":
-        return _build_uniform_pl(
-            [as_scalar(p) for p in params["partition"]],
-            [int(s) for s in params["signs"]],
-            as_scalar(params["s"]),
-        )
-    if kind == "beta":
-        return _build_beta(as_scalar(params["beta"]))
-    if kind == "interval_exchange":
-        return _build_exchange(
-            [as_scalar(x) for x in params["lengths"]],
-            [int(x) for x in params["permutation"]],
-        )
-    if kind == "markov_realization":
-        return _build_markov_realization(params["matrix"])
-    if kind == "multimodal":
-        return validate_map(params["partition"], params["branches"])
-    raise WrongFamily("unknown family %r" % kind)
 
 
 def _build_tent():
@@ -190,6 +163,43 @@ def _build_markov_realization(A):
     return validate_map(pts, branches)
 
 
+# Each family once: its builder and the kind of each parameter, in the order
+# the builder takes them.  A kind is "scalar", "int", "branch" (a slope and an
+# intercept) or a one-element list [kind] for a list of that kind.  The spec
+# reader reads each key by its kind; `build` coerces library values by it.
+# A map without a family is read like the family whose builder is
+# `validate_map`; a `branch` key collects one branch per entry.
+EXPLICIT_MAP = (validate_map, {"partition": ["scalar"], "branch": ["branch"]})
+FAMILIES = {
+    "tent": (_build_tent, {}),
+    "restricted_tent": (_build_restricted_tent, {"s": "scalar"}),
+    "uniform_pl": (_build_uniform_pl, {"partition": ["scalar"], "signs": ["int"], "s": "scalar"}),
+    "beta": (_build_beta, {"beta": "scalar"}),
+    "interval_exchange": (_build_exchange, {"lengths": ["scalar"], "permutation": ["int"]}),
+    "markov_realization": (_build_markov_realization, {"matrix": [["int"]]}),
+    "multimodal": EXPLICIT_MAP,
+}
+
+
+def _coerce(value, kind):
+    """A library value of the given kind as its builder takes it."""
+    if isinstance(kind, list):
+        return [_coerce(v, kind[0]) for v in value]
+    if kind == "scalar":
+        return as_scalar(value)
+    if kind == "int" and value != int(value):
+        raise ParameterOutOfRange("expected an integer, got %s" % value)
+    return int(value) if kind == "int" else value
+
+
+def build(spec):
+    """The validated map of a family spec; raises ParameterOutOfRange on bad data."""
+    if spec.kind not in FAMILIES:
+        raise WrongFamily("unknown family %r" % spec.kind)
+    builder, kinds = FAMILIES[spec.kind]
+    return builder(*(_coerce(spec.params[key], kind) for key, kind in kinds.items()))
+
+
 # -- family facts, recognized from the map ----------------------------------
 
 
@@ -282,15 +292,16 @@ def exchange_kgroups(m, idoc_result):
     """K-groups of an interval exchange under orbit disjointness.
 
     Unconditional for a rotation by an irrational length
-    (`is_irrational_rotation`) or when every interior orbit is provably
-    infinite; otherwise labeled conditional on the cap-checked disjointness.
+    (`is_irrational_rotation`), when every interior orbit is provably
+    infinite, or for the identity, which has no interior orbit; otherwise
+    labeled conditional on the cap-checked disjointness.
     """
     if isinstance(idoc_result, IdocFails):
         return NotApplicable(idoc_result.witness)
     if not isinstance(idoc_result, IdocHolds):
         raise NotAnExchangeMap("idoc result required")
     n = len(m.branches)
-    unconditional = idoc_result.provably_infinite or is_irrational_rotation(m)
+    unconditional = n == 1 or idoc_result.provably_infinite or is_irrational_rotation(m)
     label = (
         "unconditional"
         if unconditional

@@ -97,6 +97,10 @@ class PipelineOptions:
         opts.tol = Fraction(opts.tol)
         if opts.tol <= 0:
             raise ParameterOutOfRange("tol must be positive, got %s" % opts.tol)
+        if opts.cap < 1:
+            raise ParameterOutOfRange("cap must be at least 1, got %s" % opts.cap)
+        if opts.depth < 0:
+            raise ParameterOutOfRange("depth must not be negative, got %s" % opts.depth)
         if opts.partition is not None:
             opts.partition = [as_scalar(x, spec.field) for x in opts.partition]
         return opts
@@ -218,7 +222,9 @@ class Pipeline:
             certs.extend(
                 dynamics_certificates(self.m, self.markov_data, self.graph_flags, self.surjective)
             )
-        if self.exchange_route is not None and self.exchange_route[1] == "unconditional":
+        # the identity's label is unconditional too, but it is not minimal
+        route = self.exchange_route
+        if route is not None and route[1] == "unconditional" and len(self.m.branches) > 1:
             certs.append(
                 Certificate(
                     "transitive", True,

@@ -167,6 +167,8 @@ class NumberField:
             raise InvalidNumberField("polynomial is not squarefree")
         if IntPoly(self.poly).integer_roots():
             raise InvalidNumberField("polynomial has a rational root, so is reducible")
+        if len(isolating_interval) != 2:
+            raise InvalidNumberField("isolating interval must be [lo, hi]")
         lo, hi = (Fraction(isolating_interval[0]), Fraction(isolating_interval[1]))
         if not lo < hi:
             raise InvalidNumberField("isolating interval is empty")

@@ -9,8 +9,14 @@ The grammar is a small key = value language with nested braces::
 Scalars are rationals ``p/q``, field elements ``alg:[c0,c1,...]`` (relative
 to the declared field), or the self-contained quoted form
 ``"poly:[...]; iso:[...]; elem:[...]"``.  Explicit maps list a partition and
-one ``branch = {slope=..., intercept=...}`` entry per interval.  Unknown keys
-are rejected with a line/column diagnostic.
+one ``branch = {slope=..., intercept=...}`` entry per interval.
+
+`families.FAMILIES` is the one declaration of each family's parameters and
+their kinds; the field, options and branch keys are declared here.  Every
+value is read by `read_value` according to its kind, and so is the CLI's
+``--partition``.  A key the section (or the chosen family) does not take is
+an error, and so is a key given twice, except ``branch``, which collects.
+Each error gives the line and column of the offending key or value.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SpecSemanticError, SpecSyntaxError
-from .families import FamilySpec, build
+from .errors import ImapkError, SpecSemanticError, SpecSyntaxError
+from .families import EXPLICIT_MAP, FAMILIES, FamilySpec, build
 from .interval_map import PMMap, validate_map
 from .scalar import NumberField, as_scalar, scalar_from_text
 
@@ -131,7 +137,7 @@ class _Parser:
             out.append((name, self.entries()))
         return out
 
-    def entries(self):
+    def entries(self, depth=0):
         entries = []
         while True:
             tok = self._peek()
@@ -147,19 +153,21 @@ class _Parser:
             if key.kind != "ident":
                 raise SpecSyntaxError("expected a key", key.line, key.col)
             self._expect("=")
-            entries.append((key, self.value()))
+            entries.append((key, self.value(depth)))
 
-    def value(self):
+    def value(self, depth=0):
         tok = self._next()
+        if depth > 32:  # bounds the recursion; no meaningful value nests this deep
+            raise SpecSyntaxError("values nested too deeply", tok.line, tok.col)
         if tok.kind == "number":
             return ("number", tok)
         if tok.kind == "string":
             return ("string", tok)
         if tok.kind == "algref":
-            lst = self.value()
+            lst = self.value(depth + 1)
             if lst[0] != "list":
                 raise SpecSyntaxError("alg: must be followed by a list", tok.line, tok.col)
-            return ("alg", tok, lst[1])
+            return ("alg", tok, lst[2])
         if tok.kind == "ident":
             return ("word", tok)
         if tok.text == "[":
@@ -170,15 +178,13 @@ class _Parser:
                     raise SpecSyntaxError("unterminated list", tok.line, tok.col)
                 if nxt.text == "]":
                     self._next()
-                    return ("list", items)
-                items.append(self.value())
+                    return ("list", tok, items)
+                items.append(self.value(depth + 1))
                 sep = self._peek()
                 if sep is not None and sep.text == ",":
                     self._next()
         if tok.text == "{":
-            self.pos -= 1
-            self._expect("{")
-            return ("dict", self.entries())
+            return ("dict", tok, self.entries(depth + 1))
         raise SpecSyntaxError("unexpected token %r" % tok.text, tok.line, tok.col)
 
 
@@ -190,6 +196,7 @@ class MapSpecFile:
     options: dict
 
 
+_FIELD_KEYS = {"poly": ["rational"], "iso": ["rational"]}
 _OPTION_KEYS = {
     "cap": "int",
     "tol": "rational",
@@ -197,191 +204,125 @@ _OPTION_KEYS = {
     "assert_cyclic": "bool",
     "assert_idoc": "bool",
     "assert_orbit_infinite": "bool",
-    "partition": "scalars",
+    "partition": ["scalar"],
 }
-
-_FAMILY_KEYS = {
-    "tent": set(),
-    "restricted_tent": {"s"},
-    "uniform_pl": {"partition", "signs", "s"},
-    "beta": {"beta"},
-    "interval_exchange": {"lengths", "permutation"},
-    "markov_realization": {"matrix"},
-    "multimodal": {"partition", "branch"},
-}
+_BRANCH_KEYS = {"slope": "scalar", "intercept": "scalar"}
 
 
-def _to_scalar(value, field):
-    kind = value[0]
-    if kind == "number":
-        return as_scalar(Fraction(value[1].text))
-    if kind == "string":
-        return scalar_from_text(value[1].text, field)
-    if kind == "alg":
-        tok = value[1]
-        if field is None:
-            raise SpecSemanticError(
-                "alg:[...] needs a field section", tok.line, tok.col
-            )
-        return field.element([_to_fraction(v) for v in value[2]])
-    tok = value[1] if len(value) > 1 and hasattr(value[1], "line") else None
-    raise SpecSemanticError(
-        "expected a scalar value", tok.line if tok else None, tok.col if tok else None
-    )
+def _fail(message, tok):
+    return SpecSemanticError(message, tok.line, tok.col)
 
 
-def _to_fraction(value):
-    if value[0] != "number":
-        tok = value[1]
-        raise SpecSemanticError("expected a rational", tok.line, tok.col)
-    return Fraction(value[1].text)
+def read_value(value, kind, field=None):
+    """The Python value of a parsed spec value of the given kind.
+
+    Kinds are "int", "rational", "bool", "name", "scalar", "branch" and
+    [kind], a list of that kind.  A value of the wrong shape is a
+    SpecSemanticError at its own line and column.
+    """
+    shape, tok = value[0], value[1]
+    if isinstance(kind, list):
+        if shape != "list":
+            raise _fail("expected a list", tok)
+        return [read_value(item, kind[0], field) for item in value[2]]
+    if kind in ("int", "rational"):
+        if shape != "number":
+            raise _fail("expected a number", tok)
+        try:
+            x = Fraction(tok.text)
+        except (ValueError, ZeroDivisionError):
+            raise _fail("malformed number %r" % tok.text, tok) from None
+        if kind == "int" and x.denominator != 1:
+            raise _fail("expected an integer", tok)
+        return int(x) if kind == "int" else x
+    if kind in ("bool", "name"):
+        if shape != "word" or kind == "bool" and tok.text not in ("true", "false"):
+            raise _fail("expected true or false" if kind == "bool" else "expected a name", tok)
+        return tok.text == "true" if kind == "bool" else tok.text
+    if kind == "branch":
+        if shape != "dict":
+            raise _fail("expected {slope=..., intercept=...}", tok)
+        branch = _read_entries(tok, value[2], _BRANCH_KEYS, field, "a branch")
+        return branch["slope"], branch["intercept"]
+    # a scalar
+    if shape == "number":
+        return as_scalar(read_value(value, "rational"))
+    if shape == "alg" and field is None:
+        raise _fail("alg:[...] needs a field section", tok)
+    if shape not in ("alg", "string"):
+        raise _fail("expected a scalar", tok)
+    coeffs = read_value(("list", tok, value[2]), ["rational"]) if shape == "alg" else None
+    try:
+        return field.element(coeffs) if coeffs is not None else scalar_from_text(tok.text, field)
+    except (ImapkError, ValueError, ZeroDivisionError) as exc:
+        raise _fail(str(exc), tok) from None
 
 
-def _to_int(value):
-    f = _to_fraction(value)
-    if f.denominator != 1:
-        tok = value[1]
-        raise SpecSemanticError("expected an integer", tok.line, tok.col)
-    return int(f)
+def _read_entries(where, entries, kinds, field, what, required=True):
+    """The entries of a section or branch, each read by its declared kind.
+
+    A key outside `kinds`, or given twice, is an error; a key of kind
+    ["branch"] instead collects one branch per entry.  With `required`, every
+    declared key must be present.
+    """
+    out = {}
+    for key, value in entries:
+        kind = kinds.get(key.text)
+        if kind is None:
+            raise _fail("%s takes no key %r" % (what, key.text), key)
+        if kind == ["branch"]:
+            out.setdefault(key.text, []).append(read_value(value, "branch", field))
+        elif key.text in out:
+            raise _fail("duplicate key %r" % key.text, key)
+        else:
+            out[key.text] = read_value(value, kind, field)
+    missing = [key for key in kinds if key not in out]
+    if required and missing:
+        raise _fail("%s needs %s" % (what, ", ".join(missing)), where)
+    return out
 
 
-def _to_bool(value, key):
-    if value[0] == "word" and value[1].text in ("true", "false"):
-        return value[1].text == "true"
-    tok = value[1]
-    raise SpecSemanticError("%s must be true or false" % key.text, tok.line, tok.col)
+def parse_option(key, text, field=None):
+    """Read the text of one option value, written as in the options section."""
+    parser = _Parser(_tokenize(text))
+    value = parser.value()
+    extra = parser._peek()
+    if extra is not None:
+        raise SpecSyntaxError("unexpected %r after the value" % extra.text, extra.line, extra.col)
+    return read_value(value, _OPTION_KEYS[key], field)
 
 
 def parse_spec(text):
     """Parse a spec document into a validated MapSpecFile."""
-    parser = _Parser(_tokenize(text))
-    sections = parser.sections()
-    field = None
-    map_entries = None
-    options = {}
-    seen = set()
-    for name, entries in sections:
-        if name.text in seen:
-            raise SpecSemanticError("duplicate section %r" % name.text, name.line, name.col)
-        seen.add(name.text)
-        if name.text == "field":
-            field = _parse_field(entries)
-        elif name.text == "map":
-            map_entries = entries
-        elif name.text == "options":
-            options = _parse_options(entries, field)
-        else:
-            raise SpecSemanticError("unknown section %r" % name.text, name.line, name.col)
-    if map_entries is None:
+    sections = {}
+    for name, entries in _Parser(_tokenize(text)).sections():
+        if name.text not in ("field", "map", "options"):
+            raise _fail("unknown section %r" % name.text, name)
+        if name.text in sections:
+            raise _fail("duplicate section %r" % name.text, name)
+        sections[name.text] = (name, entries)
+    if "map" not in sections:
         raise SpecSemanticError("missing map section")
-    return _parse_map(map_entries, field, options)
-
-
-def _parse_field(entries):
-    poly = iso = None
-    for key, value in entries:
-        if key.text == "poly":
-            if value[0] != "list":
-                raise SpecSemanticError("poly must be a list", key.line, key.col)
-            poly = [_to_fraction(v) for v in value[1]]
-        elif key.text == "iso":
-            if value[0] != "list" or len(value[1]) != 2:
-                raise SpecSemanticError("iso must be [lo, hi]", key.line, key.col)
-            iso = tuple(_to_fraction(v) for v in value[1])
-        else:
-            raise SpecSemanticError("unknown field key %r" % key.text, key.line, key.col)
-    if poly is None or iso is None:
-        raise SpecSemanticError("field section needs poly and iso")
-    return NumberField(poly, iso)
-
-
-def _parse_options(entries, field):
-    out = {}
-    for key, value in entries:
-        spec = _OPTION_KEYS.get(key.text)
-        if spec is None:
-            raise SpecSemanticError("unknown option %r" % key.text, key.line, key.col)
-        if spec == "int":
-            out[key.text] = _to_int(value)
-        elif spec == "rational":
-            out[key.text] = _to_fraction(value)
-        elif spec == "bool":
-            out[key.text] = _to_bool(value, key)
-        elif spec == "scalars":
-            if value[0] != "list":
-                raise SpecSemanticError("%s must be a list" % key.text, key.line, key.col)
-            out[key.text] = [_to_scalar(v, field) for v in value[1]]
-    return out
-
-
-def _parse_map(entries, field, options):
-    family = None
-    params = {}
-    partition = None
-    branches = []
-    for key, value in entries:
-        if key.text == "family":
-            if value[0] != "word":
-                raise SpecSemanticError("family must be a name", key.line, key.col)
-            family = value[1].text
-            if family not in _FAMILY_KEYS:
-                raise SpecSemanticError(
-                    "unknown family %r" % family, key.line, key.col
-                )
-        elif key.text == "partition":
-            if value[0] != "list":
-                raise SpecSemanticError("partition must be a list", key.line, key.col)
-            partition = [_to_scalar(v, field) for v in value[1]]
-        elif key.text == "branch":
-            if value[0] != "dict":
-                raise SpecSemanticError("branch must be {slope=..., intercept=...}", key.line, key.col)
-            slope = intercept = None
-            for bkey, bval in value[1]:
-                if bkey.text == "slope":
-                    slope = _to_scalar(bval, field)
-                elif bkey.text == "intercept":
-                    intercept = _to_scalar(bval, field)
-                else:
-                    raise SpecSemanticError(
-                        "unknown branch key %r" % bkey.text, bkey.line, bkey.col
-                    )
-            if slope is None or intercept is None:
-                raise SpecSemanticError("branch needs slope and intercept", key.line, key.col)
-            branches.append((slope, intercept))
-        elif key.text == "s":
-            params["s"] = _to_scalar(value, field)
-        elif key.text == "beta":
-            params["beta"] = _to_scalar(value, field)
-        elif key.text == "lengths":
-            params["lengths"] = [_to_scalar(v, field) for v in value[1]]
-        elif key.text == "permutation":
-            params["permutation"] = [_to_int(v) for v in value[1]]
-        elif key.text == "signs":
-            params["signs"] = [_to_int(v) for v in value[1]]
-        elif key.text == "matrix":
-            if value[0] != "list":
-                raise SpecSemanticError("matrix must be a list of rows", key.line, key.col)
-            params["matrix"] = [[_to_int(x) for x in row[1]] for row in value[1]]
-        else:
-            raise SpecSemanticError("unknown map key %r" % key.text, key.line, key.col)
-
-    if family is not None:
-        needed = _FAMILY_KEYS[family]
-        if family == "uniform_pl":
-            params["partition"] = partition
-        if family == "multimodal":
-            params["partition"] = partition
-            params["branches"] = branches
-        missing = {k for k in needed if k not in params and k not in ("partition", "branch")}
-        if family in ("uniform_pl", "multimodal") and partition is None:
-            missing.add("partition")
-        if family == "multimodal" and not branches:
-            missing.add("branch")
-        if missing:
-            raise SpecSemanticError(
-                "family %s needs %s" % (family, ", ".join(sorted(missing)))
-            )
-        return MapSpecFile(field, build(FamilySpec(family, params)), family, options)
-    if partition is None or not branches:
-        raise SpecSemanticError("map section needs a family or partition + branches")
-    return MapSpecFile(field, validate_map(partition, branches), None, options)
+    field = None
+    if "field" in sections:
+        poly_iso = _read_entries(*sections["field"], _FIELD_KEYS, None, "the field section")
+        field = NumberField(poly_iso["poly"], poly_iso["iso"])
+    options = {}
+    if "options" in sections:
+        options = _read_entries(
+            *sections["options"], _OPTION_KEYS, field, "the options section", required=False
+        )
+    name, entries = sections["map"]
+    named = [(key, value) for key, value in entries if key.text == "family"]
+    family = _read_entries(name, named, {"family": "name"}, None, "the map section", False)
+    family = family.get("family")
+    if family is not None and family not in FAMILIES:
+        raise _fail("unknown family %r" % family, named[0][0])
+    rest = [(key, value) for key, value in entries if key.text != "family"]
+    if family is None:
+        params = _read_entries(name, rest, EXPLICIT_MAP[1], field, "a map without a family")
+        m = validate_map(params["partition"], params["branch"])
+    else:
+        params = _read_entries(name, rest, FAMILIES[family][1], field, "family " + family)
+        m = build(FamilySpec(family, params))
+    return MapSpecFile(field, m, family, options)

@@ -215,3 +215,56 @@ def test_a_zero_tol_in_the_spec_file_is_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == "error: tol must be positive, got 0\n"
     with pytest.raises(ParameterOutOfRange):
         run("entropy", parse_spec(TENT_SPEC), {"tol": Fraction(0)})
+
+
+# -- --partition takes spec syntax -------------------------------------------------
+
+GOLDEN_BETA_PATH = str(Path(__file__).resolve().parents[1] / "specs" / "golden_beta.imapk")
+
+
+def test_cli_partition_reads_field_elements_as_the_options_section_does(tmp_path, capsys):
+    assert main(["markov", GOLDEN_BETA_PATH, "--partition", "[0, alg:[-1,1], 1]", "--json"]) == 0
+    from_flag = json.loads(capsys.readouterr().out)["markov"]["user_partition"]
+    path = tmp_path / "golden_beta.imapk"
+    path.write_text(GOLDEN_BETA_SPEC + "options { partition = [0, alg:[-1,1], 1] }\n")
+    assert main(["markov", str(path), "--json"]) == 0
+    from_spec = json.loads(capsys.readouterr().out)["markov"]["user_partition"]
+    assert from_flag is not None
+    assert from_flag == from_spec
+
+
+def test_cli_partition_error_names_the_flag(capsys):
+    assert main(["markov", GOLDEN_BETA_PATH, "--partition", "[0, abc, 1]"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --partition: line 1, column 5: expected a scalar\n"
+    assert captured.out == ""
+
+
+# -- cap and depth out of range ------------------------------------------------------
+
+@pytest.mark.parametrize("option, message", [
+    ("cap = 0", "cap must be at least 1, got 0"),
+    ("cap = -5", "cap must be at least 1, got -5"),
+    ("depth = -3", "depth must not be negative, got -3"),
+])
+def test_out_of_range_cap_and_depth_in_the_spec_file_are_rejected(tmp_path, capsys, option, message):
+    with pytest.raises(ParameterOutOfRange, match=message):
+        run("markov", parse_spec(TENT_SPEC + "options { %s }\n" % option))
+    path = tmp_path / "tent.imapk"
+    path.write_text(TENT_SPEC + "options { %s }\n" % option)
+    assert main(["markov", str(path)]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--cap=0", "cap must be at least 1, got 0"),
+    ("--cap=-5", "cap must be at least 1, got -5"),
+    ("--depth=-3", "depth must not be negative, got -3"),
+])
+def test_out_of_range_cap_and_depth_flags_are_rejected(tmp_path, capsys, flag, message):
+    path = tmp_path / "tent.imapk"
+    path.write_text(TENT_SPEC)
+    assert main(["markov", str(path), flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == ""

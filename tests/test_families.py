@@ -19,8 +19,10 @@ from imapk.families import (
 from imapk.interval_map import validate_map
 from imapk.markov import detect_markov
 from imapk.orbit import idoc_check
+from imapk.report import run
 from imapk.scalar import NumberField, rational
 from imapk.snf import kgroups_from_incidence
+from imapk.specfile import parse_spec
 
 from conftest import A_OFFDIAG3
 
@@ -173,6 +175,29 @@ def test_exchange_three_intervals_conditional(phi):
     kg, label = exchange_kgroups(m, result)
     assert kg.free_rank == 3 and kg.k1_rank == 1
     assert label.startswith("conditional")
+
+
+def test_the_identity_exchange_is_unconditional_but_not_minimal():
+    # no interior partition point, so no orbit: K0 = K1 = Z outright
+    identity = validate_map([0, 1], [(1, 0)])
+    kg, label = exchange_kgroups(identity, idoc_check(identity, 1000))
+    assert (kg.free_rank, kg.k1_rank, label) == (1, 1, "unconditional")
+    report, code = run("all", parse_spec("map { partition = [0, 1]; branch = {slope=1, intercept=0} }"))
+    assert code == 0
+    assert report["kgroups"]["family_route"]["label"] == "unconditional"
+    assert report["dynamics"]["transitive"] == "no"
+    assert not any(c["property"] == "transitive" and c["value"] for c in report["certificates"])
+    assert report["classification"]["conditional"] is False
+
+
+def test_build_takes_the_multimodal_parameters_of_an_explicit_map(tent):
+    spec = FamilySpec("multimodal", {"partition": [0, Fraction(1, 2), 1], "branch": [(2, 0), (-2, 2)]})
+    assert build(spec) == tent
+
+
+def test_build_does_not_truncate_integer_parameters():
+    with pytest.raises(ParameterOutOfRange, match="expected an integer, got 3/2"):
+        build(FamilySpec("markov_realization", {"matrix": [[Fraction(3, 2)]]}))
 
 
 MULTIMODAL = dict(
