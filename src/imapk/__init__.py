@@ -21,6 +21,7 @@ from .orbit import critical_closure, forward_orbit, idoc_check, tau_orbit
 from .markov import detect_markov, graph_flags, itinerary, separation_check
 from .snf import (
     KGroups,
+    Route,
     SmithDecomposition,
     kgroups_from_incidence,
     smith_normal_form,

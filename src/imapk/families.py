@@ -17,16 +17,16 @@ from fractions import Fraction
 from .errors import (
     CertificateFailure,
     HypothesisViolatedWithinCap,
-    NotAnExchangeMap,
     ParameterOutOfRange,
+    SpecSemanticError,
     UnrealizableMatrix,
     WrongFamily,
 )
 from .interval_map import Certificate, is_surjective, validate_map
 from .markov import check_zero_one
-from .orbit import IdocFails, IdocHolds, interior_orbits_disjoint, is_exchange_map
+from .orbit import IdocFails, interior_orbits_disjoint, is_exchange_map
 from .scalar import ONE, ZERO, as_scalar, rational
-from .snf import KGroups
+from .snf import KGroups, Route
 
 
 @dataclass
@@ -193,10 +193,17 @@ def _coerce(value, kind):
 
 
 def build(spec):
-    """The validated map of a family spec; raises ParameterOutOfRange on bad data."""
+    """The validated map of a family spec; a missing or foreign key is a
+    SpecSemanticError in the spec reader's words, bad data ParameterOutOfRange."""
     if spec.kind not in FAMILIES:
         raise WrongFamily("unknown family %r" % spec.kind)
     builder, kinds = FAMILIES[spec.kind]
+    extra = [key for key in spec.params if key not in kinds]
+    if extra:
+        raise SpecSemanticError("family %s takes no key %r" % (spec.kind, extra[0]))
+    missing = [key for key in kinds if key not in spec.params]
+    if missing:
+        raise SpecSemanticError("family %s needs %s" % (spec.kind, ", ".join(missing)))
     return builder(*(_coerce(spec.params[key], kind) for key, kind in kinds.items()))
 
 
@@ -281,55 +288,46 @@ def family_certificates(m):
 # -- family-specific K-groups --------------------------------------------------
 
 
-@dataclass
-class NotApplicable:
-    reason: str
-
-    kind = "not_applicable"
-
-
-def exchange_kgroups(m, idoc_result):
+def exchange_kgroups(m, idoc_result, asserted=False):
     """K-groups of an interval exchange under orbit disjointness.
 
     Unconditional for a rotation by an irrational length
     (`is_irrational_rotation`), when every interior orbit is provably
-    infinite, or for the identity, which has no interior orbit; otherwise
-    labeled conditional on the cap-checked disjointness.
+    infinite, or for the identity, which has no interior orbit.  Otherwise
+    "asserted" when the user asserts disjointness, else conditional on the
+    cap-checked disjointness.  Raises HypothesisViolatedWithinCap when the
+    check found a periodic orbit or a collision.
     """
     if isinstance(idoc_result, IdocFails):
-        return NotApplicable(idoc_result.witness)
-    if not isinstance(idoc_result, IdocHolds):
-        raise NotAnExchangeMap("idoc result required")
+        raise HypothesisViolatedWithinCap(idoc_result.witness)
     n = len(m.branches)
-    unconditional = n == 1 or idoc_result.provably_infinite or is_irrational_rotation(m)
-    label = (
-        "unconditional"
-        if unconditional
-        else "conditional on disjointness beyond cap %d" % idoc_result.cap
-    )
-    kg = KGroups(torsion=[], free_rank=n, k1_rank=1, generator_note="")
-    return kg, label
+    if n == 1 or idoc_result.provably_infinite or is_irrational_rotation(m):
+        label = "unconditional"
+    elif asserted:
+        label = "asserted"
+    else:
+        label = "conditional on disjointness beyond cap %d" % idoc_result.cap
+    return Route(KGroups(torsion=[], free_rank=n, k1_rank=1, generator_note=""), label)
 
 
 def multimodal_kgroups(m, cap=10000, asserted=False):
     """K-groups for continuous surjective multimodal maps via orbit disjointness.
 
     The hypothesis (interior critical orbits disjoint and infinite, endpoints
-    not mapping to endpoints) is checked to the cap; concluding requires the
-    user assertion because infinitude beyond the cap is not decidable here.
+    not mapping to endpoints) is checked to the cap.  Such a map has at least
+    two interior orbits, and nothing proves them disjoint beyond the cap, so
+    concluding requires the user assertion.
     """
     if not m.is_continuous() or not is_surjective(m):
         raise WrongFamily("multimodal route needs a continuous surjective map")
-    q = len(m.branches)
     for e in (ZERO, ONE):
         img = m.branches[0](e) if e == ZERO else m.branches[-1](e)
         if img == ZERO or img == ONE:
             raise HypothesisViolatedWithinCap(
                 "an endpoint maps to an endpoint (%s -> %s)" % (e.text(), img.text())
             )
-    provable = interior_orbits_disjoint(m, cap)
-    if not asserted and not provable:
+    interior_orbits_disjoint(m, cap)
+    if not asserted:
         return None  # refused without assertion
-    kg = KGroups(torsion=[], free_rank=q - 1, k1_rank=0, generator_note="")
-    label = "unconditional" if provable else "asserted"
-    return kg, label
+    kg = KGroups(torsion=[], free_rank=len(m.branches) - 1, k1_rank=0, generator_note="")
+    return Route(kg, "asserted")

@@ -27,6 +27,7 @@ from math import gcd
 from .errors import (
     CertificateFailure,
     CyclicityNotEstablished,
+    HypothesisViolatedWithinCap,
     InconsistentCaseData,
     NonIntegerDependence,
     NotSurjective,
@@ -35,7 +36,7 @@ from .errors import (
 from .interval_map import ONE, ZERO, is_surjective
 from .polynomials import IntPoly, monic_from_dependence
 from .scalar import as_scalar, sort_scalars
-from .snf import KGroups
+from .snf import KGroups, Route
 from .stepfun import apply_int_poly, indicator, transfer
 from . import orbit as orbit_mod
 
@@ -364,25 +365,22 @@ def kgroups_from_minpoly(report):
     return k0, n
 
 
-def nonperiodic_kgroups(family, certificate):
-    """K0 = Z, K1 = 0 for unimodal/beta maps whose critical orbit never closes."""
-    if family not in ("unimodal", "beta"):
-        raise WrongFamily("non-periodic route applies to unimodal and beta maps")
-    if isinstance(certificate, orbit_mod.ProvablyInfinite):
+def nonperiodic_kgroups(status):
+    """K0 = Z, K1 = 0 for unimodal/beta maps whose critical orbit never
+    closes, labelled by the status that stopped the search of that orbit."""
+    if isinstance(status, orbit_mod.ProvablyInfinite):
         label = "unconditional"
-    elif isinstance(certificate, orbit_mod.CapReached):
-        label = "conditional on non-eventual-periodicity (cap %d)" % certificate.cap
-    elif isinstance(certificate, orbit_mod.SizeLimitReached):
+    elif isinstance(status, orbit_mod.CapReached):
+        label = "conditional on non-eventual-periodicity (cap %d)" % status.cap
+    elif isinstance(status, orbit_mod.SizeLimitReached):
         label = (
             "conditional on non-eventual-periodicity (coordinates past %d bits)"
-            % certificate.max_coeff_bits
+            % status.max_coeff_bits
         )
-    elif certificate == "asserted":
-        label = "asserted"
     else:
-        raise WrongFamily("certificate must be an orbit status or 'asserted'")
+        raise HypothesisViolatedWithinCap("the critical orbit closes")
     kg = KGroups(torsion=[], free_rank=1, k1_rank=0, generator_note="[1]_0 generates")
-    return kg, label
+    return Route(kg, label)
 
 
 # -- module generators --------------------------------------------------------
@@ -465,7 +463,9 @@ def classify(flags, *, minpoly_report=None, minpoly_kgroups=None,
     minimal polynomial, or infinite via a non-periodicity certificate), then
     a Cuntz-Krieger identification through separation, then invariants only.
     Every identification records the hypotheses it used; missing transitivity
-    or essential-injectivity evidence blocks identification.
+    or essential-injectivity evidence blocks identification.  ``nonperiodic``,
+    ``exchange`` and ``multimodal`` are `snf.Route`s, and a verdict that
+    rests on one is conditional exactly when the route is.
     """
     hyps = list(extra_hypotheses)
     annotations = []
@@ -500,13 +500,11 @@ def classify(flags, *, minpoly_report=None, minpoly_kgroups=None,
                 refusals=list(refusals),
             )
     if identification_ok and nonperiodic is not None:
-        kg, label = nonperiodic
-        conditional = label.startswith("conditional") or label == "asserted"
-        h = hyps + ["critical orbit never closes: %s" % label]
-        k0, k1 = _kg_dicts(kg)
+        h = hyps + ["critical orbit never closes: %s" % nonperiodic.label]
+        k0, k1 = _kg_dicts(nonperiodic.kgroups)
         return Classification(
             "cuntz_infinity", None, None, k0, k1, h, annotations,
-            conditional=conditional, refusals=list(refusals),
+            conditional=nonperiodic.conditional, refusals=list(refusals),
         )
     if (
         markov_data is not None
@@ -520,27 +518,23 @@ def classify(flags, *, minpoly_report=None, minpoly_kgroups=None,
             "cuntz_krieger", None, markov_data.matrix, k0, k1, h, annotations,
             conditional=False, refusals=list(refusals),
         )
-    # invariants only
+    # invariants only; a route's own label says whether its K-groups are conditional
     k0 = k1 = {}
-    conditional = False
+    route = None
     if exchange is not None:
-        kg, label = exchange
-        k0, k1 = _kg_dicts(kg)
-        hyps.append("interval exchange with disjoint infinite orbits: %s" % label)
-        conditional = label.startswith("conditional")
+        route = exchange
+        hyps.append("interval exchange with disjoint infinite orbits: %s" % exchange.label)
     elif multimodal is not None:
-        kg, label = multimodal
-        k0, k1 = _kg_dicts(kg)
-        hyps.append("multimodal with disjoint infinite critical orbits: %s" % label)
-        conditional = True
+        route = multimodal
+        hyps.append("multimodal with disjoint infinite critical orbits: %s" % multimodal.label)
     elif incidence_kgroups is not None:
         k0, k1 = _kg_dicts(incidence_kgroups)
     elif minpoly_kgroups is not None:
         k0, k1 = _kg_dicts(minpoly_kgroups[0])
     elif nonperiodic is not None:
-        kg, label = nonperiodic
-        k0, k1 = _kg_dicts(kg)
-        conditional = label != "unconditional"
+        route = nonperiodic
+    if route is not None:
+        k0, k1 = _kg_dicts(route.kgroups)
     if flags.essentially_injective:
         annotations.append(
             "essentially injective: the purely-infinite identification "
@@ -548,5 +542,5 @@ def classify(flags, *, minpoly_report=None, minpoly_kgroups=None,
         )
     return Classification(
         "invariants_only", None, None, k0, k1, hyps, annotations,
-        conditional=conditional, refusals=list(refusals),
+        conditional=route is not None and route.conditional, refusals=list(refusals),
     )

@@ -31,7 +31,7 @@ from .interval_map import (
     eval_multivalued,
     merge_closed_intervals,
 )
-from .orbit import critical_closure
+from .orbit import SizeLimitReached, critical_closure
 from .scalar import ONE, ZERO, as_scalar, sort_scalars
 
 
@@ -58,28 +58,21 @@ class MarkovData:
         }
 
 
-@dataclass
-class NotMarkovWithinCap:
-    cap: int
-
-    kind = "not_markov_within_cap"
-
-
-@dataclass
-class ProvablyNotMarkov:
-    reason: str
-    witness: str
-
-    kind = "provably_not_markov"
+# the report status of a critical closure whose search stopped, by the kind
+# of the stop status that ended it
+NOT_MARKOV = {
+    "cap_reached": "not_markov_within_cap",
+    "size_limit_reached": "not_markov_within_size_limit",
+    "provably_infinite": "provably_not_markov",
+}
 
 
 def detect_markov(m, cap=10000, closure=None):
-    """Detect Markov structure through the critical closure (computed unless given)."""
+    """Markov data through the critical closure (computed unless given), or
+    the stop status of the closure search when the closure is incomplete."""
     cc = critical_closure(m, cap) if closure is None else closure
-    if cc.certificate is not None:
-        return ProvablyNotMarkov(cc.certificate.reason, cc.certificate.witness)
     if not cc.complete:
-        return NotMarkovWithinCap(cap)
+        return cc.stop
     return _markov_data(m, cc.points, canonical=True)
 
 
@@ -164,7 +157,10 @@ def markov_for_partition(m, points, cap=10000, closure=None):
         raise InvalidMarkovPartition("partition points must be distinct")
     cc = critical_closure(m, cap) if closure is None else closure
     if not cc.complete:
-        raise InvalidMarkovPartition("critical closure is not finite within cap")
+        within = "cap"
+        if isinstance(cc.stop, SizeLimitReached):
+            within = "the %d-bit size limit" % cc.stop.max_coeff_bits
+        raise InvalidMarkovPartition("critical closure is not finite within %s" % within)
     closure = set(cc.points)
     for p in points:
         if p in closure:

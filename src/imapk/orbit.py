@@ -28,7 +28,8 @@ infinite; the cap result is upgraded to a theorem.
 
 ``interior_orbits_disjoint`` is the one check that the interior partition
 points have infinite, pairwise disjoint orbits; ``idoc_check`` and the
-multimodal K-theory route both use it.
+multimodal K-theory route both use it.  In that check the certificate also
+proves disjointness, but only for an interval exchange.
 """
 
 from __future__ import annotations
@@ -181,14 +182,15 @@ def _certificate_witness(m, x, steps=10):
     return "denominators %s..." % (denoms[: min(6, len(denoms))],)
 
 
-def _search(m, seeds, cap, step, edges=None):
+def _search(m, seeds, cap, step, edges=None, certify=True):
     """Breadth-first search from the seeds under ``step(m, x) -> values``.
 
     Returns (points, stop, last): the distinct points in discovery order;
     None when the search completed, else the CapReached, SizeLimitReached
     or ProvablyInfinite status that ended it; and the index of the last
     value visited.  When ``edges`` is a list it receives one (i, j) pair per
-    value, from the index of a point to the index of its value.
+    value, from the index of a point to the index of its value.  With
+    ``certify`` false the growth certificate ends no search.
     """
     cert = _GrowthCertificate(m)
     # points[done:] is the queue of points not yet mapped; seen maps each
@@ -205,7 +207,7 @@ def _search(m, seeds, cap, step, edges=None):
         done += 1
         if _oversized(p):
             return points, SizeLimitReached(MAX_COEFF_BITS), last
-        if cert.certifies(p):
+        if certify and cert.certifies(p):
             return points, ProvablyInfinite(
                 "denominator-growth: slopes with reduced denominator %d "
                 "force strictly increasing q-power denominators" % cert.q,
@@ -248,13 +250,17 @@ def step_right_continuous(m, x):
     return m.branches[i](x)
 
 
+def _tau_step(m, x):
+    return (step_right_continuous(m, x),)
+
+
 def tau_orbit(m, x, cap=10000):
     """Single-valued orbit under the right-continuous convention.
 
     Returns (points, status) where points are the distinct iterates in order.
     """
     x = _checked_seed(x)
-    points, stop, last = _search(m, [x], cap, lambda m, y: (step_right_continuous(m, y),))
+    points, stop, last = _search(m, [x], cap, _tau_step)
     return points, Closed(last, len(points) - last) if stop is None else stop
 
 
@@ -280,17 +286,20 @@ class CriticalClosure:
     """
 
     points: list
-    complete: bool
-    certificate: ProvablyInfinite | None = None
+    stop: object = None  # None when complete, else the status that ended the search
+
+    @property
+    def complete(self):
+        return self.stop is None
 
     def as_dict(self):
         points = self.points if self.complete else sort_scalars(self.points)
         return {
             "points": [p.text() for p in points],
             "complete": self.complete,
-            "infinite_certificate": None
-            if self.certificate is None
-            else {"reason": self.certificate.reason, "witness": self.certificate.witness},
+            "infinite_certificate": {"reason": self.stop.reason, "witness": self.stop.witness}
+            if isinstance(self.stop, ProvablyInfinite)
+            else None,
         }
 
 
@@ -302,12 +311,10 @@ def critical_closure(m, cap=10000):
     """
     points, stop, _ = _search(m, m.partition, cap, imap.eval_multivalued)
     if stop is None:
-        return CriticalClosure(sort_scalars(points), True)
+        return CriticalClosure(sort_scalars(points))
     if isinstance(stop, ProvablyInfinite):
-        return CriticalClosure(
-            points, False, ProvablyInfinite("denominator-growth certificate", stop.witness)
-        )
-    return CriticalClosure(points, False)
+        stop = ProvablyInfinite("denominator-growth certificate", stop.witness)
+    return CriticalClosure(points, stop)
 
 
 def is_exchange_map(m):
@@ -344,21 +351,28 @@ def interior_orbits_disjoint(m, cap):
 
     Uses true single-valued orbits under the right-continuous convention.
     Raises HypothesisViolatedWithinCap when an orbit is eventually periodic
-    or two orbits meet; otherwise returns whether every orbit is provably
-    infinite.  With no interior point nothing was checked, so nothing is
-    proved: the answer is False.
+    or two orbits meet; otherwise returns whether the orbits are provably
+    infinite and disjoint.  With no interior point nothing was checked, so
+    nothing is proved: the answer is False.
+
+    A growth certificate proves an orbit infinite, not two orbits apart.  An
+    exchange is injective on [0,1), so meeting orbits of a and b put one of
+    them in the other's orbit, which the walk rules out before the certified
+    point and the certificate (no later partition point) after it.  For any
+    other map each orbit is followed past its certificate, proving nothing.
     """
     interior = list(m.partition[1:-1])
+    certify = is_exchange_map(m)
     owner = {}
     provable = bool(interior)
     for idx, a in enumerate(interior):
-        points, status = tau_orbit(m, a, cap)
-        if isinstance(status, Closed):
+        points, stop, last = _search(m, [a], cap, _tau_step, certify=certify)
+        if stop is None:
             raise HypothesisViolatedWithinCap(
                 "orbit of %s is eventually periodic (preperiod %d, period %d)"
-                % (a.text(), status.preperiod, status.period)
+                % (a.text(), last, len(points) - last)
             )
-        if not isinstance(status, ProvablyInfinite):
+        if not isinstance(stop, ProvablyInfinite):
             provable = False
         for p in points:
             # the points of one orbit are distinct, so another owner is a collision

@@ -17,7 +17,7 @@ outright carries a provenance string (certificate, assertion, or route name).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -32,6 +32,7 @@ from .families import (
 )
 from .interval_map import Certificate, dynamics_flags, is_surjective, validate_map
 from .markov import (
+    NOT_MARKOV,
     MarkovData,
     detect_markov,
     dynamics_certificates,
@@ -49,7 +50,7 @@ from .orbit import (
     is_exchange_map,
 )
 from .scalar import NumberField, as_scalar, scalar_from_text
-from .snf import kgroups_from_incidence, stationary_dimension_triple
+from .snf import Route, kgroups_from_incidence, stationary_dimension_triple
 
 DEFAULT_CAP = 10000
 DEFAULT_TOL = Fraction(1, 10**6)
@@ -159,7 +160,7 @@ class MinPolyRoute:
     report: ktheory.MinPolyReport | None = None
     status: object = None  # why the iteration stopped without a polynomial
     kgroups: tuple | None = None  # (K-groups, |m(1)|)
-    nonperiodic: tuple | None = None  # (K-groups, label): the critical orbit never closes
+    nonperiodic: Route | None = None  # the critical orbit never closes
     check: dict | None = None  # closed form against iteration
     refusal: dict | None = None  # the route needs --assert-cyclic
 
@@ -204,16 +205,13 @@ class Pipeline:
 
     @cached_property
     def exchange_route(self):
-        """(K-groups, label) of an interval exchange with disjoint infinite interior orbits."""
+        """The Route of an interval exchange with disjoint infinite interior orbits."""
         if not is_exchange_map(self.m):
             return None
         idoc = idoc_check(self.m, self.options.cap)
         if not isinstance(idoc, IdocHolds):
             return None
-        kg, label = exchange_kgroups(self.m, idoc)
-        if label != "unconditional" and self.options.assert_idoc:
-            label = "asserted"
-        return kg, label
+        return exchange_kgroups(self.m, idoc, self.options.assert_idoc)
 
     @cached_property
     def certs(self):
@@ -224,7 +222,7 @@ class Pipeline:
             )
         # the identity's label is unconditional too, but it is not minimal
         route = self.exchange_route
-        if route is not None and route[1] == "unconditional" and len(self.m.branches) > 1:
+        if route is not None and not route.conditional and len(self.m.branches) > 1:
             certs.append(
                 Certificate(
                     "transitive", True,
@@ -273,10 +271,8 @@ class Pipeline:
         out = MinPolyRoute()
         if not self.surjective:
             return out
-        family = None
-        orbit_status = None
+        orbit_status = None  # the critical orbit's stop status, for the two families
         if ktheory.recognize_unimodal(m) is not None:
-            family = "unimodal"
             data, orbit_status = ktheory.unimodal_orbit_data(m, options.cap)
             if data is not None:
                 closed = ktheory.unimodal_minpoly(*data)
@@ -284,12 +280,11 @@ class Pipeline:
                     closed, "unimodal_closed_form", "certified:unimodal"
                 )
         elif self.beta is not None:
-            family = "beta"
             data, orbit_status = ktheory.beta_orbit_data(m, self.beta, options.cap)
             if data is not None:
                 closed = ktheory.beta_minpoly(*data)
                 out.report = ktheory.MinPolyReport(closed, "beta_closed_form", "certified:beta")
-        if out.report is not None or family is None:
+        if out.report is not None or orbit_status is None:
             iterated = ktheory.minimal_polynomial_iter(
                 m, cap=min(options.cap, 64), breakpoint_cap=options.cap
             )
@@ -315,8 +310,8 @@ class Pipeline:
                     "function to generate the module; pass --assert-cyclic "
                     "to assert it",
                 }
-        if family and orbit_status is not None and not isinstance(orbit_status, Closed):
-            out.nonperiodic = ktheory.nonperiodic_kgroups(family, orbit_status)
+        if orbit_status is not None and not isinstance(orbit_status, Closed):
+            out.nonperiodic = ktheory.nonperiodic_kgroups(orbit_status)
         return out
 
     @cached_property
@@ -466,13 +461,8 @@ def _kgroups_section(p):
 def _markov_section(p):
     result = p.markov_result
     if p.markov_data is None:
-        section = {"status": result.kind}
-        if hasattr(result, "reason"):
-            section["reason"] = result.reason
-            section["witness"] = result.witness
-        if hasattr(result, "cap"):
-            section["cap"] = result.cap
-        return section
+        # the search status that left the closure incomplete, and its fields
+        return {"status": NOT_MARKOV[result.kind], **asdict(result)}
     section = {
         "status": "markov",
         "data": p.markov_data.as_dict(),

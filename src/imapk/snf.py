@@ -15,6 +15,7 @@ and the rank of its limit group off that polynomial.  A failed check raises
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CertificateFailure, NotSquare
 from .polynomials import IntPoly
@@ -241,6 +242,19 @@ class KGroups:
         k0 = " + ".join(parts) if parts else "0"
         k1 = "Z^%d" % self.k1_rank if self.k1_rank > 1 else ("Z" if self.k1_rank else "0")
         return "K0 = %s, K1 = %s" % (k0, k1)
+
+
+class Route(NamedTuple):
+    """K-groups that rest on an orbit hypothesis, and the label naming what
+    they rest on.  Only the label "unconditional" is a theorem: a cap, a size
+    limit or an assertion leaves the result conditional."""
+
+    kgroups: KGroups
+    label: str
+
+    @property
+    def conditional(self):
+        return self.label != "unconditional"
 
 
 def _require_square(A):

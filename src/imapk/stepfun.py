@@ -140,10 +140,6 @@ def indicator(c, d):
     return StepFn(breaks, values)
 
 
-def constant(k):
-    return StepFn((), (int(k),))
-
-
 def linear_comb(coeffs, fns):
     """Pointwise integer combination over the common breakpoint refinement."""
     coeffs = [int(c) for c in coeffs]
@@ -163,10 +159,6 @@ def linear_comb(coeffs, fns):
                 positions[j] += 1
         values.append(sum(c * f.values[positions[j]] for j, (c, f) in enumerate(zip(coeffs, fns))))
     return StepFn(merged, values)
-
-
-def equal(f, g):
-    return f == g
 
 
 def _branch_contribution(branch, f):

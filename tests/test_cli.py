@@ -126,6 +126,26 @@ def test_refusal_exit_code(tmp_path, capsys):
     assert report["kgroups"]["family_route"]["k0"]["free_rank"] == 2
 
 
+def test_assertion_flags_give_conditional_verdicts(tmp_path, capsys):
+    path = tmp_path / "exchange.imapk"
+    path.write_text(
+        "field { poly = [-1,-1,1]; iso = [1,2] }\n"
+        "map { family = interval_exchange; permutation = [3,2,1]\n"
+        "  lengths = [alg:[-5/6,2/3], alg:[-4/5,4/5], alg:[79/30,-22/15]] }\n"
+    )
+    cases = (([], "conditional on disjointness beyond cap 150"), (["--assert-idoc"], "asserted"))
+    for flags, label in cases:
+        assert main(["classify", str(path), "--cap", "150", "--json"] + flags) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["kgroups"]["family_route"]["label"] == label
+        assert report["classification"]["conditional"] is True
+    path.write_text(MULTIMODAL_SPEC)
+    assert main(["classify", str(path), "--cap", "400", "--assert-orbit-infinite", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["kgroups"]["family_route"]["label"] == "asserted"
+    assert report["classification"]["conditional"] is True
+
+
 def test_cli_markov_command(tmp_path, capsys):
     path = tmp_path / "tent.imapk"
     path.write_text(TENT_SPEC)

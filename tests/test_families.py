@@ -6,11 +6,11 @@ import pytest
 from imapk.errors import (
     HypothesisViolatedWithinCap,
     ParameterOutOfRange,
+    SpecSemanticError,
     UnrealizableMatrix,
 )
 from imapk.families import (
     FamilySpec,
-    NotApplicable,
     build,
     exchange_kgroups,
     family_certificates,
@@ -18,7 +18,7 @@ from imapk.families import (
 )
 from imapk.interval_map import validate_map
 from imapk.markov import detect_markov
-from imapk.orbit import idoc_check
+from imapk.orbit import IdocHolds, idoc_check, step_right_continuous
 from imapk.report import run
 from imapk.scalar import NumberField, rational
 from imapk.snf import kgroups_from_incidence
@@ -146,8 +146,9 @@ def test_exchange_kgroups_rational_not_applicable():
         )
     )
     result = idoc_check(m, 1000)
-    out = exchange_kgroups(m, result)
-    assert isinstance(out, NotApplicable)
+    with pytest.raises(HypothesisViolatedWithinCap) as info:
+        exchange_kgroups(m, result)
+    assert str(info.value) == result.witness
 
 
 def test_a_two_branch_exchange_with_other_slopes_is_not_a_rotation(phi):
@@ -175,6 +176,8 @@ def test_exchange_three_intervals_conditional(phi):
     kg, label = exchange_kgroups(m, result)
     assert kg.free_rank == 3 and kg.k1_rank == 1
     assert label.startswith("conditional")
+    route = exchange_kgroups(m, result, asserted=True)
+    assert route.label == "asserted" and route.conditional
 
 
 def test_the_identity_exchange_is_unconditional_but_not_minimal():
@@ -193,6 +196,13 @@ def test_the_identity_exchange_is_unconditional_but_not_minimal():
 def test_build_takes_the_multimodal_parameters_of_an_explicit_map(tent):
     spec = FamilySpec("multimodal", {"partition": [0, Fraction(1, 2), 1], "branch": [(2, 0), (-2, 2)]})
     assert build(spec) == tent
+
+
+def test_build_names_a_missing_key_and_a_key_the_family_does_not_take():
+    with pytest.raises(SpecSemanticError, match="^family beta needs beta$"):
+        build(FamilySpec("beta"))
+    with pytest.raises(SpecSemanticError, match="^family beta takes no key 's'$"):
+        build(FamilySpec("beta", {"beta": 2, "s": Fraction(3, 2)}))
 
 
 def test_build_does_not_truncate_integer_parameters():
@@ -248,3 +258,104 @@ def test_multimodal_eventually_periodic_critical_orbit_is_rejected():
 def test_multimodal_endpoint_violation(tent):
     with pytest.raises(HypothesisViolatedWithinCap):
         multimodal_kgroups(tent, cap=100, asserted=True)
+
+
+# continuous and onto, with slopes of reduced denominator 2: the growth
+# certificate proves each interior orbit infinite, yet
+# 1/8 -> 0 -> 9/16 -> 29/32 -> 19/64 and 3/16 -> 7/32 -> 19/64
+CERTIFIED_COLLISION = (
+    [0, Fraction(1, 8), Fraction(3, 16), Fraction(5, 16), Fraction(5, 8), 1],
+    [
+        (Fraction(-9, 2), Fraction(9, 16)),
+        (Fraction(7, 2), Fraction(-7, 16)),
+        (Fraction(5, 2), Fraction(-1, 4)),
+        (Fraction(3, 2), Fraction(1, 16)),
+        (Fraction(-5, 2), Fraction(41, 16)),
+    ],
+)
+
+
+def test_multimodal_route_follows_certified_orbits_to_their_collision():
+    m = validate_map(*CERTIFIED_COLLISION)
+    for asserted in (False, True):
+        with pytest.raises(HypothesisViolatedWithinCap, match="of 1/8 and 3/16 collide at 19/64"):
+            multimodal_kgroups(m, cap=100, asserted=asserted)
+
+
+def test_a_certified_generalized_exchange_stays_unconditional():
+    # slopes 3/2 and 1/2 share the denominator 2, so the certificate ends
+    # each walk; an exchange is injective, so that proves disjointness too
+    branches = [(Fraction(3, 2), Fraction(1, 4)), (Fraction(1, 2), Fraction(-1, 4))]
+    m = validate_map([0, Fraction(1, 2), 1], branches)
+    idoc = idoc_check(m, 1000)
+    assert idoc.provably_infinite
+    route = exchange_kgroups(m, idoc)
+    assert route.label == "unconditional" and not route.conditional
+
+
+def _dyadic_exchange(rng):
+    """A three-branch generalized exchange with slopes odd/2 over 1/16ths."""
+    while True:
+        cuts = [0] + sorted(rng.sample(range(1, 16), 2)) + [16]
+        lengths = [Fraction(b - a, 16) for a, b in zip(cuts, cuts[1:])]
+        slopes = [Fraction(rng.choice((1, 3, 5, 7, 9)), 2) for _ in range(2)]
+        slopes.append((1 - slopes[0] * lengths[0] - slopes[1] * lengths[1]) / lengths[2])
+        if slopes[2] > 0 and slopes[2].denominator == 2:
+            break
+    rank = rng.sample(range(3), 3)  # the place of each image, left to right
+    images = [s * l for s, l in zip(slopes, lengths)]
+    branches = []
+    for i, s in enumerate(slopes):
+        start = sum((images[j] for j in range(3) if rank[j] < rank[i]), Fraction(0))
+        branches.append((s, start - s * Fraction(cuts[i], 16)))
+    return validate_map([Fraction(c, 16) for c in cuts], branches)
+
+
+def _dyadic_multimodal(rng):
+    """A continuous onto five-branch map with slopes +-odd/2 over 1/16ths
+    and no endpoint mapping to an endpoint; vertices in units of 1/32."""
+    while True:
+        cuts = [0] + sorted(rng.sample(range(1, 16), 4)) + [16]
+        sign = rng.choice((1, -1))
+        ms = [rng.choice((1, 3, 5, 7, 9)) * sign * (-1) ** i for i in range(5)]
+        v = [0]
+        for mi, a, b in zip(ms, cuts, cuts[1:]):
+            v.append(v[-1] + mi * (b - a))
+        lo = min(v)
+        if max(v) - lo == 32 and v[0] - lo not in (0, 32) and v[-1] - lo not in (0, 32):
+            break
+    pts = [Fraction(c, 16) for c in cuts]
+    slopes = [Fraction(mi, 2) for mi in ms]
+    return validate_map(pts, [(s, Fraction(x - lo, 32) - s * p) for s, x, p in zip(slopes, v, pts)])
+
+
+def _orbits_meet(m, steps=60):
+    """Whether two interior orbits, each followed on its own, share a point."""
+    owner = {}
+    for i, a in enumerate(m.partition[1:-1]):
+        x = a
+        for _ in range(steps):
+            if owner.setdefault(x, i) != i:
+                return True
+            x = step_right_continuous(m, x)
+    return False
+
+
+def test_an_unconditional_route_has_disjoint_interior_orbits():
+    # a fixed list of maps whose slopes share the reduced denominator 2, so
+    # the growth certificate applies; about one in four of the multimodal
+    # ones has certified orbits that meet within 60 steps
+    rng = random.Random(20)
+    routes = []
+    for m in [_dyadic_exchange(rng) for _ in range(40)]:
+        idoc = idoc_check(m, 200)
+        if isinstance(idoc, IdocHolds):
+            routes.append((m, exchange_kgroups(m, idoc)))
+    for m in [_dyadic_multimodal(rng) for _ in range(40)]:
+        try:
+            routes.append((m, multimodal_kgroups(m, 60)))
+        except HypothesisViolatedWithinCap:
+            pass
+    unconditional = [m for m, route in routes if route is not None and route[1] == "unconditional"]
+    assert len(unconditional) >= 20
+    assert not [m for m in unconditional if _orbits_meet(m)]

@@ -6,9 +6,9 @@ import pytest
 from imapk import ktheory
 from imapk.errors import (
     CyclicityNotEstablished,
+    HypothesisViolatedWithinCap,
     InconsistentCaseData,
     NotSurjective,
-    WrongFamily,
 )
 from imapk.families import FamilySpec, build
 from imapk.interval_map import validate_map
@@ -25,7 +25,7 @@ from imapk.ktheory import (
     unimodal_minpoly,
     unimodal_orbit_data,
 )
-from imapk.orbit import CapReached, ProvablyInfinite, SizeLimitReached, forward_orbit
+from imapk.orbit import CapReached, Closed, ProvablyInfinite, SizeLimitReached, forward_orbit
 from imapk.polynomials import IntPoly
 from imapk.scalar import NumberField, rational
 from imapk.specfile import parse_spec
@@ -219,15 +219,17 @@ def test_kgroups_from_minpoly():
 def test_nonperiodic_kgroups(beta_three_halves):
     status = forward_orbit(beta_three_halves, 1).status
     assert isinstance(status, ProvablyInfinite)
-    kg, label = nonperiodic_kgroups("beta", status)
-    assert label == "unconditional"
+    route = nonperiodic_kgroups(status)
+    kg, label = route
+    assert label == "unconditional" and not route.conditional
     assert kg.free_rank == 1 and kg.k1_rank == 0
-    kg2, label2 = nonperiodic_kgroups("unimodal", CapReached(100))
-    assert label2 == "conditional on non-eventual-periodicity (cap 100)"
-    _, label3 = nonperiodic_kgroups("beta", SizeLimitReached(4096))
+    route2 = nonperiodic_kgroups(CapReached(100))
+    assert route2.label == "conditional on non-eventual-periodicity (cap 100)"
+    assert route2.conditional
+    _, label3 = nonperiodic_kgroups(SizeLimitReached(4096))
     assert label3 == "conditional on non-eventual-periodicity (coordinates past 4096 bits)"
-    with pytest.raises(WrongFamily):
-        nonperiodic_kgroups("exchange", status)
+    with pytest.raises(HypothesisViolatedWithinCap):
+        nonperiodic_kgroups(Closed(0, 1))
 
 
 def test_recognize_unimodal(tent, golden_beta):

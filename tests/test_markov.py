@@ -7,7 +7,6 @@ from imapk.errors import CertificateFailure, InvalidMarkovPartition, NotSquare, 
 from imapk.interval_map import MINUS, PLUS, CutPoint, validate_map
 from imapk.markov import (
     MarkovData,
-    ProvablyNotMarkov,
     _verify_row_images,
     detect_markov,
     graph_flags,
@@ -15,6 +14,7 @@ from imapk.markov import (
     markov_for_partition,
     separation_check,
 )
+from imapk.orbit import ProvablyInfinite
 from imapk.scalar import rational
 from imapk.snf import kgroups_from_incidence
 
@@ -35,7 +35,7 @@ def test_detect_golden_beta(golden_beta):
 
 def test_detect_beta_three_halves(beta_three_halves):
     result = detect_markov(beta_three_halves)
-    assert isinstance(result, ProvablyNotMarkov)
+    assert isinstance(result, ProvablyInfinite)
 
 
 def test_detect_realization(offdiag_realization):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from imapk.errors import CertificateFailure, NotAnExchangeMap
+from imapk.errors import CertificateFailure, InvalidMarkovPartition, NotAnExchangeMap
 from imapk.families import FamilySpec, build
 from imapk.orbit import (
     CapReached,
@@ -24,6 +24,8 @@ from imapk.orbit import (
     tau_orbit,
 )
 from imapk.interval_map import validate_map
+from imapk.markov import detect_markov, markov_for_partition
+from imapk.report import run
 from imapk.scalar import rational
 from imapk.specfile import parse_spec
 
@@ -71,7 +73,7 @@ def test_critical_closure_tent(tent):
 def test_critical_closure_beta_three_halves(beta_three_halves):
     cc = critical_closure(beta_three_halves)
     assert not cc.complete
-    assert cc.certificate is not None
+    assert isinstance(cc.stop, ProvablyInfinite)
 
 
 def test_critical_closure_realization(offdiag_realization):
@@ -195,12 +197,26 @@ def test_size_limit_ends_forward_and_tau_orbits():
 
 
 def test_size_limit_ends_the_closure():
-    cc = critical_closure(_size_limited_map())
-    assert not cc.complete and cc.certificate is None
+    m = _size_limited_map()
+    cc = critical_closure(m)
+    assert not cc.complete and cc.stop == SizeLimitReached(MAX_COEFF_BITS)
     assert len(cc.points) == 107
     assert any(
         p.as_fraction().denominator.bit_length() > MAX_COEFF_BITS for p in cc.points
     )
+    # the Markov verdict names the limit that ended the closure, not the cap
+    assert detect_markov(m, closure=cc) == SizeLimitReached(MAX_COEFF_BITS)
+    with pytest.raises(InvalidMarkovPartition, match="within the 4096-bit size limit"):
+        markov_for_partition(m, [0, Fraction(1, 2), 1], closure=cc)
+    b1, b2 = m.branches
+    spec = parse_spec(
+        "map { partition = [0, 1/2, 1]; branch = { slope = %s, intercept = 0 }\n"
+        "  branch = { slope = %s, intercept = %s } }"
+        % (b1.slope.text(), b2.slope.text(), b2.intercept.text())
+    )
+    assert run("markov", spec)[0]["markov"] == {
+        "status": "not_markov_within_size_limit", "max_coeff_bits": MAX_COEFF_BITS,
+    }
 
 
 def test_cap_reached():

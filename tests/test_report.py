@@ -134,3 +134,26 @@ def test_all_notes_an_eventually_periodic_multimodal_orbit():
         "multimodal route inapplicable: orbit of 1/3 is eventually periodic "
         "(preperiod 2, period 1)"
     ]
+
+
+def test_certified_orbits_that_meet_conclude_no_kgroups():
+    # each interior orbit is certified infinite, but those of 1/8 and 3/16
+    # meet at 19/64, so the multimodal route does not apply
+    spec = parse_spec(
+        "map { partition = [0, 1/8, 3/16, 5/16, 5/8, 1]\n"
+        "  branch = { slope = -9/2, intercept = 9/16 }\n"
+        "  branch = { slope = 7/2, intercept = -7/16 }\n"
+        "  branch = { slope = 5/2, intercept = -1/4 }\n"
+        "  branch = { slope = 3/2, intercept = 1/16 }\n"
+        "  branch = { slope = -5/2, intercept = 41/16 } }"
+    )
+    for command in ("classify", "all"):
+        got, code = run(command, spec, {"assert_orbit_infinite": True})
+        assert code == 0
+        assert got["kgroups"]["family_route"] is None
+        cls = got["classification"]
+        assert cls["k0"] == {} and cls["conditional"] is False
+    assert got["notes"] == [
+        "multimodal route inapplicable: orbits of 1/8 and 3/16 collide at 19/64"
+    ]
+
