@@ -17,7 +17,7 @@ from .interval_map import (
     validate_map,
 )
 from .stepfun import StepFn, indicator, linear_comb, transfer
-from .orbit import critical_closure, forward_orbit, idoc_check, tau_orbit
+from .orbit import critical_closure, forward_orbit, idoc_check, keane_idoc, tau_orbit
 from .markov import detect_markov, graph_flags, itinerary, separation_check
 from .snf import (
     KGroups,

@@ -61,11 +61,13 @@ def _identify_exact(q: IntPoly, lo: Fraction, hi: Fraction):
     return None
 
 
-def perron_enclosure(A, tol=Fraction(1, 10**6)):
+def perron_enclosure(A, tol=Fraction(1, 10**6), poly=None):
     """Enclosure of the spectral radius of a zero-one matrix.
 
     Reducible matrices are handled per strongly connected component and the
-    maximum taken.  Returns (s_lo, s_hi, exact_scalar_or_None).
+    maximum taken.  ``poly`` is the characteristic polynomial of A when the
+    caller has it; it stands for the one component of an irreducible A.
+    Returns (s_lo, s_hi, exact_scalar_or_None).
     """
     n = check_zero_one(A)
     tol = Fraction(tol)
@@ -77,7 +79,7 @@ def perron_enclosure(A, tol=Fraction(1, 10**6)):
         sub = [[A[i][j] for j in comp] for i in comp]
         if all(x == 0 for row in sub for x in row):
             continue
-        p = char_poly(sub)
+        p = poly if poly is not None and len(comp) == n else char_poly(sub)
         bound = max(sum(row) for row in sub)
         lo, hi, exact = _largest_real_root(p, Fraction(bound), tol)
         if lo > best[0]:
@@ -124,12 +126,13 @@ def uniform_abs_slope(m):
     return None
 
 
-def entropy_report(m, flags, markov_data=None, tol=Fraction(1, 10**6)):
-    """Entropy enclosure with trace/KMS annotations when the hypotheses hold."""
+def entropy_report(m, flags, markov_data=None, tol=Fraction(1, 10**6), poly=None):
+    """Entropy enclosure with trace/KMS annotations when the hypotheses hold;
+    ``poly`` is passed on to `perron_enclosure`."""
     notes = []
     report = None
     if markov_data is not None:
-        lo, hi, exact = perron_enclosure(markov_data.matrix, tol)
+        lo, hi, exact = perron_enclosure(markov_data.matrix, tol, poly)
         report = EntropyReport("perron_markov", lo, hi, exact, notes)
     else:
         s = uniform_abs_slope(m)

@@ -4,9 +4,10 @@
 parameters.  Each constructor only builds: it returns the validated map.  Facts that hold
 family-wide (beta-transformations are topologically exact; restricted tent
 maps with slope above sqrt(2) are topologically exact, and transitive at
-sqrt(2) itself; a two-interval exchange by an irrational length is minimal)
-are recognized from the map, however it is spelled.  `family_certificates`
-is the one place that decides them, with the validated map as its only input.
+sqrt(2) itself; an interval exchange that Keane's theorem decides, such as a
+rotation by an irrational length, is minimal) are recognized from the map,
+however it is spelled.  `family_certificates` is the one place that decides
+them, with the validated map as its only input.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .interval_map import Certificate, is_surjective, validate_map
 from .markov import check_zero_one
-from .orbit import IdocFails, interior_orbits_disjoint, is_exchange_map
+from .orbit import IdocFails, interior_orbits_disjoint, keane_idoc
 from .scalar import ONE, ZERO, as_scalar, rational
 from .snf import KGroups, Route
 
@@ -249,27 +250,15 @@ TENT_EXACT = Certificate(
 TENT_TRANSITIVE = Certificate(
     "transitive", True, "the restricted tent map with slope sqrt(2) is transitive"
 )
-ROTATION_MINIMAL = Certificate(
-    "transitive", True, "two-interval exchange by a provably irrational length is minimal"
+KEANE_MINIMAL = Certificate(
+    "transitive", True,
+    "Keane: an interval exchange with an irreducible permutation and lengths "
+    "linearly independent over Q is minimal",
 )
 
 
-def is_irrational_rotation(m):
-    """True when m is a two-interval exchange by an irrational length.
-
-    Two branches of slope 1 that tile [0,1] swap their intervals (in place
-    they would have merged), so m is a rotation, minimal when irrational.
-    """
-    return (
-        len(m.branches) == 2
-        and all(b.slope == ONE for b in m.branches)
-        and is_exchange_map(m)
-        and not m.partition[1].is_rational
-    )
-
-
 def family_certificates(m):
-    """The beta, restricted-tent and rotation certificates that m satisfies."""
+    """The beta, restricted-tent and Keane certificates that m satisfies."""
     certs = []
     if recognize_beta(m) is not None:
         certs.append(BETA_EXACT)
@@ -280,8 +269,8 @@ def family_certificates(m):
             certs.append(TENT_EXACT)
         elif s2 == 0:
             certs.append(TENT_TRANSITIVE)
-    if is_irrational_rotation(m):
-        certs.append(ROTATION_MINIMAL)
+    if keane_idoc(m) is not None:
+        certs.append(KEANE_MINIMAL)
     return certs
 
 
@@ -291,17 +280,18 @@ def family_certificates(m):
 def exchange_kgroups(m, idoc_result, asserted=False):
     """K-groups of an interval exchange under orbit disjointness.
 
-    Unconditional for a rotation by an irrational length
-    (`is_irrational_rotation`), when every interior orbit is provably
-    infinite, or for the identity, which has no interior orbit.  Otherwise
-    "asserted" when the user asserts disjointness, else conditional on the
-    cap-checked disjointness.  Raises HypothesisViolatedWithinCap when the
-    check found a periodic orbit or a collision.
+    Unconditional for the identity, which has no interior orbit, when
+    Keane's theorem decides the IDOC (`orbit.keane_idoc`; then
+    `idoc_result` is not read and may be None), or when every interior orbit
+    is provably infinite.  Otherwise "asserted" when the user asserts
+    disjointness, else conditional on the cap-checked disjointness.  Raises
+    HypothesisViolatedWithinCap when the check found a periodic orbit or a
+    collision.
     """
     if isinstance(idoc_result, IdocFails):
         raise HypothesisViolatedWithinCap(idoc_result.witness)
     n = len(m.branches)
-    if n == 1 or idoc_result.provably_infinite or is_irrational_rotation(m):
+    if n == 1 or keane_idoc(m) is not None or idoc_result.provably_infinite:
         label = "unconditional"
     elif asserted:
         label = "asserted"

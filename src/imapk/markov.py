@@ -31,7 +31,7 @@ from .interval_map import (
     eval_multivalued,
     merge_closed_intervals,
 )
-from .orbit import SizeLimitReached, critical_closure
+from .orbit import ProvablyInfinite, SizeLimitReached, critical_closure
 from .scalar import ONE, ZERO, as_scalar, sort_scalars
 
 
@@ -157,10 +157,13 @@ def markov_for_partition(m, points, cap=10000, closure=None):
         raise InvalidMarkovPartition("partition points must be distinct")
     cc = critical_closure(m, cap) if closure is None else closure
     if not cc.complete:
-        within = "cap"
-        if isinstance(cc.stop, SizeLimitReached):
-            within = "the %d-bit size limit" % cc.stop.max_coeff_bits
-        raise InvalidMarkovPartition("critical closure is not finite within %s" % within)
+        if isinstance(cc.stop, ProvablyInfinite):
+            why = "is provably infinite (%s)" % cc.stop.reason
+        elif isinstance(cc.stop, SizeLimitReached):
+            why = "is not finite within the %d-bit size limit" % cc.stop.max_coeff_bits
+        else:
+            why = "is not finite within cap"
+        raise InvalidMarkovPartition("critical closure %s" % why)
     closure = set(cc.points)
     for p in points:
         if p in closure:

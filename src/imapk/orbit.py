@@ -26,15 +26,24 @@ iterates with strictly growing pure q-power denominators.  Such an orbit
 never revisits a point and never lands on a partition point, so it is
 infinite; the cap result is upgraded to a theorem.
 
-``interior_orbits_disjoint`` is the one check that the interior partition
-points have infinite, pairwise disjoint orbits; ``idoc_check`` and the
-multimodal K-theory route both use it.  In that check the certificate also
-proves disjointness, but only for an interval exchange.
+``interior_orbits_disjoint`` is the one walk that checks that the interior
+partition points have infinite, pairwise disjoint orbits (the IDOC);
+``idoc_check`` and the multimodal K-theory route both use it.  In that walk
+the certificate also proves disjointness, but only for an interval exchange.
+
+``keane_idoc`` decides the IDOC of a standard interval exchange (all slopes
+1) by Keane's theorem instead: an irreducible permutation with lengths
+linearly independent over Q.  That is one exact rank computation, with no
+orbit walked.  When it decides nothing (rational lengths, more intervals
+than the field degree, a reducible permutation or a generalized exchange),
+the capped ``idoc_check`` stays the gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
+
 from .errors import (
     CertificateFailure,
     HypothesisViolatedWithinCap,
@@ -43,6 +52,7 @@ from .errors import (
 )
 from .interval_map import PLUS
 from .scalar import ONE, ZERO, Scalar, as_scalar, sort_scalars
+from .snf import determinant
 from . import interval_map as imap
 
 
@@ -396,3 +406,51 @@ def idoc_check(m, cap=1000):
     except HypothesisViolatedWithinCap as exc:
         return IdocFails(str(exc))
     return IdocHolds(cap, provably_infinite=provable)
+
+
+def keane_idoc(m):
+    """The IDOC of a standard interval exchange by Keane's theorem (M. Keane,
+    "Interval exchange transformations", Math. Z. 141, 1975): a
+    ProvablyInfinite status when it holds, else None, which decides nothing.
+
+    The map must have at least two branches, all of slope 1, whose images
+    tile [0,1].  Its permutation is read from the order of the branch
+    images, and is irreducible when no proper prefix of the intervals maps
+    onto itself.  The lengths are independent over Q when their coefficient
+    vectors (power basis, denominators cleared per vector) have rank n, that
+    is, a nonzero Gram determinant; so rational lengths, and more intervals
+    than the field degree, are never decided.
+    """
+    n = len(m.branches)
+    field = m.field
+    if n < 2 or field is None or n > field.degree or any(b.slope != ONE for b in m.branches):
+        return None
+    # with slope 1 a branch is x -> x + intercept, and its image is as long
+    # as its interval; the images tile [0,1] when each starts where the one
+    # before it ends
+    starts = [b.lo + b.intercept for b in m.branches]
+    order = sorted(range(n), key=starts.__getitem__)  # the branch at each image place
+    end = ZERO
+    for i in order:
+        if starts[i] != end:
+            return None
+        end = m.branches[i].hi + m.branches[i].intercept
+    permutation = [0] * n
+    for place, i in enumerate(order, 1):
+        permutation[i] = place
+    if any(max(permutation[:k]) == k for k in range(1, n)):
+        return None
+    vectors = []
+    for b in m.branches:
+        coeffs = (b.hi - b.lo).coeffs
+        den = lcm(*(c.denominator for c in coeffs))
+        vectors.append([int(c * den) for c in coeffs] + [0] * (field.degree - len(coeffs)))
+    gram = determinant([[sum(map(int.__mul__, u, v)) for v in vectors] for u in vectors])
+    if gram == 0:
+        return None
+    return ProvablyInfinite(
+        "Keane: an interval exchange with an irreducible permutation and lengths "
+        "linearly independent over Q has infinite, pairwise disjoint interior orbits",
+        "permutation %s; the lengths' coefficient vectors have Gram determinant %d"
+        % (permutation, gram),
+    )

@@ -43,14 +43,15 @@ from .markov import (
 )
 from .orbit import (
     Closed,
-    IdocHolds,
+    IdocFails,
     critical_closure,
     forward_orbit,
     idoc_check,
     is_exchange_map,
+    keane_idoc,
 )
 from .scalar import NumberField, as_scalar, scalar_from_text
-from .snf import Route, kgroups_from_incidence, stationary_dimension_triple
+from .snf import Route, char_poly, kgroups_from_incidence, stationary_dimension_triple
 
 DEFAULT_CAP = 10000
 DEFAULT_TOL = Fraction(1, 10**6)
@@ -186,7 +187,15 @@ class Pipeline:
         return critical_closure(self.m, self.options.cap)
 
     @cached_property
+    def keane(self):
+        """Keane's proof of the IDOC (a ProvablyInfinite status), or None."""
+        return keane_idoc(self.m)
+
+    @cached_property
     def markov_result(self):
+        # the IDOC makes every interior orbit infinite, so the closure is too
+        if self.keane is not None:
+            return self.keane
         return detect_markov(self.m, self.options.cap, closure=self.closure)
 
     @cached_property
@@ -199,17 +208,24 @@ class Pipeline:
         return None if self.markov_data is None else graph_flags(self.markov_data.matrix)
 
     @cached_property
+    def characteristic_polynomial(self):
+        """The characteristic polynomial of the Markov matrix, which the
+        Perron enclosure and the stationary presentation both read."""
+        return char_poly(self.markov_data.matrix)
+
+    @cached_property
     def beta(self):
         """The beta parameter when the map is a beta transformation, else None."""
         return recognize_beta(self.m)
 
     @cached_property
     def exchange_route(self):
-        """The Route of an interval exchange with disjoint infinite interior orbits."""
+        """The Route of an interval exchange with disjoint infinite interior
+        orbits; the capped check runs only when Keane's theorem decides nothing."""
         if not is_exchange_map(self.m):
             return None
-        idoc = idoc_check(self.m, self.options.cap)
-        if not isinstance(idoc, IdocHolds):
+        idoc = None if self.keane is not None else idoc_check(self.m, self.options.cap)
+        if isinstance(idoc, IdocFails):
             return None
         return exchange_kgroups(self.m, idoc, self.options.assert_idoc)
 
@@ -220,9 +236,15 @@ class Pipeline:
             certs.extend(
                 dynamics_certificates(self.m, self.markov_data, self.graph_flags, self.surjective)
             )
-        # the identity's label is unconditional too, but it is not minimal
+        # Keane's certificate is a family certificate; the identity's label is
+        # unconditional too, but it is not minimal
         route = self.exchange_route
-        if route is not None and not route.conditional and len(self.m.branches) > 1:
+        if (
+            route is not None
+            and not route.conditional
+            and len(self.m.branches) > 1
+            and self.keane is None
+        ):
             certs.append(
                 Certificate(
                     "transitive", True,
@@ -381,7 +403,10 @@ class Pipeline:
 
     @cached_property
     def entropy(self):
-        return entropy_report(self.m, self.flags, self.markov_data, self.options.tol)
+        # the Perron enclosure factors the whole matrix only when it is irreducible
+        irreducible = self.markov_data is not None and self.graph_flags.irreducible
+        poly = self.characteristic_polynomial if irreducible else None
+        return entropy_report(self.m, self.flags, self.markov_data, self.options.tol, poly)
 
     @cached_property
     def consistency(self):
@@ -497,7 +522,9 @@ def _dimension_module_section(p):
     section["stationary_presentation"] = (
         None
         if p.markov_data is None
-        else stationary_dimension_triple(p.markov_data.matrix).as_dict()
+        else stationary_dimension_triple(
+            p.markov_data.matrix, p.characteristic_polynomial
+        ).as_dict()
     )
     return section
 

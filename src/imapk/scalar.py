@@ -403,9 +403,14 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        fa, fb = self.field, other.field
+        if fa is None and fb is None:
+            return Scalar(None, (self.coeffs[0] * other.coeffs[0],))
+        if fa is None or fb is None:
+            # a rational times a field element scales its coefficients
+            c, x = (self.coeffs[0], other) if fa is None else (other.coeffs[0], self)
+            return x if c == 1 else Scalar(x.field, tuple(c * y for y in x.coeffs))
         field, a, b = Scalar._join(self, other)
-        if field is None:
-            return Scalar(None, (a[0] * b[0],))
         raw = [Fraction(0)] * (2 * field.degree - 1)
         for i, x in enumerate(a):
             if x == 0:

@@ -311,9 +311,11 @@ class DimensionTriplePresentation:
         }
 
 
-def stationary_dimension_triple(A):
+def stationary_dimension_triple(A, poly=None):
+    """The stationary presentation of A; ``poly`` is char_poly(A) when the
+    caller has it."""
     n = _require_square(A)
-    p = char_poly(A)
+    p = char_poly(A) if poly is None else poly
     coeffs = p.coeffs
     det = (-1) ** n * coeffs[0]
     # rank of the limit group is the rank of A^n; the kernel of A^n is the

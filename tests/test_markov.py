@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from imapk.errors import CertificateFailure, InvalidMarkovPartition, NotSquare, NotZeroOne
+from imapk.families import FamilySpec, build
 from imapk.interval_map import MINUS, PLUS, CutPoint, validate_map
 from imapk.markov import (
     MarkovData,
@@ -167,6 +168,13 @@ def test_user_partition_accepted(offdiag_realization):
 def test_user_partition_rejected(tent):
     with pytest.raises(InvalidMarkovPartition):
         markov_for_partition(tent, [0, Fraction(1, 3), 1])
+
+
+def test_a_certified_infinite_closure_is_named_as_such():
+    # beta = 3/2: the growth certificate ends the closure search; no cap is reached
+    with pytest.raises(InvalidMarkovPartition) as info:
+        markov_for_partition(build(FamilySpec("beta", {"beta": Fraction(3, 2)})), [0, Fraction(2, 3), 1])
+    assert str(info.value) == "critical closure is provably infinite (denominator-growth certificate)"
 
 
 def test_row_image_law(tent, golden_beta, offdiag_realization):

@@ -20,13 +20,14 @@ from imapk.orbit import (
     critical_closure,
     forward_orbit,
     idoc_check,
+    keane_idoc,
     reverify_closed,
     tau_orbit,
 )
 from imapk.interval_map import validate_map
 from imapk.markov import detect_markov, markov_for_partition
 from imapk.report import run
-from imapk.scalar import rational
+from imapk.scalar import ONE, NumberField, rational
 from imapk.specfile import parse_spec
 
 SPECS = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.imapk"))
@@ -136,6 +137,85 @@ def test_idoc_rational_three_exchange_fails():
 def test_idoc_proves_nothing_without_an_interior_point():
     identity = validate_map([0, 1], [(1, 0)])
     assert idoc_check(identity, 100) == IdocHolds(100, provably_infinite=False)
+
+
+def test_keane_decides_the_golden_exchange(golden_exchange):
+    status = keane_idoc(golden_exchange)
+    assert isinstance(status, ProvablyInfinite)
+    # lengths 2 - phi and phi - 1: Gram determinant 5 * 2 - 3 * 3
+    assert status.witness == (
+        "permutation [2, 1]; the lengths' coefficient vectors have Gram determinant 1"
+    )
+
+
+def test_keane_decides_nothing_outside_its_hypotheses(phi):
+    rational_rotation = build(FamilySpec(
+        "interval_exchange", {"lengths": [Fraction(1, 3), Fraction(2, 3)], "permutation": [2, 1]}
+    ))
+    # three lengths in a degree-2 field are dependent over Q
+    l1 = (phi - 1) * (phi - 1)
+    three = build(FamilySpec(
+        "interval_exchange", {"lengths": [l1, l1 * l1, 1 - l1 - l1 * l1], "permutation": [3, 2, 1]}
+    ))
+    # increasing and bijective, but with slopes other than 1
+    c = phi - 1
+    s1, s2 = rational(Fraction(1, 2)) / c, rational(Fraction(1, 2)) / (1 - c)
+    generalized = validate_map([0, c, 1], [(s1, 0), (s2, 1 - s2)])
+    # slope 1 on both branches, but the images overlap
+    overlapping = validate_map([0, c, 1], [(1, 0), (1, Fraction(-1, 100))])
+    for m in (rational_rotation, three, generalized, overlapping):
+        assert keane_idoc(m) is None
+
+
+KEANE_FIELDS = [
+    NumberField([-1, -1, 1], (1, 2)),
+    NumberField([-2, 0, 1], (1, 2)),
+    NumberField([-1, -1, 0, 1], (1, 2)),
+    NumberField([-1, -1, 0, 0, 1], (1, 2)),
+]
+
+
+def _exchange_lengths(rng, field, k):
+    """k positive lengths summing to 1: small field elements, or rationals
+    when field is None."""
+    while True:
+        lengths = []
+        for _ in range(k - 1):
+            den = rng.randint(3, 9)
+            if field is None:
+                lengths.append(rational(Fraction(rng.randint(1, den), den * k)))
+            else:
+                lengths.append(field.element([Fraction(rng.randint(-5, 5), den)
+                                              for _ in range(field.degree)]))
+        last = ONE
+        for x in lengths:
+            last = last - x
+        lengths.append(last)
+        if all(x.sign() > 0 for x in lengths):
+            return lengths
+
+
+def test_keane_never_contradicts_the_capped_check():
+    # derandomized: 2-4 intervals over quadratic, cubic and quartic fields,
+    # with rational lengths and reducible permutations mixed in
+    rng = random.Random(12)
+    decided = 0
+    for _ in range(60):
+        k = rng.randint(2, 4)
+        field = None if rng.random() < 0.2 else rng.choice(KEANE_FIELDS)
+        permutation = list(range(1, k + 1))
+        rng.shuffle(permutation)
+        m = build(FamilySpec("interval_exchange", {
+            "lengths": _exchange_lengths(rng, field, k), "permutation": permutation,
+        }))
+        status = keane_idoc(m)
+        reducible = any(max(permutation[:j]) == j for j in range(1, k))
+        if field is None or reducible:
+            assert status is None, (field, permutation)
+        if status is not None:
+            decided += 1
+            assert isinstance(idoc_check(m, 40), IdocHolds), (field, permutation)
+    assert decided >= 15
 
 
 def test_idoc_requires_exchange(tent):

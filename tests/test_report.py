@@ -11,11 +11,11 @@ from pathlib import Path
 import pytest
 
 from imapk import ktheory, report
-from imapk.entropy import entropy_report
+from imapk.entropy import entropy_report, perron_enclosure
 from imapk.errors import InvalidMarkovPartition
-from imapk.orbit import critical_closure
+from imapk.orbit import critical_closure, idoc_check
 from imapk.report import run, to_json
-from imapk.snf import kgroups_from_incidence
+from imapk.snf import char_poly, kgroups_from_incidence, stationary_dimension_triple
 from imapk.specfile import parse_spec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,6 +25,9 @@ RECORDED = json.loads((ROOT / "tests" / "data" / "shipped_reports.json").read_te
 SPECS = sorted((ROOT / "specs").glob("*.imapk"))
 COMMANDS = ("orbit", "markov", "ktheory", "entropy", "classify", "all")
 REALIZATION = "map { family = markov_realization; matrix = [[0,1,1],[1,0,1],[1,1,0]] }"
+# Keane's theorem proves the golden exchange not Markov, so only the `orbits`
+# section of `orbit` and `all` builds its critical closure
+NO_CLOSURE = {("golden_exchange", c) for c in ("markov", "ktheory", "entropy", "classify")}
 
 
 def count_calls(monkeypatch, *functions):
@@ -59,11 +62,32 @@ def test_shipped_reports_are_unchanged_and_compute_only_what_they_emit(spec_path
         recorded = RECORDED["%s/%s" % (spec_path.stem, command)]
         assert hashlib.sha256(to_json(got).encode("utf-8")).hexdigest() == recorded["sha256"]
         assert code == recorded["exit"]
-        assert calls["critical_closure"] == 1, command
+        assert calls["critical_closure"] == int((spec_path.stem, command) not in NO_CLOSURE), command
         if command in ("orbit", "markov", "entropy"):
             assert calls["minimal_polynomial_iter"] == 0, command
         if command in ("orbit", "markov"):
             assert calls["entropy_report"] == calls["classify"] == 0, command
+
+
+def test_keane_decides_the_golden_exchange_without_walking_an_orbit(monkeypatch):
+    calls = count_calls(monkeypatch, critical_closure, idoc_check)
+    got, code = run("classify", parse_spec((ROOT / "specs" / "golden_exchange.imapk").read_text()))
+    assert code == 0
+    assert calls["critical_closure"] == calls["idoc_check"] == 0
+    assert got["markov"]["status"] == "provably_not_markov"
+    assert got["markov"]["witness"].startswith("permutation [2, 1]")
+    assert got["kgroups"]["family_route"]["label"] == "unconditional"
+    assert [c["property"] for c in got["certificates"]] == ["transitive"]
+
+
+@pytest.mark.parametrize("name", ["tent", "realization", "golden_beta"])
+@pytest.mark.parametrize("command", ["ktheory", "all"])
+def test_one_characteristic_polynomial_per_markov_report(name, command, monkeypatch):
+    # the Perron enclosure and the stationary presentation share one stage
+    calls = count_calls(monkeypatch, char_poly, perron_enclosure, stationary_dimension_triple)
+    run(command, parse_spec((ROOT / "specs" / ("%s.imapk" % name)).read_text()))
+    assert calls["perron_enclosure"] == calls["stationary_dimension_triple"] == 1
+    assert calls["char_poly"] == 1
 
 
 @pytest.mark.parametrize("command", COMMANDS)
