@@ -65,21 +65,21 @@ def perron_enclosure(A, tol=Fraction(1, 10**6), poly=None):
     """Enclosure of the spectral radius of a zero-one matrix.
 
     Reducible matrices are handled per strongly connected component and the
-    maximum taken.  ``poly`` is the characteristic polynomial of A when the
-    caller has it; it stands for the one component of an irreducible A.
+    maximum taken.  ``poly``, when given, is the characteristic polynomial
+    of an irreducible A, which is then its own one component.
     Returns (s_lo, s_hi, exact_scalar_or_None).
     """
     n = check_zero_one(A)
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    comps = _strongly_connected_components(A)
+    comps = [range(n)] if poly is not None else _strongly_connected_components(A)
     best = (Fraction(0), Fraction(0), as_scalar(0))
     for comp in comps:
         sub = [[A[i][j] for j in comp] for i in comp]
         if all(x == 0 for row in sub for x in row):
             continue
-        p = poly if poly is not None and len(comp) == n else char_poly(sub)
+        p = char_poly(sub) if poly is None else poly
         bound = max(sum(row) for row in sub)
         lo, hi, exact = _largest_real_root(p, Fraction(bound), tol)
         if lo > best[0]:
@@ -128,7 +128,8 @@ def uniform_abs_slope(m):
 
 def entropy_report(m, flags, markov_data=None, tol=Fraction(1, 10**6), poly=None):
     """Entropy enclosure with trace/KMS annotations when the hypotheses hold;
-    ``poly`` is passed on to `perron_enclosure`."""
+    ``poly`` is the characteristic polynomial of an irreducible Markov
+    matrix, for `perron_enclosure`."""
     notes = []
     report = None
     if markov_data is not None:

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .interval_map import Certificate, is_surjective, validate_map
 from .markov import check_zero_one
-from .orbit import IdocFails, interior_orbits_disjoint, keane_idoc
+from .orbit import IdocFails, ProvablyInfinite, interior_orbits_disjoint, keane_idoc
 from .scalar import ONE, ZERO, as_scalar, rational
 from .snf import KGroups, Route
 
@@ -280,18 +280,24 @@ def family_certificates(m):
 def exchange_kgroups(m, idoc_result, asserted=False):
     """K-groups of an interval exchange under orbit disjointness.
 
-    Unconditional for the identity, which has no interior orbit, when
-    Keane's theorem decides the IDOC (`orbit.keane_idoc`; then
-    `idoc_result` is not read and may be None), or when every interior orbit
-    is provably infinite.  Otherwise "asserted" when the user asserts
-    disjointness, else conditional on the cap-checked disjointness.  Raises
+    `idoc_result` is Keane's proof of the IDOC (`orbit.keane_idoc`) or the
+    result of `orbit.idoc_check`.  Unconditional for the identity, which has
+    no interior orbit, for Keane's proof, and for a capped check whose
+    orbits are all provably infinite or whose map Keane's theorem decides.
+    Otherwise "asserted" when the user asserts disjointness, else
+    conditional on the cap-checked disjointness.  Raises
     HypothesisViolatedWithinCap when the check found a periodic orbit or a
     collision.
     """
     if isinstance(idoc_result, IdocFails):
         raise HypothesisViolatedWithinCap(idoc_result.witness)
     n = len(m.branches)
-    if n == 1 or keane_idoc(m) is not None or idoc_result.provably_infinite:
+    if (
+        n == 1
+        or isinstance(idoc_result, ProvablyInfinite)
+        or idoc_result.provably_infinite
+        or keane_idoc(m) is not None
+    ):
         label = "unconditional"
     elif asserted:
         label = "asserted"

@@ -34,9 +34,12 @@ the certificate also proves disjointness, but only for an interval exchange.
 ``keane_idoc`` decides the IDOC of a standard interval exchange (all slopes
 1) by Keane's theorem instead: an irreducible permutation with lengths
 linearly independent over Q.  That is one exact rank computation, with no
-orbit walked.  When it decides nothing (rational lengths, more intervals
-than the field degree, a reducible permutation or a generalized exchange),
-the capped ``idoc_check`` stays the gate.
+orbit walked; it reads the lengths' real values only through their
+coefficient vectors, so it needs the field's polynomial proved irreducible
+(``polynomials.provably_irreducible``).  When it decides nothing (rational
+lengths, more intervals than the field degree, a reducible permutation, a
+generalized exchange, or a polynomial not proved irreducible), the capped
+``idoc_check`` stays the gate.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .errors import (
     OutOfDomain,
 )
 from .interval_map import PLUS
+from .polynomials import provably_irreducible
 from .scalar import ONE, ZERO, Scalar, as_scalar, sort_scalars
 from .snf import determinant
 from . import interval_map as imap
@@ -419,11 +423,17 @@ def keane_idoc(m):
     onto itself.  The lengths are independent over Q when their coefficient
     vectors (power basis, denominators cleared per vector) have rank n, that
     is, a nonzero Gram determinant; so rational lengths, and more intervals
-    than the field degree, are never decided.
+    than the field degree, are never decided.  That rank is the rank of the
+    real lengths only when the field's polynomial is irreducible: over
+    (x^2 - 2)(x^2 - 3) with the root sqrt(2), x^2/4 and 1 - x^2/4 have
+    independent vectors and are both 1/2.  So a polynomial not proved
+    irreducible decides nothing.
     """
     n = len(m.branches)
     field = m.field
     if n < 2 or field is None or n > field.degree or any(b.slope != ONE for b in m.branches):
+        return None
+    if not provably_irreducible(field.poly):
         return None
     # with slope 1 a branch is x -> x + intercept, and its image is as long
     # as its interval; the images tile [0,1] when each starts where the one

@@ -9,6 +9,7 @@ where coefficients stay arbitrary-precision integers throughout.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import CertificateFailure
@@ -246,6 +247,94 @@ class IntPoly:
 
     def __repr__(self):
         return "IntPoly(%s)" % self.text()
+
+
+# primes for the factor-degree test of `provably_irreducible`
+_SMALL_PRIMES = tuple(p for p in range(2, 200) if all(p % d for d in range(2, p)))
+
+
+def _mod_divmod(a, b, p):
+    """Quotient and remainder of a by b over GF(p); b is trimmed mod p."""
+    rem = [c % p for c in a]
+    inv = pow(b[-1], -1, p)
+    db = len(b) - 1
+    quo = [0] * max(0, len(rem) - db)
+    for k in range(len(rem) - 1 - db, -1, -1):
+        c = rem[k + db] * inv % p
+        quo[k] = c
+        if c:
+            for i, x in enumerate(b):
+                rem[k + i] = (rem[k + i] - c * x) % p
+    return poly_trim(quo), poly_trim(rem[:db])
+
+
+def _mod_gcd(a, b, p):
+    while b:
+        a, b = b, _mod_divmod(a, b, p)[1]
+    return a
+
+
+def _mod_mulmod(a, b, f, p):
+    return _mod_divmod(poly_mul(a, b), f, p)[1]
+
+
+def factor_degrees_mod_p(poly, p):
+    """Degrees of the irreducible factors over GF(p) of a monic integer
+    polynomial, by distinct-degree factorization; None when its reduction
+    mod p is not squarefree."""
+    f = poly_trim(c % p for c in poly)
+    if len(_mod_gcd(f, poly_trim(c % p for c in poly_derivative(f)), p)) > 1:
+        return None
+    degrees = []
+    h = (0, 1)  # x^(p^d) mod f
+    d = 0
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        power, base, e = (1,), h, p
+        while e:
+            if e & 1:
+                power = _mod_mulmod(power, base, f, p)
+            base = _mod_mulmod(base, base, f, p)
+            e >>= 1
+        h = power
+        shared = _mod_gcd(f, poly_trim(c % p for c in poly_sub(h, (0, 1))), p)
+        if len(shared) > 1:
+            degrees += [d] * ((len(shared) - 1) // d)
+            f = _mod_divmod(f, shared, p)[0]
+            h = _mod_divmod(h, f, p)[1]
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return degrees
+
+
+@lru_cache(maxsize=None)
+def provably_irreducible(poly):
+    """Whether a monic squarefree integer polynomial is proved irreducible
+    over Q; False means not proved.
+
+    With no rational root it has no factor of degree 1 or n - 1, so degrees
+    2 and 3 are decided at once.  A factor over Q reduces mod p to a product
+    of some of the factors mod p, so its degree is a subset sum of their
+    degrees; the primes below 200 whose reduction is squarefree leave a set
+    of possible factor degrees, and an empty set proves irreducibility.
+    Polynomials that split mod every prime, such as x^4 - 10x^2 + 1, are
+    never proved.
+    """
+    n = len(poly) - 1
+    if IntPoly(poly).integer_roots():
+        return False
+    possible = set(range(2, n - 1))
+    for p in _SMALL_PRIMES:
+        if not possible:
+            break
+        degrees = factor_degrees_mod_p(poly, p)
+        if degrees is None:
+            continue
+        sums = {0}
+        for d in degrees:
+            sums |= {s + d for s in sums}
+        possible &= sums
+    return not possible
 
 
 def monic_from_dependence(coefficients, degree):

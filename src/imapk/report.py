@@ -224,7 +224,7 @@ class Pipeline:
         orbits; the capped check runs only when Keane's theorem decides nothing."""
         if not is_exchange_map(self.m):
             return None
-        idoc = None if self.keane is not None else idoc_check(self.m, self.options.cap)
+        idoc = self.keane if self.keane is not None else idoc_check(self.m, self.options.cap)
         if isinstance(idoc, IdocFails):
             return None
         return exchange_kgroups(self.m, idoc, self.options.assert_idoc)

@@ -18,7 +18,7 @@ from imapk.families import (
 )
 from imapk.interval_map import validate_map
 from imapk.markov import detect_markov
-from imapk.orbit import IdocHolds, idoc_check, step_right_continuous
+from imapk.orbit import IdocHolds, idoc_check, keane_idoc, step_right_continuous
 from imapk.report import run
 from imapk.scalar import NumberField, rational
 from imapk.snf import kgroups_from_incidence
@@ -136,6 +136,11 @@ def test_exchange_kgroups_golden(golden_exchange):
     kg, label = exchange_kgroups(golden_exchange, result)
     assert kg.free_rank == 2 and kg.k1_rank == 1
     assert label == "unconditional"
+
+
+def test_exchange_kgroups_reads_keanes_proof(golden_exchange):
+    kg, label = exchange_kgroups(golden_exchange, keane_idoc(golden_exchange))
+    assert (kg.free_rank, kg.k1_rank, label) == (2, 1, "unconditional")
 
 
 def test_exchange_kgroups_rational_not_applicable():

@@ -163,7 +163,13 @@ def test_keane_decides_nothing_outside_its_hypotheses(phi):
     generalized = validate_map([0, c, 1], [(s1, 0), (s2, 1 - s2)])
     # slope 1 on both branches, but the images overlap
     overlapping = validate_map([0, c, 1], [(1, 0), (1, Fraction(-1, 100))])
-    for m in (rational_rotation, three, generalized, overlapping):
+    # over (x^2 - 2)(x^2 - 3) at sqrt(2), x^2/4 and 1 - x^2/4 have independent
+    # coefficient vectors but are both 1/2: the rotation by 1/2
+    a = NumberField([6, 0, -5, 0, 1], (1, Fraction(3, 2))).alpha()
+    reducible_field = build(FamilySpec(
+        "interval_exchange", {"lengths": [a * a / 4, 1 - a * a / 4], "permutation": [2, 1]}
+    ))
+    for m in (rational_rotation, three, generalized, overlapping, reducible_field):
         assert keane_idoc(m) is None
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from imapk import ktheory, report
 from imapk.entropy import entropy_report, perron_enclosure
-from imapk.errors import InvalidMarkovPartition
+from imapk.errors import InvalidMarkovPartition, ReducibleMinimalPolynomial
 from imapk.orbit import critical_closure, idoc_check
 from imapk.report import run, to_json
 from imapk.snf import char_poly, kgroups_from_incidence, stationary_dimension_triple
@@ -78,6 +78,17 @@ def test_keane_decides_the_golden_exchange_without_walking_an_orbit(monkeypatch)
     assert got["markov"]["witness"].startswith("permutation [2, 1]")
     assert got["kgroups"]["family_route"]["label"] == "unconditional"
     assert [c["property"] for c in got["certificates"]] == ["transitive"]
+
+
+def test_keane_leaves_a_reducible_field_to_the_capped_check():
+    # (x^2 - 2)(x^2 - 3) at sqrt(2): both lengths are 1/2, the rotation by 1/2
+    spec = parse_spec(
+        "field { poly = [6,0,-5,0,1]; iso = [1,3/2] }\n"
+        "map { family = interval_exchange; lengths = [alg:[0,0,1/4], alg:[1,0,-1/4]]; "
+        "permutation = [2,1] }"
+    )
+    with pytest.raises(ReducibleMinimalPolynomial):
+        run("classify", spec)
 
 
 @pytest.mark.parametrize("name", ["tent", "realization", "golden_beta"])

@@ -13,6 +13,7 @@ from imapk.errors import (
     ReducibleMinimalPolynomial,
 )
 from imapk.orbit import critical_closure
+from imapk.polynomials import factor_degrees_mod_p, provably_irreducible
 from imapk.scalar import NumberField, Scalar, rational, scalar_from_text, sort_scalars
 from imapk.specfile import parse_spec
 
@@ -369,6 +370,29 @@ def test_zero_real_image_over_reducible_polynomial_raises():
     with pytest.raises(ReducibleMinimalPolynomial):
         (a * a).compare(2)
     assert (a * a - 3).sign() == -1
+
+
+def test_factor_degrees_mod_p():
+    # x^4 - x - 1 is irreducible mod 2; (x^2 - 2)(x^2 - 3) is not squarefree
+    # mod 2 or 3, and 2 is a square mod 7 while 3 is not
+    assert factor_degrees_mod_p((-1, -1, 0, 0, 1), 2) == [4]
+    assert factor_degrees_mod_p((6, 0, -5, 0, 1), 2) is None
+    assert factor_degrees_mod_p((6, 0, -5, 0, 1), 5) == [2, 2]
+    assert sorted(factor_degrees_mod_p((6, 0, -5, 0, 1), 7)) == [1, 1, 2]
+
+
+def test_provably_irreducible():
+    # degrees 2 and 3 follow from the missing rational root
+    assert provably_irreducible((-2, 0, 1))
+    assert provably_irreducible((-1, -1, 0, 1))
+    assert provably_irreducible((-1, -1, 0, 0, 1))
+    assert provably_irreducible((-2, 0, 0, 0, 1))
+    assert provably_irreducible((-1, -1, 0, 0, 0, 0, 0, 0, 1))
+    # reducible, with and without a rational root
+    assert not provably_irreducible((6, 0, -5, 0, 1))
+    assert not provably_irreducible((-1, 0, 0, 0, 0, 1))
+    # irreducible, but it splits mod every prime, so it is never proved
+    assert not provably_irreducible((1, 0, -10, 0, 1))
 
 
 def test_compare_rejects_mixed_fields(sqrt2_field, golden_field):
