@@ -29,9 +29,9 @@ def build_parser():
     parser.add_argument("--assert-cyclic", action="store_true",
                         help="assert that the constant function generates the module")
     parser.add_argument("--assert-idoc", action="store_true",
-                        help="assert orbit disjointness beyond the checked cap")
+                        help="assert orbit disjointness beyond the search limit")
     parser.add_argument("--assert-orbit-infinite", action="store_true",
-                        help="assert the critical orbits are infinite beyond the cap")
+                        help="assert the critical orbits are infinite beyond the search limit")
     parser.add_argument("--partition", type=str, default=None,
                         help="coarser Markov partition in spec syntax, e.g. '[0,1/3,2/3,1]'; "
                         "points may be alg:[...] or quoted scalars")

@@ -54,10 +54,7 @@ def _identify_exact(q: IntPoly, lo: Fraction, hi: Fraction):
             return as_scalar(r)
         g = g.deflate_root(r)
     if g.degree == 2 and g(lo) != 0 and g(hi) != 0 and (g(lo) > 0) != (g(hi) > 0):
-        try:
-            return NumberField(g.coeffs, (lo, hi)).alpha()
-        except Exception:
-            return None
+        return NumberField(g.coeffs, (lo, hi)).alpha()
     return None
 
 

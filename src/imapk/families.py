@@ -4,10 +4,12 @@
 parameters.  Each constructor only builds: it returns the validated map.  Facts that hold
 family-wide (beta-transformations are topologically exact; restricted tent
 maps with slope above sqrt(2) are topologically exact, and transitive at
-sqrt(2) itself; an interval exchange that Keane's theorem decides, such as a
-rotation by an irrational length, is minimal) are recognized from the map,
-however it is spelled.  `family_certificates` is the one place that decides
-them, with the validated map as its only input.
+sqrt(2) itself) are recognized from the map, however it is spelled.
+`family_certificates` is the one place that decides them, with the validated
+map as its only input.  That an interval exchange with the IDOC is minimal
+(`KEANE_MINIMAL` when Keane's theorem decides it, such as a rotation by an
+irrational length) rests on the exchange route, so the report pipeline
+issues it once it has decided that route.
 """
 
 from __future__ import annotations
@@ -25,7 +27,14 @@ from .errors import (
 )
 from .interval_map import Certificate, is_surjective, validate_map
 from .markov import check_zero_one
-from .orbit import IdocFails, ProvablyInfinite, interior_orbits_disjoint, keane_idoc
+from .orbit import (
+    IdocFails,
+    IdocHolds,
+    ProvablyInfinite,
+    interior_orbits_disjoint,
+    keane_idoc,
+    route_label,
+)
 from .scalar import ONE, ZERO, as_scalar, rational
 from .snf import KGroups, Route
 
@@ -258,7 +267,7 @@ KEANE_MINIMAL = Certificate(
 
 
 def family_certificates(m):
-    """The beta, restricted-tent and Keane certificates that m satisfies."""
+    """The beta and restricted-tent certificates that m satisfies."""
     certs = []
     if recognize_beta(m) is not None:
         certs.append(BETA_EXACT)
@@ -269,8 +278,6 @@ def family_certificates(m):
             certs.append(TENT_EXACT)
         elif s2 == 0:
             certs.append(TENT_TRANSITIVE)
-    if keane_idoc(m) is not None:
-        certs.append(KEANE_MINIMAL)
     return certs
 
 
@@ -281,28 +288,18 @@ def exchange_kgroups(m, idoc_result, asserted=False):
     """K-groups of an interval exchange under orbit disjointness.
 
     `idoc_result` is Keane's proof of the IDOC (`orbit.keane_idoc`) or the
-    result of `orbit.idoc_check`.  Unconditional for the identity, which has
-    no interior orbit, for Keane's proof, and for a capped check whose
-    orbits are all provably infinite or whose map Keane's theorem decides.
-    Otherwise "asserted" when the user asserts disjointness, else
-    conditional on the cap-checked disjointness.  Raises
-    HypothesisViolatedWithinCap when the check found a periodic orbit or a
-    collision.
+    result of `orbit.idoc_check`.  A check that Keane's theorem can settle
+    is settled by it; `orbit.route_label` then labels the route by what
+    stopped the check.  Raises HypothesisViolatedWithinCap when the check
+    found a periodic orbit or a collision.
     """
     if isinstance(idoc_result, IdocFails):
         raise HypothesisViolatedWithinCap(idoc_result.witness)
+    stop = idoc_result.stop if isinstance(idoc_result, IdocHolds) else idoc_result
+    if not isinstance(stop, ProvablyInfinite):
+        stop = keane_idoc(m) or stop
+    label = route_label(stop, "disjointness beyond %s", asserted)
     n = len(m.branches)
-    if (
-        n == 1
-        or isinstance(idoc_result, ProvablyInfinite)
-        or idoc_result.provably_infinite
-        or keane_idoc(m) is not None
-    ):
-        label = "unconditional"
-    elif asserted:
-        label = "asserted"
-    else:
-        label = "conditional on disjointness beyond cap %d" % idoc_result.cap
     return Route(KGroups(torsion=[], free_rank=n, k1_rank=1, generator_note=""), label)
 
 
@@ -310,9 +307,9 @@ def multimodal_kgroups(m, cap=10000, asserted=False):
     """K-groups for continuous surjective multimodal maps via orbit disjointness.
 
     The hypothesis (interior critical orbits disjoint and infinite, endpoints
-    not mapping to endpoints) is checked to the cap.  Such a map has at least
-    two interior orbits, and nothing proves them disjoint beyond the cap, so
-    concluding requires the user assertion.
+    not mapping to endpoints) is checked to the cap.  Nothing proves the
+    orbits of a map that is not an exchange disjoint beyond the search, so
+    the route is conditional on the limit that stopped it, or asserted.
     """
     if not m.is_continuous() or not is_surjective(m):
         raise WrongFamily("multimodal route needs a continuous surjective map")
@@ -322,8 +319,6 @@ def multimodal_kgroups(m, cap=10000, asserted=False):
             raise HypothesisViolatedWithinCap(
                 "an endpoint maps to an endpoint (%s -> %s)" % (e.text(), img.text())
             )
-    interior_orbits_disjoint(m, cap)
-    if not asserted:
-        return None  # refused without assertion
+    stop = interior_orbits_disjoint(m, cap)
     kg = KGroups(torsion=[], free_rank=len(m.branches) - 1, k1_rank=0, generator_note="")
-    return Route(kg, "asserted")
+    return Route(kg, route_label(stop, "disjointness beyond %s", asserted))

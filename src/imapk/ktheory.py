@@ -368,19 +368,10 @@ def kgroups_from_minpoly(report):
 def nonperiodic_kgroups(status):
     """K0 = Z, K1 = 0 for unimodal/beta maps whose critical orbit never
     closes, labelled by the status that stopped the search of that orbit."""
-    if isinstance(status, orbit_mod.ProvablyInfinite):
-        label = "unconditional"
-    elif isinstance(status, orbit_mod.CapReached):
-        label = "conditional on non-eventual-periodicity (cap %d)" % status.cap
-    elif isinstance(status, orbit_mod.SizeLimitReached):
-        label = (
-            "conditional on non-eventual-periodicity (coordinates past %d bits)"
-            % status.max_coeff_bits
-        )
-    else:
+    if isinstance(status, orbit_mod.Closed):
         raise HypothesisViolatedWithinCap("the critical orbit closes")
     kg = KGroups(torsion=[], free_rank=1, k1_rank=0, generator_note="[1]_0 generates")
-    return Route(kg, label)
+    return Route(kg, orbit_mod.route_label(status, "non-eventual-periodicity (%s)"))
 
 
 # -- module generators --------------------------------------------------------

@@ -31,7 +31,7 @@ from .interval_map import (
     eval_multivalued,
     merge_closed_intervals,
 )
-from .orbit import ProvablyInfinite, SizeLimitReached, critical_closure
+from .orbit import ProvablyInfinite, critical_closure
 from .scalar import ONE, ZERO, as_scalar, sort_scalars
 
 
@@ -156,14 +156,10 @@ def markov_for_partition(m, points, cap=10000, closure=None):
     if len(set(points)) != len(points):
         raise InvalidMarkovPartition("partition points must be distinct")
     cc = critical_closure(m, cap) if closure is None else closure
+    if isinstance(cc.stop, ProvablyInfinite):
+        raise InvalidMarkovPartition("critical closure is provably infinite (%s)" % cc.stop.reason)
     if not cc.complete:
-        if isinstance(cc.stop, ProvablyInfinite):
-            why = "is provably infinite (%s)" % cc.stop.reason
-        elif isinstance(cc.stop, SizeLimitReached):
-            why = "is not finite within the %d-bit size limit" % cc.stop.max_coeff_bits
-        else:
-            why = "is not finite within cap"
-        raise InvalidMarkovPartition("critical closure %s" % why)
+        raise InvalidMarkovPartition("critical closure is not finite within %s" % cc.stop.limit)
     closure = set(cc.points)
     for p in points:
         if p in closure:

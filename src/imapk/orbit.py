@@ -30,6 +30,10 @@ infinite; the cap result is upgraded to a theorem.
 partition points have infinite, pairwise disjoint orbits (the IDOC);
 ``idoc_check`` and the multimodal K-theory route both use it.  In that walk
 the certificate also proves disjointness, but only for an interval exchange.
+It returns the status that stopped its walks, and ``route_label`` is the one
+rule that turns such a status, or a user assertion, into the label of the
+K-groups that rest on the hypothesis.  The words for each limit are written
+once, as ``CapReached.limit`` and ``SizeLimitReached.limit``.
 
 ``keane_idoc`` decides the IDOC of a standard interval exchange (all slopes
 1) by Keane's theorem instead: an irreducible permutation with lengths
@@ -44,7 +48,7 @@ generalized exchange, or a polynomial not proved irreducible), the capped
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import lcm
 
 from .errors import (
@@ -75,12 +79,20 @@ class CapReached:
 
     kind = "cap_reached"
 
+    @property
+    def limit(self):
+        return "cap %d" % self.cap
+
 
 @dataclass(frozen=True)
 class SizeLimitReached:
     max_coeff_bits: int
 
     kind = "size_limit_reached"
+
+    @property
+    def limit(self):
+        return "the %d-bit size limit" % self.max_coeff_bits
 
 
 @dataclass(frozen=True)
@@ -99,24 +111,12 @@ class OrbitResult:
     edges: list = field(default_factory=list)
 
     def as_dict(self):
-        d = {
+        return {
             "seed": self.seed.text(),
             "points": [p.text() for p in self.points],
             "edges": [list(e) for e in self.edges],
-            "status": {"kind": self.status.kind},
+            "status": {"kind": self.status.kind, **asdict(self.status)},
         }
-        if isinstance(self.status, Closed):
-            d["status"]["preperiod"] = self.status.preperiod
-            d["status"]["period"] = self.status.period
-            d["status"]["branched"] = self.status.branched
-        elif isinstance(self.status, CapReached):
-            d["status"]["cap"] = self.status.cap
-        elif isinstance(self.status, SizeLimitReached):
-            d["status"]["max_coeff_bits"] = self.status.max_coeff_bits
-        elif isinstance(self.status, ProvablyInfinite):
-            d["status"]["reason"] = self.status.reason
-            d["status"]["witness"] = self.status.witness
-        return d
 
 
 # Point coordinates whose denominators pass this size stop the search early:
@@ -125,9 +125,9 @@ class OrbitResult:
 MAX_COEFF_BITS = 4096
 
 
-def _oversized(x, max_bits=MAX_COEFF_BITS):
+def _oversized(x):
     for c in x.coeffs:
-        if c.denominator.bit_length() > max_bits or c.numerator.bit_length() > max_bits:
+        if c.denominator.bit_length() > MAX_COEFF_BITS or c.numerator.bit_length() > MAX_COEFF_BITS:
             return True
     return False
 
@@ -343,13 +343,18 @@ def is_exchange_map(m):
 
 @dataclass
 class IdocHolds:
-    cap: int
-    provably_infinite: bool = False
+    stop: object  # what `interior_orbits_disjoint` returned
+
+    @property
+    def provably_infinite(self):
+        return isinstance(self.stop, ProvablyInfinite)
 
     @property
     def kind(self):
         if self.provably_infinite:
             return "provably_infinite_and_disjoint_up_to_cap"
+        if isinstance(self.stop, SizeLimitReached):
+            return "holds_up_to_size_limit"
         return "holds_up_to_cap"
 
 
@@ -365,9 +370,10 @@ def interior_orbits_disjoint(m, cap):
 
     Uses true single-valued orbits under the right-continuous convention.
     Raises HypothesisViolatedWithinCap when an orbit is eventually periodic
-    or two orbits meet; otherwise returns whether the orbits are provably
-    infinite and disjoint.  With no interior point nothing was checked, so
-    nothing is proved: the answer is False.
+    or two orbits meet.  Otherwise returns the status that stopped the
+    walks: ProvablyInfinite when every walk was certified, else the
+    CapReached or SizeLimitReached of the first interior point whose walk
+    was not.  With no interior point nothing was walked: None.
 
     A growth certificate proves an orbit infinite, not two orbits apart.  An
     exchange is injective on [0,1), so meeting orbits of a and b put one of
@@ -378,7 +384,7 @@ def interior_orbits_disjoint(m, cap):
     interior = list(m.partition[1:-1])
     certify = is_exchange_map(m)
     owner = {}
-    provable = bool(interior)
+    stops = []
     for idx, a in enumerate(interior):
         points, stop, last = _search(m, [a], cap, _tau_step, certify=certify)
         if stop is None:
@@ -386,8 +392,7 @@ def interior_orbits_disjoint(m, cap):
                 "orbit of %s is eventually periodic (preperiod %d, period %d)"
                 % (a.text(), last, len(points) - last)
             )
-        if not isinstance(stop, ProvablyInfinite):
-            provable = False
+        stops.append(stop)
         for p in points:
             # the points of one orbit are distinct, so another owner is a collision
             first = owner.setdefault(p, idx)
@@ -396,7 +401,8 @@ def interior_orbits_disjoint(m, cap):
                     "orbits of %s and %s collide at %s"
                     % (interior[first].text(), a.text(), p.text())
                 )
-    return provable
+    # the first walk left open, else the first certified one (min is stable)
+    return min(stops, key=lambda stop: isinstance(stop, ProvablyInfinite), default=None)
 
 
 def idoc_check(m, cap=1000):
@@ -406,10 +412,22 @@ def idoc_check(m, cap=1000):
             "map is not a generalized interval exchange (increasing bijective)"
         )
     try:
-        provable = interior_orbits_disjoint(m, cap)
+        return IdocHolds(interior_orbits_disjoint(m, cap))
     except HypothesisViolatedWithinCap as exc:
         return IdocFails(str(exc))
-    return IdocHolds(cap, provably_infinite=provable)
+
+
+def route_label(stop, hypothesis, asserted=False):
+    """The label of K-groups resting on an orbit hypothesis that a search
+    stopped by ``stop`` checked: "unconditional" when nothing was left open
+    (None, no orbit to follow, or ProvablyInfinite), else "asserted" when the
+    user asserts it, else conditional on ``hypothesis``, whose one %s takes
+    the words of the limit that stopped the search."""
+    if stop is None or isinstance(stop, ProvablyInfinite):
+        return "unconditional"
+    if asserted:
+        return "asserted"
+    return "conditional on " + hypothesis % stop.limit
 
 
 def keane_idoc(m):

@@ -25,6 +25,7 @@ from . import ktheory
 from .entropy import entropy_report, uniform_abs_slope
 from .errors import ImapkError, NotSurjective, ParameterOutOfRange
 from .families import (
+    KEANE_MINIMAL,
     exchange_kgroups,
     family_certificates,
     multimodal_kgroups,
@@ -56,6 +57,11 @@ from .snf import Route, char_poly, kgroups_from_incidence, stationary_dimension_
 DEFAULT_CAP = 10000
 DEFAULT_TOL = Fraction(1, 10**6)
 DEFAULT_DEPTH = 64
+# minimality from the capped walk's certificates, when Keane's theorem decided nothing
+WALK_MINIMAL = Certificate(
+    "transitive", True,
+    "interval exchange with provably infinite disjoint interior orbits is minimal",
+)
 
 _SECTIONS = {
     "orbit": ["map", "options", "dynamics", "certificates", "orbits"],
@@ -236,22 +242,11 @@ class Pipeline:
             certs.extend(
                 dynamics_certificates(self.m, self.markov_data, self.graph_flags, self.surjective)
             )
-        # Keane's certificate is a family certificate; the identity's label is
+        # an exchange with the IDOC is minimal; the identity's label is
         # unconditional too, but it is not minimal
         route = self.exchange_route
-        if (
-            route is not None
-            and not route.conditional
-            and len(self.m.branches) > 1
-            and self.keane is None
-        ):
-            certs.append(
-                Certificate(
-                    "transitive", True,
-                    "interval exchange with provably infinite disjoint "
-                    "interior orbits is minimal",
-                )
-            )
+        if route is not None and not route.conditional and len(self.m.branches) > 1:
+            certs.append(KEANE_MINIMAL if self.keane is not None else WALK_MINIMAL)
         return certs
 
     @cached_property
@@ -321,7 +316,6 @@ class Pipeline:
                     iterated.poly == out.report.poly,
                     "%s vs %s" % (out.report.poly.text(), iterated.poly.text()),
                 )
-                out.report.iterations = iterated.iterations
         if out.report is not None:
             try:
                 out.kgroups = ktheory.kgroups_from_minpoly(out.report)
@@ -355,11 +349,11 @@ class Pipeline:
             )
         except ImapkError as exc:
             return None, None, "multimodal route inapplicable: %s" % exc
-        if route is None:
+        if route.conditional and not self.options.assert_orbit_infinite:
             return None, {
                 "flag": "--assert-orbit-infinite",
-                "reason": "critical orbits are disjoint up to the cap; "
-                "pass --assert-orbit-infinite to conclude",
+                "reason": "the multimodal route is %s; "
+                "pass --assert-orbit-infinite to conclude" % route.label,
             }, None
         return route, None, None
 

@@ -79,7 +79,7 @@ from .polynomials import (
 _BALL_BITS = 64
 _ZERO_TEST_BITS = 1024
 
-DEFAULT_DEGREE_CAP = 8
+DEGREE_CAP = 8
 
 
 def _homogeneous_eval(poly, num, scale):
@@ -140,7 +140,7 @@ class NumberField:
         "poly", "degree", "iso", "_sign_lo", "_powers", "_key_hash", "_bracket", "_balls",
     )
 
-    def __init__(self, coeffs, isolating_interval, degree_cap=DEFAULT_DEGREE_CAP):
+    def __init__(self, coeffs, isolating_interval):
         cleared = [Fraction(c) for c in coeffs]
         cleared = poly_trim(cleared)
         if not cleared:
@@ -159,10 +159,8 @@ class NumberField:
         self.degree = len(ints) - 1
         if self.degree < 2:
             raise InvalidNumberField("degree must be at least 2")
-        if self.degree > degree_cap:
-            raise InvalidNumberField(
-                "degree %d exceeds cap %d" % (self.degree, degree_cap)
-            )
+        if self.degree > DEGREE_CAP:
+            raise InvalidNumberField("degree %d exceeds cap %d" % (self.degree, DEGREE_CAP))
         if not is_squarefree(self.poly):
             raise InvalidNumberField("polynomial is not squarefree")
         if IntPoly(self.poly).integer_roots():

@@ -165,8 +165,13 @@ def test_a_two_branch_exchange_with_other_slopes_is_not_a_rotation(phi):
     assert family_certificates(m) == []
     _, label = exchange_kgroups(m, idoc_check(m, 200))
     assert label == "conditional on disjointness beyond cap 200"
-    rotation = build(FamilySpec("interval_exchange", {"lengths": [c, 1 - c], "permutation": [2, 1]}))
-    assert [cert.prop for cert in family_certificates(rotation)] == ["transitive"]
+    rotation = parse_spec(
+        "field { poly = [-1,-1,1]; iso = [1,2] }\n"
+        "map { family = interval_exchange; lengths = [alg:[-1,1], alg:[2,-1]]\n"
+        "  permutation = [2,1] }"
+    )
+    got, _ = run("markov", rotation)
+    assert [cert["property"] for cert in got["certificates"]] == ["transitive"]
 
 
 def test_exchange_three_intervals_conditional(phi):
@@ -236,7 +241,8 @@ def test_multimodal_kgroups_with_assertion():
 
 def test_multimodal_refuses_without_assertion():
     m = validate_map(MULTIMODAL["partition"], MULTIMODAL["branches"])
-    assert multimodal_kgroups(m, cap=500, asserted=False) is None
+    route = multimodal_kgroups(m, cap=500, asserted=False)
+    assert route.label == "conditional on disjointness beyond cap 500" and route.conditional
 
 
 def test_multimodal_colliding_critical_orbits_are_rejected():

@@ -227,7 +227,7 @@ def test_nonperiodic_kgroups(beta_three_halves):
     assert route2.label == "conditional on non-eventual-periodicity (cap 100)"
     assert route2.conditional
     _, label3 = nonperiodic_kgroups(SizeLimitReached(4096))
-    assert label3 == "conditional on non-eventual-periodicity (coordinates past 4096 bits)"
+    assert label3 == "conditional on non-eventual-periodicity (the 4096-bit size limit)"
     with pytest.raises(HypothesisViolatedWithinCap):
         nonperiodic_kgroups(Closed(0, 1))
 

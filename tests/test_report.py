@@ -13,7 +13,7 @@ import pytest
 from imapk import ktheory, report
 from imapk.entropy import entropy_report, perron_enclosure
 from imapk.errors import InvalidMarkovPartition, ReducibleMinimalPolynomial
-from imapk.orbit import critical_closure, idoc_check
+from imapk.orbit import critical_closure, idoc_check, keane_idoc
 from imapk.report import run, to_json
 from imapk.snf import char_poly, kgroups_from_incidence, stationary_dimension_triple
 from imapk.specfile import parse_spec
@@ -54,7 +54,7 @@ def test_recorded_reports_cover_every_shipped_pair():
 def test_shipped_reports_are_unchanged_and_compute_only_what_they_emit(spec_path, monkeypatch):
     calls = count_calls(
         monkeypatch, critical_closure, ktheory.minimal_polynomial_iter, entropy_report,
-        ktheory.classify,
+        ktheory.classify, keane_idoc,
     )
     for command in COMMANDS:
         calls.clear()
@@ -63,6 +63,10 @@ def test_shipped_reports_are_unchanged_and_compute_only_what_they_emit(spec_path
         assert hashlib.sha256(to_json(got).encode("utf-8")).hexdigest() == recorded["sha256"]
         assert code == recorded["exit"]
         assert calls["critical_closure"] == int((spec_path.stem, command) not in NO_CLOSURE), command
+        # Keane's theorem is decided at most once per report, and once for the exchange
+        assert calls["keane_idoc"] <= 1, command
+        if spec_path.stem == "golden_exchange":
+            assert calls["keane_idoc"] == 1, command
         if command in ("orbit", "markov", "entropy"):
             assert calls["minimal_polynomial_iter"] == 0, command
         if command in ("orbit", "markov"):
@@ -78,6 +82,27 @@ def test_keane_decides_the_golden_exchange_without_walking_an_orbit(monkeypatch)
     assert got["markov"]["witness"].startswith("permutation [2, 1]")
     assert got["kgroups"]["family_route"]["label"] == "unconditional"
     assert [c["property"] for c in got["certificates"]] == ["transitive"]
+
+
+# a generalized exchange whose slopes 3/2 and 3/4 admit no growth certificate
+GENERALIZED_EXCHANGE = (
+    "map { partition = [0, 1/3, 1]\n"
+    "  branch = { slope = 3/2, intercept = 1/2 }\n"
+    "  branch = { slope = 3/4, intercept = -1/4 } }"
+)
+
+
+@pytest.mark.parametrize("spec_text, read", [
+    (GENERALIZED_EXCHANGE, lambda got: got["kgroups"]["family_route"]["label"]),
+    ((ROOT / "specs" / "multimodal.imapk").read_text(), lambda got: got["refusals"][0]["reason"]),
+], ids=["exchange_label", "multimodal_refusal"])
+def test_a_route_names_the_limit_that_stopped_its_walks(spec_text, read):
+    # every interior walk passes the 4096-bit size limit long before the cap
+    got, _ = run("classify", parse_spec(spec_text))
+    assert got["markov"]["status"] == "not_markov_within_size_limit"
+    text = read(got)
+    assert "conditional on disjointness beyond the 4096-bit size limit" in text
+    assert "cap" not in text
 
 
 def test_keane_leaves_a_reducible_field_to_the_capped_check():

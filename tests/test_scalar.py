@@ -126,8 +126,6 @@ def test_field_validation():
         NumberField([-2, 1], (1, 3))  # degree 1
     with pytest.raises(InvalidNumberField):
         NumberField([-2] + [0] * 8 + [1], (1, 2))  # degree 9 over the cap
-    # degree cap is configurable
-    NumberField([-2] + [0] * 8 + [1], (1, 2), degree_cap=9)
 
 
 def test_cubic_field_arithmetic():

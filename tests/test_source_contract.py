@@ -2,7 +2,9 @@
 
 No ``assert`` statement (``python -O`` would strip a check), no float literal,
 no call of ``float`` and nothing from ``math`` beyond the integer functions:
-no floating-point value may decide anything.
+no floating-point value may decide anything.  No bare ``except:`` and no
+handler of ``Exception`` or ``BaseException``, which would swallow a
+``CertificateFailure``.
 """
 
 import ast
@@ -12,6 +14,7 @@ import pytest
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "imapk"
 MATH_ALLOWED = {"gcd", "lcm", "isqrt", "comb"}
+BROAD_EXCEPTIONS = {"Exception", "BaseException"}
 
 
 def violations(tree):
@@ -34,6 +37,11 @@ def violations(tree):
         elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
               and node.value.id in math_modules and node.attr not in MATH_ALLOWED):
             found.append((node.lineno, "math.%s used" % node.attr))
+        elif isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            found += [(node.lineno, "bare except") for t in caught if t is None]
+            found += [(node.lineno, "%s caught" % t.id) for t in caught
+                      if isinstance(t, ast.Name) and t.id in BROAD_EXCEPTIONS]
     return sorted(found)
 
 
@@ -56,7 +64,11 @@ def test_module_keeps_the_exactness_contract(path):
     ("y = float(x)", "call of float"),
     ("from math import floor", "math.floor imported"),
     ("import math\ny = math.sqrt(2)", "math.sqrt used"),
+    ("try:\n    f()\nexcept:\n    pass", "bare except"),
+    ("try:\n    f()\nexcept Exception:\n    pass", "Exception caught"),
+    ("try:\n    f()\nexcept (ValueError, BaseException) as exc:\n    pass", "BaseException caught"),
 ])
 def test_each_breach_is_caught(source, reason):
     assert [r for _, r in violations(ast.parse(source))] == [reason]
     assert violations(ast.parse("from math import gcd, lcm\nimport math\nn = math.isqrt(8) + 1")) == []
+    assert violations(ast.parse("try:\n    f()\nexcept (KeyError, ValueError):\n    pass")) == []
