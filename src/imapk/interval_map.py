@@ -6,6 +6,13 @@ points are never stored: the map is treated as multivalued there, taking the
 one-sided limits of the adjacent branches.  The disconnected version of the
 interval (each orbit point split into a left and a right copy) is represented
 implicitly through :class:`CutPoint` and never materialized.
+
+``limits`` evaluates the branches at a point.  ``eval_multivalued`` gives the
+same values through the map's table ``images``, which it alone fills, so the
+walks and the transfer operator of one report map each point once;
+``report.run`` empties the table when its report is built.  The re-checks of
+a result (a closed orbit, a growth witness, a minimal polynomial) never read
+the table: they evaluate the branches directly.
 """
 
 from __future__ import annotations
@@ -103,12 +110,13 @@ class AffineBranch:
 class PMMap:
     """Validated piecewise monotonic map; use :func:`validate_map` to build one."""
 
-    __slots__ = ("partition", "branches", "field", "notes")
+    __slots__ = ("partition", "branches", "field", "notes", "images")
 
     def __init__(self, partition, branches, notes=()):
         self.partition = tuple(partition)
         self.branches = tuple(branches)
         self.notes = tuple(notes)
+        self.images = {}  # point -> its one-sided values; see eval_multivalued
         self.field = common_field(
             *self.partition,
             *(b.slope for b in self.branches),
@@ -223,7 +231,18 @@ def validate_map(partition, branches):
 
 
 def eval_multivalued(m, x):
-    """Set of one-sided limit values of the map at x, as a sorted tuple."""
+    """Set of one-sided limit values of the map at x, as a sorted tuple,
+    read from the map's table ``images`` and computed by ``limits`` on a miss."""
+    x = as_scalar(x)
+    values = m.images.get(x)
+    if values is None:
+        values = m.images[x] = limits(m, x)
+    return values
+
+
+def limits(m, x):
+    """Set of one-sided limit values of the map at x, as a sorted tuple,
+    evaluated through the branches."""
     x = as_scalar(x)
     pts = m.partition
     i = bisect.bisect_left(pts, x)

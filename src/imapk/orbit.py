@@ -10,6 +10,14 @@ One breadth-first search, ``_search``, serves three wrappers:
 * ``critical_closure`` follows the multivalued map from every partition
   point at once.
 
+Every step reads ``interval_map.eval_multivalued``, so a point that one walk
+of a report mapped is looked up, not mapped again, by the next: the
+closure, the partition orbits and the interior walks share the map's table
+of images.  The single-valued step takes the one value from that table and
+evaluates its branch only at a partition point whose two limits differ.
+``reverify_closed`` and the growth witness re-check a result through the
+branches themselves, never through the table.
+
 A search stops for one of four reasons: it completes (every value was
 already seen), it passes the cap (``CapReached``), a coordinate passes
 ``MAX_COEFF_BITS`` (``SizeLimitReached``), or the growth certificate below
@@ -184,7 +192,7 @@ def _certificate_witness(m, x, steps=10):
     denoms = [x.as_fraction().denominator]
     cur = x
     for _ in range(steps):
-        vals = imap.eval_multivalued(m, cur)
+        vals = imap.limits(m, cur)
         if len(vals) != 1:
             raise CertificateFailure(
                 "growth witness: a certified point sits on a partition point"
@@ -265,7 +273,9 @@ def step_right_continuous(m, x):
 
 
 def _tau_step(m, x):
-    return (step_right_continuous(m, x),)
+    values = imap.eval_multivalued(m, x)
+    # two values only at a partition point whose one-sided limits differ
+    return values if len(values) == 1 else (step_right_continuous(m, x),)
 
 
 def tau_orbit(m, x, cap=10000):
@@ -352,7 +362,7 @@ class IdocHolds:
     @property
     def kind(self):
         if self.provably_infinite:
-            return "provably_infinite_and_disjoint_up_to_cap"
+            return "provably_infinite_and_disjoint"
         if isinstance(self.stop, SizeLimitReached):
             return "holds_up_to_size_limit"
         return "holds_up_to_cap"

@@ -12,6 +12,12 @@ the map echo, so two spellings of one map give one report.  The JSON report is
 deterministic: keys are inserted in a fixed order and scalars are rendered
 through their canonical text form.  Every claim that is not computed
 outright carries a provenance string (certificate, assertion, or route name).
+
+The stages share the map's table of images (``interval_map.eval_multivalued``),
+so the closure, the orbit walks and the transfer operator map each point
+once.  `run` empties the table when the report is built, or when a stage
+raises, so no report depends on what an earlier one left in it and a batch
+of parsed specs does not keep every point it ever mapped.
 """
 
 from __future__ import annotations
@@ -554,15 +560,18 @@ def run(command, spec, overrides=None):
         raise ImapkError("unknown command %r" % command)
     p = Pipeline(spec, PipelineOptions.from_spec(spec, overrides))
     report = {"command": command}
-    for name in _SECTIONS[command]:
-        report[name] = _BUILDERS[name](p)
-    exit_code = 0
-    if any(c["status"] == "FAIL" for c in report.get("consistency", ())):
-        exit_code = 3
-    elif command in ("ktheory", "classify", "all") and p.refusals:
-        cls = p.classification
-        if cls.verdict == "invariants_only" and not cls.k0:
-            exit_code = 2
+    try:
+        for name in _SECTIONS[command]:
+            report[name] = _BUILDERS[name](p)
+        exit_code = 0
+        if any(c["status"] == "FAIL" for c in report.get("consistency", ())):
+            exit_code = 3
+        elif command in ("ktheory", "classify", "all") and p.refusals:
+            cls = p.classification
+            if cls.verdict == "invariants_only" and not cls.k0:
+                exit_code = 2
+    finally:
+        spec.map.images.clear()
     return report, exit_code
 
 

@@ -14,6 +14,14 @@ an affine branch it pushes the restriction of the function through the branch:
 breakpoints map through the branch, and under a decreasing branch the order
 reverses and the cut sides flip (the image of x^+ is tau(x)^-), which is the
 only convention compatible with the order topology.
+
+A breakpoint strictly inside a branch's domain has one image, which
+``transfer`` reads from the map's table of images
+(``interval_map.eval_multivalued``): the breakpoints of the iterates of 1
+are points of the critical orbits, which the closure of the same report has
+mostly mapped already.  The domain ends are mapped by their branch.  The
+Horner re-check in ``apply_int_poly`` maps every breakpoint by its branch,
+so it never reads the table.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from __future__ import annotations
 import bisect
 
 from .errors import OutOfDomain
-from .interval_map import MINUS, PLUS, CutPoint
+from .interval_map import MINUS, PLUS, CutPoint, eval_multivalued
 from .scalar import ONE, ZERO, as_scalar, sort_scalars
 
 
@@ -161,8 +169,11 @@ def linear_comb(coeffs, fns):
     return StepFn(merged, values)
 
 
-def _branch_contribution(branch, f):
-    """Pushforward through one branch of the restriction of f to its domain."""
+def _branch_contribution(m, branch, f, direct):
+    """Pushforward through one branch of the restriction of f to its domain.
+
+    Each breakpoint strictly inside the domain has the one value branch(b),
+    read from the map's table of images unless ``direct``."""
     lo, hi = branch.lo, branch.hi
     i0 = bisect.bisect_right(f.breaks, lo)
     i1 = bisect.bisect_left(f.breaks, hi)
@@ -170,7 +181,10 @@ def _branch_contribution(branch, f):
     vals = list(f.values[i0 : i1 + 1])
     if all(v == 0 for v in vals):
         return ZERO_FN
-    img_breaks = [branch(b) for b in inner]
+    if direct:
+        img_breaks = [branch(b) for b in inner]
+    else:
+        img_breaks = [eval_multivalued(m, b)[0] for b in inner]
     u, v = branch(lo), branch(hi)
     if not branch.increasing:
         img_breaks.reverse()
@@ -193,15 +207,19 @@ def _branch_contribution(branch, f):
     return StepFn(breaks, values)
 
 
-def transfer(m, f):
-    """Transfer operator: (Lf)(x) = sum of f over the preimages of x."""
-    parts = [_branch_contribution(b, f) for b in m.branches]
+def transfer(m, f, direct=False):
+    """Transfer operator: (Lf)(x) = sum of f over the preimages of x.
+
+    With ``direct`` every breakpoint is mapped by its branch, not read from
+    the map's table of images."""
+    parts = [_branch_contribution(m, b, f, direct) for b in m.branches]
     return linear_comb([1] * len(parts), parts)
 
 
 def apply_int_poly(m, poly, f):
-    """Evaluate p(L) applied to f by Horner, computing fresh transfers."""
+    """Evaluate p(L) applied to f by Horner, computing fresh transfers
+    through the branches themselves."""
     acc = ZERO_FN
     for c in reversed(poly.coeffs):
-        acc = transfer(m, acc) + c * f
+        acc = transfer(m, acc, direct=True) + c * f
     return acc

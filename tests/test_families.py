@@ -16,7 +16,7 @@ from imapk.families import (
     family_certificates,
     multimodal_kgroups,
 )
-from imapk.interval_map import validate_map
+from imapk.interval_map import eval_multivalued, limits, validate_map
 from imapk.markov import detect_markov
 from imapk.orbit import IdocHolds, idoc_check, keane_idoc, step_right_continuous
 from imapk.report import run
@@ -304,6 +304,14 @@ def test_a_certified_generalized_exchange_stays_unconditional():
     assert route.label == "unconditional" and not route.conditional
 
 
+def test_a_certified_idoc_names_no_cap():
+    # the walks of both interior points end at the growth certificate
+    branches = [(Fraction(3, 2), Fraction(1, 4)), (Fraction(1, 2), Fraction(-1, 4))]
+    idoc = idoc_check(validate_map([0, Fraction(1, 2), 1], branches), 1000)
+    assert idoc.provably_infinite
+    assert idoc.kind == "provably_infinite_and_disjoint"
+
+
 def _dyadic_exchange(rng):
     """A three-branch generalized exchange with slopes odd/2 over 1/16ths."""
     while True:
@@ -370,3 +378,23 @@ def test_an_unconditional_route_has_disjoint_interior_orbits():
     unconditional = [m for m, route in routes if route is not None and route[1] == "unconditional"]
     assert len(unconditional) >= 20
     assert not [m for m in unconditional if _orbits_meet(m)]
+
+
+def test_the_table_of_images_gives_the_direct_values():
+    # every partition point (where an exchange has two one-sided values) and
+    # the first points of the multivalued orbits, each mapped cold, then warm
+    rng = random.Random(21)
+    maps = [_dyadic_exchange(rng) for _ in range(20)] + [_dyadic_multimodal(rng) for _ in range(20)]
+    for m in maps:
+        points = list(m.partition)
+        for x in points:  # breadth first: the loop reaches what it appends
+            if len(points) >= 40:
+                break
+            points += [v for v in limits(m, x) if v not in points]
+        direct = [limits(m, x) for x in points]
+        m.images.clear()
+        cold = [eval_multivalued(m, x) for x in points]
+        assert set(m.images) == set(points)
+        warm = [eval_multivalued(m, x) for x in points]
+        assert cold == warm == direct
+    assert any(len(v) == 2 for m in maps for v in m.images.values())

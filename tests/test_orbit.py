@@ -329,3 +329,38 @@ def test_growth_witness_rejects_a_point_it_cannot_certify(tent, beta_three_halve
     # the beta map jumps at 2/3, where it has the two limit values 1 and 0
     with pytest.raises(CertificateFailure, match="partition point"):
         _certificate_witness(beta_three_halves, rational(2, 3))
+
+
+class _NoTable(dict):
+    """A table of images that refuses every lookup and every store."""
+
+    def _refuse(self, *args):
+        raise LookupError("the table of images was read")
+
+    get = __getitem__ = __setitem__ = __contains__ = setdefault = _refuse
+
+
+def test_the_rechecks_evaluate_the_branches_themselves(tent, monkeypatch):
+    from imapk.ktheory import minimal_polynomial_iter
+    from imapk.stepfun import apply_int_poly, indicator, transfer
+
+    # a closed orbit: 1/3 -> 2/3 -> 2/3
+    points, status = tau_orbit(tent, Fraction(1, 3))
+    monkeypatch.setattr(tent, "images", _NoTable())
+    assert reverify_closed(tent, points, status)
+    with pytest.raises(LookupError):
+        tau_orbit(tent, Fraction(1, 3))
+    # a growth witness: slopes 3/2, and 1/4 has a large enough 2-power denominator
+    beta = build(FamilySpec("beta", {"beta": Fraction(3, 2)}))
+    assert _GrowthCertificate(beta).certifies(rational(1, 4))
+    monkeypatch.setattr(beta, "images", _NoTable())
+    assert _certificate_witness(beta, rational(1, 4)).startswith("denominators [4, 8, 16")
+    # a minimal polynomial whose iterates have the breakpoint 1/4 inside
+    # the first branch's domain
+    m = validate_map([0, Fraction(1, 2), 1], [(2, 0), (Fraction(-1, 2), Fraction(1, 2))])
+    poly = minimal_polynomial_iter(m).poly
+    assert poly.text() == "t^3 - t^2 - 1"
+    monkeypatch.setattr(m, "images", _NoTable())
+    assert apply_int_poly(m, poly, indicator(0, 1)).is_zero
+    with pytest.raises(LookupError):
+        transfer(m, indicator(0, Fraction(1, 4)))

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from imapk import ktheory, report
+from imapk import interval_map, ktheory, report
 from imapk.entropy import entropy_report, perron_enclosure
 from imapk.errors import InvalidMarkovPartition, ReducibleMinimalPolynomial
-from imapk.orbit import critical_closure, idoc_check, keane_idoc
+from imapk.orbit import critical_closure, forward_orbit, idoc_check, keane_idoc
 from imapk.report import run, to_json
 from imapk.snf import char_poly, kgroups_from_incidence, stationary_dimension_triple
 from imapk.specfile import parse_spec
@@ -105,13 +105,16 @@ def test_a_route_names_the_limit_that_stopped_its_walks(spec_text, read):
     assert "cap" not in text
 
 
+REDUCIBLE_FIELD_EXCHANGE = (
+    "field { poly = [6,0,-5,0,1]; iso = [1,3/2] }\n"
+    "map { family = interval_exchange; lengths = [alg:[0,0,1/4], alg:[1,0,-1/4]]; "
+    "permutation = [2,1] }"
+)
+
+
 def test_keane_leaves_a_reducible_field_to_the_capped_check():
     # (x^2 - 2)(x^2 - 3) at sqrt(2): both lengths are 1/2, the rotation by 1/2
-    spec = parse_spec(
-        "field { poly = [6,0,-5,0,1]; iso = [1,3/2] }\n"
-        "map { family = interval_exchange; lengths = [alg:[0,0,1/4], alg:[1,0,-1/4]]; "
-        "permutation = [2,1] }"
-    )
+    spec = parse_spec(REDUCIBLE_FIELD_EXCHANGE)
     with pytest.raises(ReducibleMinimalPolynomial):
         run("classify", spec)
 
@@ -217,3 +220,54 @@ def test_certified_orbits_that_meet_conclude_no_kgroups():
         "multimodal route inapplicable: orbits of 1/8 and 3/16 collide at 19/64"
     ]
 
+
+
+@pytest.mark.parametrize("name", ["tent", "realization", "golden_beta", "beta_three_halves"])
+def test_a_report_leaves_the_table_of_images_empty(name):
+    spec = parse_spec((ROOT / "specs" / ("%s.imapk" % name)).read_text())
+    for command in COMMANDS:
+        run(command, spec)
+        assert spec.map.images == {}
+
+
+def test_a_report_that_raises_leaves_the_table_of_images_empty(monkeypatch):
+    calls = count_calls(monkeypatch, interval_map.eval_multivalued)
+    spec = parse_spec(REDUCIBLE_FIELD_EXCHANGE)
+    with pytest.raises(ReducibleMinimalPolynomial):
+        run("classify", spec)
+    assert calls["eval_multivalued"] > 0
+    assert spec.map.images == {}
+
+
+def test_a_report_maps_each_point_through_its_branch_once(monkeypatch):
+    # the closure fills the table; the interior walks and the 64 transfer
+    # steps of the minimal-polynomial iteration read it
+    calls = count_calls(monkeypatch, interval_map.limits, interval_map.eval_multivalued)
+    spy = interval_map.limits
+    points = Counter()
+
+    def each_point(m, x):
+        points[x] += 1
+        return spy(m, x)
+
+    monkeypatch.setattr(interval_map, "limits", each_point)
+    run("classify", parse_spec((ROOT / "specs" / "multimodal.imapk").read_text()))
+    assert calls["limits"] == len(points) > 1000
+    assert calls["eval_multivalued"] > 2 * calls["limits"]
+
+
+@pytest.mark.parametrize("spec_path", SPECS, ids=lambda p: p.stem)
+def test_a_warm_table_of_images_changes_no_report(spec_path):
+    # what the table holds when a report starts is never read as evidence
+    spec = parse_spec(spec_path.read_text())
+    m, cap = spec.map, report.PipelineOptions.from_spec(spec).cap
+    for command in ("classify", "all"):
+        critical_closure(m, cap)
+        for x in m.partition:
+            forward_orbit(m, x, cap)
+        assert m.images
+        got, code = run(command, spec)
+        recorded = RECORDED["%s/%s" % (spec_path.stem, command)]
+        assert hashlib.sha256(to_json(got).encode("utf-8")).hexdigest() == recorded["sha256"]
+        assert code == recorded["exit"]
+        assert m.images == {}
