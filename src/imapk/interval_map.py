@@ -62,9 +62,12 @@ def cut(value, side):
 
 
 class AffineBranch:
-    """Strictly monotonic affine piece x -> slope*x + intercept on [lo, hi]."""
+    """Strictly monotonic affine piece x -> slope*x + intercept on [lo, hi].
 
-    __slots__ = ("slope", "intercept", "lo", "hi")
+    The images of the domain ends are mapped once, when the branch is built,
+    and kept in ``ends`` as (branch(lo), branch(hi))."""
+
+    __slots__ = ("slope", "intercept", "lo", "hi", "increasing", "ends")
 
     def __init__(self, slope, intercept, lo, hi):
         self.slope = as_scalar(slope)
@@ -73,17 +76,15 @@ class AffineBranch:
         self.hi = as_scalar(hi)
         if self.slope.is_zero:
             raise ZeroSlope("branch slope must be nonzero")
-
-    @property
-    def increasing(self):
-        return self.slope.sign() > 0
+        self.increasing = self.slope.sign() > 0
+        self.ends = (self(self.lo), self(self.hi))
 
     def __call__(self, x):
         return self.slope * x + self.intercept
 
     def image(self):
         """Closed image interval, endpoints sorted."""
-        u, v = self(self.lo), self(self.hi)
+        u, v = self.ends
         return (u, v) if self.increasing else (v, u)
 
     def inverse(self, y):
@@ -141,9 +142,8 @@ class PMMap:
 
     def is_continuous(self):
         return all(
-            self.branches[i](self.partition[i + 1])
-            == self.branches[i + 1](self.partition[i + 1])
-            for i in range(len(self.branches) - 1)
+            left.ends[1] == right.ends[0]
+            for left, right in zip(self.branches, self.branches[1:])
         )
 
     def __eq__(self, other):

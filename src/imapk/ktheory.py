@@ -71,33 +71,38 @@ class NotFoundWithinCap:
 
 
 def _sample_rows(fns, breaks):
-    """Values of each function on every piece of the common refinement."""
-    positions = [0] * len(fns)
-    rows = [[f.values[0] for f in fns]]
-    for b in breaks:
-        row = []
-        for j, f in enumerate(fns):
-            if positions[j] < len(f.breaks) and f.breaks[positions[j]] == b:
-                positions[j] += 1
-            row.append(f.values[positions[j]])
-        rows.append(row)
-    return rows
+    """Values of each function on every piece of the common refinement.
+
+    ``breaks`` is sorted and holds the breakpoints of every function; each
+    function's column is filled by the rank of its breakpoints in it."""
+    rank = {b: r for r, b in enumerate(breaks, 1)}
+    columns = []
+    for f in fns:
+        column = []
+        for b, v in zip(f.breaks, f.values):
+            column += [v] * (rank[b] - len(column))
+        column += [f.values[-1]] * (len(breaks) + 1 - len(column))
+        columns.append(column)
+    return list(zip(*columns))
 
 
-def _solve_dependence(basis, target):
+def _solve_dependence(basis, target, known=None):
     """Exact rational solution of sum x_i * basis_i = target, or None.
+
+    ``known`` is the set of the breakpoints of the basis, when the caller
+    holds it and has checked that the target has no other breakpoint.
 
     Fraction-free Gauss-Jordan on the integer samples: a row is eliminated as
     (pv/g)*row - (f/g)*pivot_row with g = gcd(pv, f) and then divided by its
     content, so no rational number appears until the final quotients.
     """
-    # a dependence forces every breakpoint of the target to appear on the left
-    known = set(b for f in basis for b in f.breaks)
-    if any(b not in known for b in target.breaks):
-        return None
-    breaks = sort_scalars(known)
+    if known is None:
+        # a dependence forces every breakpoint of the target to appear on the left
+        known = set(b for f in basis for b in f.breaks)
+        if any(b not in known for b in target.breaks):
+            return None
     # repeated samples carry no information: the solution set stays the same
-    sampled = dict.fromkeys(map(tuple, _sample_rows(basis + [target], breaks)))
+    sampled = dict.fromkeys(_sample_rows(basis + [target], sort_scalars(known)))
     aug = [list(row) for row in sampled]
     n = len(basis)
     pivots = []
@@ -153,7 +158,7 @@ def minimal_polynomial_iter(m, cap=64, breakpoint_cap=10000):
         if len(grown) > breakpoint_cap:
             return NotFoundWithinCap(breakpoint_cap, step)
         # a dependence needs every breakpoint of v among the earlier ones
-        coeffs = _solve_dependence(vs, v) if len(grown) == len(accumulated) else None
+        coeffs = _solve_dependence(vs, v, accumulated) if len(grown) == len(accumulated) else None
         if coeffs is not None:
             if any(c.denominator != 1 for c in coeffs):
                 raise NonIntegerDependence(coeffs)
@@ -390,10 +395,7 @@ def module_generators(m, endpoint_index=0):
     pts = list(m.partition)
     if m.is_continuous():
         return [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
-    endpoints = []
-    for b in m.branches:
-        endpoints.append(b(b.lo))
-        endpoints.append(b(b.hi))
+    endpoints = [y for b in m.branches for y in b.ends]
     M = endpoints[endpoint_index % len(endpoints)]
     marks = sort_scalars(set(pts + [M]))
     j1 = [(marks[i], marks[i + 1]) for i in range(len(marks) - 1)]

@@ -320,11 +320,11 @@ class Scalar:
     Immutable and hashable in canonical form: an algebraic element whose
     higher coefficients all vanish collapses to the plain rational, so equal
     values hash equally and orbit lookups behave.  Field elements always hold
-    a full-length coefficient vector.  The hash is computed on first use and
-    kept in ``_hash``.
+    a full-length coefficient vector.  The hash and the text are computed on
+    first use and kept in ``_hash`` and ``_text``.
     """
 
-    __slots__ = ("field", "coeffs", "_hash")
+    __slots__ = ("field", "coeffs", "_hash", "_text")
 
     def __init__(self, field, coeffs):
         if field is not None and all(c == 0 for c in coeffs[1:]):
@@ -586,6 +586,15 @@ class Scalar:
     # -- text forms ----------------------------------------------------------
 
     def text(self):
+        try:
+            return self._text
+        except AttributeError:
+            pass
+        text = self._render_text()
+        object.__setattr__(self, "_text", text)
+        return text
+
+    def _render_text(self):
         if self.field is None:
             return str(self.coeffs[0])
         poly = ",".join(str(c) for c in self.field.poly)

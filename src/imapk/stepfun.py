@@ -15,13 +15,24 @@ breakpoints map through the branch, and under a decreasing branch the order
 reverses and the cut sides flip (the image of x^+ is tau(x)^-), which is the
 only convention compatible with the order topology.
 
-A breakpoint strictly inside a branch's domain has one image, which
-``transfer`` reads from the map's table of images
+Sums are taken as jumps.  ``linear_comb`` and one ``transfer`` step add
+integer jumps into one dict keyed by point, then sort once only the points
+whose net jump is nonzero and take prefix sums; no per-branch function is
+built.  A transfer step adds, for each branch, the value of f at the lower
+end of the domain at its image, the jump of f at each breakpoint strictly
+inside the domain at the image of that breakpoint, and the drop at the upper
+end, with the signs reversed under a decreasing branch.  The breakpoints
+inside each domain are found by one merge of the breakpoints against the
+partition.
+
+The images of the domain ends are mapped once, when the branch is built
+(``AffineBranch.ends``).  A breakpoint strictly inside a domain has one
+image, which ``transfer`` reads from the map's table of images
 (``interval_map.eval_multivalued``): the breakpoints of the iterates of 1
 are points of the critical orbits, which the closure of the same report has
-mostly mapped already.  The domain ends are mapped by their branch.  The
-Horner re-check in ``apply_int_poly`` maps every breakpoint by its branch,
-so it never reads the table.
+mostly mapped already.  The Horner re-check in ``apply_int_poly`` maps every
+inner breakpoint by its own branch, so it never reads the table; it reads
+only the domain-end images kept on the branch.
 """
 
 from __future__ import annotations
@@ -148,72 +159,73 @@ def indicator(c, d):
     return StepFn(breaks, values)
 
 
+def _add_jump(jumps, x, d):
+    if d:
+        jumps[x] = jumps.get(x, 0) + d
+
+
+def _from_jumps(start, jumps):
+    """The step function of value ``start`` at 0^+ that jumps by jumps[x] at
+    each x: only the points of nonzero net jump are sorted, once."""
+    breaks = sort_scalars([x for x, d in jumps.items() if d])
+    values = [start]
+    for x in breaks:
+        values.append(values[-1] + jumps[x])
+    return StepFn(breaks, values)
+
+
 def linear_comb(coeffs, fns):
-    """Pointwise integer combination over the common breakpoint refinement."""
+    """Pointwise integer combination, summed as jumps at the breakpoints."""
     coeffs = [int(c) for c in coeffs]
     fns = list(fns)
     if len(coeffs) != len(fns):
         raise ValueError("one coefficient per function")
-    if not fns:
-        return ZERO_FN
-    merged = sort_scalars(set(b for f in fns for b in f.breaks))
-    values = []
-    # value on the piece left of each boundary list entry; iterate pieces
-    positions = [0] * len(fns)  # current piece index per function
-    values.append(sum(c * f.values[0] for c, f in zip(coeffs, fns)))
-    for b in merged:
-        for j, f in enumerate(fns):
-            if positions[j] < len(f.breaks) and f.breaks[positions[j]] == b:
-                positions[j] += 1
-        values.append(sum(c * f.values[positions[j]] for j, (c, f) in enumerate(zip(coeffs, fns))))
-    return StepFn(merged, values)
+    start = 0
+    jumps = {}
+    for c, f in zip(coeffs, fns):
+        start += c * f.values[0]
+        for x, left, right in zip(f.breaks, f.values, f.values[1:]):
+            _add_jump(jumps, x, c * (right - left))
+    return _from_jumps(start, jumps)
 
 
-def _branch_contribution(m, branch, f, direct):
-    """Pushforward through one branch of the restriction of f to its domain.
-
-    Each breakpoint strictly inside the domain has the one value branch(b),
-    read from the map's table of images unless ``direct``."""
-    lo, hi = branch.lo, branch.hi
-    i0 = bisect.bisect_right(f.breaks, lo)
-    i1 = bisect.bisect_left(f.breaks, hi)
-    inner = list(f.breaks[i0:i1])
-    vals = list(f.values[i0 : i1 + 1])
-    if all(v == 0 for v in vals):
-        return ZERO_FN
-    if direct:
-        img_breaks = [branch(b) for b in inner]
-    else:
-        img_breaks = [eval_multivalued(m, b)[0] for b in inner]
-    u, v = branch(lo), branch(hi)
-    if not branch.increasing:
-        img_breaks.reverse()
-        vals.reverse()
-        u, v = v, u
-    # assemble: zero outside [u^+, v^-]
-    breaks, values = [], []
-    if u == ZERO:
-        values.append(vals[0])
-    else:
-        values.append(0)
-        breaks.append(u)
-        values.append(vals[0])
-    for b, val in zip(img_breaks, vals[1:]):
-        breaks.append(b)
-        values.append(val)
-    if v != ONE:
-        breaks.append(v)
-        values.append(0)
-    return StepFn(breaks, values)
+def _first_not_below(breaks, x, k):
+    """Least j >= k with breaks[j] >= x, given breaks[k - 1] < x: steps of
+    doubling length from k, then bisection within the last step, so a domain
+    holding d breakpoints costs O(log d) compares."""
+    step = 1
+    while k + step <= len(breaks) and breaks[k + step - 1] < x:
+        k += step
+        step *= 2
+    return bisect.bisect_left(breaks, x, k, min(k + step - 1, len(breaks)))
 
 
 def transfer(m, f, direct=False):
     """Transfer operator: (Lf)(x) = sum of f over the preimages of x.
 
-    With ``direct`` every breakpoint is mapped by its branch, not read from
-    the map's table of images."""
-    parts = [_branch_contribution(m, b, f, direct) for b in m.branches]
-    return linear_comb([1] * len(parts), parts)
+    Each branch adds the jumps of f on its domain at their images (see the
+    module docstring); a jump at 0 is the value at 0^+, and a drop at 1 has
+    no effect.  With ``direct`` every inner breakpoint is mapped by its
+    branch, not read from the map's table of images."""
+    breaks, values = f.breaks, f.values
+    jumps = {}
+    # one merge of the breakpoints against the partition: breaks[a:b] lie
+    # strictly inside the domain of the branch
+    a = 0
+    for branch in m.branches:
+        b = _first_not_below(breaks, branch.hi, a)
+        sign = 1 if branch.increasing else -1
+        lo_image, hi_image = branch.ends
+        _add_jump(jumps, lo_image, sign * values[a])
+        for k in range(a, b):
+            x = breaks[k]
+            y = branch(x) if direct else eval_multivalued(m, x)[0]
+            _add_jump(jumps, y, sign * (values[k + 1] - values[k]))
+        _add_jump(jumps, hi_image, -sign * values[b])
+        # a breakpoint at the partition point lies inside neither domain
+        a = b + 1 if b < len(breaks) and breaks[b] == branch.hi else b
+    jumps.pop(ONE, None)
+    return _from_jumps(jumps.pop(ZERO, 0), jumps)
 
 
 def apply_int_poly(m, poly, f):

@@ -1,13 +1,16 @@
 """Reference tests for the integer kernels on the Markov path.
 
-The characteristic polynomial, the stationary presentation and the
-dependence solve work in Python integers.  Each is compared here with an
-independent computation: Bareiss determinants of tI - A, the rank of A^n by
-Fraction elimination, and the Fraction Gauss-Jordan solve the library used
-before, kept below as the reference.
+The characteristic polynomial, the stationary presentation, the dependence
+solve and the transfer step work in Python integers.  Each is compared here
+with an independent computation: Bareiss determinants of tI - A, the rank of
+A^n by Fraction elimination, and the Fraction Gauss-Jordan solve, the
+merge-walk sums and the per-branch transfer the library used before, kept
+below as the reference.
 """
 
+import bisect
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,7 +23,8 @@ from hypothesis import strategies as st
 from imapk import ktheory
 from imapk.errors import CertificateFailure
 from imapk.ktheory import _sample_rows, _solve_dependence, minimal_polynomial_iter
-from imapk.scalar import as_scalar
+from imapk.interval_map import eval_multivalued
+from imapk.scalar import ONE, ZERO, as_scalar
 from imapk.snf import (
     SmithDecomposition,
     _verify,
@@ -31,7 +35,8 @@ from imapk.snf import (
     smith_normal_form,
     stationary_dimension_triple,
 )
-from imapk.stepfun import StepFn, linear_comb
+from imapk.stepfun import ZERO_FN, StepFn, linear_comb, transfer
+from test_families import _dyadic_exchange, _dyadic_multimodal
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -130,7 +135,7 @@ def reference_solve(basis, target):
     known = set(b for f in basis for b in f.breaks)
     if any(b not in known for b in target.breaks):
         return None
-    sampled = _sample_rows(basis + [target], sorted(known))
+    sampled = reference_sample_rows(basis + [target], sorted(known))
     aug = [[Fraction(v) for v in row] for row in sampled]
     n = len(basis)
     pivots = []
@@ -198,6 +203,111 @@ def test_solve_dependence_planted_coefficients_recovered():
     assert _solve_dependence(basis, StepFn((c[5],), (0, 1))) is None
 
 
+# -- transfer step, combinations and samples -------------------------------------
+
+
+def reference_sample_rows(fns, breaks):
+    """Values of each function on every piece, walking the sorted breakpoints."""
+    positions = [0] * len(fns)
+    rows = [[f.values[0] for f in fns]]
+    for b in breaks:
+        row = []
+        for j, f in enumerate(fns):
+            if positions[j] < len(f.breaks) and f.breaks[positions[j]] == b:
+                positions[j] += 1
+            row.append(f.values[positions[j]])
+        rows.append(row)
+    return rows
+
+
+def reference_linear_comb(coeffs, fns):
+    """Pointwise combination over the sorted union of the breakpoints."""
+    if not fns:
+        return ZERO_FN
+    merged = sorted(set(b for f in fns for b in f.breaks))
+    rows = reference_sample_rows(fns, merged)
+    return StepFn(merged, [sum(c * v for c, v in zip(coeffs, row)) for row in rows])
+
+
+def reference_contribution(m, branch, f, direct):
+    """Pushforward through one branch of the restriction of f to its domain."""
+    lo, hi = branch.lo, branch.hi
+    i0 = bisect.bisect_right(f.breaks, lo)
+    i1 = bisect.bisect_left(f.breaks, hi)
+    inner = list(f.breaks[i0:i1])
+    vals = list(f.values[i0 : i1 + 1])
+    if all(v == 0 for v in vals):
+        return ZERO_FN
+    if direct:
+        img_breaks = [branch(b) for b in inner]
+    else:
+        img_breaks = [eval_multivalued(m, b)[0] for b in inner]
+    u, v = branch(lo), branch(hi)
+    if not branch.increasing:
+        img_breaks.reverse()
+        vals.reverse()
+        u, v = v, u
+    # zero outside [u^+, v^-]
+    breaks, values = [], []
+    if u == ZERO:
+        values.append(vals[0])
+    else:
+        values += [0, vals[0]]
+        breaks.append(u)
+    breaks += img_breaks
+    values += vals[1:]
+    if v != ONE:
+        breaks.append(v)
+        values.append(0)
+    return StepFn(breaks, values)
+
+
+def reference_transfer(m, f, direct=False):
+    parts = [reference_contribution(m, b, f, direct) for b in m.branches]
+    return reference_linear_comb([1] * len(parts), parts)
+
+
+DYADIC_CUTS = [as_scalar(Fraction(k, 64)) for k in range(1, 64)]
+
+
+def _dyadic_step_function(rng):
+    """Breakpoints in units of 1/64, so some sit on partition points in 1/16ths."""
+    breaks = sorted(rng.sample(DYADIC_CUTS, rng.randint(0, 12)))
+    return StepFn(breaks, [rng.randint(-3, 3) for _ in range(len(breaks) + 1)])
+
+
+def test_transfer_matches_per_branch_reference():
+    rng = random.Random(15)
+    maps = [_dyadic_multimodal(rng) for _ in range(20)] + [_dyadic_exchange(rng) for _ in range(20)]
+    for m in maps:
+        for _ in range(6):
+            f = _dyadic_step_function(rng)
+            for direct in (False, True):
+                assert transfer(m, f, direct) == reference_transfer(m, f, direct)
+        # the iterates of 1, whose breakpoints are the images of earlier ones
+        f = StepFn((), (1,))
+        for _ in range(4):
+            g = transfer(m, f)
+            assert g == reference_transfer(m, f) == transfer(m, f, direct=True)
+            f = g
+
+
+@KERNEL_SETTINGS
+@given(st.lists(st.tuples(st.integers(-5, 5), step_functions()), max_size=7))
+def test_linear_comb_matches_merge_walk(terms):
+    coeffs = [c for c, _ in terms]
+    fns = [f for _, f in terms]
+    assert linear_comb(coeffs, fns) == reference_linear_comb(coeffs, fns)
+
+
+@KERNEL_SETTINGS
+@given(st.lists(step_functions(), min_size=1, max_size=7))
+def test_sample_rows_match_merge_walk(fns):
+    breaks = sorted(set(b for f in fns for b in f.breaks))
+    got = _sample_rows(fns, breaks)
+    assert [list(row) for row in got] == reference_sample_rows(fns, breaks)
+
+
 # -- certificates that survive python -O ---------------------------------------
 
 
@@ -239,6 +349,6 @@ def test_tampered_smith_certificate_raises_under_optimize():
 
 def test_minimal_polynomial_reverification_raises(tent, monkeypatch):
     # a solver that returns a wrong dependence is caught by the re-verification
-    monkeypatch.setattr(ktheory, "_solve_dependence", lambda basis, target: [Fraction(3)])
+    monkeypatch.setattr(ktheory, "_solve_dependence", lambda basis, target, known=None: [Fraction(3)])
     with pytest.raises(CertificateFailure):
         minimal_polynomial_iter(tent)

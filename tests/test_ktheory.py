@@ -66,9 +66,9 @@ def _spy_on_solve(monkeypatch):
     calls = []
     solve = ktheory._solve_dependence
 
-    def spy(basis, target):
+    def spy(basis, target, known=None):
         calls.append(len(basis))
-        return solve(basis, target)
+        return solve(basis, target, known)
 
     monkeypatch.setattr(ktheory, "_solve_dependence", spy)
     return calls

@@ -10,11 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from imapk import interval_map, ktheory, report
+from imapk import interval_map, ktheory, report, stepfun
 from imapk.entropy import entropy_report, perron_enclosure
 from imapk.errors import InvalidMarkovPartition, ReducibleMinimalPolynomial
+from imapk.interval_map import AffineBranch
 from imapk.orbit import critical_closure, forward_orbit, idoc_check, keane_idoc
 from imapk.report import run, to_json
+from imapk.scalar import Scalar
 from imapk.snf import char_poly, kgroups_from_incidence, stationary_dimension_triple
 from imapk.specfile import parse_spec
 
@@ -254,6 +256,73 @@ def test_a_report_maps_each_point_through_its_branch_once(monkeypatch):
     run("classify", parse_spec((ROOT / "specs" / "multimodal.imapk").read_text()))
     assert calls["limits"] == len(points) > 1000
     assert calls["eval_multivalued"] > 2 * calls["limits"]
+
+
+# the orbit 0, 1/4, 5/8, 3/4, 1/2, 1 closes, so the minimal polynomial is found
+# and the re-check meets breakpoints strictly inside the branch domains
+PERIODIC_UNIMODAL = (
+    "map { partition = [0, 1/2, 1]\n"
+    "  branch = { slope = 3/2, intercept = 1/4 }\n"
+    "  branch = { slope = -2, intercept = 2 } }"
+)
+
+
+@pytest.mark.parametrize("spec_text", [
+    (ROOT / "specs" / "realization.imapk").read_text(),
+    (ROOT / "specs" / "golden_beta.imapk").read_text(),
+    PERIODIC_UNIMODAL,
+], ids=["realization", "golden_beta", "periodic_unimodal"])
+def test_transfer_steps_map_no_domain_end(spec_text, monkeypatch):
+    # a branch maps its domain ends when it is built; the iteration reads the
+    # inner breakpoints from the table, and the Horner re-check maps each one
+    # through its own branch
+    m = parse_spec(spec_text).map
+    calls = count_calls(monkeypatch, interval_map.eval_multivalued)
+    mapped = []
+    branch_call = AffineBranch.__call__
+
+    def each_call(branch, x):
+        mapped.append((branch, x))
+        return branch_call(branch, x)
+
+    steps = []
+    step = stepfun.transfer
+
+    def each_step(m, f, direct=False):
+        before = len(mapped)
+        result = step(m, f, direct)
+        inner = sum(b not in m.partition for b in f.breaks)
+        steps.append((direct, inner, len(mapped) - before))
+        return result
+
+    monkeypatch.setattr(AffineBranch, "__call__", each_call)
+    monkeypatch.setattr(stepfun, "transfer", each_step)
+    monkeypatch.setattr(ktheory, "transfer", each_step)
+    assert ktheory.minimal_polynomial_iter(m).method == "iteration"
+    assert not [(b, x) for b, x in mapped if x == b.lo or x == b.hi]
+    rechecks = [(inner, n) for direct, inner, n in steps if direct]
+    assert rechecks and all(inner == n for inner, n in rechecks)
+    assert calls["eval_multivalued"] == sum(inner for direct, inner, _ in steps if not direct)
+    # each table miss maps its point through one branch
+    assert len(mapped) == sum(n for n, _ in rechecks) + len(m.images)
+    if spec_text == PERIODIC_UNIMODAL:
+        assert sum(n for n, _ in rechecks) == 3
+
+
+def test_a_report_renders_each_scalar_text_once(monkeypatch):
+    # the orbit points of the closure recur in the orbits section
+    rendered = []  # holding each object keeps its id unique
+    render = Scalar._render_text
+
+    def each_render(x):
+        rendered.append(x)
+        return render(x)
+
+    monkeypatch.setattr(Scalar, "_render_text", each_render)
+    got, _ = run("all", parse_spec((ROOT / "specs" / "multimodal.imapk").read_text()))
+    to_json(got)
+    assert len(rendered) > 5000
+    assert len(set(map(id, rendered))) == len(rendered)
 
 
 @pytest.mark.parametrize("spec_path", SPECS, ids=lambda p: p.stem)
