@@ -9,7 +9,6 @@ from .scalar import NumberField, Scalar, as_scalar, rational
 from .interval_map import (
     AffineBranch,
     Certificate,
-    CutPoint,
     PMMap,
     dynamics_flags,
     eval_multivalued,
@@ -18,7 +17,7 @@ from .interval_map import (
 )
 from .stepfun import StepFn, indicator, linear_comb, transfer
 from .orbit import critical_closure, forward_orbit, idoc_check, keane_idoc, tau_orbit
-from .markov import detect_markov, graph_flags, itinerary, separation_check
+from .markov import detect_markov, graph_flags, separation_check
 from .snf import (
     KGroups,
     Route,

@@ -104,10 +104,6 @@ class HypothesisViolatedWithinCap(ImapkError):
     pass
 
 
-class LengthExceedsCap(ImapkError):
-    pass
-
-
 class InvalidMarkovPartition(ImapkError):
     pass
 

@@ -4,8 +4,9 @@ A map is a strictly increasing partition 0 = a_0 < ... < a_n = 1 together
 with one affine branch per interval [a_{i-1}, a_i].  Values at partition
 points are never stored: the map is treated as multivalued there, taking the
 one-sided limits of the adjacent branches.  The disconnected version of the
-interval (each orbit point split into a left and a right copy) is represented
-implicitly through :class:`CutPoint` and never materialized.
+interval (each orbit point split into a left and a right copy x^- < x^+) is
+never materialized: a copy is a point with a side, ``MINUS`` or ``PLUS``,
+which ``PMMap.branch_index_at`` and ``StepFn.value_at`` take.
 
 ``limits`` evaluates the branches at a point.  ``eval_multivalued`` gives the
 same values through the map's table ``images``, which it alone fills, so the
@@ -27,38 +28,10 @@ from .errors import (
     PartitionNotIncreasing,
     ZeroSlope,
 )
-from .scalar import ONE, ZERO, Scalar, as_scalar, common_field
+from .scalar import ONE, ZERO, as_scalar, common_field
 
 MINUS = "-"
 PLUS = "+"
-
-
-@dataclass(frozen=True)
-class CutPoint:
-    """One of the two copies x^- < x^+ of a disconnected point."""
-
-    value: Scalar
-    side: str
-
-    def __post_init__(self):
-        if self.side not in (MINUS, PLUS):
-            raise ValueError("side must be '-' or '+'")
-
-    def __lt__(self, other):
-        c = self.value.compare(other.value)
-        if c != 0:
-            return c < 0
-        return self.side == MINUS and other.side == PLUS
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def text(self):
-        return "%s%s" % (self.value.text(), self.side)
-
-
-def cut(value, side):
-    return CutPoint(as_scalar(value), side)
 
 
 class AffineBranch:
@@ -260,7 +233,10 @@ def limits(m, x):
 
 
 def preimages(m, y):
-    """All x in [0,1] whose multivalued image contains y, branch by branch."""
+    """All x in [0,1] whose multivalued image contains y, branch by branch.
+
+    No stage calls it: it is the reference that the counting-law tests
+    compare ``stepfun.transfer`` against."""
     y = as_scalar(y)
     if y < ZERO or y > ONE:
         raise OutOfDomain("%s is outside [0,1]" % y.text())

@@ -304,12 +304,20 @@ def recognize_unimodal(m):
     return c
 
 
+def _closed_orbit(m, x, cap):
+    """``tau_orbit`` of x, with a closed orbit re-checked through the branches."""
+    points, status = orbit_mod.tau_orbit(m, x, cap)
+    if isinstance(status, orbit_mod.Closed) and not orbit_mod.reverify_closed(m, points, status):
+        raise CertificateFailure("the closed orbit of %s fails its re-check" % x.text())
+    return points, status
+
+
 def unimodal_orbit_data(m, cap=10000):
     """(signs, k, p, case) for the orbit of 0, or the running status on failure."""
     c = recognize_unimodal(m)
     if c is None:
         raise WrongFamily("map is not surjective unimodal with 1 -> 0")
-    points, status = orbit_mod.tau_orbit(m, ZERO, cap)
+    points, status = _closed_orbit(m, ZERO, cap)
     if not isinstance(status, orbit_mod.Closed):
         return None, status
     k = status.preperiod
@@ -335,7 +343,7 @@ def beta_digit(beta, x):
 
 def beta_orbit_data(m, beta, cap=10000):
     """(digits, k, p, case) for the orbit of 1, or the running status on failure."""
-    points, status = orbit_mod.tau_orbit(m, ONE, cap)
+    points, status = _closed_orbit(m, ONE, cap)
     if not isinstance(status, orbit_mod.Closed):
         return None, status
     k = status.preperiod

@@ -1,4 +1,4 @@
-"""Markov structure: detection, incidence matrices, graph flags, itineraries.
+"""Markov structure: detection, incidence matrices, graph flags, separation.
 
 The canonical Markov partition is the sorted critical closure (the finest
 choice).  Coarser user-supplied partitions are accepted after validation and
@@ -8,6 +8,14 @@ the j-th open interval.  One builder fills the rows for both kinds of
 partition: it checks that the map is monotonic on each interval and that the
 image ends at partition points, and then certifies every row against that
 image (the row-image law).
+
+``_markov_data`` also records ``MarkovData.piecewise_linear``: the slope is
+constant on every Markov interval.  That is the hypothesis under which the
+matrix criteria decide exactness and transitivity and the algebras are the
+Cuntz-Krieger pair of the matrix.  Canonical data always sets it: the
+critical closure holds every partition point of the map, so each Markov
+interval lies inside one affine branch.  Only a coarser partition, whose
+interval may span branches of different slopes, can clear it.
 """
 
 from __future__ import annotations
@@ -16,18 +24,11 @@ import bisect
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import (
-    CertificateFailure,
-    InvalidMarkovPartition,
-    LengthExceedsCap,
-    NotSquare,
-    NotZeroOne,
-)
+from .errors import CertificateFailure, InvalidMarkovPartition, NotSquare, NotZeroOne
 from .interval_map import (
     MINUS,
     PLUS,
     Certificate,
-    CutPoint,
     eval_multivalued,
     merge_closed_intervals,
 )
@@ -39,16 +40,12 @@ from .scalar import ONE, ZERO, as_scalar, sort_scalars
 class MarkovData:
     partition: tuple
     matrix: list
-    branch_for_interval: tuple
+    piecewise_linear: bool  # one slope on every Markov interval
     canonical: bool = True
 
     @property
     def size(self):
         return len(self.matrix)
-
-    def interval(self, j):
-        """Endpoints of the j-th Markov interval, 1-based."""
-        return self.partition[j - 1], self.partition[j]
 
     def as_dict(self):
         return {
@@ -96,13 +93,13 @@ def _markov_data(m, points, canonical):
     On each interval (lo, hi) the branches over it, found by bisection, must
     share one slope sign and have their image pieces in monotone order.  The
     merged image must end at partition points, and the row selects the
-    intervals it covers.  The branch index is None for an interval that spans
-    several branches.
+    intervals it covers.  Slopes are compared only over an interval that
+    spans several branches, so canonical data costs no compare.
     """
     size = len(points) - 1
     matrix = [[0] * size for _ in range(size)]
     images = []
-    branch_for_interval = []
+    piecewise_linear = True
     for j in range(size):
         lo, hi = points[j], points[j + 1]
         first, last = m.branch_index_at(lo, PLUS), m.branch_index_at(hi, MINUS)
@@ -110,6 +107,8 @@ def _markov_data(m, points, canonical):
         increasing = sub[0].increasing
         if any(b.increasing != increasing for b in sub[1:]):
             raise _not_monotonic(lo, hi)
+        # the slopes share one sign, so one |slope| is one slope
+        piecewise_linear = piecewise_linear and all(b.slope == sub[0].slope for b in sub[1:])
         pieces = []
         for i, b in enumerate(sub):
             u, v = b(lo if i == 0 else b.lo), b(hi if i == len(sub) - 1 else b.hi)
@@ -123,8 +122,7 @@ def _markov_data(m, points, canonical):
             for k in range(a, c):
                 matrix[j][k] = 1
         images.append(image)
-        branch_for_interval.append(first if first == last else None)
-    data = MarkovData(tuple(points), matrix, tuple(branch_for_interval), canonical)
+    data = MarkovData(tuple(points), matrix, piecewise_linear, canonical)
     _verify_row_images(data, images)
     return data
 
@@ -185,11 +183,15 @@ def markov_for_partition(m, points, cap=10000, closure=None):
                 "%s is not in the generalized orbit of the critical set" % p.text()
             )
     data = _markov_data(m, points, canonical=False)
-    # the critical set must be eventually trapped in the partition point set
+    # the critical set must be eventually trapped in the partition point set.
+    # _markov_data located every image end in that set, so the set is forward
+    # invariant: a chain of images outside it stays in the closure, and one
+    # of len(closure) steps repeats a point, a cycle that never enters the
+    # set.  So the critical set is trapped within len(closure) steps or never.
     pset = set(points)
     current = set(m.partition)
     trapped = False
-    for _ in range(4 * len(closure) * len(closure) + 8):
+    for _ in range(len(closure) + 1):
         if current <= pset:
             trapped = True
             break
@@ -359,42 +361,21 @@ def graph_flags(A):
     )
 
 
-def restrict_to_eventual_range(A, flags=None):
+def restrict_to_eventual_range(A, flags):
     """Submatrix on the eventual range indices, with the index list (0-based)."""
-    if flags is None:
-        flags = graph_flags(A)
     idx = flags.eventual_range
     return [[A[i][j] for j in idx] for i in idx], idx
 
 
-def piecewise_linear_over(m, data):
-    """Constant-slope within every Markov interval (the matrix-criteria hypothesis)."""
-    for j in range(1, data.size + 1):
-        lo, hi = data.interval(j)
-        slopes = {abs_slope_key(b) for b in m.branches if b.lo < hi and lo < b.hi}
-        if len(slopes) > 1:
-            return False
-    return True
-
-
-def abs_slope_key(b):
-    s = b.slope
-    if s.is_rational:
-        return abs(s.as_fraction())
-    return s if s.sign() > 0 else -s
-
-
-def dynamics_certificates(m, data, flags, surjective):
+def dynamics_certificates(data, flags, surjective):
     """Transitivity/exactness certificates from the incidence matrix.
 
-    Valid for piecewise linear Markov maps: with the canonical partition every
-    Markov interval lies in a single affine branch, so the slope is constant
-    there and the matrix criteria decide exactness and transitivity.
+    Valid when the slope is constant on every Markov interval
+    (``data.piecewise_linear``, always set on the canonical partition): then
+    the matrix criteria decide exactness and transitivity.
     """
     certs = []
-    if not surjective:
-        return certs
-    if not piecewise_linear_over(m, data):
+    if not surjective or not data.piecewise_linear:
         return certs
     A_text = "incidence matrix"
     # a primitive permutation matrix is the 1x1 identity, whose map is an
@@ -422,59 +403,6 @@ def dynamics_certificates(m, data, flags, surjective):
     return certs
 
 
-# -- itineraries -------------------------------------------------------------
-
-
-@dataclass
-class Itinerary:
-    point: CutPoint
-    symbols: list
-
-    def as_dict(self):
-        return {"point": self.point.text(), "symbols": list(self.symbols)}
-
-
-def step_cut(m, c):
-    """Image of a cut point under the disconnected dynamics."""
-    i = m.branch_index_at(c.value, c.side)
-    b = m.branches[i]
-    v = b(c.value)
-    if b.increasing:
-        side = c.side
-    else:
-        side = MINUS if c.side == PLUS else PLUS
-    if v == ZERO:
-        side = PLUS
-    elif v == ONE:
-        side = MINUS
-    return CutPoint(v, side)
-
-
-def symbol_of(data, c):
-    """1-based index of the Markov interval containing the cut point."""
-    pts = data.partition
-    if c.side == PLUS:
-        i = bisect.bisect_right(pts, c.value)
-    else:
-        i = bisect.bisect_left(pts, c.value)
-    if i < 1:
-        i = 1
-    if i > data.size:
-        i = data.size
-    return i
-
-
-def itinerary(m, data, c, length, cap=10000):
-    if length > cap:
-        raise LengthExceedsCap("requested %d symbols exceeds cap %d" % (length, cap))
-    symbols = []
-    cur = c
-    for _ in range(length):
-        symbols.append(symbol_of(data, cur))
-        cur = step_cut(m, cur)
-    return Itinerary(c, symbols)
-
-
 # -- separation ---------------------------------------------------------------
 
 
@@ -492,16 +420,15 @@ class SeparationReport:
         }
 
 
-def separation_check(m, data, flags=None):
+def separation_check(data, flags):
     """Do itineraries separate points of the disconnected interval?
 
-    For piecewise linear Markov maps (constant slope within each Markov
-    interval) this is equivalent to Condition L on the incidence matrix; when
-    it holds, the two algebras are the Cuntz-Krieger pair of the matrix.
+    For piecewise linear Markov maps (``data.piecewise_linear``: constant
+    slope within each Markov interval) this is equivalent to Condition L on
+    the incidence matrix; when it holds, the two algebras are the
+    Cuntz-Krieger pair of the matrix.
     """
-    if flags is None:
-        flags = graph_flags(data.matrix)
-    if not piecewise_linear_over(m, data):
+    if not data.piecewise_linear:
         return SeparationReport(
             "unknown", "slope is not constant within every Markov interval", False
         )

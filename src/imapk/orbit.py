@@ -16,7 +16,10 @@ closure, the partition orbits and the interior walks share the map's table
 of images.  The single-valued step takes the one value from that table and
 evaluates its branch only at a partition point whose two limits differ.
 ``reverify_closed`` and the growth witness re-check a result through the
-branches themselves, never through the table.
+branches themselves, never through the table.  ``reverify_closed`` checks
+the whole walk of a closed single-valued orbit, each point against the
+next; ``ktheory`` runs it on the critical orbit that the unimodal and beta
+closed forms read.
 
 A search stops for one of four reasons: it completes (every value was
 already seen), it passes the cap (``CapReached``), a coordinate passes
@@ -289,14 +292,14 @@ def tau_orbit(m, x, cap=10000):
 
 
 def reverify_closed(m, points, status):
-    """Check a Closed result by direct iteration through the branch maps."""
+    """Check a closed single-valued orbit through the branch maps: each point
+    maps to the next, and the last to the point where the period starts."""
     if not isinstance(status, Closed) or status.preperiod is None:
         return False
-    k, p = status.preperiod, status.period
-    cur = points[k]
-    for _ in range(p):
-        cur = step_right_continuous(m, cur)
-    return cur == points[k]
+    if len(points) != status.preperiod + status.period:
+        return False
+    targets = points[1:] + [points[status.preperiod]]
+    return all(step_right_continuous(m, x) == y for x, y in zip(points, targets))
 
 
 @dataclass

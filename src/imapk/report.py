@@ -245,9 +245,7 @@ class Pipeline:
     def certs(self):
         certs = family_certificates(self.m)
         if self.markov_data is not None:
-            certs.extend(
-                dynamics_certificates(self.m, self.markov_data, self.graph_flags, self.surjective)
-            )
+            certs.extend(dynamics_certificates(self.markov_data, self.graph_flags, self.surjective))
         # an exchange with the IDOC is minimal; the identity's label is
         # unconditional too, but it is not minimal
         route = self.exchange_route
@@ -263,7 +261,7 @@ class Pipeline:
     def separation(self):
         if self.markov_data is None:
             return None
-        return separation_check(self.m, self.markov_data, self.graph_flags)
+        return separation_check(self.markov_data, self.graph_flags)
 
     @cached_property
     def incidence_route(self):

@@ -104,9 +104,6 @@ class SmithDecomposition:
     def diagonal(self):
         return [self.D[i][i] for i in range(min(len(self.D), len(self.D[0]) if self.D else 0))]
 
-    def as_dict(self):
-        return {"U": self.U, "D": self.D, "V": self.V, "diagonal": self.diagonal()}
-
 
 def _pivot(M, s):
     """Position of the nonzero entry of minimal |value| in the trailing block."""

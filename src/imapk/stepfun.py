@@ -7,7 +7,9 @@ order interval [c_j^+, c_{j+1}^-] (with 0^+ and 1^- at the ends).  At a
 breakpoint the function may take different values on the left copy c^- and
 the right copy c^+; that is exactly the disconnection.  Canonical form merges
 adjacent pieces with equal values, so equality of functions is structural
-equality.
+equality.  ``StepFn.value_at`` reads the value at one copy of a point; no
+stage calls it, and the counting-law tests compare ``transfer`` against it
+and ``interval_map.preimages``.
 
 The transfer operator sums a function over the preimages of each point.  For
 an affine branch it pushes the restriction of the function through the branch:
@@ -40,7 +42,7 @@ from __future__ import annotations
 import bisect
 
 from .errors import OutOfDomain
-from .interval_map import MINUS, PLUS, CutPoint, eval_multivalued
+from .interval_map import PLUS, eval_multivalued
 from .scalar import ONE, ZERO, as_scalar, sort_scalars
 
 
@@ -66,11 +68,10 @@ class StepFn:
     def is_zero(self):
         return self.values == (0,)
 
-    def is_nonnegative(self):
-        return all(v >= 0 for v in self.values)
-
     def value_at(self, x, side=PLUS):
-        """Value at the cut point (x, side); plain points may use either side."""
+        """Value at the cut point (x, side); plain points may use either side.
+
+        The reference that the counting-law tests read ``transfer`` with."""
         x = as_scalar(x)
         if x < ZERO or x > ONE:
             raise OutOfDomain("%s is outside [0,1]" % x.text())
@@ -106,29 +107,10 @@ class StepFn:
     def __neg__(self):
         return self * -1
 
-    def pieces(self):
-        """List of (from_cut, to_cut, value) spanning the whole interval."""
-        out = []
-        lo = CutPoint(ZERO, PLUS)
-        for b, v in zip(self.breaks, self.values):
-            out.append((lo, CutPoint(b, MINUS), v))
-            lo = CutPoint(b, PLUS)
-        out.append((lo, CutPoint(ONE, MINUS), self.values[-1]))
-        return out
-
-    def as_json(self):
-        return [
-            {
-                "from": {"value": a.value.text(), "side": a.side},
-                "to": {"value": b.value.text(), "side": b.side},
-                "value": v,
-            }
-            for a, b, v in self.pieces()
-        ]
-
     def __repr__(self):
-        return "StepFn(%s)" % "; ".join(
-            "%s on [%s, %s]" % (v, a.text(), b.text()) for a, b, v in self.pieces()
+        return "StepFn(breaks=[%s], values=%s)" % (
+            ", ".join(b.text() for b in self.breaks),
+            list(self.values),
         )
 
 

@@ -271,7 +271,7 @@ def test_criterion_7_transfer_oracle_suite():
             (a, b), (transfer(m, f), transfer(m, g))
         )
         nonneg = type(f)(f.breaks, tuple(abs(v) for v in f.values))
-        assert transfer(m, nonneg).is_nonnegative()
+        assert min(transfer(m, nonneg).values) >= 0
         maps_checked += 1
     print("ACCEPTANCE 7 PASS: 100 random maps, 20 exact counting-law points each")
 

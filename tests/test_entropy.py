@@ -55,7 +55,7 @@ def test_enclosure_sign_change_and_refinement():
 
 def test_entropy_report_tent(tent):
     data = detect_markov(tent)
-    certs = dynamics_certificates(tent, data, graph_flags(data.matrix), True)
+    certs = dynamics_certificates(data, graph_flags(data.matrix), True)
     flags = dynamics_flags(tent, certificates=certs)
     rep = entropy_report(tent, flags, data)
     assert rep.method == "perron_markov"

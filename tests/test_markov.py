@@ -1,23 +1,26 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from imapk.errors import CertificateFailure, InvalidMarkovPartition, NotSquare, NotZeroOne
 from imapk.families import FamilySpec, build
-from imapk.interval_map import MINUS, PLUS, CutPoint, validate_map
+from imapk.interval_map import PLUS, validate_map
 from imapk.markov import (
     MarkovData,
     _verify_row_images,
     detect_markov,
+    dynamics_certificates,
     graph_flags,
-    itinerary,
     markov_for_partition,
     separation_check,
 )
 from imapk.orbit import ProvablyInfinite
+from imapk.report import Pipeline, PipelineOptions
 from imapk.scalar import rational
 from imapk.snf import kgroups_from_incidence
+from imapk.specfile import parse_spec
 
 from conftest import A_OFFDIAG3
 
@@ -113,27 +116,10 @@ def test_primitivity_matches_wielandt_oracle():
         assert graph_flags(A).primitive == _wielandt_primitive(A)
 
 
-def test_itinerary_tent(tent):
-    data = detect_markov(tent)
-    assert itinerary(tent, data, CutPoint(rational(0), PLUS), 3).symbols == [1, 1, 1]
-    assert itinerary(tent, data, CutPoint(rational(1, 2), MINUS), 3).symbols == [1, 2, 1]
-
-
-def test_itinerary_shift_consistency(tent, golden_beta):
-    from imapk.markov import step_cut
-
-    for m in (tent, golden_beta):
-        data = detect_markov(m)
-        for start in (CutPoint(rational(0), PLUS), CutPoint(rational(1), MINUS)):
-            first = itinerary(m, data, start, 4).symbols
-            shifted = itinerary(m, data, step_cut(m, start), 4).symbols
-            assert first[1:] == shifted[:3]
-
-
 def test_separation(tent, offdiag_realization):
     for m in (tent, offdiag_realization):
         data = detect_markov(m)
-        rep = separation_check(m, data)
+        rep = separation_check(data, graph_flags(data.matrix))
         assert rep.status == "separates"
         assert rep.cuntz_krieger
 
@@ -149,7 +135,7 @@ def test_separation_fails_for_rotation():
     )
     data = detect_markov(m)
     assert data.matrix == [[0, 1], [1, 0]]
-    rep = separation_check(m, data)
+    rep = separation_check(data, graph_flags(data.matrix))
     assert rep.status == "fails"
 
 
@@ -163,6 +149,53 @@ def test_user_partition_accepted(offdiag_realization):
         kgroups_from_incidence(coarse.matrix).as_dict()
         == kgroups_from_incidence(fine.matrix).as_dict()
     )
+
+
+SPECS = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.imapk"))
+
+
+def test_canonical_data_is_piecewise_linear():
+    # every Markov interval of the critical closure lies inside one branch
+    markov = []
+    for path in SPECS:
+        spec = parse_spec(path.read_text())
+        data = Pipeline(spec, PipelineOptions.from_spec(spec)).markov_data
+        if data is not None:
+            assert data.canonical and data.piecewise_linear, path.stem
+            markov.append(path.stem)
+    assert markov == ["golden_beta", "realization", "tent"]
+    rng = random.Random(211)
+    for _ in range(20):
+        n = rng.randint(2, 5)
+        A = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        for row in A:
+            if not any(row):
+                row[rng.randrange(n)] = 1
+        assert detect_markov(build(FamilySpec("markov_realization", {"matrix": A}))).piecewise_linear
+
+
+def _two_slopes():
+    """Continuous and onto: slopes 2 and 1 on [0, 3/4], then 4 - 4x."""
+    q = Fraction(1, 4)
+    return validate_map([0, q, 3 * q, 1], [(2, 0), (1, q), (-4, 4)])
+
+
+def test_a_coarse_interval_across_two_slopes_decides_nothing():
+    # the critical set 0, 1/4, 3/4, 1 is in {0, 3/4, 1} after two steps:
+    # 1/4 -> 1/2 -> 3/4
+    data = markov_for_partition(_two_slopes(), [0, Fraction(3, 4), 1])
+    assert data.matrix == [[1, 1], [1, 1]]
+    assert not data.canonical and not data.piecewise_linear
+    flags = graph_flags(data.matrix)
+    rep = separation_check(data, flags)
+    assert (rep.status, rep.cuntz_krieger) == ("unknown", False)
+    assert rep.reason == "slope is not constant within every Markov interval"
+    assert dynamics_certificates(data, flags, True) == []
+    # the canonical data of the same map splits [0, 3/4] at 1/4 and 1/2
+    fine = detect_markov(_two_slopes())
+    assert fine.piecewise_linear and fine.size == 4
+    assert [c.prop for c in dynamics_certificates(fine, graph_flags(fine.matrix), True)] == [
+        "exact", "transitive"]
 
 
 def test_user_partition_rejected(tent):
@@ -182,15 +215,15 @@ def test_row_image_law(tent, golden_beta, offdiag_realization):
 
     for m in (tent, golden_beta, offdiag_realization):
         data = detect_markov(m)
-        for j in range(1, data.size + 1):
-            lo, hi = data.interval(j)
-            b = m.branches[data.branch_for_interval[j - 1]]
+        for j in range(data.size):
+            lo, hi = data.partition[j], data.partition[j + 1]
+            b = m.branches[m.branch_index_at(lo, PLUS)]
             u, v = b(lo), b(hi)
             image = (u, v) if u <= v else (v, u)
             selected = [
                 (data.partition[k], data.partition[k + 1])
                 for k in range(data.size)
-                if data.matrix[j - 1][k]
+                if data.matrix[j][k]
             ]
             assert merge_closed_intervals(selected) == [image]
 

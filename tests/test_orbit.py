@@ -102,6 +102,39 @@ def test_closed_reverification_random_markov_maps():
     assert verified >= 40
 
 
+def test_every_closed_orbit_of_0_and_1_of_the_shipped_specs_rechecks():
+    closed = 0
+    for path in SPECS:
+        m = parse_spec(path.read_text()).map
+        for x in (0, 1):
+            points, status = tau_orbit(m, x, 1000)
+            if isinstance(status, Closed):
+                assert reverify_closed(m, points, status), (path.stem, x)
+                closed += 1
+    assert closed == 7
+
+
+def test_a_planted_table_entry_fails_the_closed_orbit_recheck(tent):
+    from imapk.ktheory import beta_orbit_data, unimodal_orbit_data
+
+    # 0 is fixed, but the table says it maps to 1/2: the walk 0, 1/2, 1
+    # closes at 0, and stepping 0 three times through the branches gives 0
+    tent.images[rational(0)] = (rational(1, 2),)
+    points, status = tau_orbit(tent, 0)
+    assert [p.text() for p in points] == ["0", "1/2", "1"]
+    assert status == Closed(0, 3)
+    assert not reverify_closed(tent, points, status)
+    with pytest.raises(CertificateFailure, match="the closed orbit of 0 fails its re-check"):
+        unimodal_orbit_data(tent)
+    # the doubling map fixes 1; planted 1 -> 1/2 gives the walk 1, 1/2, 0
+    doubling = build(FamilySpec("beta", {"beta": 2}))
+    doubling.images[ONE] = (rational(1, 2),)
+    points, status = tau_orbit(doubling, 1)
+    assert status == Closed(2, 1) and not reverify_closed(doubling, points, status)
+    with pytest.raises(CertificateFailure, match="the closed orbit of 1 fails its re-check"):
+        beta_orbit_data(doubling, 2)
+
+
 def test_idoc_golden_exchange(golden_exchange):
     result = idoc_check(golden_exchange, 1000)
     assert isinstance(result, IdocHolds)

@@ -4,7 +4,7 @@ No ``assert`` statement (``python -O`` would strip a check), no float literal,
 no call of ``float`` and nothing from ``math`` beyond the integer functions:
 no floating-point value may decide anything.  No bare ``except:`` and no
 handler of ``Exception`` or ``BaseException``, which would swallow a
-``CertificateFailure``.
+``CertificateFailure``.  And no helper that nothing in the library calls.
 """
 
 import ast
@@ -72,3 +72,56 @@ def test_each_breach_is_caught(source, reason):
     assert [r for _, r in violations(ast.parse(source))] == [reason]
     assert violations(ast.parse("from math import gcd, lcm\nimport math\nn = math.isqrt(8) + 1")) == []
     assert violations(ast.parse("try:\n    f()\nexcept (KeyError, ValueError):\n    pass")) == []
+
+
+# Defined but called by no stage, each for a reason of its own:
+UNCALLED_ON_PURPOSE = {
+    # the references that the counting-law tests compare transfer against
+    "value_at",
+    "preimages",
+    # rebuilds a map from its report echo: the round-trip check of the
+    # benchmark's correctness gate and of the CLI tests
+    "map_from_echo",
+}
+
+
+def uncalled(sources):
+    """Names of the module-level functions and methods defined in ``sources``
+    (a dict: file name -> source text) that no module refers to, besides
+    its own definition and the package's ``__init__`` export.
+
+    A reference is a loaded name or attribute of that name, so this matches
+    by name: a method whose name another class's method or a call elsewhere
+    also uses (such as ``as_dict``) is never caught.  Dunder methods are
+    called by the interpreter and are skipped."""
+    defined, referred = set(), set()
+    for name, text in sources.items():
+        tree = ast.parse(text)
+        for node in tree.body:
+            for item in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not (item.name.startswith("__") and item.name.endswith("__")):
+                        defined.add(item.name)
+        if name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referred.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                referred.add(node.attr)
+    return sorted(defined - referred)
+
+
+def test_every_helper_has_a_caller_in_the_library():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert uncalled(sources) == sorted(UNCALLED_ON_PURPOSE)
+
+
+def test_an_uncalled_helper_is_caught():
+    sources = {
+        "a.py": "def used():\n    pass\n\nclass C:\n    def dead(self):\n        return used()\n"
+                "    def __repr__(self):\n        return ''\n",
+        "b.py": "from .a import C\n\ndef export():\n    return C()\n",
+        "__init__.py": "from .a import C\nfrom .b import export\nexport()\n",
+    }
+    assert uncalled(sources) == ["dead", "export"]

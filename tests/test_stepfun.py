@@ -85,7 +85,7 @@ def test_transfer_positivity_random():
         m = make_rational_map(rng)
         f = _random_stepfn(rng)
         nonneg = type(f)(f.breaks, tuple(abs(v) for v in f.values))
-        assert transfer(m, nonneg).is_nonnegative()
+        assert min(transfer(m, nonneg).values) >= 0
 
 
 def test_injective_piece_law_random():
@@ -123,15 +123,3 @@ def test_mass_law_surjective(tent):
     image = transfer(tent, one)
     for x in (Fraction(1, 3), Fraction(2, 3), Fraction(9, 10)):
         assert image.value_at(x) == len(preimages(tent, x))
-
-
-def test_json_rendering():
-    f = indicator(Fraction(1, 3), 1)
-    parts = f.as_json()
-    assert parts[0] == {
-        "from": {"value": "0", "side": "+"},
-        "to": {"value": "1/3", "side": "-"},
-        "value": 0,
-    }
-    assert parts[1]["from"] == {"value": "1/3", "side": "+"}
-    assert parts[1]["value"] == 1
