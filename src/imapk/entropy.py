@@ -2,11 +2,13 @@
 
 For Markov maps the entropy is the log of the spectral radius of the
 incidence matrix, enclosed by exact bisection on the characteristic
-polynomial (largest real root, tracked with Sturm counts so other real roots
-cannot mislead the bisection).  Degree-one and degree-two factors are solved
-exactly, so the examples at this scale come out as exact scalars.  Maps with
-uniform absolute slope and certified transitivity get the exact value from
-the slope; everything else is reported unknown rather than estimated.
+polynomial.  The bisection runs in integers over dyadic points; Sturm counts
+steer it until one real root is left in the bracket, so other real roots
+cannot mislead it, and a sign test per step finishes it.  Degree-one and
+degree-two factors are solved exactly, so the examples at this scale come
+out as exact scalars.  Maps with uniform absolute slope and certified
+transitivity get the exact value from the slope; everything else is
+reported unknown rather than estimated.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateFailure
-from .polynomials import IntPoly, count_real_roots, sturm_sequence
+from .polynomials import IntPoly, count_real_roots, homogeneous_eval, sturm_sequence
 from .scalar import NumberField, Scalar, as_scalar
 from .snf import char_poly
 from .markov import _strongly_connected_components, check_zero_one
@@ -26,23 +28,43 @@ def _largest_real_root(p: IntPoly, hi_bound: Fraction, tol: Fraction):
 
     Returns (lo, hi, exact) where exact is a Scalar when the root was
     identified exactly, else None.  Assumes p is monic with a real root >= 1.
+
+    The bracket is kept as integers lo/scale < hi/scale, halved by doubling
+    the scale, and the squarefree part q is evaluated at its points by the
+    homogeneous Horner scheme.  Sturm counts track how many roots (lo, hi]
+    holds; once it holds one, q changes sign there exactly once, so the sign
+    of q at the midpoint against its sign at hi locates the root.  A root at
+    a midpoint ends the search only when no root lies above it.
     """
     q = p.squarefree_part()
-    if q(hi_bound) == 0:
+    top = q(hi_bound)
+    if top == 0:
         s = as_scalar(hi_bound)
         return hi_bound, hi_bound, s
     seq = sturm_sequence(q.coeffs)
-    lo, hi = Fraction(0), Fraction(hi_bound)
-    if count_real_roots(q.coeffs, lo, hi, seq) < 1:
+    roots = count_real_roots(q.coeffs, Fraction(0), hi_bound, seq)
+    if roots < 1:
         raise CertificateFailure("no real root of %s in (0, %s]" % (q.text(), hi_bound))
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if q(mid) == 0:
-            return mid, mid, as_scalar(mid)
-        if count_real_roots(q.coeffs, mid, hi, seq) >= 1:
+    lo, hi, scale = 0, hi_bound.numerator, hi_bound.denominator
+    # hi moves down only past no root, so q keeps this sign at hi
+    hi_positive = top > 0
+    while (hi - lo) * tol.denominator > tol.numerator * scale:
+        mid, lo, hi, scale = lo + hi, 2 * lo, 2 * hi, 2 * scale
+        value = homogeneous_eval(q.coeffs, mid, scale)
+        if roots == 1:
+            above = value != 0 and (value > 0) != hi_positive
+        else:
+            above = count_real_roots(q.coeffs, Fraction(mid, scale), Fraction(hi, scale), seq)
+            roots = above or roots
+        if value == 0 and not above:
+            # the largest root: any other root in (mid, hi] was counted
+            x = Fraction(mid, scale)
+            return x, x, as_scalar(x)
+        if above:
             lo = mid
         else:
             hi = mid
+    lo, hi = Fraction(lo, scale), Fraction(hi, scale)
     exact = _identify_exact(q, lo, hi)
     return lo, hi, exact
 

@@ -34,6 +34,17 @@ def poly_eval(p, x):
     return acc
 
 
+def homogeneous_eval(poly, num, scale):
+    """p(num/scale) * scale^deg p for an integer polynomial, in integers;
+    for scale > 0 its sign is the sign of p(num/scale)."""
+    acc = poly[-1]
+    power = 1
+    for c in reversed(poly[:-1]):
+        power *= scale
+        acc = acc * num + c * power
+    return acc
+
+
 def poly_neg(p):
     return tuple(-c for c in p)
 
@@ -104,20 +115,35 @@ def is_squarefree(p):
     return poly_degree(g) <= 0
 
 
+def _integral(p):
+    """The primitive integer polynomial that is a positive multiple of the
+    rational polynomial p; it has the sign of p at every point."""
+    if not p:
+        return p
+    den = lcm(*[Fraction(c).denominator for c in p])
+    ints = [int(c * den) for c in p]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
 def sturm_sequence(p):
-    seq = [poly_trim(p), poly_derivative(p)]
+    """The Sturm sequence of p, each member scaled by a positive factor to a
+    primitive integer polynomial: the signs, and so the counts, are those of
+    the rational sequence."""
+    seq = [_integral(poly_trim(p)), _integral(poly_derivative(p))]
     while seq[-1]:
         _, r = poly_divmod(seq[-2], seq[-1])
         if not r:
             break
-        seq.append(poly_neg(r))
+        seq.append(_integral(poly_neg(r)))
     return [s for s in seq if s]
 
 
 def _sign_variations(seq, x):
     signs = []
+    num, den = x.numerator, x.denominator
     for s in seq:
-        v = poly_eval(s, x)
+        v = homogeneous_eval(s, num, den)
         if v != 0:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -136,11 +162,11 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        c = poly_trim(int(x) for x in coeffs)
+        coeffs = tuple(coeffs)  # read a generator once, for the check and the value
         for x in coeffs:
             if int(x) != x:
                 raise ValueError("IntPoly requires integer coefficients")
-        self.coeffs = c
+        self.coeffs = poly_trim(int(x) for x in coeffs)
 
     @property
     def degree(self):
@@ -171,26 +197,23 @@ class IntPoly:
     def __neg__(self):
         return IntPoly(poly_neg(self.coeffs))
 
-    def content(self):
-        return gcd(*self.coeffs)
-
-    def primitive_part(self):
-        g = self.content()
-        if g <= 1:
-            return self
-        return IntPoly(c // g for c in self.coeffs)
-
     def squarefree_part(self):
-        """p / gcd(p, p'), normalized to primitive with positive lead."""
-        g = poly_gcd(self.coeffs, poly_derivative(self.coeffs))
-        if poly_degree(g) <= 0:
+        """p / gcd(p, p'), normalized to primitive with positive lead.
+
+        For p = t^k r with r(0) != 0 and k >= 1, gcd(p, p') is t^(k-1) gcd(r, r'),
+        so the rational gcd runs on r alone: characteristic polynomials of
+        Markov matrices often carry a high power of t.
+        """
+        zeros = next((i for i, c in enumerate(self.coeffs) if c), 0)
+        rest = self.coeffs[zeros:]
+        g = poly_gcd(rest, poly_derivative(rest))
+        if zeros <= 1 and poly_degree(g) <= 0:
             p = self
         else:
-            q, r = poly_divmod(self.coeffs, g)
+            q, r = poly_divmod(rest, g)
             if r:
                 raise CertificateFailure("squarefree part: the gcd does not divide the polynomial")
-            denoms = lcm(*[Fraction(c).denominator for c in q])
-            p = IntPoly(Fraction(c) * denoms for c in q).primitive_part()
+            p = IntPoly(_integral((0,) + q if zeros else q))
         if p.coeffs and p.coeffs[-1] < 0:
             p = -p
         return p

@@ -5,7 +5,8 @@ arbitrary-precision rational or an element of a real algebraic context
 ``Q(alpha)``, stored as a rational coefficient vector of ``alpha``.  The
 context is a :class:`NumberField`: a monic squarefree integer polynomial with
 no rational roots together with an isolating interval certified (by sign
-change and a Sturm count of one) to contain exactly one real root.
+change and, above degree two, a Sturm count of one) to contain exactly one
+real root.
 
 Comparisons are decided exactly.  Equality reduces to the zero coefficient
 vector.  The sign of a nonzero element is read off integer balls.  A field
@@ -65,6 +66,7 @@ from .errors import (
 from .polynomials import (
     IntPoly,
     count_real_roots,
+    homogeneous_eval,
     is_squarefree,
     poly_divmod,
     poly_eval,
@@ -80,16 +82,6 @@ _BALL_BITS = 64
 _ZERO_TEST_BITS = 1024
 
 DEGREE_CAP = 8
-
-
-def _homogeneous_eval(poly, num, scale):
-    """p(num/scale) * scale^deg p for an integer polynomial, in integers."""
-    acc = poly[-1]
-    power = 1
-    for c in reversed(poly[:-1]):
-        power *= scale
-        acc = acc * num + c * power
-    return acc
 
 
 def _power_range(a, b, k):
@@ -174,7 +166,8 @@ class NumberField:
         s_hi = poly_eval(self.poly, hi)
         if s_lo == 0 or s_hi == 0 or (s_lo > 0) == (s_hi > 0):
             raise InvalidNumberField("no sign change over the isolating interval")
-        if count_real_roots(self.poly, lo, hi) != 1:
+        # a sign change leaves an odd number of roots, for a quadratic one
+        if self.degree > 2 and count_real_roots(self.poly, lo, hi) != 1:
             raise InvalidNumberField("isolating interval does not contain exactly one root")
         self.iso = (lo, hi)
         self._sign_lo = 1 if s_lo > 0 else -1
@@ -214,7 +207,7 @@ class NumberField:
         mid = lo + hi
         scale *= 2
         # no rational roots, so the value at the midpoint is nonzero
-        if (_homogeneous_eval(self.poly, mid, scale) > 0) == (self._sign_lo > 0):
+        if (homogeneous_eval(self.poly, mid, scale) > 0) == (self._sign_lo > 0):
             return mid, 2 * hi, scale
         return 2 * lo, mid, scale
 

@@ -6,15 +6,19 @@ before being returned: the transforms are unimodular and the diagonal
 satisfies the divisibility chain.  Cokernels and kernels of id - A are read
 off the diagonal, which is all the K-group computations need.
 
-The characteristic polynomial is computed in exact integers (Faddeev-LeVerrier
-with exact division), and the stationary presentation reads its determinant
-and the rank of its limit group off that polynomial.  A failed check raises
+The characteristic polynomial is computed by a Hessenberg reduction modulo
+primes whose product exceeds twice a Hadamard bound on its coefficients,
+combined by CRT, and checked at one point against a Bareiss determinant; the
+stationary presentation reads its determinant and the rank of its limit
+group off that polynomial.  A failed check raises
 :class:`CertificateFailure`, which ``python -O`` cannot remove.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import isqrt
 from typing import NamedTuple
 
 from .errors import CertificateFailure, NotSquare
@@ -70,29 +74,123 @@ def determinant(A):
     return sign * M[-1][-1]
 
 
+def _is_prime(n):
+    """Miller-Rabin with the twelve primes up to 37 as bases, which decides
+    primality for every odd n > 37 below 318665857834031151167461 (Y. Jiang
+    and Y. Deng, Math. Comp. 83, 2014)."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _prime_below(n):
+    """The largest prime below n, for 41 < n <= 2^62."""
+    c = (n - 2) | 1
+    while not _is_prime(c):
+        c -= 2
+    return c
+
+
+def _moduli(bound):
+    """The largest primes below 2^62, in decreasing order, as many as make
+    their product exceed bound."""
+    p, product = 1 << 62, 1
+    while product <= bound:
+        p = _prime_below(p)
+        product *= p
+        yield p
+
+
+def _char_poly_mod(A, p):
+    """Coefficients, ascending, of det(tI - A) mod the prime p.
+
+    A is reduced to upper Hessenberg form H by similarity over GF(p); the
+    characteristic polynomials p_m of the leading m x m blocks of H then obey
+    p_m = (t - h_mm) p_{m-1} - sum_{i<m} h_im h_{i+1,i} ... h_{m,m-1} p_{i-1}
+    (H. Cohen, GTM 138, Alg. 2.2.9).
+    """
+    n = len(A)
+    H = [[x % p for x in row] for row in A]
+    for m in range(1, n - 1):
+        col = m - 1
+        pivot = next((i for i in range(m, n) if H[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            H[pivot], H[m] = H[m], H[pivot]
+            for row in H:
+                row[pivot], row[m] = row[m], row[pivot]
+        Hm = H[m]
+        inv = pow(Hm[col], -1, p)
+        for i in range(m + 1, n):
+            if H[i][col]:
+                u = H[i][col] * inv % p
+                H[i] = [(a - u * b) % p for a, b in zip(H[i], Hm)]
+                for row in H:
+                    if row[i]:
+                        row[m] = (row[m] + u * row[i]) % p
+    polys = [[1]]
+    for m in range(n):
+        prev = polys[-1]
+        h = H[m][m]
+        new = [-h * prev[0]] + [a - h * b for a, b in zip(prev, prev[1:])] + [1]
+        product = 1
+        for i in range(m - 1, -1, -1):
+            product = product * H[i + 1][i] % p
+            if not product:
+                break
+            c = H[i][m] * product % p
+            if c:
+                for k, x in enumerate(polys[i]):
+                    new[k] -= c * x
+        polys.append([c % p for c in new])
+    return polys[-1]
+
+
 def char_poly(A):
     """Characteristic polynomial det(tI - A) of an integer matrix.
 
-    Faddeev-LeVerrier: M_0 = I, c_k = -tr(A*M_{k-1})/k, M_k = A*M_{k-1} + c_k*I.
-    For integer A every c_k is an integer, so the division is exact and M
-    stays an integer matrix.
+    The coefficient of t^(n-k) is (-1)^k times the sum of the k x k principal
+    minors.  By Hadamard's inequality a minor is at most the product of the
+    norms of its rows, so summed over all index sets every coefficient is at
+    most B = prod(1 + |row|) <= prod(2 + isqrt(|row|^2)) in absolute value.
+    The polynomial is computed modulo primes whose product M exceeds 2B,
+    combined by CRT and read off as residues in (-M/2, M/2], so it is exact
+    by that bound.  Its value at t = 2 is then checked against a Bareiss
+    determinant of 2I - A: unlike at t = 1, two wrong coefficients that
+    trade places do not cancel there.
     """
-    n = len(A)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    M = identity_matrix(n)
-    for k in range(1, n + 1):
-        AM = mat_mul(A, M)
-        c, r = divmod(-sum(AM[i][i] for i in range(n)), k)
-        if r:
-            raise CertificateFailure(
-                "Faddeev-LeVerrier trace not divisible by %d: not an integer matrix" % k
-            )
-        coeffs[n - k] = c
-        for i in range(n):
-            AM[i][i] += c
-        M = AM
-    return IntPoly(coeffs)
+    n = _require_square(A)
+    M = [[int(x) for x in row] for row in A]
+    if M != [list(row) for row in A]:
+        raise CertificateFailure("characteristic polynomial: not an integer matrix")
+    bound = 1
+    for row in M:
+        bound *= 2 + isqrt(sum(x * x for x in row))
+    coeffs, modulus = [0] * (n + 1), 1
+    for p in _moduli(2 * bound):
+        step = pow(modulus, -1, p)
+        residues = _char_poly_mod(M, p)
+        coeffs = [c + modulus * ((r - c) * step % p) for c, r in zip(coeffs, residues)]
+        modulus *= p
+    poly = IntPoly(c - modulus if 2 * c > modulus else c for c in coeffs)
+    shifted = [[2 * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(M)]
+    if poly(2) != determinant(shifted):
+        raise CertificateFailure("characteristic polynomial: p(2) != det(2I - A)")
+    return poly
 
 
 @dataclass

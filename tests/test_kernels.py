@@ -1,11 +1,13 @@
 """Reference tests for the integer kernels on the Markov path.
 
-The characteristic polynomial, the stationary presentation, the dependence
-solve and the transfer step work in Python integers.  Each is compared here
-with an independent computation: Bareiss determinants of tI - A, the rank of
-A^n by Fraction elimination, and the Fraction Gauss-Jordan solve, the
-merge-walk sums and the per-branch transfer the library used before, kept
-below as the reference.
+The characteristic polynomial, the Perron bisection, the stationary
+presentation, the dependence solve and the transfer step work in Python
+integers.  Each is compared here with an independent computation: Bareiss
+determinants of tI - A, the rank of A^n by Fraction elimination, and the
+Faddeev-LeVerrier characteristic polynomial, the bisection with a Fraction
+Sturm count at every step, the Fraction Gauss-Jordan solve, the merge-walk
+sums and the per-branch transfer the library used before, kept below as the
+reference.
 """
 
 import bisect
@@ -14,16 +16,21 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from imapk import ktheory
+from imapk import ktheory, snf
+from imapk.entropy import _identify_exact, _largest_real_root, perron_enclosure
 from imapk.errors import CertificateFailure
 from imapk.ktheory import _sample_rows, _solve_dependence, minimal_polynomial_iter
 from imapk.interval_map import eval_multivalued
+from imapk.polynomials import (
+    IntPoly, count_real_roots, sturm_sequence, poly_derivative, poly_divmod, poly_eval, poly_gcd, poly_neg, poly_trim,
+)
 from imapk.scalar import ONE, ZERO, as_scalar
 from imapk.snf import (
     SmithDecomposition,
@@ -31,6 +38,7 @@ from imapk.snf import (
     char_poly,
     determinant,
     identity_matrix,
+    mat_mul,
     mat_sub,
     smith_normal_form,
     stationary_dimension_triple,
@@ -125,6 +133,349 @@ def test_det_and_limit_rank_read_off_char_poly(A):
 def test_char_poly_rejects_non_integer_matrix():
     with pytest.raises(CertificateFailure):
         char_poly([[Fraction(1, 2)]])
+
+
+def reference_char_poly(A):
+    """Faddeev-LeVerrier: M_0 = I, c_k = -tr(A*M_{k-1})/k, M_k = A*M_{k-1} + c_k*I."""
+    n = len(A)
+    coeffs = [0] * n + [1]
+    M = identity_matrix(n)
+    for k in range(1, n + 1):
+        AM = mat_mul(A, M)
+        c, r = divmod(-sum(AM[i][i] for i in range(n)), k)
+        assert r == 0
+        coeffs[n - k] = c
+        for i in range(n):
+            AM[i][i] += c
+        M = AM
+    return IntPoly(coeffs)
+
+
+def moduli_used(monkeypatch):
+    """The primes that char_poly reduces modulo, in the order it uses them."""
+    used = []
+    real = snf._char_poly_mod
+
+    def spy(A, p):
+        used.append(p)
+        return real(A, p)
+
+    monkeypatch.setattr(snf, "_char_poly_mod", spy)
+    return used
+
+
+# 0 sits below the diagonal of the first column, so the reduction skips it
+ZERO_SUBDIAGONAL = [[1, 1, 0, 1], [0, 0, 1, 1], [0, 1, 1, 0], [0, 1, 0, 1]]
+# at the second step the sub-diagonal entry of column 1 is 0 and the pivot
+# comes from row 4, so two rows and two columns swap
+LATE_PIVOT = [[0, 1, 0, 0, 1], [1, 0, 0, 0, 0], [0, 0, 1, 0, 1], [0, 0, 0, 1, 0], [0, 1, 1, 0, 0]]
+BLOCK_TRIANGULAR = [
+    [0, 1, 1, 1, 0, 0, 1],
+    [1, 0, 1, 0, 1, 0, 0],
+    [1, 1, 0, 0, 0, 1, 1],
+    [0, 0, 0, 1, 1, 0, 0],
+    [0, 0, 0, 1, 0, 1, 1],
+    [0, 0, 0, 0, 1, 1, 0],
+    [0, 0, 0, 0, 0, 0, 1],
+]
+# Hadamard bound about 2^222: four primes
+LARGE_SQUARE = [[(-1) ** (i * j) * (10**13 + 7 * i + j) for j in range(5)] for i in range(5)]
+# Hadamard bound about 2^83, above 2^62: two primes and one CRT step
+NEAR_MILLION = [[10**6 - 1, -(10**6), 999_983, 2], [10**6, 10**6 - 7, -3, 10**6],
+                [-999_999, 1, 10**6, 10**6 - 1], [5, 10**6, -(10**6) + 3, 999_979]]
+
+
+@KERNEL_SETTINGS
+@given(int_matrices())
+@example([])
+@example([[0]])
+@example([[-7]])
+@example(ZERO_SUBDIAGONAL)
+@example(LATE_PIVOT)
+@example(BLOCK_TRIANGULAR)
+@example(NEAR_MILLION)
+@example(CYCLE_12)
+@example(ONES_12)
+@example(SHIFT_12)
+def test_char_poly_matches_faddeev_leverrier(A):
+    assert char_poly(A) == reference_char_poly(A)
+
+
+@st.composite
+def large_matrices(draw):
+    """Square matrices, n = 1..6, with entries up to 10^12, which need
+    several moduli and CRT steps."""
+    n = draw(st.integers(1, 6))
+    size = 10 ** draw(st.integers(3, 12))
+    return [[draw(st.integers(-size, size)) for _ in range(n)] for _ in range(n)]
+
+
+@KERNEL_SETTINGS
+@given(large_matrices())
+def test_char_poly_with_large_entries_matches_faddeev_leverrier(A):
+    assert char_poly(A) == reference_char_poly(A)
+
+
+def test_char_poly_of_the_explicit_examples():
+    assert char_poly([]) == IntPoly([1])
+    assert char_poly([[-7]]) == IntPoly([7, 1])
+    # the third diagonal block of BLOCK_TRIANGULAR is (1): a factor t - 1
+    assert char_poly(BLOCK_TRIANGULAR) == char_poly([r[:3] for r in BLOCK_TRIANGULAR[:3]]) * \
+        char_poly([r[3:6] for r in BLOCK_TRIANGULAR[3:6]]) * IntPoly([-1, 1])
+    assert char_poly(ZERO_SUBDIAGONAL) == IntPoly([-1, 1]) * char_poly(
+        [r[1:] for r in ZERO_SUBDIAGONAL[1:]])
+
+
+@pytest.mark.parametrize("A, count", [
+    (ONES_12, 1),  # every row has norm sqrt(12), isqrt 3: the bound is 5^12
+    (NEAR_MILLION, 2),
+    # the largest prime below 2^62 is 2^62 - 57, and 2 * (2 + x) just exceeds it
+    ([[2**61 - 30]], 2),
+    ([[2**61 - 31]], 1),
+    (LARGE_SQUARE, 4),
+], ids=["ones_12", "near_million", "two_primes_at_the_edge", "one_prime_at_the_edge", "large"])
+def test_the_moduli_are_the_fewest_whose_product_exceeds_twice_the_bound(A, count, monkeypatch):
+    bound = 1
+    for row in A:
+        bound *= 2 + isqrt(sum(x * x for x in row))
+    used = moduli_used(monkeypatch)
+    assert char_poly(A) == reference_char_poly(A)
+    assert len(used) == count
+    product = 1
+    for p in used:
+        assert product <= 2 * bound
+        product *= p
+    assert product > 2 * bound
+    assert len(set(used)) == len(used) and all(2**61 < p < 2**62 for p in used)
+    assert all(pow(a, p - 1, p) == 1 for p in used for a in (2, 3, 5, 7))
+
+
+def _wrong_coefficient(real):
+    def tampered(A, p):
+        residues = real(A, p)
+        residues[0] = (residues[0] + 1) % p
+        return residues
+
+    return tampered
+
+
+A_TENT_LIKE = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+
+
+def test_a_wrong_coefficient_fails_the_point_check(monkeypatch):
+    monkeypatch.setattr(snf, "_char_poly_mod", _wrong_coefficient(snf._char_poly_mod))
+    for A in ([[2]], A_TENT_LIKE, ONES_12, NEAR_MILLION):
+        with pytest.raises(CertificateFailure):
+            char_poly(A)
+
+
+def test_a_wrong_coefficient_fails_the_point_check_under_optimize():
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, %r)\n"
+        "from test_kernels import _wrong_coefficient, A_TENT_LIKE\n"
+        "from imapk import snf\n"
+        "from imapk.errors import CertificateFailure\n"
+        "assert False, 'asserts are on'\n"
+        "snf._char_poly_mod = _wrong_coefficient(snf._char_poly_mod)\n"
+        "try:\n"
+        "    snf.char_poly(A_TENT_LIKE)\n"
+        "except CertificateFailure:\n"
+        "    print('CertificateFailure')\n" % str(Path(__file__).parent)
+    )
+    assert _run_optimized(code) == "CertificateFailure"
+
+
+# -- Perron bisection ------------------------------------------------------------
+
+
+def reference_sturm_sequence(p):
+    seq = [poly_trim(p), poly_derivative(p)]
+    while seq[-1]:
+        _, r = poly_divmod(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append(poly_neg(r))
+    return [s for s in seq if s]
+
+
+def reference_count(seq, lo, hi):
+    """Distinct roots in (lo, hi] from the sign variations of a Fraction Sturm sequence."""
+    def variations(x):
+        signs = [v > 0 for v in (poly_eval(s, x) for s in seq) if v != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return variations(lo) - variations(hi)
+
+
+POINTS = st.fractions(min_value=-12, max_value=12, max_denominator=64)
+
+
+@KERNEL_SETTINGS
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=9), st.integers(1, 6), POINTS, POINTS)
+def test_integer_sturm_counts_match_the_fraction_sequence(coeffs, den, a, b):
+    # the library scales each member to a primitive integer polynomial;
+    # rational input (as from a monic gcd) is scaled the same way
+    p = IntPoly(coeffs).squarefree_part().coeffs
+    rational = tuple(Fraction(c, den) for c in p)
+    lo, hi = min(a, b), max(a, b)
+    for poly in (p, rational):
+        seq = sturm_sequence(poly)
+        assert all(type(c) is int for member in seq for c in member)
+        assert count_real_roots(poly, lo, hi, seq) == \
+            reference_count(reference_sturm_sequence(poly), lo, hi)
+
+
+def reference_largest_real_root(p, hi_bound, tol):
+    """The bisection with a Fraction Sturm count at every step.  It stops at
+    a root on a midpoint only when no root lies above it; the library's old
+    bisection stopped at any such root (see test_a_smaller_root_on_a_midpoint)."""
+    q = p.squarefree_part()
+    if q(hi_bound) == 0:
+        return hi_bound, hi_bound, as_scalar(hi_bound)
+    seq = reference_sturm_sequence(q.coeffs)
+    lo, hi = Fraction(0), Fraction(hi_bound)
+    if reference_count(seq, lo, hi) < 1:
+        raise CertificateFailure("no real root")
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if reference_count(seq, mid, hi) >= 1:
+            lo = mid
+        elif q(mid) == 0:
+            return mid, mid, as_scalar(mid)
+        else:
+            hi = mid
+    return lo, hi, _identify_exact(q, lo, hi)
+
+
+def _same_enclosure(got, want):
+    assert got[:2] == want[:2]
+    assert (got[2] is None) == (want[2] is None)
+    if got[2] is not None:
+        assert got[2].text() == want[2].text() and got[2] == want[2]
+
+
+def _poly(*roots):
+    """The monic integer polynomial with these integer roots, with multiplicity."""
+    p = IntPoly([1])
+    for r in roots:
+        p = p * IntPoly([-r, 1])
+    return p
+
+
+TOLERANCES = st.integers(100, 10**12).map(lambda d: Fraction(1, d))
+
+
+@KERNEL_SETTINGS
+@given(int_matrices(), TOLERANCES)
+@example(ONES_12, Fraction(1, 100))
+@example(CYCLE_12, Fraction(1, 10**12))
+@example(BLOCK_TRIANGULAR, Fraction(1, 10**12))
+def test_largest_real_root_matches_sturm_bisection(A, tol):
+    # the Perron setting: the characteristic polynomial of a nonnegative
+    # matrix and its largest row sum, when that is positive
+    A = [[abs(x) for x in row] for row in A]
+    bound = max(sum(row) for row in A)
+    if bound == 0:
+        return
+    p = char_poly(A)
+    try:
+        want = reference_largest_real_root(p, Fraction(bound), tol)
+    except CertificateFailure:
+        with pytest.raises(CertificateFailure):
+            _largest_real_root(p, Fraction(bound), tol)
+        return
+    _same_enclosure(_largest_real_root(p, Fraction(bound), tol), want)
+
+
+@pytest.mark.parametrize("p, bound", [
+    (_poly(1, -1), 2),          # the first midpoint is the root
+    (_poly(3, -3), 4),          # a midpoint after one sign step is the root
+    (_poly(1, 3, -2), 4),       # two roots: Sturm steps, then a root at a midpoint
+    (_poly(1, -1) * IntPoly([-2, 0, 1]), 2),  # a smaller root at the first midpoint
+    (_poly(2, 0), 2),           # the root is the row-sum bound
+    (_poly(2, 2, 1, -1, -1, -1), 3),  # repeated roots
+    (_poly(0, 0, 0) * IntPoly([-1, -1, 1]), 2),  # a triple root at 0 and phi
+    (IntPoly([-1, -1, 1]) * IntPoly([-2, 0, 1]), 2),  # phi and sqrt 2, 0.2 apart
+    (IntPoly([-1, 0, -1, 1]), 2),  # the real root of t^3 - t^2 - 1, cubic
+])
+@pytest.mark.parametrize("tol", [Fraction(1, 100), Fraction(1, 10**6), Fraction(3, 10**12)])
+def test_largest_real_root_examples(p, bound, tol):
+    want = reference_largest_real_root(p, Fraction(bound), tol)
+    _same_enclosure(_largest_real_root(p, Fraction(bound), tol), want)
+
+
+def test_largest_real_root_keeps_the_exact_values():
+    assert _largest_real_root(_poly(1, -1), Fraction(2), Fraction(1, 10**6))[:2] == (1, 1)
+    assert _largest_real_root(_poly(2, 0), Fraction(2), Fraction(1, 10**6))[:2] == (2, 2)
+    lo, hi, exact = _largest_real_root(_poly(1, 3, -2), Fraction(4), Fraction(1, 10**6))
+    assert lo == hi == 3 and exact.text() == "3"
+    lo, hi, exact = _largest_real_root(IntPoly([-2, 0, 1]) * _poly(1), Fraction(2), Fraction(1, 100))
+    assert lo < hi and hi - lo <= Fraction(1, 100) and exact.field.poly == (-2, 0, 1)
+
+
+def test_a_smaller_root_on_a_midpoint_does_not_end_the_search():
+    # (t - 1)(t^3 - t^2 - t - 1): the first midpoint 1 is a root, but the
+    # spectral radius is the tribonacci constant, about 1.839; the bisection
+    # once stopped at 1 and reported the entropy ln 1
+    A = [[0, 0, 0, 1], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 1, 0]]
+    assert char_poly(A) == _poly(1) * IntPoly([-1, -1, -1, 1])
+    lo, hi, exact = perron_enclosure(A)
+    assert Fraction(1839, 1000) < lo < hi < Fraction(1840, 1000)
+    assert exact is None
+
+
+def test_perron_enclosure_raises_without_a_root_below_the_bound():
+    with pytest.raises(CertificateFailure):
+        _largest_real_root(_poly(5), Fraction(2), Fraction(1, 100))
+    assert perron_enclosure([[0, 1], [0, 0]]) == (0, 0, as_scalar(0))
+
+
+# -- integer polynomials ---------------------------------------------------------
+
+
+def reference_squarefree_part(p):
+    """p / gcd(p, p') by one rational gcd, normalized as the library does."""
+    g = poly_gcd(p.coeffs, poly_derivative(p.coeffs))
+    if len(g) <= 1:
+        q = p
+    else:
+        quotient, remainder = poly_divmod(p.coeffs, g)
+        assert not remainder
+        den = lcm(*[c.denominator for c in quotient])
+        ints = [int(c * den) for c in quotient]
+        q = IntPoly(c // gcd(*ints) for c in ints)
+    return -q if q.coeffs and q.coeffs[-1] < 0 else q
+
+
+@KERNEL_SETTINGS
+@given(int_matrices(), st.integers(-3, 3))
+@example([[0]], 1)
+@example(SHIFT_12, -2)
+def test_squarefree_part_matches_one_rational_gcd(A, scale):
+    # scale 0 gives the zero polynomial, negative ones a negative lead
+    p = char_poly(A) * IntPoly([scale])
+    assert p.squarefree_part() == reference_squarefree_part(p)
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    ((), ()), ((5,), (5,)), ((-5,), (5,)),
+    ((0, 0, 3), (0, 1)),            # 3t^2: made primitive, as it is not squarefree
+    ((0, 4, 2), (0, 4, 2)),         # t(2t + 4) is squarefree and kept as it is
+    ((0, 0, 0, 4, 2), (0, 2, 1)),   # t^3 (2t + 4)
+    ((0, 0, 1, -2, 1), (0, -1, 1)),  # t^2 (t - 1)^2
+])
+def test_squarefree_part_splits_off_the_root_zero(coeffs, want):
+    assert IntPoly(coeffs).squarefree_part().coeffs == want == \
+        reference_squarefree_part(IntPoly(coeffs)).coeffs
+
+
+@pytest.mark.parametrize("make", [list, tuple, iter, lambda c: (x for x in c)],
+                         ids=["list", "tuple", "iterator", "generator"])
+def test_int_poly_reads_every_form_of_its_coefficients_once(make):
+    assert IntPoly(make([Fraction(4, 2), 0, 1, 0])).coeffs == (2, 0, 1)
+    with pytest.raises(ValueError):
+        IntPoly(make([Fraction(1, 2), 1]))
 
 
 # -- dependence solve ----------------------------------------------------------
@@ -339,12 +690,17 @@ def test_tampered_smith_certificate_raises_under_optimize():
         "except CertificateFailure:\n"
         "    print('CertificateFailure')\n" % str(Path(__file__).parent)
     )
+    assert _run_optimized(code) == "CertificateFailure"
+
+
+def _run_optimized(code):
+    """Standard output of code run under python -O, with the library importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "CertificateFailure"
+    return done.stdout.strip()
 
 
 def test_minimal_polynomial_reverification_raises(tent, monkeypatch):

@@ -14,6 +14,7 @@ from imapk import interval_map, ktheory, report, stepfun
 from imapk.entropy import entropy_report, perron_enclosure
 from imapk.errors import InvalidMarkovPartition, ReducibleMinimalPolynomial
 from imapk.interval_map import AffineBranch
+from imapk.polynomials import count_real_roots
 from imapk.orbit import critical_closure, forward_orbit, idoc_check, keane_idoc
 from imapk.report import run, to_json
 from imapk.scalar import Scalar
@@ -129,6 +130,14 @@ def test_one_characteristic_polynomial_per_markov_report(name, command, monkeypa
     run(command, parse_spec((ROOT / "specs" / ("%s.imapk" % name)).read_text()))
     assert calls["perron_enclosure"] == calls["stationary_dimension_triple"] == 1
     assert calls["char_poly"] == 1
+
+
+def test_an_isolated_perron_root_takes_one_sturm_count(monkeypatch):
+    # (0, 2] holds only the golden ratio, so sign tests make every halving
+    calls = count_calls(monkeypatch, count_real_roots)
+    lo, hi, _ = perron_enclosure([[1, 1], [1, 0]])
+    assert hi - lo <= Fraction(1, 10**6)
+    assert calls["count_real_roots"] == 1
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -122,6 +122,8 @@ def test_field_validation():
         NumberField([-1, 0, 1], (0, 2))  # rational roots
     with pytest.raises(InvalidNumberField):
         NumberField([-2, 0, 1], (-2, 2))  # two roots isolated
+    with pytest.raises(InvalidNumberField, match="exactly one root"):
+        NumberField([1, -3, 0, 1], (-2, 2))  # a sign change over three roots
     with pytest.raises(InvalidNumberField):
         NumberField([-2, 1], (1, 3))  # degree 1
     with pytest.raises(InvalidNumberField):
