@@ -115,7 +115,7 @@ def is_squarefree(p):
     return poly_degree(g) <= 0
 
 
-def _integral(p):
+def integral(p):
     """The primitive integer polynomial that is a positive multiple of the
     rational polynomial p; it has the sign of p at every point."""
     if not p:
@@ -130,12 +130,12 @@ def sturm_sequence(p):
     """The Sturm sequence of p, each member scaled by a positive factor to a
     primitive integer polynomial: the signs, and so the counts, are those of
     the rational sequence."""
-    seq = [_integral(poly_trim(p)), _integral(poly_derivative(p))]
+    seq = [integral(poly_trim(p)), integral(poly_derivative(p))]
     while seq[-1]:
         _, r = poly_divmod(seq[-2], seq[-1])
         if not r:
             break
-        seq.append(_integral(poly_neg(r)))
+        seq.append(integral(poly_neg(r)))
     return [s for s in seq if s]
 
 
@@ -198,22 +198,15 @@ class IntPoly:
         return IntPoly(poly_neg(self.coeffs))
 
     def squarefree_part(self):
-        """p / gcd(p, p'), normalized to primitive with positive lead.
-
-        For p = t^k r with r(0) != 0 and k >= 1, gcd(p, p') is t^(k-1) gcd(r, r'),
-        so the rational gcd runs on r alone: characteristic polynomials of
-        Markov matrices often carry a high power of t.
-        """
-        zeros = next((i for i, c in enumerate(self.coeffs) if c), 0)
-        rest = self.coeffs[zeros:]
-        g = poly_gcd(rest, poly_derivative(rest))
-        if zeros <= 1 and poly_degree(g) <= 0:
+        """p / gcd(p, p'), normalized to primitive with positive lead."""
+        g = poly_gcd(self.coeffs, poly_derivative(self.coeffs))
+        if poly_degree(g) <= 0:
             p = self
         else:
-            q, r = poly_divmod(rest, g)
+            q, r = poly_divmod(self.coeffs, g)
             if r:
                 raise CertificateFailure("squarefree part: the gcd does not divide the polynomial")
-            p = IntPoly(_integral((0,) + q if zeros else q))
+            p = IntPoly(integral(q))
         if p.coeffs and p.coeffs[-1] < 0:
             p = -p
         return p

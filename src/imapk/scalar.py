@@ -5,8 +5,7 @@ arbitrary-precision rational or an element of a real algebraic context
 ``Q(alpha)``, stored as a rational coefficient vector of ``alpha``.  The
 context is a :class:`NumberField`: a monic squarefree integer polynomial with
 no rational roots together with an isolating interval certified (by sign
-change and, above degree two, a Sturm count of one) to contain exactly one
-real root.
+change and a Sturm count of one) to contain exactly one real root.
 
 Comparisons are decided exactly.  Equality reduces to the zero coefficient
 vector.  The sign of a nonzero element is read off integer balls.  A field
@@ -54,7 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import lcm
 from operator import itemgetter
 
 from .errors import (
@@ -67,6 +66,7 @@ from .polynomials import (
     IntPoly,
     count_real_roots,
     homogeneous_eval,
+    integral,
     is_squarefree,
     poly_divmod,
     poly_eval,
@@ -133,14 +133,9 @@ class NumberField:
     )
 
     def __init__(self, coeffs, isolating_interval):
-        cleared = [Fraction(c) for c in coeffs]
-        cleared = poly_trim(cleared)
-        if not cleared:
+        ints = integral(poly_trim([Fraction(c) for c in coeffs]))
+        if not ints:
             raise InvalidNumberField("defining polynomial is zero")
-        denom = lcm(*[c.denominator for c in cleared])
-        ints = [int(c * denom) for c in cleared]
-        content = gcd(*ints)
-        ints = [c // content for c in ints]
         if ints[-1] < 0:
             ints = [-c for c in ints]
         if ints[-1] != 1:
@@ -166,8 +161,7 @@ class NumberField:
         s_hi = poly_eval(self.poly, hi)
         if s_lo == 0 or s_hi == 0 or (s_lo > 0) == (s_hi > 0):
             raise InvalidNumberField("no sign change over the isolating interval")
-        # a sign change leaves an odd number of roots, for a quadratic one
-        if self.degree > 2 and count_real_roots(self.poly, lo, hi) != 1:
+        if count_real_roots(self.poly, lo, hi) != 1:
             raise InvalidNumberField("isolating interval does not contain exactly one root")
         self.iso = (lo, hi)
         self._sign_lo = 1 if s_lo > 0 else -1

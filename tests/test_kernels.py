@@ -465,7 +465,7 @@ def test_squarefree_part_matches_one_rational_gcd(A, scale):
     ((0, 0, 0, 4, 2), (0, 2, 1)),   # t^3 (2t + 4)
     ((0, 0, 1, -2, 1), (0, -1, 1)),  # t^2 (t - 1)^2
 ])
-def test_squarefree_part_splits_off_the_root_zero(coeffs, want):
+def test_squarefree_part_keeps_the_root_zero_once(coeffs, want):
     assert IntPoly(coeffs).squarefree_part().coeffs == want == \
         reference_squarefree_part(IntPoly(coeffs)).coeffs
 
