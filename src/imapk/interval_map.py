@@ -12,7 +12,7 @@ which ``PMMap.branch_index_at`` and ``StepFn.value_at`` take.
 same values through the map's table ``images``, which it alone fills, so the
 walks and the transfer operator of one report map each point once;
 ``report.run`` empties the table when its report is built.  The re-checks of
-a result (a closed orbit, a growth witness, a minimal polynomial) never read
+a result (a closed orbit, a valuation witness, a minimal polynomial) never read
 the table: they evaluate the branches directly.
 """
 
@@ -84,13 +84,14 @@ class AffineBranch:
 class PMMap:
     """Validated piecewise monotonic map; use :func:`validate_map` to build one."""
 
-    __slots__ = ("partition", "branches", "field", "notes", "images")
+    __slots__ = ("partition", "branches", "field", "notes", "images", "certificate")
 
     def __init__(self, partition, branches, notes=()):
         self.partition = tuple(partition)
         self.branches = tuple(branches)
         self.notes = tuple(notes)
         self.images = {}  # point -> its one-sided values; see eval_multivalued
+        self.certificate = None  # orbit's valuation certificate, built on the first search
         self.field = common_field(
             *self.partition,
             *(b.slope for b in self.branches),

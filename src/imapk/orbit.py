@@ -15,7 +15,7 @@ of a report mapped is looked up, not mapped again, by the next: the
 closure, the partition orbits and the interior walks share the map's table
 of images.  The single-valued step takes the one value from that table and
 evaluates its branch only at a partition point whose two limits differ.
-``reverify_closed`` and the growth witness re-check a result through the
+``reverify_closed`` and the valuation witness re-check a result through the
 branches themselves, never through the table.  ``reverify_closed`` checks
 the whole walk of a closed single-valued orbit, each point against the
 next; ``ktheory`` runs it on the critical orbit that the unimodal and beta
@@ -23,19 +23,28 @@ closed forms read.
 
 A search stops for one of four reasons: it completes (every value was
 already seen), it passes the cap (``CapReached``), a coordinate passes
-``MAX_COEFF_BITS`` (``SizeLimitReached``), or the growth certificate below
-proves the orbit infinite.  Eventual periodicity is detected by exact
+``MAX_COEFF_BITS`` (``SizeLimitReached``), or the valuation certificate
+below proves the orbit infinite.  Eventual periodicity is detected by exact
 revisit lookup (scalars are canonical and hashable), never by floating
 shadows.
 
-The ``ProvablyInfinite`` status carries a machine-checkable certificate: when
-every branch slope has the same reduced denominator q > 1 and every intercept
-denominator is a power of q, any rational iterate whose reduced denominator
-is a power of q large enough (at least q^{e} for the largest intercept
-exponent e, and larger than every partition denominator) has all later
-iterates with strictly growing pure q-power denominators.  Such an orbit
-never revisits a point and never lands on a partition point, so it is
-infinite; the cap result is upgraded to a theorem.
+The ``ProvablyInfinite`` status carries a machine-checkable certificate, the
+non-archimedean triangle inequality as used for p-adic escape of orbits
+(J. Silverman, *The Arithmetic of Dynamical Systems*, GTM 241, 2007).  Take
+a rational map and a prime p such that every branch x -> s*x + c has
+v_p(s) <= 0.  Let T be the least of v_p(c) - v_p(s) over the branches with
+c != 0 and of v_p(t) over the partition points t != 0.  If v_p(x) < T, then
+v_p(s*x + c) = v_p(s) + v_p(x) <= v_p(x): the region v_p(x) < T is forward
+invariant and holds no partition point, so an orbit in it is single-valued.
+The valuation is constant on a cycle, so only unit branches (v_p(s) = 0)
+lie on one.  With at most one unit branch j, with s_j != -1, with c_j != 0
+when s_j = 1, and with its fixed point c_j / (1 - s_j) outside the region
+otherwise, the region holds no cycle: every rational point in it has an
+infinite orbit that never revisits a point and never lands on a partition
+point, and the cap result is upgraded to a theorem.  The primes tried are
+those that trial division finds in the slope denominators; the data is
+built once per map (``PMMap.certificate``), and the witness re-checks a
+certified point for a few steps through the branches.
 
 ``interior_orbits_disjoint`` is the one walk that checks that the interior
 partition points have infinite, pairwise disjoint orbits (the IDOC);
@@ -143,68 +152,115 @@ def _oversized(x):
     return False
 
 
-class _GrowthCertificate:
-    """Map-level data for the denominator-growth certificate, or inapplicable."""
+# Slope denominators are factored by trial division below this bound.  A
+# cofactor left unfactored is skipped: the certificate is only sufficient, so
+# a prime left out is sound, and no denominator can make set-up slow.
+_TRIAL_DIVISION_BOUND = 1 << 12
+
+
+def _slope_primes(n):
+    """The prime factors of n >= 1 that trial division finds below the bound."""
+    primes = []
+    d = 2
+    while d * d <= n and d < _TRIAL_DIVISION_BOUND:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1 and d * d > n:
+        primes.append(n)  # no factor up to its square root
+    return primes
+
+
+def _valuation(x, p):
+    """v_p of a nonzero Fraction."""
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+class _ValuationCertificate:
+    """Map-level data of the p-adic valuation certificate (see the module
+    docstring): one region v_p(x) < T for each prime p that passes, empty
+    when the map is not rational or no prime passes."""
 
     def __init__(self, m):
-        self.ok = False
-        q = None
-        e_max = 0
-        for b in m.branches:
-            if not (b.slope.is_rational and b.intercept.is_rational):
-                return
-            sq = abs(b.slope.as_fraction()).denominator
-            if sq <= 1:
-                return
-            if q is None:
-                q = sq
-            elif q != sq:
-                return
-            d = b.intercept.as_fraction().denominator
-            e = 0
-            while d % q == 0:
-                d //= q
-                e += 1
-            if d != 1:
-                return
-            e_max = max(e_max, e)
-        if q is None:
+        self.regions = []  # (p, T, p^(1 - T)): x is inside when p^(1 - T) divides its denominator
+        scalars = (*m.partition, *(b.slope for b in m.branches), *(b.intercept for b in m.branches))
+        if not all(x.is_rational for x in scalars):
             return
-        part_denoms = [p.as_fraction().denominator for p in m.partition if p.is_rational]
-        if len(part_denoms) != len(m.partition):
-            return
-        self.ok = True
-        self.q = q
-        self.e_max = e_max
-        self.min_power = max(q**e_max, max(part_denoms) + 1)
-
-    def certifies(self, x):
-        """True when all later iterates of x provably have growing denominators."""
-        if not self.ok or not x.is_rational:
-            return False
-        d = x.as_fraction().denominator
-        if d < self.min_power:
-            return False
-        while d % self.q == 0:
-            d //= self.q
-        return d == 1
-
-
-def _certificate_witness(m, x, steps=10):
-    """Recheck: the next few iterates in lowest terms have strictly growing denominators."""
-    denoms = [x.as_fraction().denominator]
-    cur = x
-    for _ in range(steps):
-        vals = imap.limits(m, cur)
-        if len(vals) != 1:
-            raise CertificateFailure(
-                "growth witness: a certified point sits on a partition point"
+        branches = [(b.slope.as_fraction(), b.intercept.as_fraction()) for b in m.branches]
+        points = [t.as_fraction() for t in m.partition if not t.is_zero]
+        primes = sorted({p for s, _ in branches for p in _slope_primes(s.denominator)})
+        for p in primes:
+            vs = [_valuation(s, p) for s, _ in branches]
+            units = [(s, c) for (s, c), v in zip(branches, vs) if v == 0]
+            if max(vs) > 0 or len(units) > 1:
+                continue
+            bound = min(
+                [_valuation(c, p) - v for (_, c), v in zip(branches, vs) if c]
+                + [_valuation(t, p) for t in points]
             )
-        cur = vals[0]
-        denoms.append(cur.as_fraction().denominator)
-    if not all(a < b for a, b in zip(denoms, denoms[1:])):
-        raise CertificateFailure("growth witness: denominators %s do not grow" % (denoms,))
-    return "denominators %s..." % (denoms[: min(6, len(denoms))],)
+            if units:
+                s, c = units[0]
+                if s == -1 or (s == 1 and c == 0):
+                    continue
+                if s != 1 and c and _valuation(c / (1 - s), p) < bound:
+                    continue
+            self.regions.append((p, bound, p ** (1 - bound)))
+
+    def region_of(self, x):
+        """The (p, T) of a region that holds x, or None."""
+        if not self.regions or not x.is_rational:
+            return None
+        # T <= 0 (the partition point 1 has v_p = 0), and a point in lowest
+        # terms has v_p(x) < T exactly when p^(1 - T) divides its denominator
+        den = x.as_fraction().denominator
+        for p, bound, modulus in self.regions:
+            if den % modulus == 0:
+                return p, bound
+        return None
+
+
+def _certificate(m):
+    """The map's valuation certificate, built on its first search."""
+    if m.certificate is None:
+        m.certificate = _ValuationCertificate(m)
+    return m.certificate
+
+
+def _valuation_witness(m, x, p, bound, steps=10):
+    """Re-check a certified point through the branches: for a few steps
+    each point has one value, and v_p(next) = v_p(s) + v_p(x) < T for the
+    slope s of its branch, with no point repeated."""
+    valuations = [bound if x.is_zero else _valuation(x.as_fraction(), p)]
+    if valuations[0] >= bound:
+        raise CertificateFailure("valuation witness: %s is outside v_%d < %d" % (x.text(), p, bound))
+    seen = {x}
+    for _ in range(steps):
+        values = imap.limits(m, x)
+        if len(values) != 1:
+            raise CertificateFailure("valuation witness: a certified point sits on a partition point")
+        expected = _valuation(m.branches[m.branch_index_at(x)].slope.as_fraction(), p) + valuations[-1]
+        x = values[0]
+        if x.is_zero or x in seen:
+            raise CertificateFailure("valuation witness: the iterates reach %s again or 0" % x.text())
+        v = _valuation(x.as_fraction(), p)
+        if v != expected or v >= bound:
+            raise CertificateFailure(
+                "valuation witness: v_%d of %s is %d, not v_%d(s) + v_%d(x) = %d below %d"
+                % (p, x.text(), v, p, p, expected, bound)
+            )
+        valuations.append(v)
+        seen.add(x)
+    return "v_%d of the iterates %s... stays below %d" % (p, valuations[:6], bound)
 
 
 def _search(m, seeds, cap, step, edges=None, certify=True):
@@ -215,9 +271,9 @@ def _search(m, seeds, cap, step, edges=None, certify=True):
     or ProvablyInfinite status that ended it; and the index of the last
     value visited.  When ``edges`` is a list it receives one (i, j) pair per
     value, from the index of a point to the index of its value.  With
-    ``certify`` false the growth certificate ends no search.
+    ``certify`` false the valuation certificate ends no search.
     """
-    cert = _GrowthCertificate(m)
+    cert = _certificate(m) if certify else None
     # points[done:] is the queue of points not yet mapped; seen maps each
     # point to its index in points
     points = list(seeds)
@@ -232,11 +288,12 @@ def _search(m, seeds, cap, step, edges=None, certify=True):
         done += 1
         if _oversized(p):
             return points, SizeLimitReached(MAX_COEFF_BITS), last
-        if certify and cert.certifies(p):
+        region = cert and cert.region_of(p)
+        if region:
             return points, ProvablyInfinite(
-                "denominator-growth: slopes with reduced denominator %d "
-                "force strictly increasing q-power denominators" % cert.q,
-                _certificate_witness(m, p),
+                "p-adic valuation certificate: the region v_%d(x) < %d is forward "
+                "invariant and holds no partition point and no cycle" % region,
+                _valuation_witness(m, p, *region),
             ), last
         for v in step(m, p):
             last = seen.setdefault(v, len(points))
@@ -339,8 +396,6 @@ def critical_closure(m, cap=10000):
     points, stop, _ = _search(m, m.partition, cap, imap.eval_multivalued)
     if stop is None:
         return CriticalClosure(sort_scalars(points))
-    if isinstance(stop, ProvablyInfinite):
-        stop = ProvablyInfinite("denominator-growth certificate", stop.witness)
     return CriticalClosure(points, stop)
 
 
@@ -388,11 +443,12 @@ def interior_orbits_disjoint(m, cap):
     CapReached or SizeLimitReached of the first interior point whose walk
     was not.  With no interior point nothing was walked: None.
 
-    A growth certificate proves an orbit infinite, not two orbits apart.  An
-    exchange is injective on [0,1), so meeting orbits of a and b put one of
-    them in the other's orbit, which the walk rules out before the certified
-    point and the certificate (no later partition point) after it.  For any
-    other map each orbit is followed past its certificate, proving nothing.
+    A valuation certificate proves an orbit infinite, not two orbits apart.
+    An exchange is injective on [0,1), so meeting orbits of a and b put one
+    of them in the other's orbit, which the walk rules out before the
+    certified point and the certificate (no later partition point) after
+    it.  For any other map each orbit is followed past its certificate,
+    proving nothing.
     """
     interior = list(m.partition[1:-1])
     certify = is_exchange_map(m)

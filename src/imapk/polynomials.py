@@ -115,27 +115,52 @@ def is_squarefree(p):
     return poly_degree(g) <= 0
 
 
+def _primitive(ints):
+    """A nonzero integer polynomial divided by the gcd of its coefficients."""
+    g = gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
 def integral(p):
     """The primitive integer polynomial that is a positive multiple of the
     rational polynomial p; it has the sign of p at every point."""
     if not p:
         return p
     den = lcm(*[Fraction(c).denominator for c in p])
-    ints = [int(c * den) for c in p]
-    g = gcd(*ints)
-    return tuple(c // g for c in ints)
+    return _primitive([int(c * den) for c in p])
+
+
+def _pseudo_remainder(a, b):
+    """A positive multiple of the remainder of a by b, for integer
+    polynomials: each step scales the partial remainder by |lc(b)| before
+    it cancels the leading term, so it stays integral and keeps its sign."""
+    lead = b[-1]
+    scale = abs(lead)
+    rem = list(a)
+    shift = len(rem) - len(b)
+    while rem and shift >= 0:
+        top = rem[-1] if lead > 0 else -rem[-1]
+        rem = [c * scale for c in rem]
+        for i, c in enumerate(b):
+            rem[shift + i] -= top * c
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+        shift = len(rem) - len(b)
+    return tuple(rem)
 
 
 def sturm_sequence(p):
     """The Sturm sequence of p, each member scaled by a positive factor to a
     primitive integer polynomial: the signs, and so the counts, are those of
-    the rational sequence."""
+    the rational sequence.  After the first two members it is built by
+    integer pseudo-remainders, each made primitive."""
     seq = [integral(poly_trim(p)), integral(poly_derivative(p))]
     while seq[-1]:
-        _, r = poly_divmod(seq[-2], seq[-1])
+        r = _pseudo_remainder(seq[-2], seq[-1])
         if not r:
             break
-        seq.append(integral(poly_neg(r)))
+        seq.append(_primitive(poly_neg(r)))
     return [s for s in seq if s]
 
 

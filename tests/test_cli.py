@@ -197,7 +197,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 @pytest.mark.parametrize("spec_path", SPECS, ids=lambda p: p.stem)
 def test_cli_json_is_the_same_under_optimize(spec_path, capsys):
-    # classify reaches every certificate check: the closure and its growth
+    # classify reaches every certificate check: the closure and its valuation
     # witness, the row-image law, the realization cursor, the K-theory routes
     code = main(["classify", str(spec_path), "--json"])
     expected = capsys.readouterr().out

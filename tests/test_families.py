@@ -271,7 +271,7 @@ def test_multimodal_endpoint_violation(tent):
         multimodal_kgroups(tent, cap=100, asserted=True)
 
 
-# continuous and onto, with slopes of reduced denominator 2: the growth
+# continuous and onto, with slopes of negative valuation at 2: the valuation
 # certificate proves each interior orbit infinite, yet
 # 1/8 -> 0 -> 9/16 -> 29/32 -> 19/64 and 3/16 -> 7/32 -> 19/64
 CERTIFIED_COLLISION = (
@@ -294,8 +294,8 @@ def test_multimodal_route_follows_certified_orbits_to_their_collision():
 
 
 def test_a_certified_generalized_exchange_stays_unconditional():
-    # slopes 3/2 and 1/2 share the denominator 2, so the certificate ends
-    # each walk; an exchange is injective, so that proves disjointness too
+    # slopes 3/2 and 1/2 have negative valuation at 2, so the certificate
+    # ends each walk; an exchange is injective, so that proves disjointness too
     branches = [(Fraction(3, 2), Fraction(1, 4)), (Fraction(1, 2), Fraction(-1, 4))]
     m = validate_map([0, Fraction(1, 2), 1], branches)
     idoc = idoc_check(m, 1000)
@@ -305,7 +305,7 @@ def test_a_certified_generalized_exchange_stays_unconditional():
 
 
 def test_a_certified_idoc_names_no_cap():
-    # the walks of both interior points end at the growth certificate
+    # the walks of both interior points end at the valuation certificate
     branches = [(Fraction(3, 2), Fraction(1, 4)), (Fraction(1, 2), Fraction(-1, 4))]
     idoc = idoc_check(validate_map([0, Fraction(1, 2), 1], branches), 1000)
     assert idoc.provably_infinite
@@ -361,8 +361,8 @@ def _orbits_meet(m, steps=60):
 
 
 def test_an_unconditional_route_has_disjoint_interior_orbits():
-    # a fixed list of maps whose slopes share the reduced denominator 2, so
-    # the growth certificate applies; about one in four of the multimodal
+    # a fixed list of maps whose slopes all have negative valuation at 2, so
+    # the valuation certificate applies; about one in four of the multimodal
     # ones has certified orbits that meet within 60 steps
     rng = random.Random(20)
     routes = []

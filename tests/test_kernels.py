@@ -29,7 +29,8 @@ from imapk.errors import CertificateFailure
 from imapk.ktheory import _sample_rows, _solve_dependence, minimal_polynomial_iter
 from imapk.interval_map import eval_multivalued
 from imapk.polynomials import (
-    IntPoly, count_real_roots, sturm_sequence, poly_derivative, poly_divmod, poly_eval, poly_gcd, poly_neg, poly_trim,
+    IntPoly, count_real_roots, integral, sturm_sequence, poly_derivative, poly_divmod, poly_eval, poly_gcd,
+    poly_neg, poly_trim,
 )
 from imapk.scalar import ONE, ZERO, as_scalar
 from imapk.snf import (
@@ -324,6 +325,38 @@ def test_integer_sturm_counts_match_the_fraction_sequence(coeffs, den, a, b):
         assert all(type(c) is int for member in seq for c in member)
         assert count_real_roots(poly, lo, hi, seq) == \
             reference_count(reference_sturm_sequence(poly), lo, hi)
+
+
+def rational_sturm_sequence(p):
+    """The library's construction before integer pseudo-remainders: each
+    remainder taken by Fraction division, then scaled to a primitive
+    integer polynomial."""
+    seq = [integral(poly_trim(p)), integral(poly_derivative(p))]
+    while seq[-1]:
+        _, r = poly_divmod(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append(integral(poly_neg(r)))
+    return [s for s in seq if s]
+
+
+@KERNEL_SETTINGS
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=9), st.integers(1, 6))
+def test_the_pseudo_remainder_sturm_sequence_is_the_rational_one(coeffs, den):
+    p = IntPoly(coeffs).squarefree_part().coeffs
+    for poly in (p, tuple(Fraction(c, den) for c in p)):
+        assert sturm_sequence(poly) == rational_sturm_sequence(poly)
+
+
+@KERNEL_SETTINGS
+@given(int_matrices())
+@example(ONES_12)
+@example(CYCLE_12)
+@example(BLOCK_TRIANGULAR)
+def test_the_sturm_sequence_of_a_characteristic_polynomial_is_the_rational_one(A):
+    # the Perron setting: the squarefree part of the characteristic polynomial
+    q = char_poly(A).squarefree_part().coeffs
+    assert sturm_sequence(q) == rational_sturm_sequence(q)
 
 
 def reference_largest_real_root(p, hi_bound, tol):

@@ -204,10 +204,13 @@ def test_user_partition_rejected(tent):
 
 
 def test_a_certified_infinite_closure_is_named_as_such():
-    # beta = 3/2: the growth certificate ends the closure search; no cap is reached
+    # beta = 3/2: the valuation certificate ends the closure search; no cap is reached
     with pytest.raises(InvalidMarkovPartition) as info:
         markov_for_partition(build(FamilySpec("beta", {"beta": Fraction(3, 2)})), [0, Fraction(2, 3), 1])
-    assert str(info.value) == "critical closure is provably infinite (denominator-growth certificate)"
+    assert str(info.value) == (
+        "critical closure is provably infinite (p-adic valuation certificate: the region "
+        "v_2(x) < 0 is forward invariant and holds no partition point and no cycle)"
+    )
 
 
 def test_row_image_law(tent, golden_beta, offdiag_realization):

@@ -15,8 +15,9 @@ from imapk.orbit import (
     MAX_COEFF_BITS,
     ProvablyInfinite,
     SizeLimitReached,
-    _GrowthCertificate,
-    _certificate_witness,
+    _ValuationCertificate,
+    _certificate,
+    _valuation_witness,
     critical_closure,
     forward_orbit,
     idoc_check,
@@ -24,13 +25,17 @@ from imapk.orbit import (
     reverify_closed,
     tau_orbit,
 )
+from imapk import interval_map as imap
 from imapk.interval_map import validate_map
 from imapk.markov import detect_markov, markov_for_partition
 from imapk.report import run
 from imapk.scalar import ONE, NumberField, rational
 from imapk.specfile import parse_spec
 
-SPECS = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.imapk"))
+from conftest import make_rational_map
+
+SPECS_DIR = Path(__file__).resolve().parents[1] / "specs"
+SPECS = sorted(SPECS_DIR.glob("*.imapk"))
 
 
 def test_tent_orbit_of_half(tent):
@@ -285,22 +290,123 @@ def test_denominator_certificate_random_beta():
 
 
 def test_no_partition_point_is_certified():
-    # the certificate needs a denominator above every partition denominator,
-    # so the search never certifies a point where the map has two values
+    # the region v_p < T lies below every partition point's valuation, so
+    # the search never certifies a point where the map has two values
     maps = [parse_spec(path.read_text()).map for path in SPECS]
     maps += [m for _, m in _seeded_beta_maps()]
+    rng = random.Random(3)
+    maps += [make_rational_map(rng) for _ in range(40)]
+    assert sum(bool(_certificate(m).regions) for m in maps) >= 40
     for m in maps:
-        cert = _GrowthCertificate(m)
-        assert not any(cert.certifies(p) for p in m.partition)
+        cert = _certificate(m)
+        assert not any(cert.region_of(p) for p in m.partition)
+
+
+def test_certified_orbits_stay_apart_from_themselves_and_the_partition():
+    # derandomized: follow each orbit that the certificate ends for 2,000
+    # more steps through the branches; none revisits a point or meets a
+    # partition point
+    rng = random.Random(5)
+    followed = 0
+    while followed < 12:
+        m = make_rational_map(rng)
+        cert = _certificate(m)
+        partition = set(m.partition)
+        for x in m.partition[1:-1]:
+            points, status = tau_orbit(m, x, 500)
+            if not isinstance(status, ProvablyInfinite):
+                continue
+            # the walk stops at the first point inside a region
+            certified = next(i for i, p in enumerate(points) if cert.region_of(p))
+            seen = set(points[: certified + 1])
+            y = points[certified]
+            for _ in range(2000):
+                assert y not in partition
+                (y,) = imap.limits(m, y)
+                assert y not in seen
+                seen.add(y)
+            followed += 1
+
+
+def _unit_branch_maps():
+    """Maps that the certificate decides nothing on: at p = 3, the only
+    prime of a slope denominator, each has a unit branch it excludes."""
+    return {
+        # slopes 2 and -2 are both units at 3
+        "two unit branches": validate_map(
+            [0, Fraction(1, 2), Fraction(3, 4), 1],
+            [(Fraction(4, 3), 0), (2, -1), (-2, 2)],
+        ),
+        # x -> 1 - x swaps x and 1 - x
+        "s = -1": validate_map([0, Fraction(1, 2), 1], [(Fraction(4, 3), 0), (-1, 1)]),
+        # the identity fixes every point
+        "s = 1, c = 0": validate_map(
+            [0, Fraction(1, 2), 1], [(1, 0), (Fraction(-4, 3), Fraction(4, 3))]
+        ),
+        # -2x + 2 fixes 2/3, where v_3 = -1 is below T = 0
+        "fixed point inside": validate_map(
+            [0, Fraction(1, 2), 1], [(Fraction(4, 3), 0), (-2, 2)]
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_unit_branch_maps()))
+def test_a_unit_branch_outside_the_hypotheses_decides_nothing(name):
+    m = _unit_branch_maps()[name]
+    assert _ValuationCertificate(m).regions == []
+    # what the hypothesis rules out happens: 2/3 is a fixed point in the region
+    if name == "fixed point inside":
+        r = forward_orbit(m, Fraction(2, 3))
+        assert r.status == Closed(0, 1)
+
+
+def test_one_unit_branch_with_its_fixed_point_outside_is_certified():
+    # -2x + 2 fixes the partition point 2/3, and v_3(2/3) = -1 is not below
+    # T = -1, which that partition point sets
+    m = validate_map([0, Fraction(2, 3), 1], [(Fraction(4, 3), 0), (-2, 2)])
+    assert _ValuationCertificate(m).regions == [(3, -1, 9)]
+    # x + 1/3 has no periodic point at all; its intercept sets T = -1
+    shift = validate_map(
+        [0, Fraction(1, 2), 1], [(1, Fraction(1, 3)), (Fraction(-4, 3), Fraction(4, 3))]
+    )
+    assert _ValuationCertificate(shift).regions == [(3, -1, 9)]
+
+
+def test_a_map_builds_its_certificate_once(monkeypatch):
+    import imapk.orbit as orbit
+
+    built = []
+
+    class Counted(_ValuationCertificate):
+        def __init__(self, m):
+            built.append(m)
+            super().__init__(m)
+
+    monkeypatch.setattr(orbit, "_ValuationCertificate", Counted)
+    spec = parse_spec((SPECS_DIR / "multimodal.imapk").read_text())
+    run("all", spec)
+    assert built == [spec.map]
+
+
+def test_trial_division_skips_a_cofactor_it_cannot_factor():
+    from imapk.orbit import _TRIAL_DIVISION_BOUND, _slope_primes
+
+    big = 2**61 - 1  # a prime above the bound
+    assert _slope_primes(3**4 * 5 * big) == [3, 5]
+    # 4099 has no factor up to its square root, so it is found prime
+    assert _slope_primes(3 * 4099) == [3, 4099]
+    assert _slope_primes(1) == []
+    assert big > _TRIAL_DIVISION_BOUND**2 > 4099
 
 
 def _size_limited_map():
-    # slopes with denominators 3^50 and 5^34 add about 79 bits per step, and
-    # differ, so the growth certificate does not apply
-    s = Fraction(2 * 3**50 - 1, 3**50)
-    t = Fraction(2 * 5**34 - 1, 5**34)
+    # slopes with denominators 3^49 and 5^34 add about 79 bits per step; each
+    # numerator is divisible by the other slope's prime, so at 3 and at 5 a
+    # slope has positive valuation and the valuation certificate does not apply
+    s = Fraction(2 * 3**50 - 3, 3**50)
+    t = Fraction(2 * 5**34 - 2, 5**34)
     m = validate_map([0, Fraction(1, 2), 1], [(s, 0), (-t, t)])
-    assert not _GrowthCertificate(m).ok
+    assert _ValuationCertificate(m).regions == []
     return m
 
 
@@ -309,9 +415,9 @@ def test_size_limit_ends_forward_and_tau_orbits():
     r = forward_orbit(m, Fraction(1, 3))
     assert r.status == SizeLimitReached(MAX_COEFF_BITS)
     assert r.as_dict()["status"] == {"kind": "size_limit_reached", "max_coeff_bits": 4096}
-    assert len(r.points) == 53 and len(r.edges) == 52
+    assert len(r.points) == 54 and len(r.edges) == 53
     points, status = tau_orbit(m, Fraction(1, 3))
-    assert status == SizeLimitReached(MAX_COEFF_BITS) and len(points) == 53
+    assert status == SizeLimitReached(MAX_COEFF_BITS) and len(points) == 54
     assert points == r.points
 
 
@@ -319,7 +425,7 @@ def test_size_limit_ends_the_closure():
     m = _size_limited_map()
     cc = critical_closure(m)
     assert not cc.complete and cc.stop == SizeLimitReached(MAX_COEFF_BITS)
-    assert len(cc.points) == 107
+    assert len(cc.points) == 111
     assert any(
         p.as_fraction().denominator.bit_length() > MAX_COEFF_BITS for p in cc.points
     )
@@ -356,12 +462,21 @@ def test_closure_points_are_reported_in_order(golden_exchange, beta_three_halves
 
 
 def test_growth_witness_rejects_a_point_it_cannot_certify(tent, beta_three_halves):
-    # 1/3 -> 2/3 -> 2/3: the denominators do not grow
-    with pytest.raises(CertificateFailure, match="do not grow"):
-        _certificate_witness(tent, rational(1, 3))
+    # 1/3 -> 2/3 -> 2/3: v_3 stays -1, but the iterates repeat
+    with pytest.raises(CertificateFailure, match="again"):
+        _valuation_witness(tent, rational(1, 3), 3, 0)
     # the beta map jumps at 2/3, where it has the two limit values 1 and 0
     with pytest.raises(CertificateFailure, match="partition point"):
-        _certificate_witness(beta_three_halves, rational(2, 3))
+        _valuation_witness(beta_three_halves, rational(2, 3), 3, 0)
+    # v_2(1/3) = 0 is not below T = 0
+    with pytest.raises(CertificateFailure, match="outside"):
+        _valuation_witness(beta_three_halves, rational(1, 3), 2, 0)
+    # a tampered bound: 1/4 -> 3/8 has v_3 = 1, not below T = 1
+    with pytest.raises(CertificateFailure, match="below 1"):
+        _valuation_witness(beta_three_halves, rational(1, 4), 3, 1)
+    assert _valuation_witness(beta_three_halves, rational(1, 4), 2, 0).startswith(
+        "v_2 of the iterates [-2, -3, -4"
+    )
 
 
 class _NoTable(dict):
@@ -383,11 +498,11 @@ def test_the_rechecks_evaluate_the_branches_themselves(tent, monkeypatch):
     assert reverify_closed(tent, points, status)
     with pytest.raises(LookupError):
         tau_orbit(tent, Fraction(1, 3))
-    # a growth witness: slopes 3/2, and 1/4 has a large enough 2-power denominator
+    # a valuation witness: slopes 3/2, and v_2(1/4) = -2 is below T = 0
     beta = build(FamilySpec("beta", {"beta": Fraction(3, 2)}))
-    assert _GrowthCertificate(beta).certifies(rational(1, 4))
+    assert _certificate(beta).region_of(rational(1, 4)) == (2, 0)
     monkeypatch.setattr(beta, "images", _NoTable())
-    assert _certificate_witness(beta, rational(1, 4)).startswith("denominators [4, 8, 16")
+    assert _valuation_witness(beta, rational(1, 4), 2, 0).startswith("v_2 of the iterates [-2, -3, -4")
     # a minimal polynomial whose iterates have the breakpoint 1/4 inside
     # the first branch's domain
     m = validate_map([0, Fraction(1, 2), 1], [(2, 0), (Fraction(-1, 2), Fraction(1, 2))])

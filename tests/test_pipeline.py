@@ -93,7 +93,7 @@ def test_no_certificate_blocks_identification():
 
 def test_conditional_verdict_for_capped_unimodal():
     # slope 1 + sqrt(2)/2 is above sqrt(2) (exactness certified) but the orbit
-    # of 0 reaches the cap without closing and without a growth certificate
+    # of 0 reaches the cap without closing and without a valuation certificate
     spec = parse_spec(
         "field { poly = [-2,0,1]; iso = [1,2] }\n"
         'map { family = restricted_tent; s = "poly:[-2,0,1]; iso:[1,2]; elem:[1,1/2]" }\n'

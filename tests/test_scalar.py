@@ -18,6 +18,7 @@ from imapk.scalar import NumberField, Scalar, rational, scalar_from_text, sort_s
 from imapk.specfile import parse_spec
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_rational_arithmetic():
@@ -658,9 +659,12 @@ def test_sort_scalars_rejects_two_fields(golden_field, sqrt2_field):
     assert sort_scalars([]) == []
 
 
-@pytest.mark.parametrize("name, size", [("multimodal", 5816), ("golden_exchange", 10001)])
-def test_shipped_closures_sort_without_a_single_compare(name, size, monkeypatch):
-    spec = parse_spec((SPECS / ("%s.imapk" % name)).read_text())
+# a closure that walks to the size limit, and one that walks to the cap
+@pytest.mark.parametrize("path, size", [
+    (DATA / "uncertified_multimodal.imapk", 6553), (SPECS / "golden_exchange.imapk", 10001),
+], ids=["uncertified_multimodal-6553", "golden_exchange-10001"])
+def test_shipped_closures_sort_without_a_single_compare(path, size, monkeypatch):
+    spec = parse_spec(path.read_text())
     points = critical_closure(spec.map).points
     assert len(points) == size
     calls = _count_compares(monkeypatch)
