@@ -7,10 +7,8 @@ import sys
 from fractions import Fraction
 
 from .errors import ImapkError
-from .report import render_text, run, to_json
-from .specfile import parse_option, parse_spec
-
-COMMANDS = ("orbit", "markov", "ktheory", "entropy", "classify", "all")
+from .report import SECTIONS, render_text, run, to_json
+from .specfile import OPTIONS, parse_option, parse_spec
 
 
 def build_parser():
@@ -18,49 +16,39 @@ def build_parser():
         prog="imapk",
         description="Exact invariants of piecewise monotonic interval maps",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=list(SECTIONS))
     parser.add_argument("specfile", help="map specification file")
-    parser.add_argument("--cap", type=int, default=None,
-                        help="orbit/breakpoint cap (default 10000)")
-    parser.add_argument("--tol", type=str, default=None,
-                        help="Perron enclosure tolerance as a rational (default 1/1000000)")
-    parser.add_argument("--depth", type=int, default=None,
-                        help="eventual-surjectivity iteration depth (default 64)")
-    parser.add_argument("--assert-cyclic", action="store_true",
-                        help="assert that the constant function generates the module")
-    parser.add_argument("--assert-idoc", action="store_true",
-                        help="assert orbit disjointness beyond the search limit")
-    parser.add_argument("--assert-orbit-infinite", action="store_true",
-                        help="assert the critical orbits are infinite beyond the search limit")
-    parser.add_argument("--partition", type=str, default=None,
-                        help="coarser Markov partition in spec syntax, e.g. '[0,1/3,2/3,1]'; "
-                        "points may be alg:[...] or quoted scalars")
+    for name, (kind, default, text) in OPTIONS.items():
+        if kind in ("int", "rational"):
+            text = "%s (default %s)" % (text, default)
+        how = {"action": "store_true"} if kind == "bool" else {"type": int if kind == "int" else str}
+        parser.add_argument(_flag(name), default=None, help=text, **how)
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
     return parser
 
 
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
 def _overrides(args, field):
+    """The options given as flags; argparse reads the integers and booleans."""
     out = {}
-    if args.cap is not None:
-        out["cap"] = args.cap
-    if args.tol is not None:
-        try:
-            out["tol"] = Fraction(args.tol)
-        except (ValueError, ZeroDivisionError):
-            raise ImapkError("--tol expects a rational, got %r" % args.tol) from None
-    if args.depth is not None:
-        out["depth"] = args.depth
-    if args.assert_cyclic:
-        out["assert_cyclic"] = True
-    if args.assert_idoc:
-        out["assert_idoc"] = True
-    if args.assert_orbit_infinite:
-        out["assert_orbit_infinite"] = True
-    if args.partition is not None:
-        try:
-            out["partition"] = parse_option("partition", args.partition, field)
-        except ImapkError as exc:
-            raise ImapkError("--partition: %s" % exc) from None
+    for name, (kind, _, _) in OPTIONS.items():
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if kind == "rational":
+            try:
+                value = Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                raise ImapkError("%s expects a rational, got %r" % (_flag(name), value)) from None
+        elif isinstance(kind, list):
+            try:
+                value = parse_option(name, value, field)
+            except ImapkError as exc:
+                raise ImapkError("%s: %s" % (_flag(name), exc)) from None
+        out[name] = value
     return out
 
 
@@ -71,10 +59,7 @@ def main(argv=None):
             text = handle.read()
         spec = parse_spec(text)
         report, code = run(args.command, spec, _overrides(args, spec.field))
-    except ImapkError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ImapkError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     if args.json:

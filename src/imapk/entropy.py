@@ -83,9 +83,12 @@ def _identify_exact(q: IntPoly, lo: Fraction, hi: Fraction):
 def perron_enclosure(A, tol=Fraction(1, 10**6), poly=None):
     """Enclosure of the spectral radius of a zero-one matrix.
 
-    Reducible matrices are handled per strongly connected component and the
-    maximum taken.  ``poly``, when given, is the characteristic polynomial
-    of an irreducible A, which is then its own one component.
+    Reducible matrices are handled per strongly connected component: the
+    largest component root lies between the largest lower and upper ends.  An
+    exact root is kept only where it provably is that root: it reaches every
+    other component's upper end, or equals that component's exact root.
+    ``poly``, when given, is the characteristic polynomial of an irreducible
+    A, which is then its own one component.
     Returns (s_lo, s_hi, exact_scalar_or_None).
     """
     n = check_zero_one(A)
@@ -93,17 +96,17 @@ def perron_enclosure(A, tol=Fraction(1, 10**6), poly=None):
     if tol <= 0:
         raise ValueError("tol must be positive")
     comps = [range(n)] if poly is not None else _strongly_connected_components(A)
-    best = (Fraction(0), Fraction(0), as_scalar(0))
+    found = [(Fraction(0), Fraction(0), as_scalar(0))]  # an acyclic part has radius 0
     for comp in comps:
         sub = [[A[i][j] for j in comp] for i in comp]
         if all(x == 0 for row in sub for x in row):
             continue
         p = char_poly(sub) if poly is None else poly
         bound = max(sum(row) for row in sub)
-        lo, hi, exact = _largest_real_root(p, Fraction(bound), tol)
-        if lo > best[0]:
-            best = (lo, hi, exact)
-    return best
+        found.append(_largest_real_root(p, Fraction(bound), tol))
+    exact = next((x for _, _, x in found
+                  if x is not None and all(x >= hi or x == y for _, hi, y in found)), None)
+    return max(lo for lo, _, _ in found), max(hi for _, hi, _ in found), exact
 
 
 @dataclass

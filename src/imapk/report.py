@@ -4,7 +4,7 @@ One `Pipeline` object holds the analysis of one report.  Its stages (the
 critical closure, the Markov data, the K-group routes, the minimal
 polynomial, the entropy, the classification and the consistency checks) are
 computed on first use and kept, so each runs at most once per report.
-`_SECTIONS` says which sections a command emits; building those sections,
+`SECTIONS` says which sections a command emits; building those sections,
 and the exit-code rule, pulls only the stages they read.  Every stage reads
 the validated map alone: family facts come from
 `families.family_certificates`, and the spec's family name appears only in
@@ -29,7 +29,13 @@ from functools import cached_property
 
 from . import ktheory
 from .entropy import entropy_report, uniform_abs_slope
-from .errors import ImapkError, NotSurjective, ParameterOutOfRange
+from .errors import (
+    CyclicityNotEstablished,
+    HypothesisViolatedWithinCap,
+    ImapkError,
+    NotSurjective,
+    ParameterOutOfRange,
+)
 from .families import (
     KEANE_MINIMAL,
     exchange_kgroups,
@@ -59,17 +65,15 @@ from .orbit import (
 )
 from .scalar import NumberField, as_scalar, scalar_from_text
 from .snf import Route, char_poly, kgroups_from_incidence, stationary_dimension_triple
+from .specfile import OPTIONS
 
-DEFAULT_CAP = 10000
-DEFAULT_TOL = Fraction(1, 10**6)
-DEFAULT_DEPTH = 64
 # minimality from the capped walk's certificates, when Keane's theorem decided nothing
 WALK_MINIMAL = Certificate(
     "transitive", True,
     "interval exchange with provably infinite disjoint interior orbits is minimal",
 )
 
-_SECTIONS = {
+SECTIONS = {
     "orbit": ["map", "options", "dynamics", "certificates", "orbits"],
     "markov": ["map", "options", "dynamics", "certificates", "markov"],
     "ktheory": [
@@ -89,48 +93,41 @@ _SECTIONS = {
 }
 
 
-@dataclass
 class PipelineOptions:
-    cap: int = DEFAULT_CAP
-    tol: Fraction = DEFAULT_TOL
-    depth: int = DEFAULT_DEPTH
-    assert_cyclic: bool = False
-    assert_idoc: bool = False
-    assert_orbit_infinite: bool = False
-    partition: list | None = None
+    """One attribute per entry of `specfile.OPTIONS`: the value the overrides
+    give, else the spec's options section, else the table's default."""
 
     @staticmethod
     def from_spec(spec, overrides=None):
-        merged = dict(spec.options)
-        merged.update(overrides or {})
+        given = {**spec.options, **(overrides or {})}
         opts = PipelineOptions()
-        for key, value in merged.items():
-            if not hasattr(opts, key):
-                raise ImapkError("unknown option %r" % key)
-            setattr(opts, key, value)
-        opts.tol = Fraction(opts.tol)
+        for name, (kind, default, _) in OPTIONS.items():
+            value = given.pop(name, default)
+            if value is not None and kind == "rational":
+                value = Fraction(value)
+            elif value is not None and kind == ["scalar"]:
+                value = [as_scalar(x, spec.field) for x in value]
+            setattr(opts, name, value)
+        if given:
+            raise ImapkError("unknown option %r" % next(iter(given)))
         if opts.tol <= 0:
             raise ParameterOutOfRange("tol must be positive, got %s" % opts.tol)
         if opts.cap < 1:
             raise ParameterOutOfRange("cap must be at least 1, got %s" % opts.cap)
         if opts.depth < 0:
             raise ParameterOutOfRange("depth must not be negative, got %s" % opts.depth)
-        if opts.partition is not None:
-            opts.partition = [as_scalar(x, spec.field) for x in opts.partition]
         return opts
 
     def as_dict(self):
-        return {
-            "cap": self.cap,
-            "tol": str(self.tol),
-            "depth": self.depth,
-            "assert_cyclic": self.assert_cyclic,
-            "assert_idoc": self.assert_idoc,
-            "assert_orbit_infinite": self.assert_orbit_infinite,
-            "partition": None
-            if self.partition is None
-            else [p.text() for p in self.partition],
-        }
+        out = {}
+        for name in OPTIONS:
+            value = getattr(self, name)
+            if isinstance(value, Fraction):
+                value = str(value)
+            elif isinstance(value, list):
+                value = [x.text() for x in value]
+            out[name] = value
+        return out
 
 
 def _map_echo(spec):
@@ -323,7 +320,7 @@ class Pipeline:
         if out.report is not None:
             try:
                 out.kgroups = ktheory.kgroups_from_minpoly(out.report)
-            except ImapkError:
+            except CyclicityNotEstablished:
                 out.refusal = {
                     "flag": "--assert-cyclic",
                     "reason": "the minimal polynomial route needs the constant "
@@ -351,7 +348,7 @@ class Pipeline:
             route = multimodal_kgroups(
                 self.m, self.options.cap, asserted=self.options.assert_orbit_infinite
             )
-        except ImapkError as exc:
+        except HypothesisViolatedWithinCap as exc:
             return None, None, "multimodal route inapplicable: %s" % exc
         if route.conditional and not self.options.assert_orbit_infinite:
             return None, {
@@ -554,12 +551,12 @@ def run(command, spec, overrides=None):
     The exit code is 3 when a consistency check failed, else 2 when the
     classification was refused for want of an assertion flag, else 0.
     """
-    if command not in _SECTIONS:
+    if command not in SECTIONS:
         raise ImapkError("unknown command %r" % command)
     p = Pipeline(spec, PipelineOptions.from_spec(spec, overrides))
     report = {"command": command}
     try:
-        for name in _SECTIONS[command]:
+        for name in SECTIONS[command]:
             report[name] = _BUILDERS[name](p)
         exit_code = 0
         if any(c["status"] == "FAIL" for c in report.get("consistency", ())):
@@ -577,68 +574,24 @@ def to_json(report):
     return json.dumps(report, indent=2, ensure_ascii=True)
 
 
-def render_text(report):
-    """Human rendering of the same report content."""
+def render_text(node, indent=""):
+    """The report as an indented outline, one line per leaf: a dict is a block
+    of its keys, a list of dicts or lists a block numbered from 1, and any
+    other list one comma-joined line.  Leaves read as `to_json` writes them,
+    strings unquoted."""
     lines = []
-    push = lines.append
-    push("command: %s" % report["command"])
-    echo = report["map"]
-    push("map: %s" % echo["family"])
-    push("  partition: %s" % ", ".join(echo["partition"]))
-    for i, b in enumerate(echo["branches"], 1):
-        push("  branch %d: slope %s, intercept %s" % (i, b["slope"], b["intercept"]))
-    for note in echo["notes"]:
-        push("  note: %s" % note)
-    if "dynamics" in report:
-        d = report["dynamics"]
-        push(
-            "dynamics: surjective=%s essentially_injective=%s transitive=%s exact=%s"
-            % (d["surjective"], d["essentially_injective"], d["transitive"], d["exact"])
-        )
-    if "markov" in report:
-        mk = report["markov"]
-        if mk.get("status") == "markov":
-            push("markov: partition %s" % ", ".join(mk["data"]["partition"]))
-            for row in mk["data"]["matrix"]:
-                push("  %s" % row)
-            g = mk["graph"]
-            push(
-                "  irreducible=%s primitive=%s condition_L=%s period=%s"
-                % (g["irreducible"], g["primitive"], g["condition_L"], g["period"])
-            )
-            push("  separation: %s" % mk["separation"]["status"])
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node, 1):
+        if value and (
+            isinstance(value, dict)
+            or isinstance(value, list) and any(isinstance(x, (dict, list)) for x in value)
+        ):
+            lines.append("%s%s:\n%s" % (indent, key, render_text(value, indent + "  ")))
         else:
-            push("markov: %s" % mk["status"])
-    if "kgroups" in report:
-        for route, kg in report["kgroups"].items():
-            if kg is None:
-                continue
-            push(
-                "%s: K0 torsion %s free rank %d; K1 free rank %d"
-                % (route, kg["k0"]["torsion"], kg["k0"]["free_rank"], kg["k1"]["free_rank"])
-            )
-    if report.get("minimal_polynomial"):
-        mp = report["minimal_polynomial"]
-        if "poly" in mp:
-            push("minimal polynomial: %s (%s), n = %d" % (mp["poly"], mp["method"], mp["n"]))
-        else:
-            push("minimal polynomial: %s" % mp["status"])
-    if "entropy" in report:
-        push("entropy: %s (%s)" % (report["entropy"]["entropy_note"], report["entropy"]["method"]))
-    if "classification" in report:
-        c = report["classification"]
-        name = c["verdict"]
-        if name == "cuntz_algebra":
-            name = "Cuntz algebra O_%d" % c["index"]
-        elif name == "cuntz_infinity":
-            name = "Cuntz algebra O_infinity"
-        elif name == "cuntz_krieger":
-            name = "Cuntz-Krieger algebra of the incidence matrix"
-        push("classification: %s%s" % (name, " (conditional)" if c["conditional"] else ""))
-        for h in c["hypotheses"]:
-            push("  hypothesis: %s" % h)
-        for a in c["annotations"]:
-            push("  note: %s" % a)
-    for r in report.get("refusals", []):
-        push("refused: %s (%s)" % (r["flag"], r["reason"]))
-    return "\n".join(lines) + "\n"
+            lines.append("%s%s: %s\n" % (indent, key, _leaf(value)))
+    return "".join(lines)
+
+
+def _leaf(value):
+    if isinstance(value, list) and value:
+        return ", ".join(map(_leaf, value))
+    return value if isinstance(value, str) else json.dumps(value)

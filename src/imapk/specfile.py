@@ -133,16 +133,16 @@ class _Parser:
             name = self._next()
             if name.kind != "ident":
                 raise SpecSyntaxError("expected a section name", name.line, name.col)
-            self._expect("{")
-            out.append((name, self.entries()))
+            out.append((name, self.entries(self._expect("{"))))
         return out
 
-    def entries(self, depth=0):
+    def entries(self, brace, depth=0):
+        """The entries up to the brace that closes `brace`."""
         entries = []
         while True:
             tok = self._peek()
             if tok is None:
-                raise SpecSyntaxError("missing closing brace", 0, 0)
+                raise SpecSyntaxError("missing closing brace", brace.line, brace.col)
             if tok.text == "}":
                 self._next()
                 return entries
@@ -184,7 +184,7 @@ class _Parser:
                 if sep is not None and sep.text == ",":
                     self._next()
         if tok.text == "{":
-            return ("dict", tok, self.entries(depth + 1))
+            return ("dict", tok, self.entries(tok, depth + 1))
         raise SpecSyntaxError("unexpected token %r" % tok.text, tok.line, tok.col)
 
 
@@ -197,15 +197,24 @@ class MapSpecFile:
 
 
 _FIELD_KEYS = {"poly": ["rational"], "iso": ["rational"]}
-_OPTION_KEYS = {
-    "cap": "int",
-    "tol": "rational",
-    "depth": "int",
-    "assert_cyclic": "bool",
-    "assert_idoc": "bool",
-    "assert_orbit_infinite": "bool",
-    "partition": ["scalar"],
+# Each report option, once: name -> (kind, default, CLI help).  The options
+# section reads its values by these kinds, and `report.PipelineOptions` and
+# the CLI's flags are built from this table.
+OPTIONS = {
+    "cap": ("int", 10000, "orbit/breakpoint cap"),
+    "tol": ("rational", Fraction(1, 10**6), "Perron enclosure tolerance as a rational"),
+    "depth": ("int", 64, "eventual-surjectivity iteration depth"),
+    "assert_cyclic": ("bool", False, "assert that the constant function generates the module"),
+    "assert_idoc": ("bool", False, "assert orbit disjointness beyond the search limit"),
+    "assert_orbit_infinite": (
+        "bool", False, "assert the critical orbits are infinite beyond the search limit"
+    ),
+    "partition": (
+        ["scalar"], None, "coarser Markov partition in spec syntax, e.g. '[0,1/3,2/3,1]'; "
+        "points may be alg:[...] or quoted scalars",
+    ),
 }
+_OPTION_KEYS = {name: kind for name, (kind, _, _) in OPTIONS.items()}
 _BRANCH_KEYS = {"slope": "scalar", "intercept": "scalar"}
 
 

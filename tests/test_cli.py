@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,8 +10,8 @@ import pytest
 
 from imapk.cli import main
 from imapk.errors import ParameterOutOfRange, SpecSemanticError, SpecSyntaxError
-from imapk.report import map_from_echo, run, to_json
-from imapk.specfile import parse_spec
+from imapk.report import SECTIONS, map_from_echo, render_text, run, to_json
+from imapk.specfile import OPTIONS, parse_spec
 
 TENT_SPEC = "map { family = tent }\n"
 
@@ -288,3 +289,87 @@ def test_out_of_range_cap_and_depth_flags_are_rejected(tmp_path, capsys, flag, m
     captured = capsys.readouterr()
     assert captured.err == "error: %s\n" % message
     assert captured.out == ""
+
+
+# -- the text report is an outline of the JSON report ---------------------------------
+
+def _leaves(node):
+    """Each leaf of a JSON value, as `to_json` writes it but with strings unquoted."""
+    if isinstance(node, dict):
+        return [leaf for value in node.values() for leaf in _leaves(value)]
+    if isinstance(node, list) and node:
+        return [leaf for value in node for leaf in _leaves(value)]
+    return [node if isinstance(node, str) else json.dumps(node)]
+
+
+def test_the_text_report_is_an_indented_outline_of_the_json_report():
+    report = {
+        "command": "classify",
+        "map": {"partition": ["0", "1/2", "1"], "field": None, "notes": [], "extra": {}},
+        "matrix": [[1, 1], [1, 0]],
+        "consistency": [{"check": "stand-in", "status": "FAIL", "detail": "1 vs 2"}],
+        "conditional": False,
+    }
+    assert render_text(report) == (
+        "command: classify\n"
+        "map:\n"
+        "  partition: 0, 1/2, 1\n"
+        "  field: null\n"
+        "  notes: []\n"
+        "  extra: {}\n"
+        "matrix:\n"
+        "  1: 1, 1\n"
+        "  2: 1, 0\n"
+        "consistency:\n"
+        "  1:\n"
+        "    check: stand-in\n"
+        "    status: FAIL\n"
+        "    detail: 1 vs 2\n"
+        "conditional: false\n"
+    )
+
+
+@pytest.mark.parametrize("spec_path", SPECS, ids=lambda p: p.stem)
+def test_the_text_report_shows_every_leaf_of_the_json_report(spec_path):
+    for command in SECTIONS:
+        report, _ = run(command, parse_spec(spec_path.read_text()))
+        text = render_text(report)
+        # in order: each leaf after the one before it
+        at = 0
+        for leaf in _leaves(report):
+            at = text.find(leaf, at)
+            assert at >= 0, (command, leaf)
+            at += len(leaf)
+        sections = [line.split(":")[0] for line in text.splitlines() if line[0] != " "]
+        assert sections == list(report), command
+
+
+def test_orbit_text_shows_the_critical_closure_and_the_partition_orbits(capsys):
+    assert main(["orbit", str(SRC.parent / "specs" / "tent.imapk")]) == 0
+    text = capsys.readouterr().out
+    assert "orbits:\n  critical_closure:\n    points: 0, 1/2, 1\n" in text
+    assert "  partition_orbits:\n    1:\n      seed: 0\n" in text
+    assert "    2:\n      seed: 1/2\n      points: 1/2, 1, 0\n" in text
+
+
+def test_a_failed_check_is_named_in_the_text_of_an_exit_3_run(tmp_path, capsys, monkeypatch):
+    from imapk import report
+    from imapk.snf import kgroups_from_incidence
+
+    monkeypatch.setattr(
+        report, "kgroups_from_incidence", lambda matrix: kgroups_from_incidence([[3]])
+    )
+    path = tmp_path / "tent.imapk"
+    path.write_text(TENT_SPEC)
+    assert main(["classify", str(path)]) == 3
+    text = capsys.readouterr().out
+    assert ("    check: |m(1)| equals the torsion of the incidence cokernel\n"
+            "    status: FAIL\n") in text
+
+
+def test_help_lists_the_option_table_and_json(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    text = capsys.readouterr().out
+    listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)", text, re.M)
+    assert listed == ["--help"] + ["--" + name.replace("_", "-") for name in OPTIONS] + ["--json"]

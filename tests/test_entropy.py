@@ -3,8 +3,10 @@ from fractions import Fraction
 from imapk.entropy import entropy_report, perron_enclosure, uniform_abs_slope
 from imapk.interval_map import Certificate, dynamics_flags
 from imapk.markov import detect_markov, dynamics_certificates, graph_flags
+from imapk.report import run
 from imapk.scalar import rational
 from imapk.snf import char_poly
+from imapk.specfile import parse_spec
 
 from conftest import A_OFFDIAG3
 
@@ -41,6 +43,38 @@ def test_perron_reducible_takes_max():
     ]
     lo, hi, exact = perron_enclosure(A)
     assert exact == rational(2)
+
+
+# the golden block and a block whose root 2.2470 is that of t^3 - 2t^2 - t + 1;
+# at tol 3/4 the golden enclosure has the larger lower end
+TWO_BLOCKS = [
+    [1, 1, 0, 0, 0],
+    [1, 0, 0, 0, 0],
+    [0, 0, 0, 0, 1],
+    [0, 0, 0, 1, 1],
+    [0, 0, 1, 1, 1],
+]
+
+
+def test_a_reducible_enclosure_holds_the_largest_component_root():
+    larger = char_poly([row[2:] for row in TWO_BLOCKS[2:]])
+    for tol in (Fraction(3, 4), Fraction(1, 10**6)):
+        lo, hi, exact = perron_enclosure(TWO_BLOCKS, tol)
+        assert hi - lo <= tol
+        assert larger(lo) < 0 < larger(hi)
+        assert exact is None
+    spec = parse_spec("map { family = markov_realization; matrix = %s }" % TWO_BLOCKS)
+    report, _ = run("entropy", spec, {"tol": Fraction(3, 4)})
+    assert report["entropy"]["s_enclosure"] == ["3/2", "9/4"]
+    assert report["entropy"]["exact_s"] is None
+
+
+def test_a_reducible_exact_root_is_kept_only_where_it_dominates():
+    golden = [[1, 1], [1, 0]]
+    twice = [[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 0]]
+    with_a_loop = [[1, 1, 0], [1, 0, 0], [0, 0, 1]]
+    for A in (twice, with_a_loop):
+        assert perron_enclosure(A) == perron_enclosure(golden)
 
 
 def test_enclosure_sign_change_and_refinement():

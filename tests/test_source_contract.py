@@ -4,7 +4,8 @@ No ``assert`` statement (``python -O`` would strip a check), no float literal,
 no call of ``float`` and nothing from ``math`` beyond the integer functions:
 no floating-point value may decide anything.  No bare ``except:`` and no
 handler of ``Exception`` or ``BaseException``, which would swallow a
-``CertificateFailure``.  And no helper that nothing in the library calls.
+``CertificateFailure``, and outside the front ends no handler of
+``ImapkError``.  And no helper that nothing in the library calls.
 """
 
 import ast
@@ -72,6 +73,44 @@ def test_each_breach_is_caught(source, reason):
     assert [r for _, r in violations(ast.parse(source))] == [reason]
     assert violations(ast.parse("from math import gcd, lcm\nimport math\nn = math.isqrt(8) + 1")) == []
     assert violations(ast.parse("try:\n    f()\nexcept (KeyError, ValueError):\n    pass")) == []
+
+
+# Only the front ends catch ImapkError itself: the CLI turns it into an error
+# message and the spec reader into an error at a line and column.  Anywhere
+# else such a handler would turn a CertificateFailure, which subclasses it,
+# into a refusal or a note.
+MAY_CATCH_IMAPK_ERROR = {"cli.py", "specfile.py"}
+
+
+def imapk_error_handlers(tree):
+    """Lines of the handlers in a parsed module that catch ImapkError itself."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(getattr(t, "id", getattr(t, "attr", None)) == "ImapkError" for t in caught):
+                found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in MAY_CATCH_IMAPK_ERROR], ids=lambda p: p.name
+)
+def test_no_handler_catches_every_imapk_error(path):
+    assert imapk_error_handlers(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize("handler, caught", [
+    ("except ImapkError:", True),
+    ("except (ValueError, ImapkError) as exc:", True),
+    ("except errors.ImapkError:", True),
+    ("except CyclicityNotEstablished:", False),
+    ("except (KeyError, errors.HypothesisViolatedWithinCap):", False),
+    ("except:", False),  # a bare except is the exactness contract's own breach
+])
+def test_an_imapk_error_handler_is_caught(handler, caught):
+    tree = ast.parse("try:\n    f()\n%s\n    pass" % handler)
+    assert imapk_error_handlers(tree) == ([3] if caught else [])
 
 
 # Defined but called by no stage, each for a reason of its own:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imapk.cli import main
-from imapk.errors import ImapkError, SpecSemanticError
+from imapk.errors import ImapkError, SpecSemanticError, SpecSyntaxError
 from imapk.families import EXPLICIT_MAP, FAMILIES
 from imapk.specfile import _OPTION_KEYS, parse_spec
 
@@ -185,6 +185,17 @@ def test_malformed_spec_text_is_an_error_at_its_line_and_column(text, tmp_path, 
 ])
 def test_error_messages_name_the_offending_key_or_value(text, message):
     with pytest.raises(SpecSemanticError) as err:
+        parse_spec(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("map { family = tent", "line 1, column 5: missing closing brace"),
+    ("map { partition = [0, 1]\n  branch = {slope = 1, intercept = 0",
+     "line 2, column 12: missing closing brace"),
+])
+def test_an_unclosed_brace_is_named_where_it_opens(text, message):
+    with pytest.raises(SpecSyntaxError) as err:
         parse_spec(text)
     assert str(err.value) == message
 
