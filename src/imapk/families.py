@@ -30,9 +30,7 @@ from .markov import check_zero_one
 from .orbit import (
     IdocFails,
     IdocHolds,
-    ProvablyInfinite,
     interior_orbits_disjoint,
-    keane_idoc,
     route_label,
 )
 from .scalar import ONE, ZERO, as_scalar, rational
@@ -288,16 +286,13 @@ def exchange_kgroups(m, idoc_result, asserted=False):
     """K-groups of an interval exchange under orbit disjointness.
 
     `idoc_result` is Keane's proof of the IDOC (`orbit.keane_idoc`) or the
-    result of `orbit.idoc_check`.  A check that Keane's theorem can settle
-    is settled by it; `orbit.route_label` then labels the route by what
-    stopped the check.  Raises HypothesisViolatedWithinCap when the check
-    found a periodic orbit or a collision.
+    result of `orbit.idoc_check`; `orbit.route_label` labels the route by
+    what stopped the check.  Raises HypothesisViolatedWithinCap when the
+    check found a periodic orbit or a collision.
     """
     if isinstance(idoc_result, IdocFails):
         raise HypothesisViolatedWithinCap(idoc_result.witness)
     stop = idoc_result.stop if isinstance(idoc_result, IdocHolds) else idoc_result
-    if not isinstance(stop, ProvablyInfinite):
-        stop = keane_idoc(m) or stop
     label = route_label(stop, "disjointness beyond %s", asserted)
     n = len(m.branches)
     return Route(KGroups(torsion=[], free_rank=n, k1_rank=1, generator_note=""), label)

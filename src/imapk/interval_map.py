@@ -137,6 +137,7 @@ class PMMap:
 def validate_map(partition, branches):
     """Validate raw partition/branch data and return a canonical PMMap.
 
+    ``branches`` holds one (slope, intercept) pair per partition interval.
     Adjacent branches that are the same affine map are merged (with a note).
     Adjacent distinct branches that still join continuously with slopes of one
     sign are kept, with a note that the partition refines the coarsest one.
@@ -158,13 +159,8 @@ def validate_map(partition, branches):
             % (len(pts) - 1, len(pts), len(raw))
         )
     fixed = []
-    for i, b in enumerate(raw):
-        if isinstance(b, AffineBranch):
-            if not (b.lo == pts[i] and b.hi == pts[i + 1]):
-                b = AffineBranch(b.slope, b.intercept, pts[i], pts[i + 1])
-        else:
-            slope, intercept = b
-            b = AffineBranch(slope, intercept, pts[i], pts[i + 1])
+    for i, (slope, intercept) in enumerate(raw):
+        b = AffineBranch(slope, intercept, pts[i], pts[i + 1])
         lo_img, hi_img = b.image()
         if lo_img < ZERO or hi_img > ONE:
             raise BranchImageOutsideUnitInterval(

@@ -9,8 +9,8 @@ than one applies:
   |m(1)|, valid when the constant function generates the whole module, which
   is certified automatically for surjective unimodal maps sending 1 to 0 and
   for beta-transformations, and otherwise requires a user assertion;
-* closed forms for the unimodal and beta families, derived from the orbit and
-  itinerary of the critical value.
+* closed forms for the unimodal and beta families: one polynomial of the
+  weights that the orbit of the critical value gives.
 
 The classification verdict identifies the crossed product algebra with a
 Cuntz or Cuntz-Krieger algebra only when the certified hypothesis list
@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
+from operator import mul
 
 from .errors import (
     CertificateFailure,
@@ -176,112 +178,67 @@ def minimal_polynomial_iter(m, cap=64, breakpoint_cap=10000):
 # -- closed forms ---------------------------------------------------------
 
 
-def _sign_products(signs):
-    out = []
-    acc = 1
-    for s in signs:
-        if s not in (1, -1):
-            raise InconsistentCaseData("itinerary signs must be +1 or -1")
-        acc *= s
-        out.append(acc)
-    return out
+def _orbit_poly(weights, m):
+    """Q_m(w) = t^m - sum_{j<m} w_j t^(m-1-j), the polynomial of the first m
+    weights of a critical orbit."""
+    return IntPoly([-w for w in reversed(weights[:m])] + [1])
 
 
-def unimodal_minpoly(itinerary_signs, k, p, case):
+def _check_orbit_data(data, k, p):
+    """Reject a preperiod k and length p that no closed orbit gives."""
+    if not 0 <= k < p:
+        raise InconsistentCaseData("need 0 <= k < p, got k=%d, p=%d" % (k, p))
+    if len(data) < p:
+        raise InconsistentCaseData("orbit data too short: %d entries for p=%d" % (len(data), p))
+
+
+def unimodal_minpoly(signs, k, p):
     """Closed-form minimal polynomial for surjective unimodal maps with 1 -> 0.
 
-    The orbit of 0 has p distinct points with step p returning to step k; the
-    itinerary signs are +1 on the increasing side (critical point included)
-    and -1 on the decreasing side.
+    The orbit x_0 = 0, x_1, ... of 0 has p distinct points and x_p = x_k.
+    s_j is +1 when x_j lies on the increasing side (critical point included,
+    so s_0 = +1) and -1 on the decreasing side.  With a_j = s_0...s_j,
+    a_{-1} = 1 and the weights w = (1, a_0, a_1, ...), so that w_j = a_{j-1}:
+
+    * 0 fixed (k = 0, p = 1), and the eventually periodic cases k = 1 and
+      k > 1: Q_p(w) - a_{k-1} a_{p-1} Q_k(w);
+    * 0 periodic with period p >= 2, for p = 2 and p >= 3 alike: the orbit
+      returns to 0 through 1, where the sign is -1, and the polynomial is
+      Q_{p-1}(w).
     """
-    signs = list(itinerary_signs)
-    a = _sign_products(signs)  # a[j] = a_j, and a_{-1} = 1
-
-    def a_at(j):
-        if j == -1:
-            return 1
-        if j >= len(a):
-            raise InconsistentCaseData("itinerary too short for the stated orbit data")
-        return a[j]
-
-    if case == "fixed":
-        if not (k == 0 and p == 1):
-            raise InconsistentCaseData("fixed case needs k=0, p=1")
-        return IntPoly([-2, 1])
-    if case == "periodic_2":
-        if not (k == 0 and p == 2):
-            raise InconsistentCaseData("period-2 case needs k=0, p=2")
-        return IntPoly([-1, 1])
-    if case == "periodic_p>=3":
-        if not (k == 0 and p >= 3):
-            raise InconsistentCaseData("periodic case needs k=0, p>=3")
-        coeffs = [0] * p
-        coeffs[p - 1] = 1  # t^{p-1}
-        coeffs[p - 2] -= 1
-        for j in range(0, p - 2):
-            coeffs[p - 3 - j] -= a_at(j)
-        return IntPoly(coeffs)
-    if case in ("eventually_periodic_k=1", "eventually_periodic_k>1"):
-        if case == "eventually_periodic_k=1" and k != 1:
-            raise InconsistentCaseData("case needs k=1")
-        if case == "eventually_periodic_k>1" and k <= 1:
-            raise InconsistentCaseData("case needs k>1")
-        if not (0 < k < p):
-            raise InconsistentCaseData("need 0 < k < p")
-        big = [0] * (p + 1)
-        big[p] = 1
-        big[p - 1] -= 1
-        for j in range(0, p - 1):
-            big[p - 2 - j] -= a_at(j)
-        small = [0] * (p + 1)
-        small[k] = 1
-        small[k - 1] -= 1
-        for j in range(0, k - 1):
-            small[k - 2 - j] -= a_at(j)
-        # the quotient a_{k-1}/a_{p-1} of two signs is their product
-        factor = a_at(k - 1) * a_at(p - 1)
-        return IntPoly([b - factor * s for b, s in zip(big, small)])
-    raise InconsistentCaseData("unknown case %r" % case)
+    _check_orbit_data(signs, k, p)
+    if any(s not in (1, -1) for s in signs):
+        raise InconsistentCaseData("itinerary signs must be +1 or -1")
+    if signs[0] != 1:
+        raise InconsistentCaseData("0 lies on the increasing side, so the first sign is +1")
+    w = list(accumulate(signs[:p], mul, initial=1))
+    if k == 0 and p >= 2:
+        if signs[p - 1] != -1:
+            raise InconsistentCaseData("a periodic orbit of 0 returns through 1, so its last sign is -1")
+        return _orbit_poly(w, p - 1)
+    return _orbit_poly(w, p) - IntPoly([w[k] * w[p]]) * _orbit_poly(w, k)
 
 
-def beta_minpoly(digits, k, p, case):
+def beta_minpoly(digits, k, p):
     """Closed-form minimal polynomial for beta-transformations.
 
-    ``digits`` is the digit string of the orbit of 1 in the interval labeling
-    of the beta partition (last interval closed); the orbit of 1 has p
-    distinct points with step p returning to step k.
+    ``digits`` n_0, n_1, ... label the orbit x_0 = 1, x_1, ... of 1 in the
+    interval labeling of the beta partition (last interval closed); the orbit
+    has p distinct points and x_p = x_k.  With the digits as weights:
+
+    * 1 fixed (k = 0, p = 1): Q_1 = t - n_0;
+    * the orbit ends at the fixed point 0 (k = p - 1 and n_{p-1} = 0): Q_k;
+    * the generic case, every other closed orbit: Q_p - Q_k.
     """
-    digits = [int(d) for d in digits]
-
-    def n_at(j):
-        if j >= len(digits):
-            raise InconsistentCaseData("digit string too short for the orbit data")
-        return digits[j]
-
-    if case == "tau1_fixed":
-        if not (k == 0 and p == 1):
-            raise InconsistentCaseData("fixed case needs k=0, p=1")
-        return IntPoly([-n_at(0), 1])
-    if case == "generic":
-        if not (1 <= k < p):
-            raise InconsistentCaseData("generic case needs 1 <= k < p")
-        coeffs = [0] * (p + 1)
-        coeffs[p] = 1
-        for j in range(p):
-            coeffs[p - 1 - j] -= n_at(j)
-        coeffs[k] -= 1
-        for j in range(k):
-            coeffs[k - 1 - j] += n_at(j)
-        return IntPoly(coeffs)
-    if case == "hits_zero":
-        if not (p >= 2 and k == p - 1):
-            raise InconsistentCaseData("hits-zero case needs k = p-1, p >= 2")
-        coeffs = [0] * p
-        coeffs[p - 1] = 1
-        for j in range(p - 1):
-            coeffs[p - 2 - j] -= n_at(j)
-        return IntPoly(coeffs)
-    raise InconsistentCaseData("unknown case %r" % case)
+    _check_orbit_data(digits, k, p)
+    n = [int(d) for d in digits]
+    if k == 0:
+        if p != 1:
+            raise InconsistentCaseData("only 1 maps to 1, so an orbit of 1 with k=0 has p=1")
+        return _orbit_poly(n, 1)
+    if k == p - 1 and n[k] == 0:
+        return _orbit_poly(n, k)
+    return _orbit_poly(n, p) - _orbit_poly(n, k)
 
 
 # -- family recognition and orbit data --------------------------------------
@@ -313,27 +270,15 @@ def _closed_orbit(m, x, cap):
 
 
 def unimodal_orbit_data(m, cap=10000):
-    """(signs, k, p, case) for the orbit of 0, or the running status on failure."""
+    """(signs, k, p) for the orbit of 0, or the running status on failure."""
     c = recognize_unimodal(m)
     if c is None:
         raise WrongFamily("map is not surjective unimodal with 1 -> 0")
     points, status = _closed_orbit(m, ZERO, cap)
     if not isinstance(status, orbit_mod.Closed):
         return None, status
-    k = status.preperiod
     p = status.preperiod + status.period
-    signs = [1 if x <= c else -1 for x in points[:p]]
-    if k == 0 and p == 1:
-        case = "fixed"
-    elif k == 0 and p == 2:
-        case = "periodic_2"
-    elif k == 0:
-        case = "periodic_p>=3"
-    elif k == 1:
-        case = "eventually_periodic_k=1"
-    else:
-        case = "eventually_periodic_k>1"
-    return (signs, k, p, case), status
+    return ([1 if x <= c else -1 for x in points[:p]], status.preperiod, p), status
 
 
 def beta_digit(beta, x):
@@ -342,21 +287,12 @@ def beta_digit(beta, x):
 
 
 def beta_orbit_data(m, beta, cap=10000):
-    """(digits, k, p, case) for the orbit of 1, or the running status on failure."""
+    """(digits, k, p) for the orbit of 1, or the running status on failure."""
     points, status = _closed_orbit(m, ONE, cap)
     if not isinstance(status, orbit_mod.Closed):
         return None, status
-    k = status.preperiod
     p = status.preperiod + status.period
-    digits = [beta_digit(beta, x) for x in points[:p]]
-    if k == 0 and p == 1:
-        case = "tau1_fixed"
-    elif points[p - 1] == ZERO:
-        case = "hits_zero"
-        digits = digits[: p - 1]
-    else:
-        case = "generic"
-    return (digits, k, p, case), status
+    return ([beta_digit(beta, x) for x in points[:p]], status.preperiod, p), status
 
 
 # -- K-groups from the minimal polynomial ------------------------------------

@@ -576,14 +576,17 @@ def to_json(report):
 
 def render_text(node, indent=""):
     """The report as an indented outline, one line per leaf: a dict is a block
-    of its keys, a list of dicts or lists a block numbered from 1, and any
-    other list one comma-joined line.  Leaves read as `to_json` writes them,
+    of its keys; a list is a block numbered from 1 when it holds a dict, a
+    list or a string that contains ", ", so that its items stay apart, and
+    one comma-joined line otherwise.  Leaves read as `to_json` writes them,
     strings unquoted."""
     lines = []
     for key, value in node.items() if isinstance(node, dict) else enumerate(node, 1):
         if value and (
             isinstance(value, dict)
-            or isinstance(value, list) and any(isinstance(x, (dict, list)) for x in value)
+            or isinstance(value, list) and any(
+                isinstance(x, (dict, list)) or isinstance(x, str) and ", " in x for x in value
+            )
         ):
             lines.append("%s%s:\n%s" % (indent, key, render_text(value, indent + "  ")))
         else:

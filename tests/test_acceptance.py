@@ -80,7 +80,7 @@ def test_criterion_3_conjugate_quadratic():
     iterated = minimal_polynomial_iter(m)
     assert iterated.poly == IntPoly([-2, 0, 1])
     assert iterated.iterations <= 3
-    closed = unimodal_minpoly([1, -1], 1, 2, "eventually_periodic_k=1")
+    closed = unimodal_minpoly([1, -1], 1, 2)
     assert closed == iterated.poly
     report, code = run("classify", spec)
     assert code == 0
@@ -118,9 +118,9 @@ def test_criterion_4b_golden_beta():
     assert data.matrix == [[1, 1], [1, 0]]
     iterated = minimal_polynomial_iter(m)
     assert iterated.poly == IntPoly([-1, -1, 1])
-    (digits, k, p, case), _ = beta_orbit_data(m, phi)
-    assert (digits, k, p, case) == ([1, 1], 2, 3, "hits_zero")
-    assert beta_minpoly(digits, k, p, case) == iterated.poly
+    (digits, k, p), _ = beta_orbit_data(m, phi)
+    assert (digits, k, p) == ([1, 1, 0], 2, 3)
+    assert beta_minpoly(digits, k, p) == iterated.poly
     report, code = run("all", spec)
     assert code == 0
     for route in ("incidence_route", "minpoly_route"):
@@ -162,7 +162,8 @@ def test_criterion_5_golden_exchange():
     result = idoc_check(m, 1000)
     assert result.kind == "holds_up_to_cap"
     kg, label = exchange_kgroups(m, result)
-    assert kg.free_rank == 2 and kg.k1_rank == 1 and label == "unconditional"
+    assert kg.free_rank == 2 and kg.k1_rank == 1
+    assert label == "conditional on disjointness beyond cap 1000"
     report, code = run("classify", spec)
     assert code == 0
     assert report["dynamics"]["essentially_injective"] == "yes"

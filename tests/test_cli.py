@@ -352,6 +352,27 @@ def test_orbit_text_shows_the_critical_closure_and_the_partition_orbits(capsys):
     assert "    2:\n      seed: 1/2\n      points: 1/2, 1, 0\n" in text
 
 
+def test_text_items_that_contain_commas_are_numbered(capsys):
+    # the annotations and the entropy notes hold ", " themselves, so a
+    # comma-joined line would run them together; the JSON lists stay as they are
+    tent = str(SRC.parent / "specs" / "tent.imapk")
+    assert main(["classify", tent]) == 0
+    text = capsys.readouterr().out
+    assert ("  notes:\n"
+            "    1: unique trace on the core algebra, scaled by exp(-h) with h = ln 2\n"
+            "    2: unique KMS state at inverse temperature h = ln 2\n") in text
+    assert ("  annotations:\n"
+            "    1: crossed product is separable, simple, purely infinite, nuclear; "
+            "its K-groups determine it\n"
+            "    2: core algebra is simple with a unique trace\n") in text
+    assert "  partition: 0, 1/2, 1\n" in text
+    assert main(["classify", tent, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["classification"]["annotations"] == [
+        "crossed product is separable, simple, purely infinite, nuclear; its K-groups determine it",
+        "core algebra is simple with a unique trace",
+    ]
+
+
 def test_a_failed_check_is_named_in_the_text_of_an_exit_3_run(tmp_path, capsys, monkeypatch):
     from imapk import report
     from imapk.snf import kgroups_from_incidence

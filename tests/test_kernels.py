@@ -7,7 +7,8 @@ determinants of tI - A, the rank of A^n by Fraction elimination, and the
 Faddeev-LeVerrier characteristic polynomial, the bisection with a Fraction
 Sturm count at every step, the Fraction Gauss-Jordan solve, the merge-walk
 sums and the per-branch transfer the library used before, kept below as the
-reference.
+reference.  The unimodal and beta closed forms, one polynomial of the critical
+orbit's weights, are compared with the case-by-case formulas they replaced.
 """
 
 import bisect
@@ -16,6 +17,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt, lcm
 from pathlib import Path
 
@@ -25,8 +27,10 @@ from hypothesis import strategies as st
 
 from imapk import ktheory, snf
 from imapk.entropy import _identify_exact, _largest_real_root, perron_enclosure
-from imapk.errors import CertificateFailure
-from imapk.ktheory import _sample_rows, _solve_dependence, minimal_polynomial_iter
+from imapk.errors import CertificateFailure, InconsistentCaseData
+from imapk.ktheory import (
+    _sample_rows, _solve_dependence, beta_minpoly, minimal_polynomial_iter, unimodal_minpoly,
+)
 from imapk.interval_map import eval_multivalued
 from imapk.polynomials import (
     IntPoly, count_real_roots, integral, sturm_sequence, poly_derivative, poly_divmod, poly_eval, poly_gcd,
@@ -741,3 +745,91 @@ def test_minimal_polynomial_reverification_raises(tent, monkeypatch):
     monkeypatch.setattr(ktheory, "_solve_dependence", lambda basis, target, known=None: [Fraction(3)])
     with pytest.raises(CertificateFailure):
         minimal_polynomial_iter(tent)
+
+
+def reference_unimodal_minpoly(signs, k, p):
+    """The case-by-case closed form the library used before, the case read off
+    (k, p): fixed, period 2, period p >= 3, and eventually periodic."""
+    a = []
+    for s in signs:
+        a.append(s * (a[-1] if a else 1))
+    a_at = lambda j: 1 if j == -1 else a[j]
+    if k == 0 and p == 1:
+        return IntPoly([-2, 1])
+    if k == 0 and p == 2:
+        return IntPoly([-1, 1])
+    if k == 0:
+        coeffs = [0] * p
+        coeffs[p - 1] = 1
+        coeffs[p - 2] -= 1
+        for j in range(0, p - 2):
+            coeffs[p - 3 - j] -= a_at(j)
+        return IntPoly(coeffs)
+    big = [0] * (p + 1)
+    big[p] = 1
+    big[p - 1] -= 1
+    for j in range(0, p - 1):
+        big[p - 2 - j] -= a_at(j)
+    small = [0] * (p + 1)
+    small[k] = 1
+    small[k - 1] -= 1
+    for j in range(0, k - 1):
+        small[k - 2 - j] -= a_at(j)
+    factor = a_at(k - 1) * a_at(p - 1)
+    return IntPoly([b - factor * s for b, s in zip(big, small)])
+
+
+def reference_beta_minpoly(digits, k, p):
+    """The case-by-case closed form the library used before: 1 fixed, the
+    orbit ending at 0 (whose digit it dropped), and the generic case."""
+    if k == 0 and p == 1:
+        return IntPoly([-digits[0], 1])
+    if k == p - 1 and digits[p - 1] == 0:
+        coeffs = [0] * p
+        coeffs[p - 1] = 1
+        for j in range(p - 1):
+            coeffs[p - 2 - j] -= digits[j]
+        return IntPoly(coeffs)
+    coeffs = [0] * (p + 1)
+    coeffs[p] = 1
+    for j in range(p):
+        coeffs[p - 1 - j] -= digits[j]
+    coeffs[k] -= 1
+    for j in range(k):
+        coeffs[k - 1 - j] += digits[j]
+    return IntPoly(coeffs)
+
+
+def _orbit_data(alphabet, max_p):
+    for p in range(1, max_p + 1):
+        for k in range(p):
+            for word in product(alphabet, repeat=p):
+                yield list(word), k, p
+
+
+def test_the_unimodal_closed_form_is_the_case_by_case_formula():
+    # every sign word up to p = 8: 0 lies left of the critical point, and a
+    # periodic orbit of 0 returns to it through 1; other words are rejected
+    compared = 0
+    for signs, k, p in _orbit_data((1, -1), 8):
+        if signs[0] == 1 and (k > 0 or p == 1 or signs[-1] == -1):
+            assert unimodal_minpoly(signs, k, p) == reference_unimodal_minpoly(signs, k, p), (signs, k, p)
+            compared += 1
+        else:
+            with pytest.raises(InconsistentCaseData):
+                unimodal_minpoly(signs, k, p)
+    assert compared == 1666
+
+
+def test_the_beta_closed_form_is_the_case_by_case_formula():
+    # every digit word over 0..3 up to p = 5; only 1 maps to 1, so k = 0
+    # needs p = 1
+    compared = 0
+    for digits, k, p in _orbit_data(range(4), 5):
+        if k > 0 or p == 1:
+            assert beta_minpoly(digits, k, p) == reference_beta_minpoly(digits, k, p), (digits, k, p)
+            compared += 1
+        else:
+            with pytest.raises(InconsistentCaseData):
+                beta_minpoly(digits, k, p)
+    assert compared == 5012

@@ -107,21 +107,21 @@ def test_caps_stop_the_multimodal_iteration_at_the_same_step(caps, expected):
 
 def test_unimodal_closed_forms_fixed(tent):
     data, status = unimodal_orbit_data(tent)
-    signs, k, p, case = data
-    assert (k, p, case) == (0, 1, "fixed")
-    assert unimodal_minpoly(signs, k, p, case) == IntPoly([-2, 1])
+    signs, k, p = data
+    assert (k, p) == (0, 1)
+    assert unimodal_minpoly(signs, k, p) == IntPoly([-2, 1])
 
 
 def test_unimodal_closed_form_case5(sqrt2_field):
     s = sqrt2_field.alpha()
     m = build(FamilySpec("restricted_tent", {"s": s}))
     data, _ = unimodal_orbit_data(m)
-    signs, k, p, case = data
-    assert (k, p, case) == (1, 2, "eventually_periodic_k=1")
+    signs, k, p = data
+    assert (k, p) == (1, 2)
     assert signs == [1, -1]
-    assert unimodal_minpoly(signs, k, p, case) == IntPoly([-2, 0, 1])
+    assert unimodal_minpoly(signs, k, p) == IntPoly([-2, 0, 1])
     # direct formula check with the stated data
-    assert unimodal_minpoly([1, -1], 1, 2, "eventually_periodic_k=1") == IntPoly([-2, 0, 1])
+    assert unimodal_minpoly([1, -1], 1, 2) == IntPoly([-2, 0, 1])
 
 
 def test_unimodal_closed_form_periodic3(golden_field):
@@ -129,9 +129,9 @@ def test_unimodal_closed_form_periodic3(golden_field):
     phi = golden_field.alpha()
     m = build(FamilySpec("restricted_tent", {"s": phi}))
     data, _ = unimodal_orbit_data(m)
-    signs, k, p, case = data
-    assert (k, p, case) == (0, 3, "periodic_p>=3")
-    closed = unimodal_minpoly(signs, k, p, case)
+    signs, k, p = data
+    assert (k, p) == (0, 3)
+    closed = unimodal_minpoly(signs, k, p)
     assert closed == IntPoly([-1, -1, 1])
     assert closed == minimal_polynomial_iter(m).poly
 
@@ -142,46 +142,52 @@ def test_unimodal_closed_form_case4_cubic():
     s = field.alpha()
     m = build(FamilySpec("restricted_tent", {"s": s}))
     data, _ = unimodal_orbit_data(m)
-    signs, k, p, case = data
-    assert (k, p, case) == (2, 3, "eventually_periodic_k>1")
-    closed = unimodal_minpoly(signs, k, p, case)
+    signs, k, p = data
+    assert (k, p) == (2, 3)
+    closed = unimodal_minpoly(signs, k, p)
     iterated = minimal_polynomial_iter(m).poly
     assert closed == iterated == IntPoly([-2, -2, 0, 1])
 
 
 def test_unimodal_closed_form_period2():
-    assert unimodal_minpoly([1, -1], 0, 2, "periodic_2") == IntPoly([-1, 1])
+    assert unimodal_minpoly([1, -1], 0, 2) == IntPoly([-1, 1])
 
 
 def test_unimodal_case_validation():
-    with pytest.raises(InconsistentCaseData):
-        unimodal_minpoly([1, 1], 0, 2, "periodic_p>=3")
-    with pytest.raises(InconsistentCaseData):
-        unimodal_minpoly([1], 1, 3, "eventually_periodic_k>1")
-    with pytest.raises(InconsistentCaseData):
-        unimodal_minpoly([2, 1], 0, 2, "periodic_2")
+    # data that no orbit of 0 gives
+    for signs, k, p, message in [
+        ([1, 2], 1, 2, "signs must be"),
+        ([1, -1], 2, 2, "need 0 <= k < p"),
+        ([1, -1], -1, 2, "need 0 <= k < p"),
+        ([1, -1], 1, 3, "too short"),
+        ([-1, -1], 1, 2, "first sign is \\+1"),
+        ([1, 1], 0, 2, "last sign is -1"),
+        ([1, -1, 1], 0, 3, "last sign is -1"),
+    ]:
+        with pytest.raises(InconsistentCaseData, match=message):
+            unimodal_minpoly(signs, k, p)
 
 
 def test_beta_closed_forms(golden_beta, phi):
     data, _ = beta_orbit_data(golden_beta, phi)
-    digits, k, p, case = data
-    assert (digits, k, p, case) == ([1, 1], 2, 3, "hits_zero")
-    assert beta_minpoly(digits, k, p, case) == IntPoly([-1, -1, 1])
+    digits, k, p = data
+    assert (digits, k, p) == ([1, 1, 0], 2, 3)
+    assert beta_minpoly(digits, k, p) == IntPoly([-1, -1, 1])
 
     m2 = build(FamilySpec("beta", {"beta": 2}))
     data2, _ = beta_orbit_data(m2, rational(2))
-    digits2, k2, p2, case2 = data2
-    assert (digits2, k2, p2, case2) == ([2], 0, 1, "tau1_fixed")
-    assert beta_minpoly(digits2, k2, p2, case2) == IntPoly([-2, 1])
+    digits2, k2, p2 = data2
+    assert (digits2, k2, p2) == ([2], 0, 1)
+    assert beta_minpoly(digits2, k2, p2) == IntPoly([-2, 1])
 
 
 def test_beta_generic_case(phi):
     beta = phi * phi
     m = build(FamilySpec("beta", {"beta": beta}))
     data, _ = beta_orbit_data(m, beta)
-    digits, k, p, case = data
-    assert (digits, k, p, case) == ([2, 1], 1, 2, "generic")
-    closed = beta_minpoly(digits, k, p, case)
+    digits, k, p = data
+    assert (digits, k, p) == ([2, 1], 1, 2)
+    closed = beta_minpoly(digits, k, p)
     assert closed == IntPoly([1, -3, 1])
     assert closed == minimal_polynomial_iter(m).poly
 
@@ -198,10 +204,16 @@ def test_beta_integer_torsion():
 
 
 def test_beta_case_validation():
-    with pytest.raises(InconsistentCaseData):
-        beta_minpoly([1], 0, 2, "tau1_fixed")
-    with pytest.raises(InconsistentCaseData):
-        beta_minpoly([1, 1], 0, 3, "hits_zero")
+    # data that no orbit of 1 gives
+    for digits, k, p, message in [
+        ([1, 1], 2, 2, "need 0 <= k < p"),
+        ([1, 1], -1, 2, "need 0 <= k < p"),
+        ([1, 1], 2, 3, "too short"),
+        ([1, 1], 0, 2, "k=0 has p=1"),
+        ([1, 1, 0], 0, 3, "k=0 has p=1"),
+    ]:
+        with pytest.raises(InconsistentCaseData, match=message):
+            beta_minpoly(digits, k, p)
 
 
 def test_kgroups_from_minpoly():

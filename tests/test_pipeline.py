@@ -116,8 +116,8 @@ def test_markov_quartic_tent_found_by_closure():
         "map { family = restricted_tent; s = alg:[0,1] }"
     )
     data, _ = unimodal_orbit_data(spec.map, 300)
-    signs, k, p, case = data
-    assert (k, p, case) == (3, 5, "eventually_periodic_k>1")
+    _, k, p = data
+    assert (k, p) == (3, 5)
     report, code = run("classify", spec)
     assert code == 0
     assert report["minimal_polynomial"]["n"] == 0
@@ -149,8 +149,7 @@ def test_closed_form_polynomials_annihilate(tent, golden_field):
     phi = golden_field.alpha()
     for m in (tent, build(FamilySpec("restricted_tent", {"s": phi}))):
         data, _ = unimodal_orbit_data(m)
-        signs, k, p, case = data
-        poly = unimodal_minpoly(signs, k, p, case)
+        poly = unimodal_minpoly(*data)
         assert apply_int_poly(m, poly, indicator(0, 1)).is_zero
 
 
