@@ -10,10 +10,12 @@ which ``PMMap.branch_index_at`` and ``StepFn.value_at`` take.
 
 ``limits`` evaluates the branches at a point.  ``eval_multivalued`` gives the
 same values through the map's table ``images``, which it alone fills, so the
-walks and the transfer operator of one report map each point once;
-``report.run`` empties the table when its report is built.  The re-checks of
-a result (a closed orbit, a valuation witness, a minimal polynomial) never read
-the table: they evaluate the branches directly.
+closure, the orbit walks and the transfer operator of one report map each
+point once; ``report.run`` empties the table when its report is built.  The
+interior walks of a rational map (``orbit._pair_walk``) run on integer
+pairs and read no table.  The re-checks of a result (a closed orbit, a
+valuation witness, a minimal polynomial) never read the table: they
+evaluate the branches directly.
 """
 
 from __future__ import annotations

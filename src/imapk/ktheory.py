@@ -269,9 +269,13 @@ def _closed_orbit(m, x, cap):
     return points, status
 
 
-def unimodal_orbit_data(m, cap=10000):
-    """(signs, k, p) for the orbit of 0, or the running status on failure."""
-    c = recognize_unimodal(m)
+def unimodal_orbit_data(m, cap=10000, c=None):
+    """(signs, k, p) for the orbit of 0, or the running status on failure.
+
+    ``c`` is the turning point that ``recognize_unimodal`` returned for m;
+    without it the map is recognized here."""
+    if c is None:
+        c = recognize_unimodal(m)
     if c is None:
         raise WrongFamily("map is not surjective unimodal with 1 -> 0")
     points, status = _closed_orbit(m, ZERO, cap)

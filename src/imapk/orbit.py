@@ -10,11 +10,14 @@ One breadth-first search, ``_search``, serves three wrappers:
 * ``critical_closure`` follows the multivalued map from every partition
   point at once.
 
-Every step reads ``interval_map.eval_multivalued``, so a point that one walk
-of a report mapped is looked up, not mapped again, by the next: the
-closure, the partition orbits and the interior walks share the map's table
-of images.  The single-valued step takes the one value from that table and
+Every step of ``_search`` reads ``interval_map.eval_multivalued``, so a
+point that one walk of a report mapped is looked up, not mapped again, by
+the next: the closure and the partition orbits share the map's table of
+images.  The single-valued step takes the one value from that table and
 evaluates its branch only at a partition point whose two limits differ.
+The interior walks of a rational map run on (numerator, denominator) int
+pairs instead (``_pair_walk``) and read no table; an algebraic map's are
+``_search`` walks.
 ``reverify_closed`` and the valuation witness re-check a result through the
 branches themselves, never through the table.  ``reverify_closed`` checks
 the whole walk of a closed single-valued orbit, each point against the
@@ -69,7 +72,7 @@ generalized exchange, or a polynomial not proved irreducible), the capped
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     CertificateFailure,
@@ -79,7 +82,7 @@ from .errors import (
 )
 from .interval_map import PLUS
 from .polynomials import provably_irreducible
-from .scalar import ONE, ZERO, Scalar, as_scalar, sort_scalars
+from .scalar import ONE, ZERO, Scalar, as_scalar, rational, sort_scalars
 from .snf import determinant
 from . import interval_map as imap
 
@@ -263,6 +266,15 @@ def _valuation_witness(m, x, p, bound, steps=10):
     return "v_%d of the iterates %s... stays below %d" % (p, valuations[:6], bound)
 
 
+def _certified(m, x, region):
+    """The ProvablyInfinite status of a point x in the certificate's region."""
+    return ProvablyInfinite(
+        "p-adic valuation certificate: the region v_%d(x) < %d is forward "
+        "invariant and holds no partition point and no cycle" % region,
+        _valuation_witness(m, x, *region),
+    )
+
+
 def _search(m, seeds, cap, step, edges=None, certify=True):
     """Breadth-first search from the seeds under ``step(m, x) -> values``.
 
@@ -290,11 +302,7 @@ def _search(m, seeds, cap, step, edges=None, certify=True):
             return points, SizeLimitReached(MAX_COEFF_BITS), last
         region = cert and cert.region_of(p)
         if region:
-            return points, ProvablyInfinite(
-                "p-adic valuation certificate: the region v_%d(x) < %d is forward "
-                "invariant and holds no partition point and no cycle" % region,
-                _valuation_witness(m, p, *region),
-            ), last
+            return points, _certified(m, p, region), last
         for v in step(m, p):
             last = seen.setdefault(v, len(points))
             if last == len(points):
@@ -433,15 +441,74 @@ class IdocFails:
     kind = "fails"
 
 
+def _pair_walk(m, a, cap, certify):
+    """``_search(m, [a], cap, _tau_step, certify=certify)`` for a rational
+    map, walked on (numerator, denominator) int pairs in lowest terms: the
+    same points in the same order, as pairs, the same stop and the same
+    index of the last value.  It neither reads nor fills the table of
+    images, and builds no Scalar except for a certified point's witness.
+
+    Branch x -> (u/b)*x + e/f is kept as the row (u*f, e*b, b*f), and maps
+    n/d to N/D with N = u*f*n + e*b*d and D = b*f*d.  As gcd(n, d) = 1,
+    gcd(N, d) = gcd(u*f*n, d) = gcd(u*f, d), so gcd(N, D), which divides
+    gcd(N, b*f) * gcd(N, d), divides the small number
+    g = gcd(N, b*f) * gcd(u*f, d), and equals gcd(gcd(N, g), D).
+    Every gcd has an operand no larger than the map's data, so a step takes
+    time linear in the size of x.
+
+    The branch is the one ``_tau_step`` takes: the one to the left of the
+    first interior cut t > x, found by integer cross products, else the
+    last.  So at a cut t = x the branch to its right acts, which is
+    ``_tau_step``'s value also where the two limits agree.
+    """
+    rows = []
+    for br in m.branches:
+        u, b = br.slope.as_fraction().as_integer_ratio()
+        e, f = br.intercept.as_fraction().as_integer_ratio()
+        rows.append((u * f, e * b, b * f))
+    cuts = [(*t.as_fraction().as_integer_ratio(), row) for t, row in zip(m.partition[1:-1], rows)]
+    regions = _certificate(m).regions if certify else ()
+    n, d = a.as_fraction().as_integer_ratio()
+    points = [(n, d)]
+    seen = {(n, d): 0}
+    last = None
+    while True:
+        if len(points) > cap:
+            return points, CapReached(cap), last
+        if d.bit_length() > MAX_COEFF_BITS:  # and 0 <= n <= d
+            return points, SizeLimitReached(MAX_COEFF_BITS), last
+        for p, bound, modulus in regions:
+            if d % modulus == 0:
+                return points, _certified(m, rational(n, d), (p, bound)), last
+        row = rows[-1]
+        for tn, td, left in cuts:
+            if tn * d > n * td:  # t > x
+                row = left
+                break
+        uf, eb, bf = row
+        num, den = uf * n + eb * d, bf * d
+        g = gcd(num, bf) * gcd(uf, d)
+        if g != 1:
+            g = gcd(gcd(num, g), den)
+            num //= g
+            den //= g
+        n, d = num, den
+        last = seen.setdefault((n, d), len(points))
+        if last < len(points):
+            return points, None, last
+        points.append((n, d))
+
+
 def interior_orbits_disjoint(m, cap):
     """Check the orbits of the interior partition points to the cap.
 
-    Uses true single-valued orbits under the right-continuous convention.
-    Raises HypothesisViolatedWithinCap when an orbit is eventually periodic
-    or two orbits meet.  Otherwise returns the status that stopped the
-    walks: ProvablyInfinite when every walk was certified, else the
-    CapReached or SizeLimitReached of the first interior point whose walk
-    was not.  With no interior point nothing was walked: None.
+    Uses true single-valued orbits under the right-continuous convention,
+    walked on integer pairs by ``_pair_walk`` for a rational map.  Raises
+    HypothesisViolatedWithinCap when an orbit is eventually periodic or two
+    orbits meet.  Otherwise returns the status that stopped the walks:
+    ProvablyInfinite when every walk was certified, else the CapReached or
+    SizeLimitReached of the first interior point whose walk was not.  With
+    no interior point nothing was walked: None.
 
     A valuation certificate proves an orbit infinite, not two orbits apart.
     An exchange is injective on [0,1), so meeting orbits of a and b put one
@@ -455,7 +522,10 @@ def interior_orbits_disjoint(m, cap):
     owner = {}
     stops = []
     for idx, a in enumerate(interior):
-        points, stop, last = _search(m, [a], cap, _tau_step, certify=certify)
+        if m.field is None:
+            points, stop, last = _pair_walk(m, a, cap, certify)
+        else:
+            points, stop, last = _search(m, [a], cap, _tau_step, certify=certify)
         if stop is None:
             raise HypothesisViolatedWithinCap(
                 "orbit of %s is eventually periodic (preperiod %d, period %d)"
@@ -466,9 +536,10 @@ def interior_orbits_disjoint(m, cap):
             # the points of one orbit are distinct, so another owner is a collision
             first = owner.setdefault(p, idx)
             if first != idx:
+                point = rational(*p) if m.field is None else p
                 raise HypothesisViolatedWithinCap(
                     "orbits of %s and %s collide at %s"
-                    % (interior[first].text(), a.text(), p.text())
+                    % (interior[first].text(), a.text(), point.text())
                 )
     # the first walk left open, else the first certified one (min is stable)
     return min(stops, key=lambda stop: isinstance(stop, ProvablyInfinite), default=None)

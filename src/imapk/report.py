@@ -15,7 +15,8 @@ outright carries a provenance string (certificate, assertion, or route name).
 
 The stages share the map's table of images (``interval_map.eval_multivalued``),
 so the closure, the orbit walks and the transfer operator map each point
-once.  `run` empties the table when the report is built, or when a stage
+once; the interior walks of a rational map run on integer pairs and read
+no table.  `run` empties the table when the report is built, or when a stage
 raises, so no report depends on what an earlier one left in it and a batch
 of parsed specs does not keep every point it ever mapped.
 """
@@ -290,8 +291,9 @@ class Pipeline:
         if not self.surjective:
             return out
         orbit_status = None  # the critical orbit's stop status, for the two families
-        if ktheory.recognize_unimodal(m) is not None:
-            data, orbit_status = ktheory.unimodal_orbit_data(m, options.cap)
+        turning = ktheory.recognize_unimodal(m)
+        if turning is not None:
+            data, orbit_status = ktheory.unimodal_orbit_data(m, options.cap, turning)
             if data is not None:
                 closed = ktheory.unimodal_minpoly(*data)
                 out.report = ktheory.MinPolyReport(

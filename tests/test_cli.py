@@ -194,9 +194,12 @@ def test_quoted_long_scalar_form():
 
 SPECS = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.imapk"))
 SRC = Path(__file__).resolve().parents[1] / "src"
+# its closure and the integer-pair walks of its turning points both end at
+# the size limit
+UNCERTIFIED_MULTIMODAL = Path(__file__).resolve().parent / "data" / "uncertified_multimodal.imapk"
 
 
-@pytest.mark.parametrize("spec_path", SPECS, ids=lambda p: p.stem)
+@pytest.mark.parametrize("spec_path", SPECS + [UNCERTIFIED_MULTIMODAL], ids=lambda p: p.stem)
 def test_cli_json_is_the_same_under_optimize(spec_path, capsys):
     # classify reaches every certificate check: the closure and its valuation
     # witness, the row-image law, the realization cursor, the K-theory routes

@@ -9,6 +9,7 @@ from imapk.errors import (
     HypothesisViolatedWithinCap,
     InconsistentCaseData,
     NotSurjective,
+    WrongFamily,
 )
 from imapk.families import FamilySpec, build
 from imapk.interval_map import validate_map
@@ -27,6 +28,7 @@ from imapk.ktheory import (
 )
 from imapk.orbit import CapReached, Closed, ProvablyInfinite, SizeLimitReached, forward_orbit
 from imapk.polynomials import IntPoly
+from imapk.report import run
 from imapk.scalar import NumberField, rational
 from imapk.specfile import parse_spec
 
@@ -247,6 +249,24 @@ def test_nonperiodic_kgroups(beta_three_halves):
 def test_recognize_unimodal(tent, golden_beta):
     assert recognize_unimodal(tent) is not None
     assert recognize_unimodal(golden_beta) is None
+    # called without the turning point, the orbit data recognizes the map
+    with pytest.raises(WrongFamily, match="not surjective unimodal"):
+        unimodal_orbit_data(golden_beta)
+
+
+def test_a_report_recognizes_the_unimodal_family_once(monkeypatch):
+    recognized = []
+    recognize = ktheory.recognize_unimodal
+
+    def counted(m):
+        recognized.append(m)
+        return recognize(m)
+
+    monkeypatch.setattr(ktheory, "recognize_unimodal", counted)
+    spec = parse_spec((SPECS / "tent.imapk").read_text())
+    report, _ = run("all", spec)
+    assert report["minimal_polynomial"]["method"] == "unimodal_closed_form"
+    assert recognized == [spec.map]
 
 
 def test_module_generators_tent(tent):

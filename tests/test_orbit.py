@@ -1,11 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import pytest
 
-from imapk.errors import CertificateFailure, InvalidMarkovPartition, NotAnExchangeMap
+from imapk.errors import (
+    CertificateFailure,
+    HypothesisViolatedWithinCap,
+    InvalidMarkovPartition,
+    NotAnExchangeMap,
+)
 from imapk.families import FamilySpec, build
 from imapk.orbit import (
     CapReached,
@@ -21,6 +27,7 @@ from imapk.orbit import (
     critical_closure,
     forward_orbit,
     idoc_check,
+    interior_orbits_disjoint,
     keane_idoc,
     reverify_closed,
     tau_orbit,
@@ -33,6 +40,7 @@ from imapk.scalar import ONE, NumberField, rational
 from imapk.specfile import parse_spec
 
 from conftest import make_rational_map
+from test_families import CERTIFIED_COLLISION
 
 SPECS_DIR = Path(__file__).resolve().parents[1] / "specs"
 SPECS = sorted(SPECS_DIR.glob("*.imapk"))
@@ -512,3 +520,101 @@ def test_the_rechecks_evaluate_the_branches_themselves(tent, monkeypatch):
     assert apply_int_poly(m, poly, indicator(0, 1)).is_zero
     with pytest.raises(LookupError):
         transfer(m, indicator(0, Fraction(1, 4)))
+
+
+# -- the integer-pair walk of a rational map against the Scalar search ----------
+
+def _continuous_map(rng):
+    n = rng.randint(2, 4)
+    pts = [Fraction(0), *(Fraction(k, 40) for k in sorted(rng.sample(range(1, 40), n - 1))), Fraction(1)]
+    heights = [Fraction(rng.randint(0, 24), 24)]
+    while len(heights) <= n:
+        y = Fraction(rng.randint(0, 24), 24)
+        if y != heights[-1]:
+            heights.append(y)
+    branches = []
+    for lo, hi, u, v in zip(pts, pts[1:], heights, heights[1:]):
+        slope = (v - u) / (hi - lo)
+        branches.append((slope, u - slope * lo))
+    return validate_map(pts, branches)
+
+
+def _integer_slope_map(rng):
+    # every intercept and cut lies in (1/12)Z, so every orbit of a cut does
+    # too and is eventually periodic
+    n = rng.randint(2, 4)
+    pts = [Fraction(0), *(Fraction(k, 12) for k in sorted(rng.sample(range(1, 12), n - 1))), Fraction(1)]
+    branches = []
+    for lo, hi in zip(pts, pts[1:]):
+        while True:
+            slope, u = rng.choice([-3, -2, -1, 1, 2, 3]), Fraction(rng.randint(0, 12), 12)
+            if 0 <= u + slope * (hi - lo) <= 1:
+                break
+        branches.append((slope, u - slope * lo))
+    return validate_map(pts, branches)
+
+
+def _exchange_map(rng):
+    # interval i of length a_i/A goes to the image place order[i] with
+    # length b_i/B, so the slope is (b_i/B)/(a_i/A)
+    n = rng.randint(2, 4)
+    a = [rng.randint(1, 6) for _ in range(n)]
+    b = [rng.randint(1, 6) for _ in range(n)]
+    lengths = [Fraction(x, sum(a)) for x in a]
+    images = [Fraction(x, sum(b)) for x in b]
+    order = rng.sample(range(n), n)
+    pts = [Fraction(0)]
+    for length in lengths:
+        pts.append(pts[-1] + length)
+    branches = []
+    for i in range(n):
+        start = sum((images[j] for j in range(n) if order[j] < order[i]), Fraction(0))
+        slope = images[i] / lengths[i]
+        branches.append((slope, start - slope * pts[i]))
+    return validate_map(pts, branches)
+
+
+def test_the_pair_walk_matches_the_scalar_search():
+    from imapk.orbit import _pair_walk, _search, _tau_step, is_exchange_map
+
+    rng = random.Random(21)
+    kinds = Counter()
+    on_a_cut = 0
+    draws = [_continuous_map, make_rational_map, _integer_slope_map, _exchange_map]
+    for i in range(32):
+        m = draws[i % 4](rng)
+        certify = is_exchange_map(m)
+        interior = set(m.partition[1:-1])
+        for a in m.partition:
+            for cap in (3, 40, 2000):
+                m.images.clear()
+                expected, stop, last = _search(m, [a], cap, _tau_step, certify=certify)
+                table, m.images = m.images, _NoTable()
+                try:
+                    got = _pair_walk(m, a, cap, certify)
+                finally:
+                    m.images = table
+                pairs = [p.as_fraction().as_integer_ratio() for p in expected]
+                assert got == (pairs, stop, last), (m, a, cap)
+                kinds[type(stop).__name__] += 1
+                on_a_cut += any(p in interior for p in expected[1:])
+    assert set(kinds) == {"NoneType", "CapReached", "SizeLimitReached", "ProvablyInfinite"}, kinds
+    assert on_a_cut > 0
+
+
+@pytest.mark.parametrize("make, text", [
+    (lambda: validate_map(*CERTIFIED_COLLISION), "orbits of 1/8 and 3/16 collide at 19/64"),
+    (
+        lambda: validate_map([0, Fraction(1, 3), 1], [(1, Fraction(2, 3)), (1, Fraction(-1, 3))]),
+        "orbit of 1/3 is eventually periodic (preperiod 0, period 3)",
+    ),
+], ids=["collision", "rotation"])
+def test_the_pair_walk_refuses_in_the_words_of_the_scalar_walk(make, text, monkeypatch):
+    m = make()
+    with pytest.raises(HypothesisViolatedWithinCap) as pairs:
+        interior_orbits_disjoint(m, 100)
+    # any field context sends the same map through the Scalar search
+    monkeypatch.setattr(m, "field", object())
+    with pytest.raises(HypothesisViolatedWithinCap) as scalars:
+        interior_orbits_disjoint(m, 100)
+    assert str(pairs.value) == str(scalars.value) == text

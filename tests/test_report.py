@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from imapk import entropy, interval_map, ktheory, report, stepfun
+from imapk import entropy, families, interval_map, ktheory, orbit, report, stepfun
 from imapk.entropy import entropy_report, perron_enclosure
 from imapk.errors import InvalidMarkovPartition, ReducibleMinimalPolynomial
 from imapk.interval_map import AffineBranch
@@ -278,8 +278,9 @@ def test_a_report_that_raises_leaves_the_table_of_images_empty(monkeypatch):
 
 
 def test_a_report_maps_each_point_through_its_branch_once(monkeypatch):
-    # the closure fills the table; the interior walks and the 64 transfer
-    # steps of the minimal-polynomial iteration read it
+    # the closure fills the table and the 64 transfer steps of the
+    # minimal-polynomial iteration read it; the interior walks of a rational
+    # map run on integer pairs and neither read nor fill it
     calls = count_calls(monkeypatch, interval_map.limits, interval_map.eval_multivalued)
     spy = interval_map.limits
     points = Counter()
@@ -289,9 +290,22 @@ def test_a_report_maps_each_point_through_its_branch_once(monkeypatch):
         return spy(m, x)
 
     monkeypatch.setattr(interval_map, "limits", each_point)
+    walk = orbit.interior_orbits_disjoint
+    during_walks = []
+
+    def each_walk(m, cap):
+        before = sum(calls.values())
+        try:
+            return walk(m, cap)
+        finally:
+            during_walks.append(sum(calls.values()) - before)
+
+    for module in (orbit, families):
+        monkeypatch.setattr(module, "interior_orbits_disjoint", each_walk)
     run("classify", parse_spec(UNCERTIFIED_MULTIMODAL))
     assert calls["limits"] == len(points) > 1000
-    assert calls["eval_multivalued"] > 2 * calls["limits"]
+    assert calls["eval_multivalued"] > calls["limits"]
+    assert during_walks == [0]
 
 
 # the orbit 0, 1/4, 5/8, 3/4, 1/2, 1 closes, so the minimal polynomial is found
