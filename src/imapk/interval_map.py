@@ -6,7 +6,8 @@ points are never stored: the map is treated as multivalued there, taking the
 one-sided limits of the adjacent branches.  The disconnected version of the
 interval (each orbit point split into a left and a right copy x^- < x^+) is
 never materialized: a copy is a point with a side, ``MINUS`` or ``PLUS``,
-which ``PMMap.branch_index_at`` and ``StepFn.value_at`` take.
+which ``PMMap.branch_index_at`` and ``StepFn.value_at`` take, and a
+``StepFn`` keeps at each point only its jump from the left copy to the right.
 
 ``limits`` evaluates the branches at a point.  ``eval_multivalued`` gives the
 same values through the map's table ``images``, which it alone fills, so the
@@ -91,6 +92,11 @@ class PMMap:
     def __init__(self, partition, branches, notes=()):
         self.partition = tuple(partition)
         self.branches = tuple(branches)
+        # equal domain-end images share one object, so a dict keyed by them
+        # (the jumps of a transfer step) finds each by identity
+        shared = {ZERO: ZERO, ONE: ONE}
+        for b in self.branches:
+            b.ends = tuple(shared.setdefault(y, y) for y in b.ends)
         self.notes = tuple(notes)
         self.images = {}  # point -> its one-sided values; see eval_multivalued
         self.certificate = None  # orbit's valuation certificate, built on the first search

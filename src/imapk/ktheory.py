@@ -5,10 +5,13 @@ than one applies:
 
 * the incidence route (Smith form of id - A, module ``snf``);
 * the minimal polynomial route: iterate the transfer operator on the constant
-  function 1, detect the first exact rational dependence, and read K0/K1 off
-  |m(1)|, valid when the constant function generates the whole module, which
-  is certified automatically for surjective unimodal maps sending 1 to 0 and
-  for beta-transformations, and otherwise requires a user assertion;
+  function 1 and read K0/K1 off |m(1)| at the first exact rational
+  dependence, valid when the constant function generates the whole module,
+  which is certified automatically for surjective unimodal maps sending 1 to
+  0 and for beta-transformations, and otherwise requires a user assertion.
+  The iterates live in the jump coordinates of ``stepfun``; from the first
+  step that brings no new breakpoint on, each iterate is reduced once against
+  one fraction-free echelon basis of the earlier ones;
 * closed forms for the unimodal and beta families: one polynomial of the
   weights that the orbit of the critical value gives.
 
@@ -72,71 +75,48 @@ class NotFoundWithinCap:
     kind = "not_found_within_cap"
 
 
-def _sample_rows(fns, breaks):
-    """Values of each function on every piece of the common refinement.
+def _reduce(rows, f, index):
+    """Reduce the iterate v_index = f once against the echelon rows.
 
-    ``breaks`` is sorted and holds the breakpoints of every function; each
-    function's column is filled by the rank of its breakpoints in it."""
-    rank = {b: r for r, b in enumerate(breaks, 1)}
-    columns = []
-    for f in fns:
-        column = []
-        for b, v in zip(f.breaks, f.values):
-            column += [v] * (rank[b] - len(column))
-        column += [f.values[-1]] * (len(breaks) + 1 - len(column))
-        columns.append(column)
-    return list(zip(*columns))
-
-
-def _solve_dependence(basis, target, known=None):
-    """Exact rational solution of sum x_i * basis_i = target, or None.
-
-    ``known`` is the set of the breakpoints of the basis, when the caller
-    holds it and has checked that the target has no other breakpoint.
-
-    Fraction-free Gauss-Jordan on the integer samples: a row is eliminated as
-    (pv/g)*row - (f/g)*pivot_row with g = gcd(pv, f) and then divided by its
-    content, so no rational number appears until the final quotients.
+    The coordinates of f are its jumps, with its value at 0^+ as the jump at
+    0.  A row is (pivot, coords, combo) with coords = sum_j combo[j] * v_j in
+    integers, coords[pivot] != 0 and every later row zero at pivot.  A row
+    whose pivot entry a meets an entry b of f turns f into (a/g)*f - (b/g)*row,
+    g = gcd(a, b), and the result is divided by its content, so no fraction
+    appears.  If nothing is left, the relation combo is returned:
+    sum_j combo[j] * v_j = 0 with combo[index] != 0.  Otherwise the rest joins
+    the rows and None is returned.
     """
-    if known is None:
-        # a dependence forces every breakpoint of the target to appear on the left
-        known = set(b for f in basis for b in f.breaks)
-        if any(b not in known for b in target.breaks):
-            return None
-    # repeated samples carry no information: the solution set stays the same
-    sampled = dict.fromkeys(_sample_rows(basis + [target], sort_scalars(known)))
-    aug = [list(row) for row in sampled]
-    n = len(basis)
-    pivots = []
-    rank_row = 0
-    for col in range(n):
-        piv = None
-        for r in range(rank_row, len(aug)):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[rank_row], aug[piv] = aug[piv], aug[rank_row]
-        pivot_row = aug[rank_row]
-        pv = pivot_row[col]
-        for r in range(len(aug)):
-            f = aug[r][col]
-            if r != rank_row and f != 0:
-                g = gcd(pv, f)
-                a, b = pv // g, f // g
-                row = [a * x - b * y for x, y in zip(aug[r], pivot_row)]
-                content = gcd(*row)
-                aug[r] = [x // content for x in row] if content > 1 else row
-        pivots.append(col)
-        rank_row += 1
-    for r in range(rank_row, len(aug)):
-        if aug[r][n] != 0:
-            return None  # inconsistent: target independent of basis
-    solution = [Fraction(0)] * n
-    for row_idx, col in enumerate(pivots):
-        solution[col] = Fraction(aug[row_idx][n], aug[row_idx][col])
-    return solution
+    coords = dict(f.jumps)
+    if f.start:
+        coords[ZERO] = f.start
+    combo = {index: 1}
+    for pivot, row, row_combo in rows:
+        b = coords.get(pivot)
+        if b:
+            a = row[pivot]
+            g = gcd(a, b)
+            coords = _combine(a // g, coords, -(b // g), row)
+            combo = _combine(a // g, combo, -(b // g), row_combo)
+    content = gcd(*coords.values(), *combo.values())
+    coords = {k: v // content for k, v in coords.items()}
+    combo = {k: v // content for k, v in combo.items()}
+    if not coords:
+        return combo
+    rows.append((next(iter(coords)), coords, combo))
+    return None
+
+
+def _combine(a, x, b, y):
+    """a*x + b*y for sparse integer vectors x and y, a != 0, without zeros."""
+    out = {k: a * v for k, v in x.items()}
+    for k, v in y.items():
+        w = out.get(k, 0) + b * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    return out
 
 
 def minimal_polynomial_iter(m, cap=64, breakpoint_cap=10000):
@@ -146,6 +126,12 @@ def minimal_polynomial_iter(m, cap=64, breakpoint_cap=10000):
     the first exact dependence, re-verified by applying it through fresh
     transfer evaluations.  Surjectivity is required; non-integral dependence
     coefficients are surfaced as an error, never rounded.
+
+    An iterate with a breakpoint that the earlier ones lack is independent of
+    them, so no elimination runs until the first step that brings no new
+    breakpoint.  There the earlier iterates form one echelon basis, and every
+    iterate from then on is reduced against it once (``_reduce``); the basis
+    is independent, so the dependence found is the unique one.
     """
     if not is_surjective(m):
         raise NotSurjective("minimal polynomial route requires a surjective map")
@@ -153,15 +139,21 @@ def minimal_polynomial_iter(m, cap=64, breakpoint_cap=10000):
     vs = [v0]
     # the breakpoints of v_0 .. v_{k-1}, carried across steps so that each
     # breakpoint is hashed once rather than once per step
-    accumulated = set(v0.breaks)
+    accumulated = set(v0.jumps)
+    places = {}  # every point located once per iteration; see stepfun.transfer
+    rows = None
     for step in range(1, cap + 1):
-        v = transfer(m, vs[-1])
-        grown = accumulated.union(v.breaks)
+        v = transfer(m, vs[-1], places=places)
+        grown = accumulated.union(v.jumps)
         if len(grown) > breakpoint_cap:
             return NotFoundWithinCap(breakpoint_cap, step)
-        # a dependence needs every breakpoint of v among the earlier ones
-        coeffs = _solve_dependence(vs, v, accumulated) if len(grown) == len(accumulated) else None
-        if coeffs is not None:
+        if rows is None and len(grown) == len(accumulated):
+            rows = []
+            for index, u in enumerate(vs):
+                _reduce(rows, u, index)
+        combo = None if rows is None else _reduce(rows, v, step)
+        if combo is not None:
+            coeffs = [Fraction(-combo.get(j, 0), combo[step]) for j in range(step)]
             if any(c.denominator != 1 for c in coeffs):
                 raise NonIntegerDependence(coeffs)
             poly = monic_from_dependence([int(c) for c in coeffs], step)

@@ -1,15 +1,18 @@
 """Integer step functions on the disconnected interval, and the transfer operator.
 
 A :class:`StepFn` is an integer-valued function on the interval disconnected
-at finitely many points.  It is stored as strictly increasing interior
-breakpoints c_1 < ... < c_k together with k+1 values: value j holds on the
-order interval [c_j^+, c_{j+1}^-] (with 0^+ and 1^- at the ends).  At a
-breakpoint the function may take different values on the left copy c^- and
-the right copy c^+; that is exactly the disconnection.  Canonical form merges
-adjacent pieces with equal values, so equality of functions is structural
-equality.  ``StepFn.value_at`` reads the value at one copy of a point; no
-stage calls it, and the counting-law tests compare ``transfer`` against it
-and ``interval_map.preimages``.
+at finitely many points c, where it may take different values on the left
+copy c^- and the right copy c^+.  It is stored as its value ``start`` at 0^+
+and a dict ``jumps`` from each such c, strictly inside (0, 1), to the
+nonzero integer f(c^+) - f(c^-).  These are linear coordinates: a
+combination of functions combines their starts and jumps, and a point whose
+jumps cancel is dropped, so the form is canonical, equality is structural,
+and nothing sorts the points.  ``breaks`` (the sorted breakpoints) and
+``values`` (the value on each order interval between them) are views
+computed on demand, and ``StepFn(breaks, values)`` refuses breakpoints that
+do not increase strictly inside (0, 1).  ``StepFn.value_at`` reads one copy
+of a point; no stage calls it, and the counting-law tests compare
+``transfer`` against it and ``interval_map.preimages``.
 
 The transfer operator sums a function over the preimages of each point.  For
 an affine branch it pushes the restriction of the function through the branch:
@@ -17,29 +20,26 @@ breakpoints map through the branch, and under a decreasing branch the order
 reverses and the cut sides flip (the image of x^+ is tau(x)^-), which is the
 only convention compatible with the order topology.
 
-Sums are taken as jumps.  ``linear_comb`` and one ``transfer`` step add
-integer jumps into one dict keyed by point, then sort once only the points
-whose net jump is nonzero and take prefix sums; no per-branch function is
-built.  A transfer step adds, for each branch, the value of f at the lower
-end of the domain at its image, the jump of f at each breakpoint strictly
-inside the domain at the image of that breakpoint, and the drop at the upper
-end, with the signs reversed under a decreasing branch.  The breakpoints
-inside each domain are found by one merge of the breakpoints against the
-partition.
+A transfer step adds the jump at each point strictly inside a domain, signed
+by the branch, at the image of the point.  The jumps summed domain by domain,
+and at each partition point, give the values at the domain ends, and each
+branch adds the value at its lower end at the image of that end and the drop
+at its upper end at the image of that one.  A jump at 0 is the value at 0^+.
 
-The images of the domain ends are mapped once, when the branch is built
-(``AffineBranch.ends``).  A breakpoint strictly inside a domain has one
-image, which ``transfer`` reads from the map's table of images
-(``interval_map.eval_multivalued``): the breakpoints of the iterates of 1
-are points of the critical orbits, which the closure of the same report has
-mostly mapped already.  The Horner re-check in ``apply_int_poly`` maps every
-inner breakpoint by its own branch, so it never reads the table; it reads
-only the domain-end images kept on the branch.
+The images of the domain ends are mapped when the branch is built
+(``AffineBranch.ends``).  The image of an inner point is read from the map's
+table of images (``interval_map.eval_multivalued``), which the closure of the
+same report has mostly filled, since the breakpoints of the iterates of 1
+are points of the critical orbits.  The iteration passes one dict of places
+to all its steps, so each point is located and read from the table once.
+The Horner re-check in ``apply_int_poly`` maps every inner breakpoint by its
+own branch at every step and never reads the table.
 """
 
 from __future__ import annotations
 
 import bisect
+from itertools import accumulate
 
 from .errors import OutOfDomain
 from .interval_map import PLUS, eval_multivalued
@@ -47,26 +47,37 @@ from .scalar import ONE, ZERO, as_scalar, sort_scalars
 
 
 class StepFn:
-    __slots__ = ("breaks", "values")
+    __slots__ = ("start", "jumps")
 
     def __init__(self, breaks, values):
-        breaks = tuple(breaks)
+        breaks = tuple(as_scalar(b) for b in breaks)
         values = tuple(int(v) for v in values)
         if len(values) != len(breaks) + 1:
             raise ValueError("need one more value than breakpoints")
-        # canonical form: merge equal neighbours
-        cb, cv = [], [values[0]]
-        for b, v in zip(breaks, values[1:]):
-            if v == cv[-1]:
-                continue
-            cb.append(b)
-            cv.append(v)
-        self.breaks = tuple(cb)
-        self.values = tuple(cv)
+        if not all(a < b for a, b in zip((ZERO,) + breaks, breaks + (ONE,))):
+            raise ValueError("breakpoints must increase strictly inside (0, 1)")
+        self.start = values[0]
+        self.jumps = {b: r - v for b, v, r in zip(breaks, values, values[1:]) if r != v}
+
+    @classmethod
+    def _of(cls, start, jumps):
+        """The function of value ``start`` at 0^+ and the given nonzero jumps."""
+        f = object.__new__(cls)
+        f.start = start
+        f.jumps = jumps
+        return f
+
+    @property
+    def breaks(self):
+        return tuple(sort_scalars(self.jumps))
+
+    @property
+    def values(self):
+        return tuple(accumulate((self.jumps[x] for x in self.breaks), initial=self.start))
 
     @property
     def is_zero(self):
-        return self.values == (0,)
+        return not self.start and not self.jumps
 
     def value_at(self, x, side=PLUS):
         """Value at the cut point (x, side); plain points may use either side.
@@ -75,21 +86,19 @@ class StepFn:
         x = as_scalar(x)
         if x < ZERO or x > ONE:
             raise OutOfDomain("%s is outside [0,1]" % x.text())
-        if side == PLUS:
-            i = bisect.bisect_right(self.breaks, x)
-        else:
-            i = bisect.bisect_left(self.breaks, x)
-        return self.values[i]
+        return self.start + sum(
+            d for c, d in self.jumps.items() if (c <= x if side == PLUS else c < x)
+        )
 
     def __eq__(self, other):
         return (
             isinstance(other, StepFn)
-            and self.breaks == other.breaks
-            and self.values == other.values
+            and self.start == other.start
+            and self.jumps == other.jumps
         )
 
     def __hash__(self):
-        return hash(("StepFn", self.breaks, self.values))
+        return hash(("StepFn", self.start, frozenset(self.jumps.items())))
 
     def __add__(self, other):
         return linear_comb((1, 1), (self, other))
@@ -100,7 +109,7 @@ class StepFn:
     def __mul__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        return StepFn(self.breaks, tuple(k * v for v in self.values))
+        return linear_comb((k,), (self,))
 
     __rmul__ = __mul__
 
@@ -128,17 +137,12 @@ def indicator(c, d):
         return ZERO_FN
     if cmp > 0:
         c, d = d, c
-    breaks, values = [], []
-    if c == ZERO:
-        values.append(1)
-    else:
-        values.append(0)
-        breaks.append(c)
-        values.append(1)
+    jumps = {}
+    if c != ZERO:
+        jumps[c] = 1
     if d != ONE:
-        breaks.append(d)
-        values.append(0)
-    return StepFn(breaks, values)
+        jumps[d] = -1
+    return StepFn._of(1 if c == ZERO else 0, jumps)
 
 
 def _add_jump(jumps, x, d):
@@ -146,18 +150,9 @@ def _add_jump(jumps, x, d):
         jumps[x] = jumps.get(x, 0) + d
 
 
-def _from_jumps(start, jumps):
-    """The step function of value ``start`` at 0^+ that jumps by jumps[x] at
-    each x: only the points of nonzero net jump are sorted, once."""
-    breaks = sort_scalars([x for x, d in jumps.items() if d])
-    values = [start]
-    for x in breaks:
-        values.append(values[-1] + jumps[x])
-    return StepFn(breaks, values)
-
-
 def linear_comb(coeffs, fns):
-    """Pointwise integer combination, summed as jumps at the breakpoints."""
+    """Pointwise integer combination: the combination of the starts and of
+    the jumps."""
     coeffs = [int(c) for c in coeffs]
     fns = list(fns)
     if len(coeffs) != len(fns):
@@ -165,49 +160,54 @@ def linear_comb(coeffs, fns):
     start = 0
     jumps = {}
     for c, f in zip(coeffs, fns):
-        start += c * f.values[0]
-        for x, left, right in zip(f.breaks, f.values, f.values[1:]):
-            _add_jump(jumps, x, c * (right - left))
-    return _from_jumps(start, jumps)
+        start += c * f.start
+        for x, d in f.jumps.items():
+            _add_jump(jumps, x, c * d)
+    return StepFn._of(start, {x: d for x, d in jumps.items() if d})
 
 
-def _first_not_below(breaks, x, k):
-    """Least j >= k with breaks[j] >= x, given breaks[k - 1] < x: steps of
-    doubling length from k, then bisection within the last step, so a domain
-    holding d breakpoints costs O(log d) compares."""
-    step = 1
-    while k + step <= len(breaks) and breaks[k + step - 1] < x:
-        k += step
-        step *= 2
-    return bisect.bisect_left(breaks, x, k, min(k + step - 1, len(breaks)))
+def _place(m, x, direct):
+    """(slot, image, sign) of a point strictly inside (0, 1).
+
+    Slot 2i is the partition point a_i, which lies inside no domain: it has
+    no image and sign 0.  Slot 2i + 1 is the inside of the domain of branch i,
+    whose image of x and monotonicity sign are returned."""
+    pts = m.partition
+    i = bisect.bisect_left(pts, x)
+    if pts[i] == x:
+        return 2 * i, None, 0
+    branch = m.branches[i - 1]
+    y = branch(x) if direct else eval_multivalued(m, x)[0]
+    return 2 * i - 1, y, 1 if branch.increasing else -1
 
 
-def transfer(m, f, direct=False):
+def transfer(m, f, direct=False, places=None):
     """Transfer operator: (Lf)(x) = sum of f over the preimages of x.
 
-    Each branch adds the jumps of f on its domain at their images (see the
-    module docstring); a jump at 0 is the value at 0^+, and a drop at 1 has
-    no effect.  With ``direct`` every inner breakpoint is mapped by its
-    branch, not read from the map's table of images."""
-    breaks, values = f.breaks, f.values
+    ``places`` holds the ``_place`` of each point already located on m; an
+    iteration passes one dict to all its steps.  With ``direct`` every inner
+    breakpoint is mapped by its branch, not read from the map's table."""
+    if places is None:
+        places = {}
+    slot_sums = [0] * (2 * len(m.branches) + 1)
     jumps = {}
-    # one merge of the breakpoints against the partition: breaks[a:b] lie
-    # strictly inside the domain of the branch
-    a = 0
-    for branch in m.branches:
-        b = _first_not_below(breaks, branch.hi, a)
+    for x, d in f.jumps.items():
+        place = places.get(x)
+        if place is None:
+            place = places[x] = _place(m, x, direct)
+        slot, y, sign = place
+        slot_sums[slot] += d
+        _add_jump(jumps, y, sign * d)
+    value = f.start
+    for i, branch in enumerate(m.branches):
         sign = 1 if branch.increasing else -1
         lo_image, hi_image = branch.ends
-        _add_jump(jumps, lo_image, sign * values[a])
-        for k in range(a, b):
-            x = breaks[k]
-            y = branch(x) if direct else eval_multivalued(m, x)[0]
-            _add_jump(jumps, y, sign * (values[k + 1] - values[k]))
-        _add_jump(jumps, hi_image, -sign * values[b])
-        # a breakpoint at the partition point lies inside neither domain
-        a = b + 1 if b < len(breaks) and breaks[b] == branch.hi else b
+        value += slot_sums[2 * i]
+        _add_jump(jumps, lo_image, sign * value)
+        value += slot_sums[2 * i + 1]
+        _add_jump(jumps, hi_image, -sign * value)
     jumps.pop(ONE, None)
-    return _from_jumps(jumps.pop(ZERO, 0), jumps)
+    return StepFn._of(jumps.pop(ZERO, 0), {x: d for x, d in jumps.items() if d})
 
 
 def apply_int_poly(m, poly, f):

@@ -16,7 +16,7 @@ from imapk.interval_map import (
     preimages,
     validate_map,
 )
-from imapk.scalar import rational
+from imapk.scalar import ZERO, rational
 
 from conftest import make_rational_map
 
@@ -24,6 +24,12 @@ from conftest import make_rational_map
 def test_tent_validates(tent):
     assert len(tent.branches) == 2
     assert tent.partition[1] == rational(1, 2)
+
+
+def test_equal_end_images_are_one_object(tent):
+    # the transfer step keys its jumps by these images
+    (a, b), (c, d) = (branch.ends for branch in tent.branches)
+    assert b is c and a is d is ZERO
 
 
 def test_duplicate_branches_merge():

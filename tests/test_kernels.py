@@ -1,14 +1,18 @@
 """Reference tests for the integer kernels on the Markov path.
 
 The characteristic polynomial, the Perron bisection, the stationary
-presentation, the dependence solve and the transfer step work in Python
-integers.  Each is compared here with an independent computation: Bareiss
-determinants of tI - A, the rank of A^n by Fraction elimination, and the
-Faddeev-LeVerrier characteristic polynomial, the bisection with a Fraction
-Sturm count at every step, the Fraction Gauss-Jordan solve, the merge-walk
-sums and the per-branch transfer the library used before, kept below as the
-reference.  The unimodal and beta closed forms, one polynomial of the critical
-orbit's weights, are compared with the case-by-case formulas they replaced.
+presentation, the echelon reduction of the minimal-polynomial iteration and
+the transfer step work in Python integers.  Each is compared here with an
+independent computation: Bareiss determinants of tI - A, the rank of A^n by
+Fraction elimination, and the Faddeev-LeVerrier characteristic polynomial,
+the bisection with a Fraction Sturm count at every step, the Fraction
+Gauss-Jordan solve, the merge-walk sums and the per-branch transfer the
+library used before, and the iteration it used before (sorted steps, and the
+samples of every iterate solved again at each step), kept below as the
+reference.  On a Markov realization the iteration is also compared with a
+Fraction Krylov iteration of the transposed matrix.  The unimodal and beta
+closed forms, one polynomial of the critical orbit's weights, are compared
+with the case-by-case formulas they replaced.
 """
 
 import bisect
@@ -27,16 +31,18 @@ from hypothesis import strategies as st
 
 from imapk import ktheory, snf
 from imapk.entropy import _identify_exact, _largest_real_root, perron_enclosure
-from imapk.errors import CertificateFailure, InconsistentCaseData
+from imapk.errors import CertificateFailure, InconsistentCaseData, NonIntegerDependence
+from imapk.families import FamilySpec, build
 from imapk.ktheory import (
-    _sample_rows, _solve_dependence, beta_minpoly, minimal_polynomial_iter, unimodal_minpoly,
+    MinPolyReport, _reduce, beta_minpoly, minimal_polynomial_iter, unimodal_minpoly,
 )
-from imapk.interval_map import eval_multivalued
+from imapk.interval_map import eval_multivalued, is_surjective, validate_map
 from imapk.polynomials import (
     IntPoly, count_real_roots, integral, sturm_sequence, poly_derivative, poly_divmod, poly_eval, poly_gcd,
-    poly_neg, poly_trim,
+    poly_neg, poly_trim, monic_from_dependence,
 )
 from imapk.scalar import ONE, ZERO, as_scalar
+from imapk.specfile import parse_spec
 from imapk.snf import (
     SmithDecomposition,
     _verify,
@@ -51,7 +57,8 @@ from imapk.snf import (
 from imapk.stepfun import ZERO_FN, StepFn, linear_comb, transfer
 from test_families import _dyadic_exchange, _dyadic_multimodal
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 KERNEL_SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
@@ -576,19 +583,97 @@ def dependence_problems(draw):
     return basis, target
 
 
+def echelon_solve(basis, target):
+    """sum x_i * basis_i = target through the library's echelon reduction.
+
+    A basis member that depends on the earlier ones joins no row, so the
+    solution uses the first independent members in order, as the pivots of
+    the Gauss-Jordan references do."""
+    rows = []
+    for index, f in enumerate(basis):
+        _reduce(rows, f, index)
+    combo = _reduce(rows, target, len(basis))
+    if combo is None:
+        return None
+    return [Fraction(-combo.get(j, 0), combo[len(basis)]) for j in range(len(basis))]
+
+
+def _sample_rows(fns, breaks):
+    """Values of each function on every piece of the common refinement.
+
+    ``breaks`` is sorted and holds the breakpoints of every function; each
+    function's column is filled by the rank of its breakpoints in it."""
+    rank = {b: r for r, b in enumerate(breaks, 1)}
+    columns = []
+    for f in fns:
+        column = []
+        for b, v in zip(f.breaks, f.values):
+            column += [v] * (rank[b] - len(column))
+        column += [f.values[-1]] * (len(breaks) + 1 - len(column))
+        columns.append(column)
+    return list(zip(*columns))
+
+
+def gauss_jordan_solve(basis, target, known=None):
+    """The solve the iteration used before: fraction-free Gauss-Jordan on
+    the samples of the basis and the target on every piece.
+
+    ``known`` is the set of the breakpoints of the basis, when the caller
+    holds it and has checked that the target has no other breakpoint."""
+    if known is None:
+        known = set(b for f in basis for b in f.breaks)
+        if any(b not in known for b in target.breaks):
+            return None
+    # repeated samples carry no information: the solution set stays the same
+    sampled = dict.fromkeys(_sample_rows(basis + [target], sorted(known)))
+    aug = [list(row) for row in sampled]
+    n = len(basis)
+    pivots = []
+    rank_row = 0
+    for col in range(n):
+        piv = next((r for r in range(rank_row, len(aug)) if aug[r][col] != 0), None)
+        if piv is None:
+            continue
+        aug[rank_row], aug[piv] = aug[piv], aug[rank_row]
+        pivot_row = aug[rank_row]
+        pv = pivot_row[col]
+        for r in range(len(aug)):
+            f = aug[r][col]
+            if r != rank_row and f != 0:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                row = [a * x - b * y for x, y in zip(aug[r], pivot_row)]
+                content = gcd(*row)
+                aug[r] = [x // content for x in row] if content > 1 else row
+        pivots.append(col)
+        rank_row += 1
+    if any(aug[r][n] != 0 for r in range(rank_row, len(aug))):
+        return None
+    solution = [Fraction(0)] * n
+    for row_idx, col in enumerate(pivots):
+        solution[col] = Fraction(aug[row_idx][n], aug[row_idx][col])
+    return solution
+
+
 @KERNEL_SETTINGS
 @given(dependence_problems())
 def test_solve_dependence_matches_fraction_reference(problem):
     basis, target = problem
-    assert _solve_dependence(basis, target) == reference_solve(basis, target)
+    want = reference_solve(basis, target)
+    assert echelon_solve(basis, target) == want == gauss_jordan_solve(basis, target)
 
 
 def test_solve_dependence_planted_coefficients_recovered():
     c = CUTS
     basis = [StepFn((), (1,)), StepFn((c[3],), (0, 2)), StepFn((c[3], c[9]), (1, -1, 3))]
     target = linear_comb((2, -3, 5), basis)
-    assert _solve_dependence(basis, target) == [2, -3, 5]
-    assert _solve_dependence(basis, StepFn((c[5],), (0, 1))) is None
+    assert echelon_solve(basis, target) == [2, -3, 5]
+    assert echelon_solve(basis, StepFn((c[5],), (0, 1))) is None
+    # the reduction returns the relation, with the target's own coefficient
+    rows = []
+    assert [_reduce(rows, f, i) for i, f in enumerate(basis)] == [None] * 3
+    combo = _reduce(rows, target, 3)
+    assert [Fraction(combo.get(j, 0), combo[3]) for j in range(4)] == [-2, 3, -5, 1]
 
 
 # -- transfer step, combinations and samples -------------------------------------
@@ -696,6 +781,146 @@ def test_sample_rows_match_merge_walk(fns):
     assert [list(row) for row in got] == reference_sample_rows(fns, breaks)
 
 
+# -- the minimal-polynomial iteration ------------------------------------------
+
+
+def reference_minimal_polynomial_iter(m, cap=64, breakpoint_cap=10000):
+    """The iteration the library used before, as (kind, iterations, cap, poly).
+
+    Each step is the per-branch transfer of the sorted breakpoints and
+    values, and each step that brings no new breakpoint samples every
+    iterate on every piece and solves the whole system again."""
+    vs = [StepFn((), (1,))]
+    accumulated = set()
+    for step in range(1, cap + 1):
+        v = reference_transfer(m, vs[-1])
+        grown = accumulated.union(v.breaks)
+        if len(grown) > breakpoint_cap:
+            return "not_found_within_cap", step, breakpoint_cap, None
+        coeffs = gauss_jordan_solve(vs, v, accumulated) if len(grown) == len(accumulated) else None
+        if coeffs is not None:
+            if any(c.denominator != 1 for c in coeffs):
+                return "non_integer", None, None, tuple(coeffs)
+            poly = monic_from_dependence([int(c) for c in coeffs], step)
+            return "iteration", step, None, poly.coeffs
+        vs.append(v)
+        accumulated = grown
+    return "not_found_within_cap", cap, cap, None
+
+
+def _iteration_summary(m, **caps):
+    try:
+        result = minimal_polynomial_iter(m, **caps)
+    except NonIntegerDependence as exc:
+        return "non_integer", None, None, tuple(exc.args[0])
+    if isinstance(result, MinPolyReport):
+        return result.method, result.iterations, None, result.poly.coeffs
+    return result.kind, result.iterations, result.cap, None
+
+
+def _grid_markov_map(rng):
+    """A surjective map on a grid of 1/q whose branches have integer slopes
+    in grid units, so the iterates of 1 break only at grid points and a
+    dependence comes within q + 1 steps."""
+    while True:
+        q = rng.randint(3, 9)
+        cuts = [0] + sorted(rng.sample(range(1, q), rng.randint(0, min(3, q - 1)))) + [q]
+        branches = []
+        for a, b in zip(cuts, cuts[1:]):
+            s = rng.randint(1, q // (b - a))
+            low = rng.randint(0, q - s * (b - a))  # the image is [low, low + s (b - a)] / q
+            slope = rng.choice((s, -s))
+            start = low if slope > 0 else low + s * (b - a)
+            branches.append((Fraction(slope), Fraction(start - slope * a, q)))
+        m = validate_map([Fraction(c, q) for c in cuts], branches)
+        if is_surjective(m):
+            return m
+
+
+def test_the_iteration_matches_the_sorted_reference(golden_beta, sqrt2_field, monkeypatch):
+    rng = random.Random(22)
+    cases = [(_grid_markov_map(rng), {}) for _ in range(60)]
+    cases += [(_dyadic_multimodal(rng), {"cap": 20}) for _ in range(3)]
+    cases += [(_dyadic_exchange(rng), {"cap": 20}) for _ in range(3)]
+    cases += [(parse_spec(path.read_text()).map, {}) for path in sorted((ROOT / "specs").glob("*.imapk"))]
+    restricted = build(FamilySpec("restricted_tent", {"s": sqrt2_field.alpha()}))
+    multimodal = parse_spec((ROOT / "specs" / "multimodal.imapk").read_text()).map
+    cases += [(golden_beta, {}), (restricted, {}), (multimodal, {"breakpoint_cap": 30})]
+    # the steps of each iteration, and the iterates it reduces against its basis
+    events = []
+    step, reduce = ktheory.transfer, ktheory._reduce
+    monkeypatch.setattr(ktheory, "transfer", lambda *a, **k: events.append("step") or step(*a, **k))
+    monkeypatch.setattr(ktheory, "_reduce", lambda *a: events.append("reduce") or reduce(*a))
+    outcomes = []
+    for m, caps in cases:
+        events.clear()
+        got = _iteration_summary(m, **caps)
+        assert got == reference_minimal_polynomial_iter(m, **caps)
+        kind, iterations, cap, _ = got
+        # the basis was built before the last step if a step follows the first reduction
+        early = "step" in events[events.index("reduce"):] if "reduce" in events else None
+        outcomes.append((kind, cap, early))
+        if kind == "iteration":
+            assert events.count("reduce") == iterations + 1
+    assert {("iteration", None, True), ("iteration", None, False), ("not_found_within_cap", 64, None),
+            ("not_found_within_cap", 20, None), ("not_found_within_cap", 30, None)} <= set(outcomes)
+
+
+def _krylov_minimal_polynomial(A):
+    """Minimal polynomial of the all-ones vector under the transpose of A,
+    by Fraction elimination on the Krylov vectors w_k = (A^T)^k 1."""
+    n = len(A)
+    w = [Fraction(1)] * n
+    rows = []  # (pivot, reduced vector, its combination of w_0 .. w_n)
+    for k in range(n + 1):
+        vec, combo = w, [Fraction(int(j == k)) for j in range(n + 1)]
+        for pivot, row, row_combo in rows:
+            f = vec[pivot] / row[pivot]
+            vec = [x - f * y for x, y in zip(vec, row)]
+            combo = [x - f * y for x, y in zip(combo, row_combo)]
+        if not any(vec):
+            return IntPoly(combo)
+        rows.append((next(i for i, x in enumerate(vec) if x), vec, combo))
+        w = [sum(A[j][i] * w[j] for j in range(n)) for i in range(n)]
+    raise AssertionError("n + 1 vectors in dimension n are dependent")
+
+
+def _irreducible(A):
+    n = len(A)
+    for start in range(n):
+        seen, todo = {start}, [start]
+        while todo:
+            j = todo.pop()
+            for i in range(n):
+                if A[j][i] and i not in seen:
+                    seen.add(i)
+                    todo.append(i)
+        if len(seen) != n:
+            return False
+    return True
+
+
+def test_the_iteration_on_a_realization_is_the_krylov_minimal_polynomial():
+    # L 1_{I_j} = sum_i A[j][i] 1_{I_i} on the Markov intervals I_j, so L acts
+    # on the coefficients of the indicators as the transpose of A
+    rng = random.Random(7)
+    matrices = []
+    while len(matrices) < 12:
+        n = rng.randint(2, 6)
+        A = [[int(rng.random() < 0.5) for _ in range(n)] for _ in range(n)]
+        if _irreducible(A):
+            matrices.append(A)
+    matrices.append([[1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 1, 1], [0, 0, 1, 0]])  # block triangular
+    degrees = set()
+    for A in matrices:
+        report = minimal_polynomial_iter(build(FamilySpec("markov_realization", {"matrix": A})))
+        want = _krylov_minimal_polynomial(A)
+        assert report.poly == want
+        assert report.iterations == want.degree
+        degrees.add(want.degree)
+    assert len(degrees) > 2
+
+
 # -- certificates that survive python -O ---------------------------------------
 
 
@@ -741,8 +966,8 @@ def _run_optimized(code):
 
 
 def test_minimal_polynomial_reverification_raises(tent, monkeypatch):
-    # a solver that returns a wrong dependence is caught by the re-verification
-    monkeypatch.setattr(ktheory, "_solve_dependence", lambda basis, target, known=None: [Fraction(3)])
+    # a reduction that returns a wrong relation, v_1 = 3 v_0, is caught by the re-verification
+    monkeypatch.setattr(ktheory, "_reduce", lambda rows, f, index: {0: -3, 1: 1} if index else None)
     with pytest.raises(CertificateFailure):
         minimal_polynomial_iter(tent)
 

@@ -64,32 +64,52 @@ def _shipped_multimodal():
     return parse_spec((SPECS / "multimodal.imapk").read_text()).map
 
 
-def _spy_on_solve(monkeypatch):
-    calls = []
-    solve = ktheory._solve_dependence
+def _spy_on_reduce(monkeypatch):
+    """The steps of the iteration ("step") and the index of each iterate it
+    reduces against its echelon basis, in order."""
+    events = []
+    step, reduce = ktheory.transfer, ktheory._reduce
 
-    def spy(basis, target, known=None):
-        calls.append(len(basis))
-        return solve(basis, target, known)
+    def each_step(*args, **kwargs):
+        events.append("step")
+        return step(*args, **kwargs)
 
-    monkeypatch.setattr(ktheory, "_solve_dependence", spy)
-    return calls
+    def each_reduction(rows, f, index):
+        events.append(index)
+        return reduce(rows, f, index)
+
+    monkeypatch.setattr(ktheory, "transfer", each_step)
+    monkeypatch.setattr(ktheory, "_reduce", each_reduction)
+    return events
 
 
 def test_new_breakpoints_skip_the_dependence_solve(monkeypatch):
     # every iterate of the shipped multimodal map has a breakpoint the earlier
-    # ones lack, so no step can be a dependence and none reaches the solve
-    calls = _spy_on_solve(monkeypatch)
+    # ones lack, so no step can be a dependence and none runs an elimination
+    events = _spy_on_reduce(monkeypatch)
     result = minimal_polynomial_iter(_shipped_multimodal())
     assert isinstance(result, NotFoundWithinCap)
     assert (result.cap, result.iterations) == (64, 64)
-    assert calls == []
+    assert events == ["step"] * 64
 
 
 def test_known_breakpoints_reach_the_dependence_solve(tent, monkeypatch):
-    calls = _spy_on_solve(monkeypatch)
+    # the first step brings no new breakpoint: v_0 forms the basis and v_1 is
+    # reduced against it
+    events = _spy_on_reduce(monkeypatch)
     assert minimal_polynomial_iter(tent).poly == IntPoly([-2, 1])
-    assert calls == [1]
+    assert events == ["step", 0, 1]
+
+
+def test_later_iterates_are_reduced_once_each(monkeypatch):
+    # x -> 2x + 1/3 on [0, 1/3] and x -> x - 1/3 on [1/3, 1]: the second
+    # iterate brings no new breakpoint but is independent, so the basis is
+    # built then, and the third iterate is reduced once, to the dependence
+    m = validate_map([0, Fraction(1, 3), 1], [(2, Fraction(1, 3)), (1, Fraction(-1, 3))])
+    events = _spy_on_reduce(monkeypatch)
+    report = minimal_polynomial_iter(m)
+    assert report.poly == IntPoly([-1, -1, 0, 1])
+    assert events == ["step", "step", 0, 1, 2, "step", 3]
 
 
 @pytest.mark.parametrize(

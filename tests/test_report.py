@@ -317,15 +317,26 @@ PERIODIC_UNIMODAL = (
 )
 
 
+# the minimal polynomial has degree 7, and the Horner re-check meets 5 inner
+# points 10 times
+RECURRING_RECHECK = (
+    "map { partition = [0, 6/7, 1]\n"
+    "  branch = { slope = 1, intercept = 1/7 }\n"
+    "  branch = { slope = -6, intercept = 6 } }"
+)
+
+
 @pytest.mark.parametrize("spec_text", [
     (ROOT / "specs" / "realization.imapk").read_text(),
     (ROOT / "specs" / "golden_beta.imapk").read_text(),
     PERIODIC_UNIMODAL,
-], ids=["realization", "golden_beta", "periodic_unimodal"])
+    RECURRING_RECHECK,
+], ids=["realization", "golden_beta", "periodic_unimodal", "recurring_recheck"])
 def test_transfer_steps_map_no_domain_end(spec_text, monkeypatch):
-    # a branch maps its domain ends when it is built; the iteration reads the
-    # inner breakpoints from the table, and the Horner re-check maps each one
-    # through its own branch
+    # a branch maps its domain ends when it is built; the iteration reads each
+    # inner breakpoint from the table once, however many iterates break
+    # there, and the Horner re-check maps each one through its own branch at
+    # every step
     m = parse_spec(spec_text).map
     calls = count_calls(monkeypatch, interval_map.eval_multivalued)
     mapped = []
@@ -336,13 +347,16 @@ def test_transfer_steps_map_no_domain_end(spec_text, monkeypatch):
         return branch_call(branch, x)
 
     steps = []
+    iterated = set()  # the inner breakpoints of the iteration's steps
     step = stepfun.transfer
 
-    def each_step(m, f, direct=False):
+    def each_step(m, f, direct=False, places=None):
         before = len(mapped)
-        result = step(m, f, direct)
-        inner = sum(b not in m.partition for b in f.breaks)
-        steps.append((direct, inner, len(mapped) - before))
+        result = step(m, f, direct, places)
+        inner = [b for b in f.jumps if b not in m.partition]
+        if not direct:
+            iterated.update(inner)
+        steps.append((direct, len(inner), len(mapped) - before))
         return result
 
     monkeypatch.setattr(AffineBranch, "__call__", each_call)
@@ -352,11 +366,15 @@ def test_transfer_steps_map_no_domain_end(spec_text, monkeypatch):
     assert not [(b, x) for b, x in mapped if x == b.lo or x == b.hi]
     rechecks = [(inner, n) for direct, inner, n in steps if direct]
     assert rechecks and all(inner == n for inner, n in rechecks)
-    assert calls["eval_multivalued"] == sum(inner for direct, inner, _ in steps if not direct)
+    assert calls["eval_multivalued"] == len(iterated)
     # each table miss maps its point through one branch
     assert len(mapped) == sum(n for n, _ in rechecks) + len(m.images)
     if spec_text == PERIODIC_UNIMODAL:
         assert sum(n for n, _ in rechecks) == 3
+        # three inner points, met 9 times by the 5 steps of the iteration
+        assert (len(iterated), sum(inner for direct, inner, _ in steps if not direct)) == (3, 9)
+    if spec_text == RECURRING_RECHECK:
+        assert sum(n for n, _ in rechecks) == 10
 
 
 def test_a_report_renders_each_scalar_text_once(monkeypatch):

@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from imapk.interval_map import preimages
+from imapk.scalar import rational
 from imapk.stepfun import (
     ZERO_FN,
+    StepFn,
     indicator,
     linear_comb,
     transfer,
@@ -16,6 +20,30 @@ def test_indicator_basics():
     assert indicator(0, 1).values == (1,)
     assert indicator(Fraction(1, 2), Fraction(1, 2)) == ZERO_FN
     assert indicator(Fraction(2, 3), Fraction(1, 3)) == indicator(Fraction(1, 3), Fraction(2, 3))
+
+
+@pytest.mark.parametrize("breaks, values", [
+    ((Fraction(2, 3), Fraction(1, 3)), (0, 1, 0)),  # unsorted
+    ((Fraction(1, 3), Fraction(1, 3)), (0, 1, 2)),  # repeated
+    ((0,), (0, 1)),                                  # at an end
+    ((Fraction(1, 2), 1), (0, 1, 0)),
+    ((Fraction(-1, 2),), (0, 1)),
+    ((Fraction(1, 2),), (0, 1, 2)),                  # one value too many
+], ids=["unsorted", "repeated", "at_zero", "at_one", "outside", "length"])
+def test_step_functions_refuse_breakpoints_out_of_order(breaks, values):
+    with pytest.raises(ValueError):
+        StepFn(breaks, values)
+
+
+def test_step_functions_are_canonical():
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    f = StepFn((third, half, Fraction(2, 3)), (0, 1, 1, 0))
+    assert f == indicator(third, Fraction(2, 3)) and hash(f) == hash(indicator(third, Fraction(2, 3)))
+    assert (f.breaks, f.values) == ((rational(1, 3), rational(2, 3)), (0, 1, 0))
+    assert f.value_at(half) == 1 and f.value_at(third, "-") == 0 and f.value_at(third, "+") == 1
+    assert StepFn((), (1,)) == indicator(0, 1)
+    assert f - f == ZERO_FN and (0 * f).is_zero
+    assert repr(3 * f) == "StepFn(breaks=[1/3, 2/3], values=[0, 3, 0])"
 
 
 def test_linear_comb():
