@@ -308,8 +308,7 @@ def multimodal_kgroups(m, cap=10000, asserted=False):
     """
     if not m.is_continuous() or not is_surjective(m):
         raise WrongFamily("multimodal route needs a continuous surjective map")
-    for e in (ZERO, ONE):
-        img = m.branches[0](e) if e == ZERO else m.branches[-1](e)
+    for e, img in ((ZERO, m.branches[0].ends[0]), (ONE, m.branches[-1].ends[1])):
         if img == ZERO or img == ONE:
             raise HypothesisViolatedWithinCap(
                 "an endpoint maps to an endpoint (%s -> %s)" % (e.text(), img.text())

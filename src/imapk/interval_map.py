@@ -9,14 +9,21 @@ never materialized: a copy is a point with a side, ``MINUS`` or ``PLUS``,
 which ``PMMap.branch_index_at`` and ``StepFn.value_at`` take, and a
 ``StepFn`` keeps at each point only its jump from the left copy to the right.
 
-``limits`` evaluates the branches at a point.  ``eval_multivalued`` gives the
-same values through the map's table ``images``, which it alone fills, so the
-closure, the orbit walks and the transfer operator of one report map each
-point once; ``report.run`` empties the table when its report is built.  The
-interior walks of a rational map (``orbit._pair_walk``) run on integer
-pairs and read no table.  The re-checks of a result (a closed orbit, a
-valuation witness, a minimal polynomial) never read the table: they
-evaluate the branches directly.
+Each image of a point has one source:
+
+* a branch-end image is mapped once, when the branch is built, and read from
+  ``AffineBranch.ends``; ``limits`` reads a partition point's values there;
+* an orbit point's image is read from the map's table ``images`` through
+  ``eval_multivalued``, which alone fills it, by ``limits`` on a miss.  So
+  the closure, the orbit searches and the Markov check of one report map each
+  point once, and ``report.run`` empties the table when its report is built.
+  The interior walks of a rational map (``orbit._pair_walk``) run on integer
+  pairs and read no table;
+* a transfer breakpoint's image is mapped by its own branch, once per
+  iteration, into the iteration's ``places`` (``stepfun.transfer``).
+
+The re-checks of a result (a closed orbit, a valuation witness, a minimal
+polynomial) never read the table: they evaluate the branches directly.
 """
 
 from __future__ import annotations
@@ -195,7 +202,7 @@ def validate_map(partition, branches):
                 )
                 continue
             if (
-                prev(junction) == b(junction)
+                prev.ends[1] == b.ends[0]
                 and prev.slope.sign() == b.slope.sign()
             ):
                 notes.append(
@@ -219,8 +226,9 @@ def eval_multivalued(m, x):
 
 
 def limits(m, x):
-    """Set of one-sided limit values of the map at x, as a sorted tuple,
-    evaluated through the branches."""
+    """Set of one-sided limit values of the map at x, as a sorted tuple:
+    a partition point's values are read off ``AffineBranch.ends``, any other
+    point is mapped by its branch."""
     x = as_scalar(x)
     pts = m.partition
     i = bisect.bisect_left(pts, x)
@@ -229,10 +237,10 @@ def limits(m, x):
             raise OutOfDomain("%s is outside [0,1]" % x.text())
         return (m.branches[i - 1](x),)
     if i == 0:
-        return (m.branches[0](x),)
+        return (m.branches[0].ends[0],)
     if i == len(m.branches):
-        return (m.branches[-1](x),)
-    u, v = m.branches[i - 1](x), m.branches[i](x)
+        return (m.branches[-1].ends[1],)
+    u, v = m.branches[i - 1].ends[1], m.branches[i].ends[0]
     c = u.compare(v)
     return (u,) if c == 0 else ((u, v) if c < 0 else (v, u))
 

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .interval_map import ONE, ZERO, is_surjective
 from .polynomials import IntPoly, monic_from_dependence
-from .scalar import as_scalar, sort_scalars
+from .scalar import sort_scalars
 from .snf import KGroups, Route
 from .stepfun import apply_int_poly, indicator, transfer
 from . import orbit as orbit_mod
@@ -243,22 +243,27 @@ def recognize_unimodal(m):
     b1, b2 = m.branches
     if not (b1.increasing and not b2.increasing):
         return None
-    c = m.partition[1]
-    if b1(c) != b2(c):
+    if b1.ends[1] != b2.ends[0]:
         return None
-    if b2(ONE) != ZERO or b1(c) != as_scalar(1):
+    if b2.ends[1] != ZERO or b1.ends[1] != ONE:
         return None
     if not is_surjective(m):
         return None
-    return c
+    return m.partition[1]
 
 
-def _closed_orbit(m, x, cap):
-    """``tau_orbit`` of x, with a closed orbit re-checked through the branches."""
+def _closed_orbit(m, x, cap, label):
+    """((labels, k, p), status) for the ``tau_orbit`` of x, closed with
+    preperiod k after p distinct points and re-checked through the branches,
+    with ``label`` applied to those p points; (None, status) when the orbit
+    does not close."""
     points, status = orbit_mod.tau_orbit(m, x, cap)
-    if isinstance(status, orbit_mod.Closed) and not orbit_mod.reverify_closed(m, points, status):
+    if not isinstance(status, orbit_mod.Closed):
+        return None, status
+    if not orbit_mod.reverify_closed(m, points, status):
         raise CertificateFailure("the closed orbit of %s fails its re-check" % x.text())
-    return points, status
+    p = status.preperiod + status.period
+    return ([label(y) for y in points[:p]], status.preperiod, p), status
 
 
 def unimodal_orbit_data(m, cap=10000, c=None):
@@ -270,11 +275,7 @@ def unimodal_orbit_data(m, cap=10000, c=None):
         c = recognize_unimodal(m)
     if c is None:
         raise WrongFamily("map is not surjective unimodal with 1 -> 0")
-    points, status = _closed_orbit(m, ZERO, cap)
-    if not isinstance(status, orbit_mod.Closed):
-        return None, status
-    p = status.preperiod + status.period
-    return ([1 if x <= c else -1 for x in points[:p]], status.preperiod, p), status
+    return _closed_orbit(m, ZERO, cap, lambda x: 1 if x <= c else -1)
 
 
 def beta_digit(beta, x):
@@ -284,11 +285,7 @@ def beta_digit(beta, x):
 
 def beta_orbit_data(m, beta, cap=10000):
     """(digits, k, p) for the orbit of 1, or the running status on failure."""
-    points, status = _closed_orbit(m, ONE, cap)
-    if not isinstance(status, orbit_mod.Closed):
-        return None, status
-    p = status.preperiod + status.period
-    return ([beta_digit(beta, x) for x in points[:p]], status.preperiod, p), status
+    return _closed_orbit(m, ONE, cap, lambda x: beta_digit(beta, x))
 
 
 # -- K-groups from the minimal polynomial ------------------------------------
@@ -341,8 +338,7 @@ def module_generators(m, endpoint_index=0):
     j1 = [(marks[i], marks[i + 1]) for i in range(len(marks) - 1)]
     j2 = []
     for i in range(1, len(pts) - 1):
-        left = m.branches[i - 1](pts[i])
-        right = m.branches[i](pts[i])
+        left, right = m.branches[i - 1].ends[1], m.branches[i].ends[0]
         if left != right:
             j2.append(tuple(sorted((left, right))))
     return j1 + j2

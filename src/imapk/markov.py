@@ -32,7 +32,7 @@ from .interval_map import (
     eval_multivalued,
     merge_closed_intervals,
 )
-from .orbit import ProvablyInfinite, critical_closure
+from .orbit import ProvablyInfinite, critical_closure, forward_orbit
 from .scalar import ONE, ZERO, as_scalar, sort_scalars
 
 
@@ -147,6 +147,14 @@ def markov_for_partition(m, points, cap=10000, closure=None):
     images aligned with partition points; the critical set eventually
     trapped in the partition point set.  ``closure`` is the critical closure
     at ``cap`` when the caller already has it.
+
+    A point outside the closure maps into it when a point of its
+    ``forward_orbit`` lies in the closure.  That walk stops when the orbit
+    closes, when it passes ``cap`` points, at the coordinate size limit
+    (``orbit.MAX_COEFF_BITS``), or at the valuation certificate; a certified
+    orbit never meets the closure, which is complete and so holds no
+    infinite orbit.  The trapped-set loop reads the map's table, as the
+    orbit searches do (see ``interval_map``).
     """
     points = sort_scalars(as_scalar(p) for p in points)
     if not points or points[0] != ZERO or points[-1] != ONE:
@@ -160,25 +168,7 @@ def markov_for_partition(m, points, cap=10000, closure=None):
         raise InvalidMarkovPartition("critical closure is not finite within %s" % cc.stop.limit)
     closure = set(cc.points)
     for p in points:
-        if p in closure:
-            continue
-        # membership in the generalized orbit via a forward iterate landing in it
-        seen = {p}
-        frontier = [p]
-        hit = False
-        for _ in range(cap):
-            nxt = []
-            for x in frontier:
-                for v in eval_multivalued(m, x):
-                    if v in closure:
-                        hit = True
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            if hit or not nxt:
-                break
-            frontier = nxt
-        if not hit:
+        if p not in closure and closure.isdisjoint(forward_orbit(m, p, cap).points):
             raise InvalidMarkovPartition(
                 "%s is not in the generalized orbit of the critical set" % p.text()
             )

@@ -4,20 +4,22 @@ One breadth-first search, ``_search``, serves three wrappers:
 
 * ``forward_orbit`` follows the multivalued map from one point.  Orbits
   branch at partition points: both one-sided limit values are followed, each
-  as its own thread, and the result is the union;
+  as its own thread, and the result is the union.  The Markov check of a
+  user partition (``markov.markov_for_partition``) tests a point with it;
 * ``tau_orbit`` follows the single-valued right-continuous map from one
   point;
 * ``critical_closure`` follows the multivalued map from every partition
   point at once.
 
-Every step of ``_search`` reads ``interval_map.eval_multivalued``, so a
-point that one walk of a report mapped is looked up, not mapped again, by
-the next: the closure and the partition orbits share the map's table of
-images.  The single-valued step takes the one value from that table and
-evaluates its branch only at a partition point whose two limits differ.
-The interior walks of a rational map run on (numerator, denominator) int
-pairs instead (``_pair_walk``) and read no table; an algebraic map's are
-``_search`` walks.
+Every step of ``_search`` reads an orbit point's image from the map's
+table (``interval_map.eval_multivalued``; the module docstring of
+``interval_map`` says where each image comes from), so a point that one
+walk of a report mapped is looked up, not mapped again, by the next.  The
+single-valued step takes the one value from that table and evaluates its
+branch only at a partition point whose two limits differ.  The interior
+walks of a rational map run on (numerator, denominator) int pairs instead
+(``_pair_walk``) and read no table; an algebraic map's are ``_search``
+walks.
 ``reverify_closed`` and the valuation witness re-check a result through the
 branches themselves, never through the table.  ``reverify_closed`` checks
 the whole walk of a closed single-valued orbit, each point against the
@@ -334,10 +336,7 @@ def forward_orbit(m, x, cap=10000):
 
 def step_right_continuous(m, x):
     """Single-valued step: right-continuous at interior points, left limit at 1."""
-    if x == ONE:
-        return m.branches[-1](x)
-    i = m.branch_index_at(x, PLUS)
-    return m.branches[i](x)
+    return m.branches[m.branch_index_at(x, PLUS)](x)
 
 
 def _tau_step(m, x):

@@ -13,12 +13,12 @@ deterministic: keys are inserted in a fixed order and scalars are rendered
 through their canonical text form.  Every claim that is not computed
 outright carries a provenance string (certificate, assertion, or route name).
 
-The stages share the map's table of images (``interval_map.eval_multivalued``),
-so the closure, the orbit walks and the transfer operator map each point
-once; the interior walks of a rational map run on integer pairs and read
-no table.  `run` empties the table when the report is built, or when a stage
-raises, so no report depends on what an earlier one left in it and a batch
-of parsed specs does not keep every point it ever mapped.
+The stages share the map's table of images (``interval_map.eval_multivalued``;
+the ``interval_map`` docstring says which images it holds), so the closure,
+the orbit searches and the Markov check map each orbit point once.  `run`
+empties the table when the report is built, or when a stage raises, so no
+report depends on what an earlier one left in it and a batch of parsed specs
+does not keep every point it ever mapped.
 """
 
 from __future__ import annotations

@@ -26,14 +26,12 @@ and at each partition point, give the values at the domain ends, and each
 branch adds the value at its lower end at the image of that end and the drop
 at its upper end at the image of that one.  A jump at 0 is the value at 0^+.
 
-The images of the domain ends are mapped when the branch is built
-(``AffineBranch.ends``).  The image of an inner point is read from the map's
-table of images (``interval_map.eval_multivalued``), which the closure of the
-same report has mostly filled, since the breakpoints of the iterates of 1
-are points of the critical orbits.  The iteration passes one dict of places
-to all its steps, so each point is located and read from the table once.
-The Horner re-check in ``apply_int_poly`` maps every inner breakpoint by its
-own branch at every step and never reads the table.
+The image of a domain end is read from ``AffineBranch.ends``, and an inner
+breakpoint is mapped by its own branch into ``places`` (``interval_map``
+states where each image of a point comes from).  The iteration passes one
+dict of places to all its steps, so each point is located and mapped once
+per iteration; the Horner re-check in ``apply_int_poly`` starts fresh places
+at every step, so it maps every inner breakpoint by its branch at every step.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ import bisect
 from itertools import accumulate
 
 from .errors import OutOfDomain
-from .interval_map import PLUS, eval_multivalued
+from .interval_map import PLUS
 from .scalar import ONE, ZERO, as_scalar, sort_scalars
 
 
@@ -166,7 +164,7 @@ def linear_comb(coeffs, fns):
     return StepFn._of(start, {x: d for x, d in jumps.items() if d})
 
 
-def _place(m, x, direct):
+def _place(m, x):
     """(slot, image, sign) of a point strictly inside (0, 1).
 
     Slot 2i is the partition point a_i, which lies inside no domain: it has
@@ -177,16 +175,14 @@ def _place(m, x, direct):
     if pts[i] == x:
         return 2 * i, None, 0
     branch = m.branches[i - 1]
-    y = branch(x) if direct else eval_multivalued(m, x)[0]
-    return 2 * i - 1, y, 1 if branch.increasing else -1
+    return 2 * i - 1, branch(x), 1 if branch.increasing else -1
 
 
-def transfer(m, f, direct=False, places=None):
+def transfer(m, f, places=None):
     """Transfer operator: (Lf)(x) = sum of f over the preimages of x.
 
     ``places`` holds the ``_place`` of each point already located on m; an
-    iteration passes one dict to all its steps.  With ``direct`` every inner
-    breakpoint is mapped by its branch, not read from the map's table."""
+    iteration passes one dict to all its steps."""
     if places is None:
         places = {}
     slot_sums = [0] * (2 * len(m.branches) + 1)
@@ -194,7 +190,7 @@ def transfer(m, f, direct=False, places=None):
     for x, d in f.jumps.items():
         place = places.get(x)
         if place is None:
-            place = places[x] = _place(m, x, direct)
+            place = places[x] = _place(m, x)
         slot, y, sign = place
         slot_sums[slot] += d
         _add_jump(jumps, y, sign * d)
@@ -211,9 +207,9 @@ def transfer(m, f, direct=False, places=None):
 
 
 def apply_int_poly(m, poly, f):
-    """Evaluate p(L) applied to f by Horner, computing fresh transfers
-    through the branches themselves."""
+    """Evaluate p(L) applied to f by Horner, each step a fresh transfer
+    with its own places."""
     acc = ZERO_FN
     for c in reversed(poly.coeffs):
-        acc = transfer(m, acc, direct=True) + c * f
+        acc = transfer(m, acc) + c * f
     return acc

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from imapk.errors import (
     BranchImageOutsideUnitInterval,
     EndpointsNotZeroOne,
+    OutOfDomain,
     PartitionNotIncreasing,
     ZeroSlope,
 )
@@ -13,12 +15,18 @@ from imapk.interval_map import (
     dynamics_flags,
     eval_multivalued,
     is_essentially_injective,
+    limits,
     preimages,
     validate_map,
 )
-from imapk.scalar import ZERO, rational
+from imapk.orbit import forward_orbit, tau_orbit
+from imapk.scalar import ONE, ZERO, as_scalar, rational
+from imapk.specfile import parse_spec
+from imapk.stepfun import StepFn, indicator
 
 from conftest import make_rational_map
+
+SPECS = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.imapk"))
 
 
 def test_tent_validates(tent):
@@ -30,6 +38,39 @@ def test_equal_end_images_are_one_object(tent):
     # the transfer step keys its jumps by these images
     (a, b), (c, d) = (branch.ends for branch in tent.branches)
     assert b is c and a is d is ZERO
+
+
+def test_limits_at_a_partition_point_are_the_branch_ends():
+    # the values at a partition point are read off AffineBranch.ends, not
+    # mapped again; one map with a jump, the shipped ones without
+    jump = validate_map([0, Fraction(1, 2), 1], [(1, Fraction(1, 2)), (1, Fraction(-1, 2))])
+    maps = [jump] + [parse_spec(path.read_text()).map for path in SPECS]
+    for m in maps:
+        ends = [(m.branches[0].ends[0],)]
+        ends += [(left.ends[1], right.ends[0]) for left, right in zip(m.branches, m.branches[1:])]
+        ends.append((m.branches[-1].ends[1],))
+        for t, held in zip(m.partition, ends):
+            assert all(any(v is h for h in held) for v in limits(m, t)), (m, t)
+    assert limits(jump, Fraction(1, 2)) == (ZERO, ONE)
+
+
+@pytest.mark.parametrize("site", [
+    lambda m, x: forward_orbit(m, x),
+    lambda m, x: tau_orbit(m, x),
+    lambda m, x: m.branch_index_at(as_scalar(x)),
+    lambda m, x: limits(m, x),
+    lambda m, x: eval_multivalued(m, x),
+    lambda m, x: indicator(0, x),
+    lambda m, x: StepFn((), (1,)).value_at(x),
+    lambda m, x: preimages(m, x),
+], ids=["forward_orbit", "tau_orbit", "branch_index_at", "limits", "eval_multivalued",
+        "indicator", "value_at", "preimages"])
+@pytest.mark.parametrize("x", [Fraction(-1, 2), Fraction(3, 2)], ids=["-1/2", "3/2"])
+def test_a_point_outside_the_interval_is_out_of_domain(tent, site, x):
+    with pytest.raises(OutOfDomain, match="%s is outside" % x):
+        site(tent, x)
+    # a failed lookup stores nothing in the table of images
+    assert tent.images == {}
 
 
 def test_duplicate_branches_merge():

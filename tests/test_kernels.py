@@ -36,7 +36,7 @@ from imapk.families import FamilySpec, build
 from imapk.ktheory import (
     MinPolyReport, _reduce, beta_minpoly, minimal_polynomial_iter, unimodal_minpoly,
 )
-from imapk.interval_map import eval_multivalued, is_surjective, validate_map
+from imapk.interval_map import is_surjective, validate_map
 from imapk.polynomials import (
     IntPoly, count_real_roots, integral, sturm_sequence, poly_derivative, poly_divmod, poly_eval, poly_gcd,
     poly_neg, poly_trim, monic_from_dependence,
@@ -702,7 +702,7 @@ def reference_linear_comb(coeffs, fns):
     return StepFn(merged, [sum(c * v for c, v in zip(coeffs, row)) for row in rows])
 
 
-def reference_contribution(m, branch, f, direct):
+def reference_contribution(branch, f):
     """Pushforward through one branch of the restriction of f to its domain."""
     lo, hi = branch.lo, branch.hi
     i0 = bisect.bisect_right(f.breaks, lo)
@@ -711,10 +711,7 @@ def reference_contribution(m, branch, f, direct):
     vals = list(f.values[i0 : i1 + 1])
     if all(v == 0 for v in vals):
         return ZERO_FN
-    if direct:
-        img_breaks = [branch(b) for b in inner]
-    else:
-        img_breaks = [eval_multivalued(m, b)[0] for b in inner]
+    img_breaks = [branch(b) for b in inner]
     u, v = branch(lo), branch(hi)
     if not branch.increasing:
         img_breaks.reverse()
@@ -735,8 +732,8 @@ def reference_contribution(m, branch, f, direct):
     return StepFn(breaks, values)
 
 
-def reference_transfer(m, f, direct=False):
-    parts = [reference_contribution(m, b, f, direct) for b in m.branches]
+def reference_transfer(m, f):
+    parts = [reference_contribution(b, f) for b in m.branches]
     return reference_linear_comb([1] * len(parts), parts)
 
 
@@ -755,13 +752,14 @@ def test_transfer_matches_per_branch_reference():
     for m in maps:
         for _ in range(6):
             f = _dyadic_step_function(rng)
-            for direct in (False, True):
-                assert transfer(m, f, direct) == reference_transfer(m, f, direct)
-        # the iterates of 1, whose breakpoints are the images of earlier ones
+            assert transfer(m, f) == reference_transfer(m, f)
+        # the iterates of 1, whose breakpoints are the images of earlier ones,
+        # with one dict of places for all steps, as the iteration passes it
         f = StepFn((), (1,))
+        places = {}
         for _ in range(4):
-            g = transfer(m, f)
-            assert g == reference_transfer(m, f) == transfer(m, f, direct=True)
+            g = transfer(m, f, places)
+            assert g == reference_transfer(m, f) == transfer(m, f)
             f = g
 
 

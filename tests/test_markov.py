@@ -16,7 +16,7 @@ from imapk.markov import (
     markov_for_partition,
     separation_check,
 )
-from imapk.orbit import ProvablyInfinite
+from imapk.orbit import ProvablyInfinite, critical_closure, forward_orbit
 from imapk.report import Pipeline, PipelineOptions
 from imapk.scalar import rational
 from imapk.snf import kgroups_from_incidence
@@ -201,6 +201,26 @@ def test_a_coarse_interval_across_two_slopes_decides_nothing():
 def test_user_partition_rejected(tent):
     with pytest.raises(InvalidMarkovPartition):
         markov_for_partition(tent, [0, Fraction(1, 3), 1])
+
+
+def test_a_user_point_is_tested_by_its_forward_orbit():
+    # x -> 4x/3 on [0, 3/4] and x -> 4 - 4x on [3/4, 1]: the closure is
+    # 0, 3/4, 1, and the valuation certificate holds v_3(x) < 0
+    m = validate_map([0, Fraction(3, 4), 1], [(Fraction(4, 3), 0), (-4, 4)])
+    assert [p.text() for p in critical_closure(m).points] == ["0", "3/4", "1"]
+    # 81/256 -> 27/64 -> 9/16 -> 3/4 reaches the closure at the third step
+    data = markov_for_partition(
+        m, [0, Fraction(81, 256), Fraction(27, 64), Fraction(9, 16), Fraction(3, 4), 1]
+    )
+    assert data.matrix == [
+        [1, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [1, 1, 1, 1, 1]
+    ]
+    # the orbit of 1/3 is certified infinite at once, so it never meets the
+    # complete closure
+    assert isinstance(forward_orbit(m, Fraction(1, 3)).status, ProvablyInfinite)
+    with pytest.raises(InvalidMarkovPartition) as info:
+        markov_for_partition(m, [0, Fraction(1, 3), 1])
+    assert str(info.value) == "1/3 is not in the generalized orbit of the critical set"
 
 
 def test_a_certified_infinite_closure_is_named_as_such():

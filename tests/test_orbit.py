@@ -512,14 +512,25 @@ def test_the_rechecks_evaluate_the_branches_themselves(tent, monkeypatch):
     monkeypatch.setattr(beta, "images", _NoTable())
     assert _valuation_witness(beta, rational(1, 4), 2, 0).startswith("v_2 of the iterates [-2, -3, -4")
     # a minimal polynomial whose iterates have the breakpoint 1/4 inside
-    # the first branch's domain
+    # the first branch's domain; the transfer maps it by its branch, so the
+    # iteration, its re-check and a lone step all run without the table
     m = validate_map([0, Fraction(1, 2), 1], [(2, 0), (Fraction(-1, 2), Fraction(1, 2))])
+    monkeypatch.setattr(m, "images", _NoTable())
     poly = minimal_polynomial_iter(m).poly
     assert poly.text() == "t^3 - t^2 - 1"
-    monkeypatch.setattr(m, "images", _NoTable())
     assert apply_int_poly(m, poly, indicator(0, 1)).is_zero
-    with pytest.raises(LookupError):
-        transfer(m, indicator(0, Fraction(1, 4)))
+    assert transfer(m, indicator(0, Fraction(1, 4))) == indicator(0, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
+def test_the_iteration_reads_no_table(path, monkeypatch):
+    from imapk.ktheory import minimal_polynomial_iter
+
+    # every shipped map is surjective, as the iteration needs
+    m = parse_spec(path.read_text()).map
+    usual = minimal_polynomial_iter(m)
+    monkeypatch.setattr(m, "images", _NoTable())
+    assert minimal_polynomial_iter(m) == usual
 
 
 # -- the integer-pair walk of a rational map against the Scalar search ----------

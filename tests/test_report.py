@@ -278,9 +278,10 @@ def test_a_report_that_raises_leaves_the_table_of_images_empty(monkeypatch):
 
 
 def test_a_report_maps_each_point_through_its_branch_once(monkeypatch):
-    # the closure fills the table and the 64 transfer steps of the
-    # minimal-polynomial iteration read it; the interior walks of a rational
-    # map run on integer pairs and neither read nor fill it
+    # the closure fills the table and is its only reader here; the 64
+    # transfer steps of the minimal-polynomial iteration map their
+    # breakpoints by their branches, and the interior walks of a rational map
+    # run on integer pairs, so neither reads nor fills it
     calls = count_calls(monkeypatch, interval_map.limits, interval_map.eval_multivalued)
     spy = interval_map.limits
     points = Counter()
@@ -290,22 +291,27 @@ def test_a_report_maps_each_point_through_its_branch_once(monkeypatch):
         return spy(m, x)
 
     monkeypatch.setattr(interval_map, "limits", each_point)
-    walk = orbit.interior_orbits_disjoint
-    during_walks = []
+    during = {}
 
-    def each_walk(m, cap):
-        before = sum(calls.values())
-        try:
-            return walk(m, cap)
-        finally:
-            during_walks.append(sum(calls.values()) - before)
+    def counted(fn):
+        def each_call(*args, **kwargs):
+            before = sum(calls.values())
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                during.setdefault(fn.__name__, []).append(sum(calls.values()) - before)
 
-    for module in (orbit, families):
-        monkeypatch.setattr(module, "interior_orbits_disjoint", each_walk)
+        return each_call
+
+    for module, name in [
+        (orbit, "interior_orbits_disjoint"),
+        (families, "interior_orbits_disjoint"),
+        (ktheory, "minimal_polynomial_iter"),
+    ]:
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     run("classify", parse_spec(UNCERTIFIED_MULTIMODAL))
-    assert calls["limits"] == len(points) > 1000
-    assert calls["eval_multivalued"] > calls["limits"]
-    assert during_walks == [0]
+    assert calls["limits"] == calls["eval_multivalued"] == len(points) > 1000
+    assert during == {"interior_orbits_disjoint": [0], "minimal_polynomial_iter": [0]}
 
 
 # the orbit 0, 1/4, 5/8, 3/4, 1/2, 1 closes, so the minimal polynomial is found
@@ -333,12 +339,12 @@ RECURRING_RECHECK = (
     RECURRING_RECHECK,
 ], ids=["realization", "golden_beta", "periodic_unimodal", "recurring_recheck"])
 def test_transfer_steps_map_no_domain_end(spec_text, monkeypatch):
-    # a branch maps its domain ends when it is built; the iteration reads each
-    # inner breakpoint from the table once, however many iterates break
-    # there, and the Horner re-check maps each one through its own branch at
-    # every step
+    # a branch maps its domain ends when it is built; the iteration maps each
+    # inner breakpoint by its own branch once, however many iterates break
+    # there, and the Horner re-check, with fresh places at every step, maps
+    # each one by its branch at every step; no step reads the table
     m = parse_spec(spec_text).map
-    calls = count_calls(monkeypatch, interval_map.eval_multivalued)
+    calls = count_calls(monkeypatch, interval_map.eval_multivalued, interval_map.limits)
     mapped = []
     branch_call = AffineBranch.__call__
 
@@ -346,35 +352,39 @@ def test_transfer_steps_map_no_domain_end(spec_text, monkeypatch):
         mapped.append((branch, x))
         return branch_call(branch, x)
 
-    steps = []
+    steps = []  # (places of an iteration step or None, inner breakpoints, points mapped)
     iterated = set()  # the inner breakpoints of the iteration's steps
     step = stepfun.transfer
 
-    def each_step(m, f, direct=False, places=None):
+    def each_step(m, f, places=None):
         before = len(mapped)
-        result = step(m, f, direct, places)
+        result = step(m, f, places)
         inner = [b for b in f.jumps if b not in m.partition]
-        if not direct:
+        if places is not None:
             iterated.update(inner)
-        steps.append((direct, len(inner), len(mapped) - before))
+        steps.append((places, len(inner), len(mapped) - before))
         return result
 
     monkeypatch.setattr(AffineBranch, "__call__", each_call)
     monkeypatch.setattr(stepfun, "transfer", each_step)
     monkeypatch.setattr(ktheory, "transfer", each_step)
     assert ktheory.minimal_polynomial_iter(m).method == "iteration"
+    assert not calls
     assert not [(b, x) for b, x in mapped if x == b.lo or x == b.hi]
-    rechecks = [(inner, n) for direct, inner, n in steps if direct]
+    iteration = [(places, inner, n) for places, inner, n in steps if places is not None]
+    rechecks = [(inner, n) for places, inner, n in steps if places is None]
     assert rechecks and all(inner == n for inner, n in rechecks)
-    assert calls["eval_multivalued"] == len(iterated)
-    # each table miss maps its point through one branch
-    assert len(mapped) == sum(n for n, _ in rechecks) + len(m.images)
+    # one dict of places for the whole iteration, which maps each of its
+    # inner breakpoints once
+    assert len({id(places) for places, _, _ in iteration}) == 1
+    assert sum(n for _, _, n in iteration) == len(iterated)
+    assert len(mapped) == len(iterated) + sum(n for _, n in rechecks)
     if spec_text == PERIODIC_UNIMODAL:
-        assert sum(n for n, _ in rechecks) == 3
+        assert sum(n for _, n in rechecks) == 3
         # three inner points, met 9 times by the 5 steps of the iteration
-        assert (len(iterated), sum(inner for direct, inner, _ in steps if not direct)) == (3, 9)
+        assert (len(iterated), sum(inner for _, inner, _ in iteration)) == (3, 9)
     if spec_text == RECURRING_RECHECK:
-        assert sum(n for n, _ in rechecks) == 10
+        assert sum(n for _, n in rechecks) == 10
 
 
 def test_a_report_renders_each_scalar_text_once(monkeypatch):

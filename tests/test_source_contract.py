@@ -5,7 +5,8 @@ no call of ``float`` and nothing from ``math`` beyond the integer functions:
 no floating-point value may decide anything.  No bare ``except:`` and no
 handler of ``Exception`` or ``BaseException``, which would swallow a
 ``CertificateFailure``, and outside the front ends no handler of
-``ImapkError``.  And no helper that nothing in the library calls.
+``ImapkError``.  Only the orbit layer reads the map's table of images.  And
+no helper that nothing in the library calls.
 """
 
 import ast
@@ -111,6 +112,55 @@ def test_no_handler_catches_every_imapk_error(path):
 def test_an_imapk_error_handler_is_caught(handler, caught):
     tree = ast.parse("try:\n    f()\n%s\n    pass" % handler)
     assert imapk_error_handlers(tree) == ([3] if caught else [])
+
+
+# The map's table of images is read through eval_multivalued by the orbit
+# searches and the Markov check alone, and only report.run empties it besides
+# interval_map itself.  A transfer step, a branch-end image or a re-check that
+# read it would give the image of a point a second source (the interval_map
+# docstring names the one source of each).
+MAY_READ_THE_TABLE = {"interval_map.py", "orbit.py", "markov.py", "__init__.py"}
+MAY_TOUCH_IMAGES = {"interval_map.py", "report.py"}
+
+
+def table_references(tree):
+    """(line, name) of each reference in a parsed module to
+    ``eval_multivalued`` (imported, or loaded as a name or an attribute) and
+    to the attribute ``images``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name == "eval_multivalued"]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id == "eval_multivalued":
+                found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            if node.attr == "images" or (node.attr == "eval_multivalued" and isinstance(node.ctx, ast.Load)):
+                found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_orbit_layer_reads_the_table_of_images(path):
+    allowed = set()
+    if path.name in MAY_READ_THE_TABLE:
+        allowed.add("eval_multivalued")
+    if path.name in MAY_TOUCH_IMAGES:
+        allowed.add("images")
+    found = table_references(ast.parse(path.read_text(), filename=str(path)))
+    assert [(line, name) for line, name in found if name not in allowed] == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .interval_map import PLUS, eval_multivalued", [(1, "eval_multivalued")]),
+    ("y = eval_multivalued(m, x)[0]", [(1, "eval_multivalued")]),
+    ("y = imap.eval_multivalued(m, x)[0]", [(1, "eval_multivalued")]),
+    ("values = m.images.get(x)", [(1, "images")]),
+    ("m.images = {}", [(1, "images")]),
+    ("def eval_multivalued(m, x):\n    images = limits(m, x)", []),
+])
+def test_a_reader_of_the_table_of_images_is_caught(source, found):
+    assert table_references(ast.parse(source)) == found
 
 
 # Defined but called by no stage, each for a reason of its own:
