@@ -32,7 +32,13 @@ from .interval_map import (
     eval_multivalued,
     merge_closed_intervals,
 )
-from .orbit import ProvablyInfinite, critical_closure, forward_orbit
+from .orbit import (
+    CapReached,
+    ProvablyInfinite,
+    SizeLimitReached,
+    critical_closure,
+    forward_orbit,
+)
 from .scalar import ONE, ZERO, as_scalar, sort_scalars
 
 
@@ -153,8 +159,11 @@ def markov_for_partition(m, points, cap=10000, closure=None):
     closes, when it passes ``cap`` points, at the coordinate size limit
     (``orbit.MAX_COEFF_BITS``), or at the valuation certificate; a certified
     orbit never meets the closure, which is complete and so holds no
-    infinite orbit.  The trapped-set loop reads the map's table, as the
-    orbit searches do (see ``interval_map``).
+    infinite orbit.  A closed or certified orbit that misses the closure
+    puts the point outside the generalized orbit of the critical set; a walk
+    stopped at the cap or the size limit says only that the point does not
+    reach the closure within that limit.  The trapped-set loop reads the
+    map's table, as the orbit searches do (see ``interval_map``).
     """
     points = sort_scalars(as_scalar(p) for p in points)
     if not points or points[0] != ZERO or points[-1] != ONE:
@@ -168,7 +177,16 @@ def markov_for_partition(m, points, cap=10000, closure=None):
         raise InvalidMarkovPartition("critical closure is not finite within %s" % cc.stop.limit)
     closure = set(cc.points)
     for p in points:
-        if p not in closure and closure.isdisjoint(forward_orbit(m, p, cap).points):
+        if p in closure:
+            continue
+        orbit = forward_orbit(m, p, cap)
+        if closure.isdisjoint(orbit.points):
+            if isinstance(orbit.status, (CapReached, SizeLimitReached)):
+                # an unfinished walk establishes nothing about the rest of the orbit
+                raise InvalidMarkovPartition(
+                    "%s does not reach the critical closure within %s"
+                    % (p.text(), orbit.status.limit)
+                )
             raise InvalidMarkovPartition(
                 "%s is not in the generalized orbit of the critical set" % p.text()
             )

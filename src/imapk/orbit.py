@@ -74,7 +74,7 @@ generalized exchange, or a polynomial not proved irreducible), the capped
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from math import gcd, lcm
+from math import gcd
 
 from .errors import (
     CertificateFailure,
@@ -151,8 +151,18 @@ MAX_COEFF_BITS = 4096
 
 
 def _oversized(x):
-    for c in x.coeffs:
-        if c.denominator.bit_length() > MAX_COEFF_BITS or c.numerator.bit_length() > MAX_COEFF_BITS:
+    """Whether a coefficient of x, in lowest terms, has a numerator or a
+    denominator past MAX_COEFF_BITS."""
+    num, den = x.num, x.den
+    if den.bit_length() <= MAX_COEFF_BITS and all(n.bit_length() <= MAX_COEFF_BITS for n in num):
+        return False
+    if x.field is None:
+        return True  # num[0]/den is in lowest terms
+    # den is the lcm of the coefficient denominators and may pass the limit
+    # when none of them does
+    for n in num:
+        g = gcd(n, den)
+        if (n // g).bit_length() > MAX_COEFF_BITS or (den // g).bit_length() > MAX_COEFF_BITS:
             return True
     return False
 
@@ -178,10 +188,9 @@ def _slope_primes(n):
     return primes
 
 
-def _valuation(x, p):
-    """v_p of a nonzero Fraction."""
+def _valuation(num, den, p):
+    """v_p of num/den for nonzero integers num and den."""
     v = 0
-    num, den = x.numerator, x.denominator
     while num % p == 0:
         num //= p
         v += 1
@@ -201,23 +210,27 @@ class _ValuationCertificate:
         scalars = (*m.partition, *(b.slope for b in m.branches), *(b.intercept for b in m.branches))
         if not all(x.is_rational for x in scalars):
             return
-        branches = [(b.slope.as_fraction(), b.intercept.as_fraction()) for b in m.branches]
-        points = [t.as_fraction() for t in m.partition if not t.is_zero]
-        primes = sorted({p for s, _ in branches for p in _slope_primes(s.denominator)})
+        # (numerator, denominator) of each slope and intercept, and of each
+        # partition point t != 0
+        branches = [((b.slope.num[0], b.slope.den), (b.intercept.num[0], b.intercept.den))
+                    for b in m.branches]
+        points = [(t.num[0], t.den) for t in m.partition if not t.is_zero]
+        primes = sorted({p for (_, sd), _ in branches for p in _slope_primes(sd)})
         for p in primes:
-            vs = [_valuation(s, p) for s, _ in branches]
+            vs = [_valuation(*s, p) for s, _ in branches]
             units = [(s, c) for (s, c), v in zip(branches, vs) if v == 0]
             if max(vs) > 0 or len(units) > 1:
                 continue
             bound = min(
-                [_valuation(c, p) - v for (_, c), v in zip(branches, vs) if c]
-                + [_valuation(t, p) for t in points]
+                [_valuation(*c, p) - v for (_, c), v in zip(branches, vs) if c[0]]
+                + [_valuation(*t, p) for t in points]
             )
             if units:
-                s, c = units[0]
-                if s == -1 or (s == 1 and c == 0):
+                (sn, sd), (cn, cd) = units[0]
+                if (sn, sd) == (-1, 1) or ((sn, sd) == (1, 1) and cn == 0):
                     continue
-                if s != 1 and c and _valuation(c / (1 - s), p) < bound:
+                # the fixed point c / (1 - s) = (cn * sd) / (cd * (sd - sn))
+                if sn != sd and cn and _valuation(cn * sd, cd * (sd - sn), p) < bound:
                     continue
             self.regions.append((p, bound, p ** (1 - bound)))
 
@@ -227,7 +240,7 @@ class _ValuationCertificate:
             return None
         # T <= 0 (the partition point 1 has v_p = 0), and a point in lowest
         # terms has v_p(x) < T exactly when p^(1 - T) divides its denominator
-        den = x.as_fraction().denominator
+        den = x.den
         for p, bound, modulus in self.regions:
             if den % modulus == 0:
                 return p, bound
@@ -245,7 +258,7 @@ def _valuation_witness(m, x, p, bound, steps=10):
     """Re-check a certified point through the branches: for a few steps
     each point has one value, and v_p(next) = v_p(s) + v_p(x) < T for the
     slope s of its branch, with no point repeated."""
-    valuations = [bound if x.is_zero else _valuation(x.as_fraction(), p)]
+    valuations = [bound if x.is_zero else _valuation(x.num[0], x.den, p)]
     if valuations[0] >= bound:
         raise CertificateFailure("valuation witness: %s is outside v_%d < %d" % (x.text(), p, bound))
     seen = {x}
@@ -253,11 +266,12 @@ def _valuation_witness(m, x, p, bound, steps=10):
         values = imap.limits(m, x)
         if len(values) != 1:
             raise CertificateFailure("valuation witness: a certified point sits on a partition point")
-        expected = _valuation(m.branches[m.branch_index_at(x)].slope.as_fraction(), p) + valuations[-1]
+        slope = m.branches[m.branch_index_at(x)].slope
+        expected = _valuation(slope.num[0], slope.den, p) + valuations[-1]
         x = values[0]
         if x.is_zero or x in seen:
             raise CertificateFailure("valuation witness: the iterates reach %s again or 0" % x.text())
-        v = _valuation(x.as_fraction(), p)
+        v = _valuation(x.num[0], x.den, p)
         if v != expected or v >= bound:
             raise CertificateFailure(
                 "valuation witness: v_%d of %s is %d, not v_%d(s) + v_%d(x) = %d below %d"
@@ -462,12 +476,12 @@ def _pair_walk(m, a, cap, certify):
     """
     rows = []
     for br in m.branches:
-        u, b = br.slope.as_fraction().as_integer_ratio()
-        e, f = br.intercept.as_fraction().as_integer_ratio()
+        u, b = br.slope.num[0], br.slope.den
+        e, f = br.intercept.num[0], br.intercept.den
         rows.append((u * f, e * b, b * f))
-    cuts = [(*t.as_fraction().as_integer_ratio(), row) for t, row in zip(m.partition[1:-1], rows)]
+    cuts = [(t.num[0], t.den, row) for t, row in zip(m.partition[1:-1], rows)]
     regions = _certificate(m).regions if certify else ()
-    n, d = a.as_fraction().as_integer_ratio()
+    n, d = a.num[0], a.den
     points = [(n, d)]
     seen = {(n, d): 0}
     last = None
@@ -609,9 +623,8 @@ def keane_idoc(m):
         return None
     vectors = []
     for b in m.branches:
-        coeffs = (b.hi - b.lo).coeffs
-        den = lcm(*(c.denominator for c in coeffs))
-        vectors.append([int(c * den) for c in coeffs] + [0] * (field.degree - len(coeffs)))
+        num = (b.hi - b.lo).num
+        vectors.append(list(num) + [0] * (field.degree - len(num)))
     gram = determinant([[sum(map(int.__mul__, u, v)) for v in vectors] for u in vectors])
     if gram == 0:
         return None

@@ -2,23 +2,37 @@
 
 Every coordinate in the package is a :class:`Scalar`: either an
 arbitrary-precision rational or an element of a real algebraic context
-``Q(alpha)``, stored as a rational coefficient vector of ``alpha``.  The
-context is a :class:`NumberField`: a monic squarefree integer polynomial with
-no rational roots together with an isolating interval certified (by sign
-change and a Sturm count of one) to contain exactly one real root.
+``Q(alpha)``.  The context is a :class:`NumberField`: a monic squarefree
+integer polynomial with no rational roots together with an isolating
+interval certified (by sign change and a Sturm count of one) to contain
+exactly one real root.
 
-Comparisons are decided exactly.  Equality reduces to the zero coefficient
-vector.  The sign of a nonzero element is read off integer balls.  A field
+A scalar is stored as one integer vector ``num`` over one positive integer
+``den``, as ANTIC's ``nf_elem`` stores a number field element (W. Hart,
+"ANTIC: Algebraic Number Theory In C", 2015): ``num`` holds the coefficients
+of 1, alpha, ..., alpha^(degree-1) times ``den`` for a field element and has
+length 1 for a rational.  The form is canonical: gcd(den, *num) = 1, and a
+field element whose higher coefficients all vanish is the rational.  So
+``den`` is the least common denominator of the coefficients, and equal
+values have equal fields, vectors and denominators.  Every operation works
+in Python ints.  A sum reduces by gcds with the small operand
+gcd(den_1, den_2), and a product of rationals by cross gcds, as
+``Fraction`` does (Knuth, TAOCP 2, 4.5.1); a product of field elements
+reduces by the monic integer polynomial, then by the gcd of the result.
+The rational coefficient vector ``coeffs`` is built on demand.
+
+Comparisons are decided exactly.  Equality compares the canonical
+storage.  The sign of a nonzero element is read off integer balls.  A field
 keeps one integer bracket lo/scale < alpha < hi/scale, made from the
 isolating interval; :meth:`NumberField.refine` halves it by homogeneous
 integer Horner (no ``Fraction``).  Because the defining polynomial has no
 rational roots, a midpoint is never a root, so every halving makes progress.
 For a precision P the bracket is halved until it is at most 2^-P wide, and
 integer enclosures [L_k, H_k] of alpha^k * 2^P, k < degree, are cached, one
-pair per level P = 64 * 2^level.  The element's denominators are cleared,
-and one integer dot product, taking L_k or H_k by the sign of each
-coefficient, encloses its value times a positive integer.  If that
-enclosure contains zero, P doubles from 64 bits, without a ceiling
+pair per level P = 64 * 2^level.  One integer dot product of ``num``,
+taking L_k or H_k by the sign of each coefficient, encloses the value times
+``den``; a compare takes the cross-multiplied difference of two vectors.  If
+that enclosure contains zero, P doubles from 64 bits, without a ceiling
 (midpoint-radius ball arithmetic as in Johansson's Arb; integer coefficient
 vectors as in Hart's ANTIC).  A nonzero element of a genuine
 field has a nonzero real image, so some precision decides it.  Once the
@@ -45,15 +59,21 @@ no halving limit is needed.
 
 A scalar is immutable, so its hash is computed on first use and cached: a
 large rational in an orbit set or a breakpoint set is hashed once, however
-often it is looked up.  The cached value is the plain tuple hash, so set and
-dict order do not depend on the cache.
+often it is looked up.  The hash is the tuple hash of ("Scalar", c) for a
+rational c and of ("Scalar", field key, coefficient tuple) for a field
+element, with each rational coefficient hashed as ``Fraction`` hashes it.
+It is computed from the ints by Python's documented rule for numeric
+hashes: |n| times the inverse of ``den`` modulo ``sys.hash_info.modulus``,
+signed, with each coefficient reduced on its own when ``den`` is a multiple
+of the modulus.  Set and dict order, which feed report order, therefore do
+not depend on the storage or on the cache.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 from .errors import (
@@ -92,13 +112,6 @@ def _power_range(a, b, k):
     if b <= 0:
         return hi, lo
     return 0, max(lo, hi)
-
-
-def _cleared(coeffs):
-    """(den, vec): the least positive integer den making vec = coeffs * den integral."""
-    # a list: with a generator here the alg_exchange benchmark peaked 0.5 MB higher
-    den = lcm(*[c.denominator for c in coeffs])
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 def _integer_bracket(lo, hi):
@@ -167,10 +180,10 @@ class NumberField:
         self._sign_lo = 1 if s_lo > 0 else -1
         # x^degree .. x^(2*degree-2) reduced mod poly, for multiplication
         powers = []
-        current = [Fraction(-c) for c in self.poly[:-1]]
+        current = [-c for c in self.poly[:-1]]
         powers.append(tuple(current))
         for _ in range(self.degree - 2):
-            shifted = [Fraction(0)] + current[:-1]
+            shifted = [0] + current[:-1]
             top = current[-1]
             current = [s - top * self.poly[i] for i, s in enumerate(shifted)]
             powers.append(tuple(current))
@@ -266,7 +279,7 @@ class NumberField:
             level += 1
 
     def alpha(self):
-        return Scalar(self, (Fraction(0), Fraction(1)) + (Fraction(0),) * (self.degree - 2))
+        return _scalar(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def element(self, coeffs):
         vec = [Fraction(c) for c in coeffs]
@@ -276,16 +289,13 @@ class NumberField:
         return Scalar(self, tuple(vec))
 
     def reduce(self, raw):
-        """Reduce a raw product vector (length <= 2*degree-1) mod the polynomial."""
-        vec = list(raw) + [Fraction(0)] * max(0, (2 * self.degree - 1) - len(raw))
-        out = list(vec[: self.degree])
-        for k in range(self.degree, 2 * self.degree - 1):
-            c = vec[k]
-            if c == 0:
-                continue
-            power = self._powers[k - self.degree]
-            for i in range(self.degree):
-                out[i] += c * power[i]
+        """Reduce an integer product vector of length 2*degree-1 mod the polynomial."""
+        degree = self.degree
+        out = raw[:degree]
+        for c, power in zip(raw[degree:], self._powers):
+            if c:
+                for i, p in enumerate(power):
+                    out[i] += c * p
         return tuple(out)
 
 
@@ -301,23 +311,56 @@ class _KeyHash:
         return self.value
 
 
+_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+
+
+def _coefficient_hashes(num, den):
+    """hash(Fraction(n, den)) for each n in num, in ints.  By Python's rule
+    for numeric hashes that is the hash of the int n * den^-1 modulo the
+    hash modulus, signed as n.  When den is a multiple of the modulus, each
+    coefficient is reduced on its own first, and one whose denominator still
+    is hashes as +-sys.hash_info.inf."""
+    if den % _MODULUS:
+        inverse = pow(den, -1, _MODULUS)
+        return tuple([hash(n * inverse) for n in num])
+    hashes = []
+    for n in num:
+        g = gcd(n, den)
+        n, d = n // g, den // g
+        if d % _MODULUS:
+            hashes.append(hash(n * pow(d, -1, _MODULUS)))
+        else:
+            hashes.append(_HASH_INF if n >= 0 else -_HASH_INF)
+    return tuple(hashes)
+
+
+def _coefficient_text(n, den):
+    """str(Fraction(n, den))."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else "%d/%d" % (n // g, den // g)
+
+
 class Scalar:
     """Exact number: a rational, or an element of one NumberField context.
 
-    Immutable and hashable in canonical form: an algebraic element whose
-    higher coefficients all vanish collapses to the plain rational, so equal
-    values hash equally and orbit lookups behave.  Field elements always hold
-    a full-length coefficient vector.  The hash and the text are computed on
-    first use and kept in ``_hash`` and ``_text``.
+    Stored as ``field`` (None for a rational), an integer vector ``num`` and
+    a positive integer ``den`` in the canonical form of the module
+    docstring: gcd(den, *num) = 1, a field element holds a full-length
+    vector, and one whose higher coefficients all vanish is the rational.
+    So equal values hash equally and orbit lookups behave.  Immutable; the
+    hash and the text are computed on first use and kept in ``_hash``
+    (None until then) and ``_text``.  ``Scalar(field, coeffs)`` builds one
+    from rational coefficients.
     """
 
-    __slots__ = ("field", "coeffs", "_hash", "_text")
+    __slots__ = ("field", "num", "den", "_hash", "_text")
 
     def __init__(self, field, coeffs):
-        if field is not None and all(c == 0 for c in coeffs[1:]):
-            field, coeffs = None, (coeffs[0],)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        ratios = [c.as_integer_ratio() for c in coeffs]
+        den = lcm(*[d for _, d in ratios])
+        # each coefficient is in lowest terms, so den and the vector are coprime
+        _fill(self, field, tuple([n * (den // d) for n, d in ratios]), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -331,87 +374,80 @@ class Scalar:
     def as_fraction(self):
         if self.field is not None:
             raise ValueError("not a rational scalar")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
+
+    @property
+    def coeffs(self):
+        """The rational coefficient vector, built on each read."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Scalar(None, (Fraction(other),))
-        return None
-
-    @staticmethod
-    def _join(a, b):
-        """Common field context, lifting a rational operand; distinct fields are
-        an error.  A field element is always full length, so only a rational
-        is padded."""
-        fa, fb = a.field, b.field
-        if fa is fb:
-            return fa, a.coeffs, b.coeffs
-        if fa is None:
-            return fb, a.coeffs + (Fraction(0),) * (fb.degree - len(a.coeffs)), b.coeffs
-        if fb is None:
-            return fa, a.coeffs, b.coeffs + (Fraction(0),) * (fa.degree - len(b.coeffs))
-        if fa != fb:
-            raise MixedFieldContexts(
-                "operands live in different number fields: %r vs %r" % (fa, fb)
-            )
-        return fa, a.coeffs, b.coeffs
-
     def __add__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
-        field, a, b = Scalar._join(self, other)
-        return Scalar(field, tuple(x + y for x, y in zip(a, b)))
+        return _sum(self, other, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.field, tuple(-c for c in self.coeffs))
+        return _scalar(self.field, tuple([-n for n in self.num]), self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _sum(self, other, True)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _sum(other, self, True)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         fa, fb = self.field, other.field
-        if fa is None and fb is None:
-            return Scalar(None, (self.coeffs[0] * other.coeffs[0],))
         if fa is None or fb is None:
-            # a rational times a field element scales its coefficients
-            c, x = (self.coeffs[0], other) if fa is None else (other.coeffs[0], self)
-            return x if c == 1 else Scalar(x.field, tuple(c * y for y in x.coeffs))
-        field, a, b = Scalar._join(self, other)
-        raw = [Fraction(0)] * (2 * field.degree - 1)
+            # a rational n/d times a scalar X/e by cross gcds, as Fraction
+            # multiplies: n and e are coprime to X and d after them, so the
+            # product is in lowest terms
+            c, x = (self, other) if fa is None else (other, self)
+            n, d = c.num[0], c.den
+            if n == 0:
+                return ZERO
+            if n == d:
+                return x
+            g1 = gcd(n, x.den)
+            g2 = gcd(d, *x.num)
+            n //= g1
+            num = tuple([n * (m // g2) for m in x.num])
+            return _scalar(x.field, num, (d // g2) * (x.den // g1))
+        field, a, b = _join(self, other)
+        raw = [0] * (2 * field.degree - 1)
         for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                raw[i + j] += x * y
-        return Scalar(field, field.reduce(raw))
+            if x:
+                for j, y in enumerate(b):
+                    raw[i + j] += x * y
+        num, den = field.reduce(raw), self.den * other.den
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = tuple([n // g for n in num]), den // g
+        return _scalar(field, num, den)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero:
             raise DivisionByZero("division by zero scalar")
+        n, d = self.num[0], self.den
         if self.field is None:
-            return Scalar(None, (1 / self.coeffs[0],))
-        g = poly_trim(self.coeffs)
+            return _scalar(None, (d,), n) if n > 0 else _scalar(None, (-d,), -n)
+        g = poly_trim(self.num)
         m = self.field.poly
         # extended Euclid over Q[x]: s*g + t*m = r
         r0, r1 = g, poly_trim(m)
@@ -424,22 +460,18 @@ class Scalar:
             raise ReducibleMinimalPolynomial(
                 "element is a zero divisor; the defining polynomial is reducible"
             )
+        # num * s0 = r0 modulo the polynomial, so den / num = den * s0 / r0
         unit = Fraction(r0[0])
-        inv = tuple(Fraction(c) / unit for c in s0)
-        return self.field.element(inv)
+        return self.field.element([Fraction(c) * d / unit for c in s0])
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
-        if other.field is None:
-            if other.coeffs[0] == 0:
-                raise DivisionByZero("division by zero scalar")
-            return self * Scalar(None, (1 / other.coeffs[0],))
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         return other / self
@@ -447,7 +479,7 @@ class Scalar:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = Scalar(None, (Fraction(1),))
+        out = ONE
         base = self
         while n:
             if n & 1:
@@ -463,59 +495,52 @@ class Scalar:
 
     @property
     def is_zero(self):
-        return self.field is None and self.coeffs[0] == 0
+        return self.field is None and self.num[0] == 0
 
     def sign(self):
         if self.field is None:
-            c = self.coeffs[0]
-            return 0 if c == 0 else (1 if c > 0 else -1)
-        return self.field.sign_of(_cleared(self.coeffs)[1])
+            n = self.num[0]
+            return (n > 0) - (n < 0)
+        return self.field.sign_of(self.num)
 
     def __eq__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         fa, fb = self.field, other.field
-        if fa is None and fb is None:
-            return self.coeffs[0] == other.coeffs[0]
         # canonical form: a rational never equals an irrational field element
-        if fa is None or fb is None:
+        if fa is not fb and (fa is None or fb is None or fa != fb):
             return False
-        return (fa is fb or fa == fb) and self.coeffs == other.coeffs
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            pass
+        h = self._hash
+        if h is not None:
+            return h
+        hashes = _coefficient_hashes(self.num, self.den)
         if self.field is None:
-            h = hash(("Scalar", self.coeffs[0]))
+            h = hash(("Scalar", hashes[0]))
         else:
-            h = hash(("Scalar", self.field._key_hash, self.coeffs))
+            h = hash(("Scalar", self.field._key_hash, hashes))
         object.__setattr__(self, "_hash", h)
         return h
 
     def compare(self, other):
-        coerced = self._coerce(other)
+        coerced = _coerce(other)
         if coerced is None:
             raise TypeError("cannot compare Scalar with %r" % (other,))
         other = coerced
-        fa, fb = self.field, other.field
-        if fa is None and fb is None:
-            a, b = self.coeffs[0], other.coeffs[0]
-            return 0 if a == b else (-1 if a < b else 1)
-        if fa is not fb and fa is not None and fb is not None and fa != fb:
-            raise MixedFieldContexts(
-                "operands live in different number fields: %r vs %r" % (fa, fb)
-            )
-        # the coefficient difference, denominators cleared, without a new Scalar
-        n = len(self.coeffs)
-        ints = _cleared(self.coeffs + other.coeffs)[1]
-        diff = [x - y for x, y in zip_longest(ints[:n], ints[n:], fillvalue=0)]
-        if not any(diff[1:]):
-            d = diff[0]
-            return 0 if d == 0 else (1 if d > 0 else -1)
-        return (fa or fb).sign_of(diff)
+        da, db = self.den, other.den
+        if self.field is None and other.field is None:
+            d = self.num[0] * db - other.num[0] * da
+            return (d > 0) - (d < 0)
+        # the cross-multiplied difference: a positive multiple of the value
+        field, a, b = _join(self, other)
+        diff = [x * db - y * da for x, y in zip(a, b)]
+        if any(diff[1:]):
+            return field.sign_of(diff)
+        d = diff[0]
+        return (d > 0) - (d < 0)
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -532,12 +557,12 @@ class Scalar:
     # -- rounding ----------------------------------------------------------
 
     def floor(self):
+        den = self.den
         if self.field is None:
-            return self.coeffs[0].numerator // self.coeffs[0].denominator
-        den, vec = _cleared(self.coeffs)
+            return self.num[0] // den
         level = 0
         while True:
-            lo, hi = self.field.ball(vec, level)
+            lo, hi = self.field.ball(self.num, level)
             unit = den << (_BALL_BITS << level)
             k_lo, k_hi = lo // unit, hi // unit
             if k_lo == k_hi:
@@ -558,14 +583,15 @@ class Scalar:
         if tol <= 0:
             raise ValueError("tol must be positive")
         if self.field is None:
-            return self.coeffs[0], self.coeffs[0]
-        den, g = _cleared(poly_trim(self.coeffs))
+            value = self.as_fraction()
+            return value, value
+        g = poly_trim(self.num)
         field = self.field
         lo, hi, scale = _integer_bracket(*field.iso)
         while True:
             # interval Horner over [lo/scale, hi/scale] of the element times unit
             mn, mx = _interval_eval(g, lo, hi, scale)
-            unit = den * scale ** (len(g) - 1)
+            unit = self.den * scale ** (len(g) - 1)
             if (mx - mn) * tol.denominator <= tol.numerator * unit:
                 return Fraction(mn, unit), Fraction(mx, unit)
             lo, hi, scale = field._halve(lo, hi, scale)
@@ -582,34 +608,113 @@ class Scalar:
         return text
 
     def _render_text(self):
+        n, den = self.num[0], self.den
         if self.field is None:
-            return str(self.coeffs[0])
+            return str(n) if den == 1 else "%d/%d" % (n, den)
         poly = ",".join(str(c) for c in self.field.poly)
         iso = "%s,%s" % self.field.iso
-        elem = ",".join(str(c) for c in self.coeffs)
+        elem = ",".join(_coefficient_text(c, den) for c in self.num)
         return "poly:[%s]; iso:[%s]; elem:[%s]" % (poly, iso, elem)
 
     def __repr__(self):
         return "Scalar(%s)" % self.text()
 
 
-ZERO = Scalar(None, (Fraction(0),))
-ONE = Scalar(None, (Fraction(1),))
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _fill(x, field, num, den):
+    """Store num/den over field in x, collapsing a field element with
+    vanishing higher coefficients to the rational; gcd(den, *num) = 1."""
+    if field is not None and not any(num[1:]):
+        field, num = None, num[:1]
+    _set(x, "field", field)
+    _set(x, "num", num)
+    _set(x, "den", den)
+    _set(x, "_hash", None)
+    return x
+
+
+def _scalar(field, num, den):
+    """The Scalar num/den over field (None for Q), for an int tuple num and
+    den > 0 with gcd(den, *num) = 1."""
+    return _fill(_new(Scalar), field, num, den)
+
+
+def _coerce(x):
+    """x as a Scalar when it is a Scalar, an int or a Fraction, else None."""
+    if isinstance(x, Scalar):
+        return x
+    if isinstance(x, (int, Fraction)):
+        n, d = x.as_integer_ratio()
+        return _scalar(None, (n,), d)
+    return None
+
+
+def _join(a, b):
+    """(field, vector of a, vector of b) over the common field context,
+    lifting a rational operand; distinct fields are an error.  A field
+    element is always full length, so only a rational is padded."""
+    fa, fb = a.field, b.field
+    if fa is fb:
+        return fa, a.num, b.num
+    if fa is None:
+        return fb, a.num + (0,) * (fb.degree - 1), b.num
+    if fb is None:
+        return fa, a.num, b.num + (0,) * (fa.degree - 1)
+    if fa != fb:
+        raise MixedFieldContexts(
+            "operands live in different number fields: %r vs %r" % (fa, fb)
+        )
+    return fa, a.num, b.num
+
+
+def _sum(x, y, subtract):
+    """x + y, or x - y when ``subtract``.  With g = gcd(d_x, d_y), the
+    cross sum t over d_x * d_y / g shares with that denominator exactly
+    gcd(g, *t), as for Fraction addition, so every gcd has an operand no
+    larger than the smaller denominator."""
+    dx, dy = x.den, y.den
+    g = gcd(dx, dy)
+    s, r = dx // g, dy // g
+    if x.field is None and y.field is None:
+        nx, ny = x.num[0], y.num[0]
+        t = nx * r - ny * s if subtract else nx * r + ny * s
+        if g != 1:
+            g2 = gcd(t, g)
+            if g2 != 1:
+                return _scalar(None, (t // g2,), s * (dy // g2))
+        return _scalar(None, (t,), s * dy)
+    field, a, b = _join(x, y)
+    if subtract:
+        t = [m * r - n * s for m, n in zip(a, b)]
+    else:
+        t = [m * r + n * s for m, n in zip(a, b)]
+    if g != 1:
+        g2 = gcd(g, *t)
+        if g2 != 1:
+            return _scalar(field, tuple([c // g2 for c in t]), s * (dy // g2))
+    return _scalar(field, tuple(t), s * dy)
+
+
+ZERO = _scalar(None, (0,), 1)
+ONE = _scalar(None, (1,), 1)
 
 
 def rational(p, q=1):
-    return Scalar(None, (Fraction(p, q),))
+    n, d = Fraction(p, q).as_integer_ratio()
+    return _scalar(None, (n,), d)
 
 
 def as_scalar(x, field=None):
     """Coerce ints, Fractions, and Scalars; ``field`` only fills in context checks."""
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar(None, (Fraction(x),))
     if isinstance(x, str):
         return scalar_from_text(x, field)
-    raise TypeError("cannot interpret %r as a Scalar" % (x,))
+    coerced = _coerce(x)
+    if coerced is None:
+        raise TypeError("cannot interpret %r as a Scalar" % (x,))
+    return coerced
 
 
 def common_field(*values):
@@ -626,12 +731,11 @@ def common_field(*values):
 
 def _sort_key(x):
     """Integers lo <= x * 2^64 <= hi for a Scalar, from the 64-bit ball."""
+    den = x.den
     if x.field is None:
-        c = x.coeffs[0]
-        lo = (c.numerator << _BALL_BITS) // c.denominator
+        lo = (x.num[0] << _BALL_BITS) // den
         return lo, lo + 1
-    den, vec = _cleared(x.coeffs)
-    lo, hi = x.field.ball(vec, 0)
+    lo, hi = x.field.ball(x.num, 0)
     return lo // den, -(-hi // den)
 
 
@@ -690,4 +794,5 @@ def scalar_from_text(text, field=None):
         if field is not None and field != parsed:
             raise MixedFieldContexts("scalar text declares a different field")
         return parsed.element(elem)
-    return Scalar(None, (Fraction(text),))
+    n, d = Fraction(text).as_integer_ratio()
+    return _scalar(None, (n,), d)

@@ -16,7 +16,7 @@ from imapk.markov import (
     markov_for_partition,
     separation_check,
 )
-from imapk.orbit import ProvablyInfinite, critical_closure, forward_orbit
+from imapk.orbit import CapReached, ProvablyInfinite, SizeLimitReached, critical_closure, forward_orbit
 from imapk.report import Pipeline, PipelineOptions
 from imapk.scalar import rational
 from imapk.snf import kgroups_from_incidence
@@ -221,6 +221,27 @@ def test_a_user_point_is_tested_by_its_forward_orbit():
     with pytest.raises(InvalidMarkovPartition) as info:
         markov_for_partition(m, [0, Fraction(1, 3), 1])
     assert str(info.value) == "1/3 is not in the generalized orbit of the critical set"
+
+
+def test_a_walk_stopped_at_a_limit_is_named_by_its_limit(tent):
+    # 1/32 -> 1/16 -> 1/8 -> 1/4 -> 1/2 meets the closure 0, 1/2, 1 at the
+    # fourth step: the default cap accepts the partition, and cap 3 stops the
+    # walk before it, which shows nothing about the rest of the orbit
+    points = [0, Fraction(1, 32), Fraction(1, 16), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), 1]
+    assert markov_for_partition(tent, points).size == 6
+    assert critical_closure(tent, 3).complete
+    assert forward_orbit(tent, Fraction(1, 32), 3).status == CapReached(3)
+    with pytest.raises(InvalidMarkovPartition) as info:
+        markov_for_partition(tent, points, cap=3)
+    assert str(info.value) == "1/32 does not reach the critical closure within cap 3"
+    # x -> 3x/2 on [0, 2/3] and x -> 3 - 3x on [2/3, 1]: no valuation
+    # certificate (the unit branch's fixed point 3/4 has v_2 = -2 < 0), and
+    # the orbit of 1/5 passes 4096 bits before the cap
+    m = validate_map([0, Fraction(2, 3), 1], [(Fraction(3, 2), 0), (-3, 3)])
+    assert forward_orbit(m, Fraction(1, 5)).status == SizeLimitReached(4096)
+    with pytest.raises(InvalidMarkovPartition) as info:
+        markov_for_partition(m, [0, Fraction(1, 5), 1])
+    assert str(info.value) == "1/5 does not reach the critical closure within the 4096-bit size limit"
 
 
 def test_a_certified_infinite_closure_is_named_as_such():

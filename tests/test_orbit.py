@@ -23,6 +23,7 @@ from imapk.orbit import (
     SizeLimitReached,
     _ValuationCertificate,
     _certificate,
+    _oversized,
     _valuation_witness,
     critical_closure,
     forward_orbit,
@@ -450,6 +451,27 @@ def test_size_limit_ends_the_closure():
     assert run("markov", spec)[0]["markov"] == {
         "status": "not_markov_within_size_limit", "max_coeff_bits": MAX_COEFF_BITS,
     }
+
+
+def test_oversized_reads_each_coefficient_in_lowest_terms():
+    # 1/p + alpha/q with p and q coprime of about 3000 bits: den = p*q passes
+    # 4096 bits, but no coefficient has a part past the limit
+    field = NumberField([-1, -1, 1], (1, 2))
+    p, q = (1 << 2999) + 1, (1 << 2999) + 3  # odd and two apart, so coprime
+    x = field.element([Fraction(1, p), Fraction(1, q)])
+    assert x.den.bit_length() > MAX_COEFF_BITS
+    assert not _oversized(x)
+    # one coefficient with a 4097-bit numerator or denominator is oversized,
+    # in Q and in a field
+    wide = 1 << MAX_COEFF_BITS
+    for c in (Fraction(wide + 1, 3), Fraction(1, wide + 1), Fraction(wide - 1, wide + 1)):
+        assert c.numerator.bit_length() > MAX_COEFF_BITS or c.denominator.bit_length() > MAX_COEFF_BITS
+        assert _oversized(rational(c))
+        assert _oversized(field.element([Fraction(1, 3), c]))
+        assert _oversized(field.element([c, 1]))
+    # and 4096 bits is not past the limit
+    assert not _oversized(field.element([Fraction(wide - 1, 3), Fraction(1, wide - 1)]))
+    assert not _oversized(rational(wide - 1, wide - 3))
 
 
 def test_cap_reached():

@@ -1,5 +1,8 @@
 import random
+import sys
 from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -675,3 +678,195 @@ def test_shipped_closures_sort_without_a_single_compare(path, size, monkeypatch)
     # the one sorted order, so this is keyed == sorted(points) by identity
     assert sorted(map(id, keyed)) == sorted(map(id, points))
     assert all(a < b for a, b in zip(keyed, keyed[1:]))
+
+
+# -- the integer storage against a tuple-of-Fraction model ----------------------
+
+# a rational is (None, (c,)) and an element of _FIELDS[i] is (i, full-length
+# tuple of Fractions), an element whose higher coefficients vanish being the
+# rational: the representation and the formulas the storage replaced
+MODULUS = sys.hash_info.modulus
+STORAGE_SETTINGS = settings(max_examples=250, derandomize=True, database=None, deadline=None)
+
+
+def _model(index, coeffs):
+    coeffs = tuple(Fraction(c) for c in coeffs)
+    if index is not None and not any(coeffs[1:]):
+        return None, coeffs[:1]
+    return index, coeffs
+
+
+def _model_lift(a, b):
+    index = a[0] if a[0] is not None else b[0]
+    if index is None:
+        return None, a[1], b[1]
+    degree = _FIELDS[index].degree
+    return index, a[1] + (Fraction(0),) * (degree - len(a[1])), b[1] + (Fraction(0),) * (degree - len(b[1]))
+
+
+def _model_add(a, b):
+    index, x, y = _model_lift(a, b)
+    return _model(index, [p + q for p, q in zip(x, y)])
+
+
+def _model_neg(a):
+    return a[0], tuple(-c for c in a[1])
+
+
+def _model_mul(a, b):
+    index, x, y = _model_lift(a, b)
+    if index is None:
+        return None, (x[0] * y[0],)
+    poly = _FIELDS[index].poly
+    degree = len(poly) - 1
+    raw = [Fraction(0)] * (2 * degree - 1)
+    for i, p in enumerate(x):
+        for j, q in enumerate(y):
+            raw[i + j] += p * q
+    # alpha^k = alpha^(k - degree) * (alpha^degree - poly), top down
+    for k in range(len(raw) - 1, degree - 1, -1):
+        for i in range(degree):
+            raw[k - degree + i] -= raw[k] * poly[i]
+    return _model(index, raw[:degree])
+
+
+def _model_inverse(a):
+    """The inverse by solving y * z = 1 for z over the rationals."""
+    index, x = a
+    if index is None:
+        return None, (1 / x[0],)
+    degree = _FIELDS[index].degree
+    unit = [(index, tuple(Fraction(int(i == j)) for i in range(degree))) for j in range(degree)]
+    columns = [_model_lift(_model_mul(a, u), u)[1] for u in unit]
+    rows = [[columns[j][i] for j in range(degree)] + [Fraction(int(i == 0))] for i in range(degree)]
+    for col in range(degree):
+        pivot = next(r for r in range(col, degree) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [c / rows[col][col] for c in rows[col]]
+        for r in range(degree):
+            if r != col and rows[r][col]:
+                rows[r] = [p - rows[r][col] * q for p, q in zip(rows[r], rows[col])]
+    return _model(index, [row[-1] for row in rows])
+
+
+def _model_sign(a):
+    index, x = a
+    if index is None:
+        return (x[0] > 0) - (x[0] < 0)
+    return _REFERENCES[index](list(x))
+
+
+def _model_floor(a):
+    index, x = a
+    if index is None:
+        return x[0].numerator // x[0].denominator
+    return _FLOOR_REFERENCES[index].floor(list(x))
+
+
+def _model_text(a):
+    index, x = a
+    if index is None:
+        return str(x[0])
+    poly, iso = SEVEN_FIELDS[index]
+    return "poly:[%s]; iso:[%s,%s]; elem:[%s]" % (
+        ",".join(map(str, poly)), Fraction(iso[0]), Fraction(iso[1]), ",".join(map(str, x)))
+
+
+def _model_hash(a):
+    index, x = a
+    return hash(("Scalar", x[0])) if index is None else hash(("Scalar", _FIELDS[index].key(), x))
+
+
+def _cleared(coeffs):
+    """(den, vec): the least positive den making vec = coeffs * den integral."""
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _agrees(x, a):
+    """The Scalar x stores the model value a."""
+    index, coeffs = a
+    assert x.field is (None if index is None else _FIELDS[index])
+    assert x.coeffs == coeffs
+    assert (x.den, list(x.num)) == _cleared(coeffs)
+    assert hash(x) == _model_hash(a)
+    assert x.text() == _model_text(a)
+
+
+big = st.integers(2**4095, 2**4200) | st.integers(-2**4200, -2**4095)
+# denominators include multiples of the hash modulus
+storage_coefficient = st.builds(
+    Fraction,
+    st.integers(-3000, 3000) | big,
+    st.integers(1, 60) | st.sampled_from([MODULUS, 2 * MODULUS, 3 * MODULUS**2]) | big.map(abs),
+)
+
+
+@st.composite
+def storage_values(draw, index):
+    """A model value of Q or of _FIELDS[index]: a rational, possibly past
+    4096 bits, or an element with small coefficients, some scaled by 2^k,
+    some vanishing."""
+    if index is None or draw(st.booleans()):
+        return _model(None, [draw(storage_coefficient)])
+    degree = _FIELDS[index].degree
+    small = coefficient | st.sampled_from([Fraction(0), Fraction(1, MODULUS), Fraction(2, 3 * MODULUS)])
+    coeffs = draw(st.lists(small, min_size=degree, max_size=degree))
+    k = draw(st.sampled_from((0, 0, 60, 200)))
+    return _model(index, [c * 2**k for c in coeffs])
+
+
+@st.composite
+def storage_pairs(draw):
+    index = draw(st.none() | st.integers(0, len(SEVEN_FIELDS) - 1))
+    return draw(storage_values(index)), draw(storage_values(index))
+
+
+def _scalar_of(a):
+    index, coeffs = a
+    return Scalar(None, coeffs) if index is None else _FIELDS[index].element(coeffs)
+
+
+@STORAGE_SETTINGS
+@given(storage_pairs())
+def test_the_integer_storage_matches_the_fraction_model(pair):
+    a, b = pair
+    x, y = _scalar_of(a), _scalar_of(b)
+    _agrees(x, a)
+    _agrees(y, b)
+    _agrees(x + y, _model_add(a, b))
+    _agrees(x - y, _model_add(a, _model_neg(b)))
+    _agrees(-x, _model_neg(a))
+    _agrees(x * y, _model_mul(a, b))
+    if _model_sign(b):
+        _agrees(x / y, _model_mul(a, _model_inverse(b)))
+    expected = _model_sign(_model_add(a, _model_neg(b)))
+    assert x.compare(y) == expected and y.compare(x) == -expected
+    assert (x == y) == (a == b) == (expected == 0)
+    assert x.sign() == _model_sign(a)
+    if a[0] is None or all(abs(c) < 2**300 for c in a[1]):
+        assert x.floor() == _model_floor(a)
+    values = [x, y, x + y, x - y, y - x, _copy(x)]
+    models = [a, b, _model_add(a, b), _model_add(a, _model_neg(b)), _model_add(b, _model_neg(a)), a]
+    order = sorted(range(len(values)), key=cmp_to_key(
+        lambda i, j: _model_sign(_model_add(models[i], _model_neg(models[j])))))
+    assert [id(v) for v in sort_scalars(values)] == [id(values[i]) for i in order]
+
+
+@pytest.mark.parametrize("index", [None, 0, 5])
+def test_the_hash_of_a_denominator_divisible_by_the_modulus(index):
+    # 1/P alone has no inverse modulo P; in P/(3P), reduced, it has
+    cases = [[Fraction(1, MODULUS)], [Fraction(-5, 2 * MODULUS**2)], [Fraction(7, 3)]]
+    if index is not None:
+        degree = _FIELDS[index].degree
+        cases += [[Fraction(1, MODULUS), Fraction(1, 3)] + [0] * (degree - 2),
+                  [Fraction(2, 3), Fraction(1, MODULUS)] + [Fraction(-1, 5)] * (degree - 2),
+                  [Fraction(1, 2 * MODULUS), Fraction(-1, MODULUS)] + [0] * (degree - 2)]
+    for coeffs in cases:
+        a = _model(index if len(coeffs) > 1 else None, coeffs)
+        x = _scalar_of(a)
+        assert x.den % MODULUS == 0 or coeffs == [Fraction(7, 3)]
+        assert hash(x) == _model_hash(a)
+        _agrees(x, a)
