@@ -349,8 +349,8 @@ class Scalar:
     docstring: gcd(den, *num) = 1, a field element holds a full-length
     vector, and one whose higher coefficients all vanish is the rational.
     So equal values hash equally and orbit lookups behave.  Immutable; the
-    hash and the text are computed on first use and kept in ``_hash``
-    (None until then) and ``_text``.  ``Scalar(field, coeffs)`` builds one
+    hash and the text are computed on first use and kept in ``_hash`` and
+    ``_text`` (None until then).  ``Scalar(field, coeffs)`` builds one
     from rational coefficients.
     """
 
@@ -599,12 +599,10 @@ class Scalar:
     # -- text forms ----------------------------------------------------------
 
     def text(self):
-        try:
-            return self._text
-        except AttributeError:
-            pass
-        text = self._render_text()
-        object.__setattr__(self, "_text", text)
+        text = self._text
+        if text is None:
+            text = self._render_text()
+            object.__setattr__(self, "_text", text)
         return text
 
     def _render_text(self):
@@ -633,6 +631,7 @@ def _fill(x, field, num, den):
     _set(x, "num", num)
     _set(x, "den", den)
     _set(x, "_hash", None)
+    _set(x, "_text", None)
     return x
 
 

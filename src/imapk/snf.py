@@ -1,17 +1,23 @@
 """Exact integer matrix normal forms and the group invariants they carry.
 
 The Smith decomposition U*M*V = D is computed with deterministic pivoting
-(nonzero entry of minimal absolute value, ties broken row-major) and verified
-before being returned: the transforms are unimodular and the diagonal
-satisfies the divisibility chain.  Cokernels and kernels of id - A are read
-off the diagonal, which is all the K-group computations need.
+(nonzero entry of minimal absolute value, ties broken row-major, so the
+first unit when there is one) and verified before being returned.  The
+reduction keeps the integer inverses of U and V as it goes; integer
+matrices with integer inverses have determinant +-1, so three integer
+products, U*M = D*V^-1, U*U^-1 = I and V^-1*V = I, prove U*M*V = D with
+unimodular transforms, and the diagonal is checked for the divisibility
+chain.  Cokernels and kernels of id - A are read off the diagonal, which is
+all the K-group computations need.
 
 The characteristic polynomial is computed by a Hessenberg reduction modulo
 primes whose product exceeds twice a Hadamard bound on its coefficients,
 combined by CRT, and checked at one point against a Bareiss determinant; the
 stationary presentation reads its determinant and the rank of its limit
-group off that polynomial.  A failed check raises
-:class:`CertificateFailure`, which ``python -O`` cannot remove.
+group off that polynomial.  That point check and the Gram determinant of
+Keane's condition in the orbit layer are the only users of the Bareiss
+determinant.  A failed check raises :class:`CertificateFailure`, which
+``python -O`` cannot remove.
 """
 
 from __future__ import annotations
@@ -195,16 +201,27 @@ def char_poly(A):
 
 @dataclass
 class SmithDecomposition:
+    """U*M*V = D with U and V unimodular, and their integer inverses
+    U_inv and V_inv, which prove that they are."""
+
     U: list
     D: list
     V: list
+    U_inv: list
+    V_inv: list
 
     def diagonal(self):
         return [self.D[i][i] for i in range(min(len(self.D), len(self.D[0]) if self.D else 0))]
 
 
 def _pivot(M, s):
-    """Position of the nonzero entry of minimal |value| in the trailing block."""
+    """Position of the nonzero entry of minimal |value| in the trailing block,
+    ties broken row-major.  No nonzero entry is smaller than a unit, so the
+    first entry equal to 1 or -1 is the one a full scan would pick."""
+    for i in range(s, len(M)):
+        tail = M[i][s:]
+        if 1 in tail or -1 in tail:
+            return i, s + min(tail.index(u) for u in (1, -1) if u in tail)
     best = None
     for i in range(s, len(M)):
         for j in range(s, len(M[0])):
@@ -215,37 +232,48 @@ def _pivot(M, s):
 
 
 def smith_normal_form(M):
-    """Smith decomposition with verified certificate U*M*V = D."""
+    """Smith decomposition with verified certificate U*M*V = D.
+
+    Each elementary operation on U or V is matched by its inverse on U_inv
+    or V_inv.  U_inv is kept transposed while the form is computed, so that
+    a column operation on it is one row operation, as on U."""
     original = [[int(x) for x in row] for row in M]
     A = [row[:] for row in original]
     rows = len(A)
     cols = len(A[0]) if rows else 0
     U = identity_matrix(rows)
+    U_inv_t = identity_matrix(rows)
     V = identity_matrix(cols)
+    V_inv = identity_matrix(cols)
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
         U[i], U[j] = U[j], U[i]
+        U_inv_t[i], U_inv_t[j] = U_inv_t[j], U_inv_t[i]
 
     def swap_cols(i, j):
         for row in A:
             row[i], row[j] = row[j], row[i]
         for row in V:
             row[i], row[j] = row[j], row[i]
+        V_inv[i], V_inv[j] = V_inv[j], V_inv[i]
 
     def add_row(dst, src, f):
         A[dst] = [a + f * b for a, b in zip(A[dst], A[src])]
         U[dst] = [a + f * b for a, b in zip(U[dst], U[src])]
+        U_inv_t[src] = [a - f * b for a, b in zip(U_inv_t[src], U_inv_t[dst])]
 
     def add_col(dst, src, f):
         for row in A:
             row[dst] += f * row[src]
         for row in V:
             row[dst] += f * row[src]
+        V_inv[src] = [a - f * b for a, b in zip(V_inv[src], V_inv[dst])]
 
     def negate_row(i):
         A[i] = [-a for a in A[i]]
         U[i] = [-a for a in U[i]]
+        U_inv_t[i] = [-a for a in U_inv_t[i]]
 
     for s in range(min(rows, cols)):
         while True:
@@ -270,11 +298,15 @@ def smith_normal_form(M):
                         dirty = True
             if dirty:
                 continue
+            pivot = A[s][s]
+            if pivot in (1, -1):
+                # a unit divides every entry
+                break
             # pivot must divide the rest of the block for the chain to hold
             offender = None
             for r in range(s + 1, rows):
                 for c in range(s + 1, cols):
-                    if A[r][c] % A[s][s] != 0:
+                    if A[r][c] % pivot != 0:
                         offender = r
                         break
                 if offender is not None:
@@ -285,8 +317,7 @@ def smith_normal_form(M):
         if A[s][s] < 0:
             negate_row(s)
 
-    D = A
-    decomp = SmithDecomposition(U, D, V)
+    decomp = SmithDecomposition(U, A, V, [list(col) for col in zip(*U_inv_t)], V_inv)
     _verify(original, decomp)
     return decomp
 
@@ -296,17 +327,33 @@ def _require(condition, message):
         raise CertificateFailure("Smith certificate: " + message)
 
 
+def _shape(A, rows, cols):
+    return len(A) == rows and all(len(row) == cols for row in A)
+
+
 def _verify(M, decomp):
-    _require(mat_mul(mat_mul(decomp.U, M), decomp.V) == decomp.D, "U*M*V != D")
-    _require(abs(determinant(decomp.U)) == 1, "U is not unimodular")
-    _require(abs(determinant(decomp.V)) == 1, "V is not unimodular")
-    for i, row in enumerate(decomp.D):
+    """Check U*M = D*V_inv, U*U_inv = I and V_inv*V = I in integers.
+
+    An integer matrix with an integer inverse has determinant +-1, so U and
+    V are unimodular, and U*M*V = D*V_inv*V = D."""
+    U, D, V, U_inv, V_inv = decomp.U, decomp.D, decomp.V, decomp.U_inv, decomp.V_inv
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    _require(_shape(D, rows, cols), "D is not the shape of M")
+    _require(_shape(U, rows, rows) and _shape(U_inv, rows, rows), "U or U_inv has the wrong shape")
+    _require(_shape(V, cols, cols) and _shape(V_inv, cols, cols), "V or V_inv has the wrong shape")
+    for i, row in enumerate(D):
         for j, x in enumerate(row):
             if i != j:
                 _require(x == 0, "off-diagonal entry left")
             else:
                 _require(x >= 0, "diagonal entries must be nonnegative")
     diag = decomp.diagonal()
+    D_V_inv = [[d * x for x in row] for d, row in zip(diag, V_inv)]
+    D_V_inv += [[0] * cols for _ in range(rows - len(diag))]
+    _require(mat_mul(U, M) == D_V_inv, "U*M != D*V_inv")
+    _require(mat_mul(U, U_inv) == identity_matrix(rows), "U*U_inv != I")
+    _require(mat_mul(V_inv, V) == identity_matrix(cols), "V_inv*V != I")
     nonzero = [d for d in diag if d]
     zeros = [d for d in diag if not d]
     _require(diag == nonzero + zeros, "zero diagonal entries must come last")

@@ -20,6 +20,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
@@ -44,7 +45,6 @@ from imapk.polynomials import (
 from imapk.scalar import ONE, ZERO, as_scalar
 from imapk.specfile import parse_spec
 from imapk.snf import (
-    SmithDecomposition,
     _verify,
     char_poly,
     determinant,
@@ -922,12 +922,18 @@ def test_the_iteration_on_a_realization_is_the_krylov_minimal_polynomial():
 # -- certificates that survive python -O ---------------------------------------
 
 
-def _tampered():
+def _tampered(part="D"):
+    """A Smith decomposition with one part changed: D or V, so that
+    U*M*V != D; U, so that U*M*V = D still holds with a U of determinant 2;
+    or a stored inverse, U_inv or V_inv."""
+    if part == "U":
+        good = smith_normal_form([[2]])
+        return [[2]], replace(good, U=[[2]], D=[[4]])
     M = mat_sub(identity_matrix(3), [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     good = smith_normal_form(M)
-    D = [row[:] for row in good.D]
-    D[0][0] += 1
-    return M, SmithDecomposition(good.U, D, good.V)
+    changed = [row[:] for row in getattr(good, part)]
+    changed[0][0] += 1
+    return M, replace(good, **{part: changed})
 
 
 def test_tampered_smith_certificate_raises():
@@ -936,7 +942,38 @@ def test_tampered_smith_certificate_raises():
         _verify(M, bad)
 
 
+@pytest.mark.parametrize("part", ["U", "V", "U_inv", "V_inv"])
+def test_a_tampered_transform_or_inverse_raises(part):
+    M, bad = _tampered(part)
+    # only a changed V breaks the identity itself
+    assert (mat_mul(mat_mul(bad.U, M), bad.V) == bad.D) == (part != "V")
+    with pytest.raises(CertificateFailure):
+        _verify(M, bad)
+
+
+@pytest.mark.parametrize("grow", ["row", "column"])
+@pytest.mark.parametrize("part", ["U", "U_inv", "V", "V_inv", "D"])
+def test_a_part_of_the_wrong_shape_raises(part, grow):
+    # a product reads as many columns of its left factor as its right one has rows
+    M = mat_sub(identity_matrix(3), [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    good = smith_normal_form(M)
+    X = getattr(good, part)
+    grown = [row + [0] for row in X] if grow == "column" else X + [[0] * len(X[0])]
+    with pytest.raises(CertificateFailure):
+        _verify(M, replace(good, **{part: grown}))
+
+
+@pytest.mark.parametrize("part", ["U", "U_inv", "V_inv"])
+def test_a_tampered_certificate_that_keeps_the_identity_raises_under_optimize(part):
+    assert _verify_optimized(part) == "CertificateFailure"
+
+
 def test_tampered_smith_certificate_raises_under_optimize():
+    assert _verify_optimized("D") == "CertificateFailure"
+
+
+def _verify_optimized(part):
+    """What _verify does under python -O with the decomposition _tampered(part)."""
     code = (
         "import sys\n"
         "sys.path.insert(0, %r)\n"
@@ -944,13 +981,13 @@ def test_tampered_smith_certificate_raises_under_optimize():
         "from imapk.errors import CertificateFailure\n"
         "from imapk.snf import _verify\n"
         "assert False, 'asserts are on'\n"
-        "M, bad = _tampered()\n"
+        "M, bad = _tampered(%r)\n"
         "try:\n"
         "    _verify(M, bad)\n"
         "except CertificateFailure:\n"
-        "    print('CertificateFailure')\n" % str(Path(__file__).parent)
+        "    print('CertificateFailure')\n" % (str(Path(__file__).parent), part)
     )
-    assert _run_optimized(code) == "CertificateFailure"
+    return _run_optimized(code)
 
 
 def _run_optimized(code):

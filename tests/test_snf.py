@@ -4,8 +4,10 @@ from math import gcd
 
 import pytest
 
+from imapk import snf
 from imapk.errors import NotSquare
 from imapk.snf import (
+    _pivot,
     char_poly,
     determinant,
     identity_matrix,
@@ -44,7 +46,8 @@ def test_smith_deterministic():
 
 
 def _minor_gcd_diagonal(M):
-    rows, cols = len(M), len(M[0])
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
 
     def det(sub):
         n = len(sub)
@@ -72,20 +75,47 @@ def _minor_gcd_diagonal(M):
     return out
 
 
+# the empty matrix, zero matrices, and single rows and columns
+EDGE_SHAPES = [
+    [],
+    [[0]],
+    [[0, 0, 0], [0, 0, 0]],
+    [[0], [0], [0], [0]],
+    [[4, -6, 10, 0]],
+    [[0, 9, -6, 15, 3]],
+    [[6], [0], [-4], [10]],
+    [[0], [-1], [7]],
+]
+
+
+def _random_edge_shapes(rng, count, bound):
+    """Random 1 x n and n x 1 matrices."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        row = [rng.randint(-bound, bound) for _ in range(n)]
+        out += [[row], [[x] for x in row]]
+    return out
+
+
 def test_smith_against_minor_gcd_oracle():
     rng = random.Random(19)
     for _ in range(30):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         M = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
         assert smith_normal_form(M).diagonal() == _minor_gcd_diagonal(M)
+    for M in EDGE_SHAPES + _random_edge_shapes(rng, 10, 5):
+        assert smith_normal_form(M).diagonal() == _minor_gcd_diagonal(M)
 
 
 def test_smith_certificates_random():
     # the constructor verifies U*M*V = D, unimodularity, and the chain
     rng = random.Random(7)
+    randoms = []
     for _ in range(200):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        M = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        randoms.append([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+    for M in randoms + EDGE_SHAPES + _random_edge_shapes(rng, 20, 9):
         decomp = smith_normal_form(M)
         assert mat_mul(mat_mul(decomp.U, M), decomp.V) == decomp.D
         assert abs(determinant(decomp.U)) == 1
@@ -95,6 +125,68 @@ def test_smith_certificates_random():
             assert (a == 0) <= (b == 0)
             if a and b:
                 assert b % a == 0
+
+
+def _full_scan_pivot(M, s):
+    """The pivot by its definition: least (|value|, row, column) over the
+    nonzero entries of the trailing block."""
+    entries = [(abs(x), i, j) for i, row in enumerate(M) for j, x in enumerate(row)
+               if i >= s and j >= s and x]
+    return min(entries)[1:] if entries else None
+
+
+def test_the_pivot_is_the_first_unit_after_larger_entries():
+    M = [[4, 6, 3], [5, -1, 2], [1, 7, 9]]
+    assert _pivot(M, 0) == _full_scan_pivot(M, 0) == (1, 1)
+    assert _pivot(M, 1) == _full_scan_pivot(M, 1) == (1, 1)
+    assert _pivot(M, 2) == _full_scan_pivot(M, 2) == (2, 2)
+    decomp = smith_normal_form(M)
+    assert decomp.diagonal() == _minor_gcd_diagonal(M) == [1, 1, 242]
+
+
+def test_the_pivot_matches_the_full_scan():
+    rng = random.Random(29)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        values = rng.choice([(-1, 0, 1), (-3, -2, 0, 2, 3, 5), tuple(range(-4, 5))])
+        M = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+        for s in range(min(rows, cols)):
+            assert _pivot(M, s) == _full_scan_pivot(M, s)
+
+
+# U, D and V as the full-scan pivot search gave them.  The first matrix's
+# pivots are 4, 2, 2, 1, 30, 30, with a step that adds the offending row 2 to
+# row 0; the second's first unit comes after larger entries and one offender
+# step follows.
+PINNED = [
+    (
+        [[6, 4, 0], [0, 10, 0], [0, 0, 15]],
+        [[1, 0, 1], [5, 1, 0], [15, 0, 14]],
+        [[1, 0, 0], [0, 30, 0], [0, 0, 30]],
+        [[-7, -2, 15], [7, 3, -15], [1, 0, -2]],
+    ),
+    (
+        [[4, 6, 3], [5, -1, 2], [1, 7, 9]],
+        [[0, -1, 0], [-2, -19, -1], [-247, -2343, -123]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 242]],
+        [[0, 27, -53], [1, 29, -57], [0, -53, 104]],
+    ),
+]
+
+
+@pytest.mark.parametrize("M, U, D, V", PINNED)
+def test_the_decomposition_of_a_fixed_matrix_is_pinned(M, U, D, V):
+    decomp = smith_normal_form(M)
+    assert (decomp.U, decomp.D, decomp.V) == (U, D, V)
+
+
+def test_the_smith_form_computes_no_determinant(monkeypatch):
+    def refuse(A):
+        raise AssertionError("determinant called on the Smith path")
+
+    monkeypatch.setattr(snf, "determinant", refuse)
+    assert smith_normal_form([[6, 4, 0], [0, 10, 0], [0, 0, 15]]).diagonal() == [1, 30, 30]
+    assert kgroups_from_incidence(A_OFFDIAG3).torsion == [2, 2]
 
 
 def test_kgroups_tent():
