@@ -11,7 +11,12 @@ than one applies:
   0 and for beta-transformations, and otherwise requires a user assertion.
   The iterates live in the jump coordinates of ``stepfun``; from the first
   step that brings no new breakpoint on, each iterate is reduced once against
-  one fraction-free echelon basis of the earlier ones;
+  one fraction-free echelon basis of the earlier ones.  A report skips the
+  iteration on a continuous map when ``orbit.chains_prove_independence``
+  shows from the partition points' orbits that 1, L1, ..., L^k 1 are
+  independent for k = min(cap, 64): then no dependence exists within the
+  steps the iteration may take, and the report says ``not_found_within_cap``
+  without a transfer step;
 * closed forms for the unimodal and beta families: one polynomial of the
   weights that the orbit of the critical value gives.
 

@@ -60,6 +60,10 @@ rule that turns such a status, or a user assertion, into the label of the
 K-groups that rest on the hypothesis.  The words for each limit are written
 once, as ``CapReached.limit`` and ``SizeLimitReached.limit``.
 
+``chains_prove_independence`` walks every partition point of a continuous
+map the same way, to at most k images, and reads off the walks whether the
+transfer iteration can find no dependence within k steps.
+
 ``keane_idoc`` decides the IDOC of a standard interval exchange (all slopes
 1) by Keane's theorem instead: an irreducible permutation with lengths
 linearly independent over Q.  That is one exact rank computation, with no
@@ -73,6 +77,7 @@ generalized exchange, or a polynomial not proved irreducible), the capped
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from math import gcd
 
@@ -460,6 +465,9 @@ def _pair_walk(m, a, cap, certify):
     same points in the same order, as pairs, the same stop and the same
     index of the last value.  It neither reads nor fills the table of
     images, and builds no Scalar except for a certified point's witness.
+    Its two callers are ``interior_orbits_disjoint`` and
+    ``chains_prove_independence``, which walks the chains of all partition
+    points, 0 and 1 included.
 
     Branch x -> (u/b)*x + e/f is kept as the row (u*f, e*b, b*f), and maps
     n/d to N/D with N = u*f*n + e*b*d and D = b*f*d.  As gcd(n, d) = 1,
@@ -556,6 +564,63 @@ def interior_orbits_disjoint(m, cap):
                 )
     # the first walk left open, else the first certified one (min is stable)
     return min(stops, key=lambda stop: isinstance(stop, ProvablyInfinite), default=None)
+
+
+def chains_prove_independence(m, k):
+    """Whether the partition points' chains prove that the iterates
+    v_j = L^j 1, 0 <= j <= k, of the transfer operator are linearly
+    independent, so that ``ktheory.minimal_polynomial_iter(m, cap=k)``
+    finds no dependence.  False decides nothing.
+
+    The *chain* of a partition point t is tau(t), tau^2(t), ..., cut before
+    its first point in the partition P.  The lemma: let m be continuous, and
+    let t be 0, 1 or a turning point (the branches on either side of it have
+    opposite monotonicity).  Suppose t's chain has k points, pairwise
+    distinct and on no other partition point's chain.  Then for
+    1 <= j <= k, v_j has a nonzero jump at x_j = tau^j(t), and no earlier
+    iterate has a jump there, so v_0, ..., v_k are independent.
+
+    Why: every jump of an iterate v_j outside P lies on some point's chain,
+    at place at most j, since a transfer step moves a jump inside a domain
+    to its image and the lap-end terms put jumps at the images of partition
+    points.  The lap ends make the jump of v_1 at x_1 = tau(t) +-2 at a
+    turning point and +-1 at 0 or 1; at an interior point where the map
+    does not turn their terms cancel.  For j >= 2 the point x_j is neither
+    the image of a partition point nor of a jump point other than x_{j-1},
+    so its jump is the branch sign times the jump of v_{j-1} at x_{j-1}.
+
+    Each partition point's orbit is walked once, to at most k images, by the
+    walk of ``interior_orbits_disjoint``: ``_pair_walk`` for a rational map,
+    else ``_search`` under ``_tau_step``, with no certificate.  A walk that
+    passes the size limit before its chain ends decides nothing.
+    """
+    if not m.is_continuous():
+        return False
+    rational_map = m.field is None
+    partition = {(t.num[0], t.den) for t in m.partition} if rational_map else set(m.partition)
+    chains = []
+    for t in m.partition:
+        if rational_map:
+            points, stop, _ = _pair_walk(m, t, k, False)
+        else:
+            points, stop, _ = _search(m, [t], k, _tau_step, certify=False)
+        chain = []
+        for x in points[1:]:
+            if x in partition:
+                break
+            chain.append(x)
+        else:
+            if isinstance(stop, SizeLimitReached):
+                return False
+        chains.append(chain)
+    # the points of one chain are distinct, so a point counted twice lies
+    # on two chains
+    owners = Counter(x for chain in chains for x in chain)
+    increasing = [b.increasing for b in m.branches]
+    # 0, every turning point, and 1
+    starts = [0] + [i for i in range(1, len(increasing)) if increasing[i - 1] != increasing[i]]
+    starts.append(len(increasing))
+    return any(len(chains[i]) == k and all(owners[x] == 1 for x in chains[i]) for i in starts)
 
 
 def idoc_check(m, cap=1000):

@@ -58,6 +58,7 @@ from .markov import (
 from .orbit import (
     Closed,
     IdocFails,
+    chains_prove_independence,
     critical_closure,
     forward_orbit,
     idoc_check,
@@ -285,7 +286,9 @@ class Pipeline:
     @cached_property
     def minpoly(self):
         """Closed form for the unimodal and beta families, checked against the
-        iterated minimal polynomial; the iteration alone for other maps."""
+        iterated minimal polynomial; the iteration alone for other maps.  The
+        iteration is skipped, and its status is NotFoundWithinCap, where the
+        partition points' chains prove its iterates independent."""
         m, options = self.m, self.options
         out = MinPolyRoute()
         if not self.surjective:
@@ -305,9 +308,13 @@ class Pipeline:
                 closed = ktheory.beta_minpoly(*data)
                 out.report = ktheory.MinPolyReport(closed, "beta_closed_form", "certified:beta")
         if out.report is not None or orbit_status is None:
-            iterated = ktheory.minimal_polynomial_iter(
-                m, cap=min(options.cap, 64), breakpoint_cap=options.cap
-            )
+            steps = min(options.cap, 64)
+            if chains_prove_independence(m, steps):
+                iterated = ktheory.NotFoundWithinCap(steps, steps)
+            else:
+                iterated = ktheory.minimal_polynomial_iter(
+                    m, cap=steps, breakpoint_cap=options.cap
+                )
             if not isinstance(iterated, ktheory.MinPolyReport):
                 out.status = iterated
             elif out.report is None:

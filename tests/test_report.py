@@ -278,10 +278,11 @@ def test_a_report_that_raises_leaves_the_table_of_images_empty(monkeypatch):
 
 
 def test_a_report_maps_each_point_through_its_branch_once(monkeypatch):
-    # the closure fills the table and is its only reader here; the 64
-    # transfer steps of the minimal-polynomial iteration map their
-    # breakpoints by their branches, and the interior walks of a rational map
-    # run on integer pairs, so neither reads nor fills it
+    # the closure fills the table and is its only reader here; the interior
+    # walks and the chain walks of a rational map run on integer pairs, and
+    # the 64 transfer steps of the minimal-polynomial iteration, run when the
+    # chain check is off, map their breakpoints by their branches, so none of
+    # them reads or fills it
     calls = count_calls(monkeypatch, interval_map.limits, interval_map.eval_multivalued)
     spy = interval_map.limits
     points = Counter()
@@ -306,9 +307,18 @@ def test_a_report_maps_each_point_through_its_branch_once(monkeypatch):
     for module, name in [
         (orbit, "interior_orbits_disjoint"),
         (families, "interior_orbits_disjoint"),
+        (report, "chains_prove_independence"),
         (ktheory, "minimal_polynomial_iter"),
     ]:
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    run("classify", parse_spec(UNCERTIFIED_MULTIMODAL))
+    assert calls["limits"] == calls["eval_multivalued"] == len(points) > 1000
+    # the chains prove the iteration fruitless, so it does not run
+    assert during == {"interior_orbits_disjoint": [0], "chains_prove_independence": [0]}
+    calls.clear()
+    points.clear()
+    during.clear()
+    monkeypatch.setattr(report, "chains_prove_independence", lambda m, k: False)
     run("classify", parse_spec(UNCERTIFIED_MULTIMODAL))
     assert calls["limits"] == calls["eval_multivalued"] == len(points) > 1000
     assert during == {"interior_orbits_disjoint": [0], "minimal_polynomial_iter": [0]}
