@@ -111,8 +111,12 @@ def poly_gcd(p, q):
 
 
 def is_squarefree(p):
-    g = poly_gcd(p, poly_derivative(p))
-    return poly_degree(g) <= 0
+    """Whether p has no repeated factor over Q: p and p' proved coprime by
+    the lemma of `_coprime_mod_prime`, else their gcd over Q."""
+    p = integral(poly_trim(p))
+    if _coprime_mod_prime(p, poly_derivative(p)):
+        return True
+    return poly_degree(poly_gcd(p, poly_derivative(p))) <= 0
 
 
 def _primitive(ints):
@@ -223,40 +227,61 @@ class IntPoly:
         return IntPoly(poly_neg(self.coeffs))
 
     def squarefree_part(self):
-        """p / gcd(p, p'), normalized to primitive with positive lead."""
-        g = poly_gcd(self.coeffs, poly_derivative(self.coeffs))
-        if poly_degree(g) <= 0:
-            p = self
+        """p / gcd(p, p'), normalized to primitive with positive lead.
+
+        Write p = t^k r with r(0) != 0.  When the lemma of
+        `_coprime_mod_prime` proves r and r' coprime, r is squarefree and
+        gcd(p, p') = t^(k-1) up to a unit, so the part is p for k <= 1 and
+        t r made primitive for k >= 2.  Otherwise the gcd is taken over Q and
+        its division of p is checked.
+        """
+        k = next((i for i, c in enumerate(self.coeffs) if c), 0)
+        r = self.coeffs[k:]
+        if _coprime_mod_prime(r, poly_derivative(r)):
+            p = self if k <= 1 else IntPoly(_primitive((0,) + r))
         else:
-            q, r = poly_divmod(self.coeffs, g)
-            if r:
-                raise CertificateFailure("squarefree part: the gcd does not divide the polynomial")
-            p = IntPoly(integral(q))
+            g = poly_gcd(self.coeffs, poly_derivative(self.coeffs))
+            p = self
+            if poly_degree(g) > 0:
+                q, rem = poly_divmod(self.coeffs, g)
+                if rem:
+                    raise CertificateFailure("squarefree part: the gcd does not divide the polynomial")
+                p = IntPoly(integral(q))
         if p.coeffs and p.coeffs[-1] < 0:
             p = -p
         return p
 
     def integer_roots(self):
-        """Distinct integer roots (for monic inputs these are all rational roots)."""
+        """Distinct integer roots, sorted (for monic inputs these are all
+        rational roots).
+
+        With p = t^k r and r(0) != 0, a nonzero integer root divides r(0), so
+        it lies in (-|r(0)| - 1, |r(0)|].  That range is bisected over
+        integers, and the Sturm sequence of the squarefree part of r drops
+        each half-open (lo, hi] that holds no real root.  A Sturm count takes
+        about n^2 products for n coefficients, and so does testing every
+        integer of an interval of width n^2, so such intervals are tested
+        directly.  The work grows with the bit length of r(0), not its size.
+        """
         p = self.coeffs
         if not p:
             return []
-        roots = set()
-        while p and p[0] == 0:
-            roots.add(0)
-            p = p[1:]
-        if p and len(p) > 1:
-            const = abs(p[0])
-            d = 1
-            divisors = set()
-            while d * d <= const:
-                if const % d == 0:
-                    divisors.update((d, const // d))
-                d += 1
-            for d in sorted(divisors):
-                for r in (d, -d):
-                    if poly_eval(p, r) == 0:
-                        roots.add(r)
+        k = next(i for i, c in enumerate(p) if c)
+        r = p[k:]
+        roots = [0] if k else []
+        spans = [(-abs(r[0]) - 1, abs(r[0]))] if len(r) > 1 else []
+        seq = None
+        while spans:
+            lo, hi = spans.pop()
+            if hi - lo <= len(r) ** 2:
+                roots += [x for x in range(lo + 1, hi + 1) if poly_eval(r, x) == 0]
+                continue
+            if seq is None:
+                q = IntPoly(r).squarefree_part().coeffs
+                seq = sturm_sequence(q)
+            if count_real_roots(q, lo, hi, seq):
+                mid = (lo + hi) // 2
+                spans += [(lo, mid), (mid, hi)]
         return sorted(roots)
 
     def deflate_root(self, r):
@@ -290,6 +315,9 @@ class IntPoly:
         return "IntPoly(%s)" % self.text()
 
 
+# the prime of `_coprime_mod_prime`
+_GCD_PRIME = 2**61 - 1
+
 # primes for the factor-degree test of `provably_irreducible`
 _SMALL_PRIMES = tuple(p for p in range(2, 200) if all(p % d for d in range(2, p)))
 
@@ -313,6 +341,23 @@ def _mod_gcd(a, b, p):
     while b:
         a, b = b, _mod_divmod(a, b, p)[1]
     return a
+
+
+def _coprime_mod_prime(a, b):
+    """Whether integer polynomials a and b are proved coprime over Q; False
+    means not proved.
+
+    Lemma (W. S. Brown, "On Euclid's algorithm and the computation of
+    polynomial greatest common divisors", J. ACM 18, 1971).  Let q be a prime
+    that does not divide lead(a), and g the primitive gcd of a and b over Z.
+    By Gauss's lemma g divides a in Z[x], so lead(g) divides lead(a), and g
+    mod q keeps its degree and divides both a mod q and b mod q.  So a gcd of
+    degree 0 of the reductions over GF(q) proves g constant.
+    """
+    q = _GCD_PRIME
+    if not a or a[-1] % q == 0:
+        return False
+    return len(_mod_gcd(poly_trim(c % q for c in a), poly_trim(c % q for c in b), q)) == 1
 
 
 def _mod_mulmod(a, b, f, p):

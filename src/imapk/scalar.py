@@ -36,11 +36,13 @@ that enclosure contains zero, P doubles from 64 bits, without a ceiling
 (midpoint-radius ball arithmetic as in Johansson's Arb; integer coefficient
 vectors as in Hart's ANTIC).  A nonzero element of a genuine
 field has a nonzero real image, so some precision decides it.  Once the
-1024-bit ball has failed, one exact zero-image test runs: if the gcd of the
-element with the defining polynomial has a root in the bracket, the user
-supplied a reducible polynomial and an element whose real image vanishes,
-and that is reported as an error rather than silently mis-ordered.  A sign
-is only ever returned when a certified enclosure proves it.
+1024-bit ball has failed, one zero-image test runs.  A gcd modulo one prime
+that proves the element coprime to the defining polynomial ends it (the
+lemma of ``polynomials._coprime_mod_prime``).  Otherwise, if the exact gcd
+has a root in the bracket, the user supplied a reducible polynomial and an
+element whose real image vanishes, and that is reported as an error rather
+than silently mis-ordered.  A sign is only ever returned when a certified
+enclosure proves it.
 
 :meth:`NumberField.ball` is the one dot product, and three things read it.
 ``sign_of`` is one.  :meth:`Scalar.floor` is another: it reads the floors of
@@ -84,6 +86,7 @@ from .errors import (
 )
 from .polynomials import (
     IntPoly,
+    _coprime_mod_prime,
     count_real_roots,
     homogeneous_eval,
     integral,
@@ -258,7 +261,13 @@ class NumberField:
 
     def sign_of(self, vec):
         """Sign of sum(vec[k] * alpha^k) for an integer vector with a nonzero
-        irrational part, by integer balls of doubling precision."""
+        irrational part, by integer balls of doubling precision.
+
+        The exact zero-image test at `_ZERO_TEST_BITS` is skipped when the
+        lemma of `polynomials._coprime_mod_prime` proves the vector coprime
+        to the monic defining polynomial: then no real image of the element
+        vanishes.
+        """
         level = 0
         while True:
             lo, hi = self.ball(vec, level)
@@ -266,7 +275,10 @@ class NumberField:
                 return 1
             if hi < 0:
                 return -1
-            if _BALL_BITS << level == _ZERO_TEST_BITS:
+            if (
+                _BALL_BITS << level == _ZERO_TEST_BITS
+                and not _coprime_mod_prime(self.poly, poly_trim(vec))
+            ):
                 # rule out a zero real image (possible only when the defining
                 # polynomial is reducible); the bracket isolates alpha
                 shared = poly_gcd(poly_trim(vec), self.poly)

@@ -12,7 +12,9 @@ samples of every iterate solved again at each step), kept below as the
 reference.  On a Markov realization the iteration is also compared with a
 Fraction Krylov iteration of the transposed matrix.  The unimodal and beta
 closed forms, one polynomial of the critical orbit's weights, are compared
-with the case-by-case formulas they replaced.
+with the case-by-case formulas they replaced.  The squarefree part proved
+modulo a prime is compared with one rational gcd, and the integer roots found
+by Sturm bisection with the divisor scan they replaced.
 """
 
 import bisect
@@ -30,7 +32,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from imapk import ktheory, snf
+from imapk import ktheory, polynomials, snf
 from imapk.entropy import _identify_exact, _largest_real_root, perron_enclosure
 from imapk.errors import CertificateFailure, InconsistentCaseData, NonIntegerDependence
 from imapk.families import FamilySpec, build
@@ -39,8 +41,8 @@ from imapk.ktheory import (
 )
 from imapk.interval_map import is_surjective, validate_map
 from imapk.polynomials import (
-    IntPoly, count_real_roots, integral, sturm_sequence, poly_derivative, poly_divmod, poly_eval, poly_gcd,
-    poly_neg, poly_trim, monic_from_dependence,
+    IntPoly, count_real_roots, integral, is_squarefree, sturm_sequence, poly_derivative, poly_divmod,
+    poly_eval, poly_gcd, poly_neg, poly_trim, monic_from_dependence,
 )
 from imapk.scalar import ONE, ZERO, as_scalar
 from imapk.specfile import parse_spec
@@ -520,6 +522,92 @@ def test_int_poly_reads_every_form_of_its_coefficients_once(make):
     assert IntPoly(make([Fraction(4, 2), 0, 1, 0])).coeffs == (2, 0, 1)
     with pytest.raises(ValueError):
         IntPoly(make([Fraction(1, 2), 1]))
+
+
+@st.composite
+def squared_products(draw):
+    """c t^k f_1^m_1 ... f_j^m_j: a content c of either sign, a power of t,
+    and up to three factors of degree 1 to 3, each to a power 1 to 3."""
+    p = IntPoly([0] * draw(st.integers(0, 4)) + [draw(st.sampled_from([-6, -2, -1, 1, 3, 4]))])
+    factors = st.lists(st.integers(-4, 4), min_size=2, max_size=4).filter(lambda c: c[-1] != 0)
+    for coeffs in draw(st.lists(factors, max_size=3)):
+        for _ in range(draw(st.integers(1, 3))):
+            p = p * IntPoly(coeffs)
+    return p
+
+
+@KERNEL_SETTINGS
+@given(squared_products())
+@example(IntPoly([0, 0, -6, -9]))            # -3 t^2 (2 + 3t): t r with content 3
+@example(IntPoly([0, 0, 0, -2, -4, -2]))     # -2 t^3 (1 + t)^2
+def test_squarefree_part_of_squared_products_matches_one_rational_gcd(p):
+    # the part mod q when r = p / t^k is proved squarefree, else the Fraction route
+    assert p.squarefree_part() == reference_squarefree_part(p)
+    assert is_squarefree(p.coeffs) == (len(poly_gcd(p.coeffs, poly_derivative(p.coeffs))) <= 1)
+
+
+def test_a_lead_the_prime_divides_falls_back_to_the_rational_gcd(monkeypatch):
+    # (q t + 1)^2 is 1 mod q, whose gcd with its derivative proves nothing
+    q = polynomials._GCD_PRIME
+    calls = []
+    exact = polynomials.poly_gcd
+    monkeypatch.setattr(polynomials, "poly_gcd", lambda a, b: calls.append(1) or exact(a, b))
+    p = IntPoly([1, q]) * IntPoly([1, q])
+    assert p.squarefree_part() == IntPoly([1, q])
+    assert not is_squarefree(p.coeffs)
+    assert len(calls) == 2
+
+
+def test_squarefree_parts_are_the_same_under_optimize():
+    # random products as above, and one whose lead the prime divides
+    rng = random.Random(0)
+    products = [IntPoly([1, polynomials._GCD_PRIME]) * IntPoly([1, polynomials._GCD_PRIME])]
+    for _ in range(40):
+        p = IntPoly([0] * rng.randint(0, 4) + [rng.choice([-6, -2, 1, 3])])
+        for _ in range(rng.randint(0, 3)):
+            factor = IntPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [rng.choice([-3, -1, 1, 2])])
+            for _ in range(rng.randint(1, 3)):
+                p = p * factor
+        products.append(p)
+    code = ("from imapk.polynomials import IntPoly\n"
+            "print([IntPoly(c).squarefree_part().coeffs for c in %r])" % [p.coeffs for p in products])
+    want = [reference_squarefree_part(p).coeffs for p in products]
+    assert _run_optimized(code) == str(want) == str([p.squarefree_part().coeffs for p in products])
+
+
+def reference_integer_roots(p):
+    """The divisor scan integer_roots used before: every divisor d of the
+    constant term of p with t^k stripped, tested at d and -d."""
+    c = list(p.coeffs)
+    roots = set()
+    while c and c[0] == 0:
+        roots.add(0)
+        c = c[1:]
+    if len(c) > 1:
+        const = abs(c[0])
+        for d in range(1, isqrt(const) + 1):
+            if const % d == 0:
+                roots.update(r for r in (d, -d, const // d, -const // d) if poly_eval(c, r) == 0)
+    return sorted(roots)
+
+
+@st.composite
+def polys_with_integer_roots(draw):
+    """c t^k (t - r_1) ... (t - r_j) f: integer roots of either sign, some
+    repeated, and a factor f of degree 0 to 3 that may add a root at 0."""
+    p = IntPoly([0] * draw(st.integers(0, 2)) + [draw(st.sampled_from([-3, -1, 1, 2]))])
+    for r in draw(st.lists(st.integers(-300, 300), max_size=3)):
+        p = p * IntPoly([-r, 1])
+    f = draw(st.lists(st.integers(-60, 60), min_size=1, max_size=4).filter(lambda c: c[-1] != 0))
+    return p * IntPoly(f)
+
+
+@KERNEL_SETTINGS
+@given(polys_with_integer_roots())
+@example(IntPoly([-(10**6 + 3), 0, 1]))     # no integer root, a wide range
+@example(IntPoly([0, 123 * 457, 123 - 457, 1]) * IntPoly([-123, 1]))  # t (t - 123)^2 (t + 457)
+def test_integer_roots_match_the_divisor_scan(p):
+    assert p.integer_roots() == reference_integer_roots(p)
 
 
 # -- dependence solve ----------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imapk import scalar
 from imapk.errors import (
     DivisionByZero,
     InvalidNumberField,
@@ -17,8 +18,10 @@ from imapk.errors import (
 )
 from imapk.orbit import critical_closure
 from imapk.polynomials import factor_degrees_mod_p, provably_irreducible
+from imapk.report import run
 from imapk.scalar import NumberField, Scalar, rational, scalar_from_text, sort_scalars
 from imapk.specfile import parse_spec
+from test_chains import SQRT2
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
 DATA = Path(__file__).resolve().parent / "data"
@@ -374,6 +377,36 @@ def test_zero_real_image_over_reducible_polynomial_raises():
     with pytest.raises(ReducibleMinimalPolynomial):
         (a * a).compare(2)
     assert (a * a - 3).sign() == -1
+
+
+def _spy(monkeypatch, name):
+    """A list that records the arguments of each call of `scalar.<name>`."""
+    calls = []
+    real = getattr(scalar, name)
+
+    def spied(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(scalar, name, spied)
+    return calls
+
+
+def test_a_zero_image_over_a_reducible_polynomial_reaches_the_exact_gcd(monkeypatch):
+    field = NumberField([6, 0, -5, 0, 1], (1, Fraction(3, 2)))
+    a = field.alpha()
+    proofs, gcds = _spy(monkeypatch, "_coprime_mod_prime"), _spy(monkeypatch, "poly_gcd")
+    with pytest.raises(ReducibleMinimalPolynomial):
+        (a * a - 2).sign()
+    assert len(proofs) == len(gcds) == 1
+
+
+def test_the_zero_tests_over_q_sqrt2_run_no_exact_gcd(monkeypatch):
+    # from cap 600 on, the walks of this map reach the 1024-bit zero test
+    # (901 times); x^2 - 2 is irreducible, so each is proved mod the prime
+    proofs, gcds = _spy(monkeypatch, "_coprime_mod_prime"), _spy(monkeypatch, "poly_gcd")
+    run("classify", parse_spec(SQRT2), {"cap": 600})
+    assert proofs and not gcds
 
 
 def test_factor_degrees_mod_p():

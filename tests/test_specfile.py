@@ -6,6 +6,7 @@ a Python exception, and the CLI turns it into `error: ...` with exit code 1.
 """
 
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -216,3 +217,16 @@ def test_options_may_name_field_elements_before_the_field_section():
         + "map { family = beta; beta = alg:[0,1] }"
     )
     assert spec.options["partition"][1] == spec.field.alpha() - 1
+
+
+def test_a_field_with_a_huge_constant_term_parses_at_once():
+    # the rational-root test once trial-divided up to the square root of 10^20 + 3
+    text = (
+        "# Q(sqrt(10^20 + 3))\n"
+        "field { poly = [-100000000000000000003, 0, 1]; iso = [1, 100000000000] }\n"
+        "map { family = tent }\n"
+    )
+    start = time.perf_counter()
+    spec = parse_spec(text)
+    assert time.perf_counter() - start < 1
+    assert spec.field.poly == (-(10**20 + 3), 0, 1)
