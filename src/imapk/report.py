@@ -27,6 +27,7 @@ import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import ktheory
 from .entropy import entropy_report, uniform_abs_slope
@@ -580,7 +581,68 @@ def run(command, spec, overrides=None):
 
 
 def to_json(report):
-    return json.dumps(report, indent=2, ensure_ascii=True)
+    """The report as JSON text, byte for byte what
+    ``json.dumps(report, indent=2, ensure_ascii=True)`` writes.
+
+    With ``indent`` set, CPython's ``json`` runs its pure-Python encoder; this
+    writer appends chunks to one list and joins them once, writing keys and
+    strings with the C ``encode_basestring_ascii`` and ints with
+    ``int.__repr__``, as ``json`` does.  It accepts only dict, list, tuple,
+    str, int, bool and None, and str keys; anything else, a float included,
+    raises ``TypeError``.  A report holds no cycle.
+    """
+    chunks = []
+    _write(report, "\n", chunks)
+    return "".join(chunks)
+
+
+_int_text = int.__repr__
+
+
+def _write(value, newline, chunks):
+    """Append the JSON text of value, nested at the indent `newline` ends
+    with, to chunks."""
+    kind = type(value)
+    if kind is str:
+        chunks.append(_encode_str(value))
+    elif kind is int:
+        chunks.append(_int_text(value))
+    elif kind is dict:
+        if not value:
+            chunks.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+            chunks.append(sep + _encode_str(key) + ": ")
+            _write(item, inner, chunks)
+            sep = "," + inner
+        chunks.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        # edges, matrices and K-group vectors: one join
+        if all(type(x) is int for x in value):
+            chunks.append("[" + inner + ("," + inner).join(map(_int_text, value)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            chunks.append(sep)
+            _write(item, inner, chunks)
+            sep = "," + inner
+        chunks.append(newline + "]")
+    elif value is None:
+        chunks.append("null")
+    elif value is True:
+        chunks.append("true")
+    elif value is False:
+        chunks.append("false")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
 
 
 def render_text(node, indent=""):

@@ -36,9 +36,11 @@ that enclosure contains zero, P doubles from 64 bits, without a ceiling
 (midpoint-radius ball arithmetic as in Johansson's Arb; integer coefficient
 vectors as in Hart's ANTIC).  A nonzero element of a genuine
 field has a nonzero real image, so some precision decides it.  Once the
-1024-bit ball has failed, one zero-image test runs.  A gcd modulo one prime
-that proves the element coprime to the defining polynomial ends it (the
-lemma of ``polynomials._coprime_mod_prime``).  Otherwise, if the exact gcd
+1024-bit ball has failed, one zero-image test runs.  A field whose polynomial
+``polynomials.provably_irreducible`` proves irreducible (decided at its first
+zero test and kept) ends it at once, and so does a gcd modulo one prime that
+proves the element coprime to the defining polynomial (the lemma of
+``polynomials._coprime_mod_prime``).  Otherwise, if the exact gcd
 has a root in the bracket, the user supplied a reducible polynomial and an
 element whose real image vanishes, and that is reported as an error rather
 than silently mis-ordered.  A sign is only ever returned when a certified
@@ -97,6 +99,7 @@ from .polynomials import (
     poly_mul,
     poly_sub,
     poly_trim,
+    provably_irreducible,
 )
 
 # precision of the first integer ball (the sort keys are taken at it), and
@@ -144,8 +147,11 @@ class NumberField:
     interval keeps every comparison sound for genuinely irreducible inputs.
     """
 
+    # `_irreducible` and `_text_head` are set on first use, not by __init__,
+    # so building a field that never reaches a zero test or a text costs nothing more
     __slots__ = (
         "poly", "degree", "iso", "_sign_lo", "_powers", "_key_hash", "_bracket", "_balls",
+        "_irreducible", "_text_head",
     )
 
     def __init__(self, coeffs, isolating_interval):
@@ -263,9 +269,13 @@ class NumberField:
         """Sign of sum(vec[k] * alpha^k) for an integer vector with a nonzero
         irrational part, by integer balls of doubling precision.
 
-        The exact zero-image test at `_ZERO_TEST_BITS` is skipped when the
-        lemma of `polynomials._coprime_mod_prime` proves the vector coprime
-        to the monic defining polynomial: then no real image of the element
+        The exact zero-image test at `_ZERO_TEST_BITS` is skipped when
+        `polynomials.provably_irreducible` proves the defining polynomial
+        irreducible (decided at the field's first zero test and kept): a
+        nonzero vector of lower degree is then no multiple of it, so alpha
+        is no root of it.  It is also skipped when the lemma of
+        `polynomials._coprime_mod_prime` proves the vector coprime to the
+        monic defining polynomial: then no real image of the element
         vanishes.
         """
         level = 0
@@ -277,6 +287,7 @@ class NumberField:
                 return -1
             if (
                 _BALL_BITS << level == _ZERO_TEST_BITS
+                and not self._proved_irreducible()
                 and not _coprime_mod_prime(self.poly, poly_trim(vec))
             ):
                 # rule out a zero real image (possible only when the defining
@@ -289,6 +300,14 @@ class NumberField:
                         "the defining polynomial is reducible"
                     )
             level += 1
+
+    def _proved_irreducible(self):
+        """provably_irreducible(self.poly), decided once per field."""
+        try:
+            return self._irreducible
+        except AttributeError:
+            self._irreducible = provably_irreducible(self.poly)
+            return self._irreducible
 
     def alpha(self):
         return _scalar(self, (0, 1) + (0,) * (self.degree - 2), 1)
@@ -618,13 +637,18 @@ class Scalar:
         return text
 
     def _render_text(self):
-        n, den = self.num[0], self.den
-        if self.field is None:
+        field, den = self.field, self.den
+        if field is None:
+            n = self.num[0]
             return str(n) if den == 1 else "%d/%d" % (n, den)
-        poly = ",".join(str(c) for c in self.field.poly)
-        iso = "%s,%s" % self.field.iso
-        elem = ",".join(_coefficient_text(c, den) for c in self.num)
-        return "poly:[%s]; iso:[%s]; elem:[%s]" % (poly, iso, elem)
+        try:
+            head = field._text_head
+        except AttributeError:
+            # the text up to the coefficients depends on the field alone
+            head = field._text_head = "poly:[%s]; iso:[%s,%s]; elem:[" % (
+                ",".join(map(str, field.poly)), field.iso[0], field.iso[1],
+            )
+        return head + ",".join([_coefficient_text(c, den) for c in self.num]) + "]"
 
     def __repr__(self):
         return "Scalar(%s)" % self.text()

@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imapk import entropy, families, interval_map, ktheory, orbit, report, stepfun
 from imapk.entropy import entropy_report, perron_enclosure
@@ -63,7 +65,9 @@ def test_shipped_reports_are_unchanged_and_compute_only_what_they_emit(spec_path
         calls.clear()
         got, code = run(command, parse_spec(spec_path.read_text()))
         recorded = RECORDED["%s/%s" % (spec_path.stem, command)]
-        assert hashlib.sha256(to_json(got).encode("utf-8")).hexdigest() == recorded["sha256"]
+        text = to_json(got)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == recorded["sha256"]
+        assert text == json.dumps(got, indent=2, ensure_ascii=True), command
         assert code == recorded["exit"]
         assert calls["critical_closure"] == int((spec_path.stem, command) not in NO_CLOSURE), command
         # Keane's theorem is decided at most once per report, and once for the exchange
@@ -74,6 +78,37 @@ def test_shipped_reports_are_unchanged_and_compute_only_what_they_emit(spec_path
             assert calls["minimal_polynomial_iter"] == 0, command
         if command in ("orbit", "markov"):
             assert calls["entropy_report"] == calls["classify"] == 0, command
+
+
+# -- the JSON writer against json.dumps ----------------------------------------
+
+# any code point, lone surrogates and control characters included
+_TEXT = st.text(st.characters(exclude_categories=()))
+_INT_DIGITS = sys.get_int_max_str_digits() or 5000
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.sampled_from([0, 1, True, False]) | st.integers() | _TEXT
+    | st.integers(-(10**_INT_DIGITS - 1), 10**_INT_DIGITS - 1)
+)
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children) | st.lists(children).map(tuple)
+    | st.lists(st.integers() | st.booleans()) | st.dictionaries(_TEXT, children),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_JSON)
+def test_to_json_writes_what_json_dumps_writes(value):
+    assert to_json(value) == json.dumps(value, indent=2, ensure_ascii=True)
+
+
+@pytest.mark.parametrize("value", [
+    0.5, {"a": [1, 2.0]}, {1, 2}, [b"x"], {1: "a"}, {"a": {None: 1}},
+], ids=["float", "nested-float", "set", "bytes", "int-key", "none-key"])
+def test_to_json_refuses_what_a_report_never_holds(value):
+    with pytest.raises(TypeError):
+        to_json(value)
 
 
 def test_keane_decides_the_golden_exchange_without_walking_an_orbit(monkeypatch):

@@ -122,6 +122,24 @@ def test_text_round_trip(sqrt2_field):
     assert scalar_from_text("-3") == rational(-3)
 
 
+@pytest.mark.parametrize("poly, iso", [
+    ([-1, -1, 1], (1, 2)), ([-2, 0, 1], (1, 2)), ([-1, -1, 0, 1], (1, 2)), ([-1, -1, 0, 0, 1], (1, 2)),
+], ids=["phi", "sqrt2", "cubic", "quartic"])
+def test_the_text_of_an_element_depends_on_its_field_key_alone(poly, iso):
+    # two separately built fields with one key give one text, whichever of
+    # them rendered first
+    first, second = NumberField(poly, iso), NumberField(poly, iso)
+    rng = random.Random(len(poly))
+    for _ in range(20):
+        coeffs = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in poly[:-1]]
+        coeffs[1] = coeffs[1] or Fraction(1)
+        x, y = first.element(coeffs), second.element(coeffs)
+        assert y.text() == x.text()
+        assert scalar_from_text(x.text()) == x == y
+    head = "poly:[%s]; iso:[%s,%s]; elem:[" % (",".join(map(str, poly)), *iso)
+    assert (first.alpha() + rational(1, 3)).text() == head + "1/3,1" + ",0" * (len(poly) - 3) + "]"
+
+
 def test_field_validation():
     with pytest.raises(InvalidNumberField):
         NumberField([1, -2, 1], (0, 2))  # (x-1)^2 not squarefree
@@ -403,10 +421,13 @@ def test_a_zero_image_over_a_reducible_polynomial_reaches_the_exact_gcd(monkeypa
 
 def test_the_zero_tests_over_q_sqrt2_run_no_exact_gcd(monkeypatch):
     # from cap 600 on, the walks of this map reach the 1024-bit zero test
-    # (901 times); x^2 - 2 is irreducible, so each is proved mod the prime
+    # (901 times); x^2 - 2 is proved irreducible at the first of them, once,
+    # and that proof ends every zero test of the field
     proofs, gcds = _spy(monkeypatch, "_coprime_mod_prime"), _spy(monkeypatch, "poly_gcd")
+    irreducibility = _spy(monkeypatch, "provably_irreducible")
     run("classify", parse_spec(SQRT2), {"cap": 600})
-    assert proofs and not gcds
+    assert len(irreducibility) == 1
+    assert not proofs and not gcds
 
 
 def test_factor_degrees_mod_p():

@@ -5,8 +5,10 @@ no call of ``float`` and nothing from ``math`` beyond the integer functions:
 no floating-point value may decide anything.  No bare ``except:`` and no
 handler of ``Exception`` or ``BaseException``, which would swallow a
 ``CertificateFailure``, and outside the front ends no handler of
-``ImapkError``.  Only the orbit layer reads the map's table of images.  And
-no helper that nothing in the library calls.
+``ImapkError``.  No call of ``json.dumps`` with ``indent``, which runs
+CPython's pure-Python encoder (``report.to_json`` writes the indented
+report).  Only the orbit layer reads the map's table of images.  And no
+helper that nothing in the library calls.
 """
 
 import ast
@@ -44,6 +46,10 @@ def violations(tree):
             found += [(node.lineno, "bare except") for t in caught if t is None]
             found += [(node.lineno, "%s caught" % t.id) for t in caught
                       if isinstance(t, ast.Name) and t.id in BROAD_EXCEPTIONS]
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
+              and any(k.arg == "indent" for k in node.keywords)):
+            found.append((node.lineno, "json.dumps with indent"))
     return sorted(found)
 
 
@@ -69,11 +75,14 @@ def test_module_keeps_the_exactness_contract(path):
     ("try:\n    f()\nexcept:\n    pass", "bare except"),
     ("try:\n    f()\nexcept Exception:\n    pass", "Exception caught"),
     ("try:\n    f()\nexcept (ValueError, BaseException) as exc:\n    pass", "BaseException caught"),
+    ("text = json.dumps(report, indent=2, ensure_ascii=True)", "json.dumps with indent"),
+    ("from json import dumps\ntext = dumps(report, indent=4)", "json.dumps with indent"),
 ])
 def test_each_breach_is_caught(source, reason):
     assert [r for _, r in violations(ast.parse(source))] == [reason]
     assert violations(ast.parse("from math import gcd, lcm\nimport math\nn = math.isqrt(8) + 1")) == []
     assert violations(ast.parse("try:\n    f()\nexcept (KeyError, ValueError):\n    pass")) == []
+    assert violations(ast.parse("text = json.dumps(value)")) == []
 
 
 # Only the front ends catch ImapkError itself: the CLI turns it into an error
