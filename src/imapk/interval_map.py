@@ -24,12 +24,23 @@ Each image of a point has one source:
 
 The re-checks of a result (a closed orbit, a valuation witness, a minimal
 polynomial) never read the table: they evaluate the branches directly.
+
+``PMMap.locate`` places a point among the partition points for ``limits``,
+``branch_index_at`` and ``stepfun``'s transfer step, and answers what
+``bisect_left`` and one equality test would.  It reads what it builds on
+its first call: a dict from each partition point to its index, and the
+points' 64-bit sort keys (``scalar._sort_key``) as two sorted int lists of
+lower and upper bounds.  A partition point is found by one dict lookup, since
+scalars are canonical and cache their hashes.  Any other point costs its own
+key and one int bisection of each list, and is compared exactly only with
+the partition points whose bounds overlap its key.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     BranchImageOutsideUnitInterval,
@@ -38,7 +49,7 @@ from .errors import (
     PartitionNotIncreasing,
     ZeroSlope,
 )
-from .scalar import ONE, ZERO, as_scalar, common_field
+from .scalar import ONE, ZERO, _sort_key, as_scalar, common_field
 
 MINUS = "-"
 PLUS = "+"
@@ -94,7 +105,7 @@ class AffineBranch:
 class PMMap:
     """Validated piecewise monotonic map; use :func:`validate_map` to build one."""
 
-    __slots__ = ("partition", "branches", "field", "notes", "images", "certificate")
+    __slots__ = ("partition", "branches", "field", "notes", "images", "certificate", "_locator")
 
     def __init__(self, partition, branches, notes=()):
         self.partition = tuple(partition)
@@ -107,11 +118,36 @@ class PMMap:
         self.notes = tuple(notes)
         self.images = {}  # point -> its one-sided values; see eval_multivalued
         self.certificate = None  # orbit's valuation certificate, built on the first search
+        self._locator = None  # what `locate` reads, built on its first call
         self.field = common_field(
             *self.partition,
             *(b.slope for b in self.branches),
             *(b.intercept for b in self.branches),
         )
+
+    def locate(self, x):
+        """(i, hit) for a Scalar x: i = bisect_left(partition, x), and hit
+        says whether partition[i] == x.  A point outside [0, 1] raises
+        OutOfDomain.
+
+        A partition point is one lookup in the index.  Any other point takes
+        its 64-bit sort key [lo, hi], and one int bisection of each bound list
+        brackets i: exact compares run only against the partition points
+        whose bounds overlap the key."""
+        if self._locator is None:
+            self._locator = _locator(self.partition)
+        index, lows, highs = self._locator
+        i = index.get(x)
+        if i is not None:
+            return i, True
+        lo, hi = _sort_key(x)
+        i, end = bisect.bisect_left(highs, lo), bisect.bisect_right(lows, hi)
+        pts = self.partition
+        while i < end and pts[i].compare(x) < 0:
+            i += 1
+        if i == 0 or i == len(pts):
+            raise OutOfDomain("%s is outside [0,1]" % x.text())
+        return i, False
 
     def branch_index_at(self, x, side=PLUS):
         """Index of the branch acting on the cut point (x, side), 0-based.
@@ -119,15 +155,12 @@ class PMMap:
         side '+' selects the branch to the right of x, '-' the branch to the
         left; interior points of a branch domain give the same answer both ways.
         """
-        pts = self.partition
-        if x < pts[0] or x > pts[-1]:
-            raise OutOfDomain("%s is outside [0,1]" % x.text())
-        i = bisect.bisect_left(pts, x)
-        if i < len(pts) and pts[i] == x:
-            if side == PLUS:
-                return i if i < len(self.branches) else i - 1
-            return i - 1 if i > 0 else 0
-        return i - 1
+        i, hit = self.locate(x)
+        if not hit:
+            return i - 1
+        if side == PLUS:
+            return i if i < len(self.branches) else i - 1
+        return i - 1 if i > 0 else 0
 
     def is_continuous(self):
         return all(
@@ -147,6 +180,19 @@ class PMMap:
             ", ".join(p.text() for p in self.partition),
             len(self.branches),
         )
+
+
+def _locator(points):
+    """({point: index}, lows, highs) for strictly increasing points.
+
+    lows[i] <= points[i] * 2^64 <= highs[i], from the points' sort keys: the
+    lower ends raised to their running maximum and the upper ends lowered to
+    their running minimum from the right.  Both bounds stay valid because the
+    points increase, and both lists are sorted, so they can be bisected."""
+    keys = [_sort_key(p) for p in points]
+    lows = list(accumulate((lo for lo, _ in keys), max))
+    highs = list(accumulate((hi for _, hi in reversed(keys)), min))[::-1]
+    return {p: i for i, p in enumerate(points)}, lows, highs
 
 
 def validate_map(partition, branches):
@@ -230,11 +276,8 @@ def limits(m, x):
     a partition point's values are read off ``AffineBranch.ends``, any other
     point is mapped by its branch."""
     x = as_scalar(x)
-    pts = m.partition
-    i = bisect.bisect_left(pts, x)
-    if i == len(pts) or x != pts[i]:
-        if i == 0 or i == len(pts):
-            raise OutOfDomain("%s is outside [0,1]" % x.text())
+    i, hit = m.locate(x)
+    if not hit:
         return (m.branches[i - 1](x),)
     if i == 0:
         return (m.branches[0].ends[0],)

@@ -20,7 +20,6 @@ interval may span branches of different slopes, can clear it.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from math import gcd
 
@@ -83,10 +82,11 @@ def _not_monotonic(lo, hi):
     return InvalidMarkovPartition("map is not monotonic on (%s, %s)" % (lo.text(), hi.text()))
 
 
-def _locate(points, x, lo, hi):
-    """Index of x among the sorted partition points; x ends the image of (lo, hi)."""
-    i = bisect.bisect_left(points, x)
-    if i == len(points) or points[i] != x:
+def _locate(index, x, lo, hi):
+    """Index of x among the partition points, from their ``index``; x ends
+    the image of (lo, hi)."""
+    i = index.get(x)
+    if i is None:
         raise InvalidMarkovPartition(
             "image of (%s, %s) is not aligned with the partition" % (lo.text(), hi.text())
         )
@@ -96,13 +96,14 @@ def _locate(points, x, lo, hi):
 def _markov_data(m, points, canonical):
     """Incidence matrix of the sorted partition ``points``.
 
-    On each interval (lo, hi) the branches over it, found by bisection, must
+    On each interval (lo, hi) the branches over it, found by ``locate``, must
     share one slope sign and have their image pieces in monotone order.  The
     merged image must end at partition points, and the row selects the
     intervals it covers.  Slopes are compared only over an interval that
     spans several branches, so canonical data costs no compare.
     """
     size = len(points) - 1
+    index = {p: k for k, p in enumerate(points)}
     matrix = [[0] * size for _ in range(size)]
     images = []
     piecewise_linear = True
@@ -124,7 +125,7 @@ def _markov_data(m, points, canonical):
             raise _not_monotonic(lo, hi)
         image = merge_closed_intervals(pieces)
         for u, v in image:
-            a, c = _locate(points, u, lo, hi), _locate(points, v, lo, hi)
+            a, c = _locate(index, u, lo, hi), _locate(index, v, lo, hi)
             for k in range(a, c):
                 matrix[j][k] = 1
         images.append(image)

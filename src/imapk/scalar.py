@@ -53,7 +53,14 @@ than 1, and then one exact compare picks between the two candidates.  The
 third is :func:`sort_scalars`, which keys each point by its 64-bit ball
 (floor(n * 2^64 / d) and one more for a rational n/d), sorts by the lower ends
 as plain ints, and orders only runs of overlapping balls with the exact
-compare; its result is the list ``sorted`` returns.
+compare; its result is the list ``sorted`` returns.  ``PMMap.locate`` reads
+the same keys.  The 64-bit ball of a field element is about max |num| / den
+units wide, so an element whose coefficients are far larger than its value
+(a high power of a number below 1) would get a key that overlaps every other.
+When that width passes 2^32 units, the key is taken from the ball at a
+precision that exceeds 64 bits by the coefficients' excess bits over ``den``
+and a few more, and both ends are rounded outward to 2^64: the key is then a
+few units wide.
 
 :meth:`Scalar.enclosure` halves its own copy of the isolating interval with
 the same halving step and bounds the element by interval Horner in integers
@@ -106,6 +113,11 @@ from .polynomials import (
 # the precision whose failed ball runs the exact zero-image test
 _BALL_BITS = 64
 _ZERO_TEST_BITS = 1024
+
+# a sort key wider than 2^_KEY_WIDTH_BITS units is taken again from a ball
+# _KEY_SLACK_BITS finer than the coefficients' excess over the denominator
+_KEY_WIDTH_BITS = 32
+_KEY_SLACK_BITS = 8
 
 DEGREE_CAP = 8
 
@@ -765,12 +777,22 @@ def common_field(*values):
 
 
 def _sort_key(x):
-    """Integers lo <= x * 2^64 <= hi for a Scalar, from the 64-bit ball."""
+    """Integers lo <= x * 2^64 <= hi for a Scalar, from the 64-bit ball, or
+    from a finer ball when the coefficients are far larger than the value."""
     den = x.den
     if x.field is None:
         lo = (x.num[0] << _BALL_BITS) // den
         return lo, lo + 1
     lo, hi = x.field.ball(x.num, 0)
+    if hi - lo > den << _KEY_WIDTH_BITS:
+        # the ball is about max |num| / den units wide: take it at a
+        # precision with that many bits (and a few) beyond 2^64
+        excess = max(abs(n).bit_length() for n in x.num) - den.bit_length() + _KEY_SLACK_BITS
+        level = 1
+        while (_BALL_BITS << level) - _BALL_BITS < excess:
+            level += 1
+        lo, hi = x.field.ball(x.num, level)
+        den <<= (_BALL_BITS << level) - _BALL_BITS
     return lo // den, -(-hi // den)
 
 

@@ -36,7 +36,6 @@ at every step, so it maps every inner breakpoint by its branch at every step.
 
 from __future__ import annotations
 
-import bisect
 from itertools import accumulate
 
 from .errors import OutOfDomain
@@ -170,9 +169,8 @@ def _place(m, x):
     Slot 2i is the partition point a_i, which lies inside no domain: it has
     no image and sign 0.  Slot 2i + 1 is the inside of the domain of branch i,
     whose image of x and monotonicity sign are returned."""
-    pts = m.partition
-    i = bisect.bisect_left(pts, x)
-    if pts[i] == x:
+    i, hit = m.locate(x)
+    if hit:
         return 2 * i, None, 0
     branch = m.branches[i - 1]
     return 2 * i - 1, branch(x), 1 if branch.increasing else -1

@@ -1,9 +1,14 @@
+import bisect
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from imapk import markov
 from imapk.errors import (
     BranchImageOutsideUnitInterval,
     EndpointsNotZeroOne,
@@ -19,8 +24,10 @@ from imapk.interval_map import (
     preimages,
     validate_map,
 )
-from imapk.orbit import forward_orbit, tau_orbit
-from imapk.scalar import ONE, ZERO, as_scalar, rational
+from imapk.families import FamilySpec, build
+from imapk.markov import detect_markov
+from imapk.orbit import CapReached, forward_orbit, tau_orbit
+from imapk.scalar import ONE, ZERO, NumberField, Scalar, _sort_key, as_scalar, rational
 from imapk.specfile import parse_spec
 from imapk.stepfun import StepFn, indicator
 
@@ -182,3 +189,111 @@ def test_exchange_maps_essentially_injective():
         branches = [(1, offsets[i] - pts[i]) for i in range(len(lengths))]
         m = validate_map(pts, branches)
         assert is_essentially_injective(m)
+
+
+LOCATE_SETTINGS = settings(max_examples=80, derandomize=True, database=None, deadline=None)
+
+# Q, Q(phi), Q(sqrt2) and the cubic field of x^3 - x - 1; alpha - 1 lies in
+# (0, 1) in each and its conjugates have modulus above 1, so its powers have
+# coefficients far larger than their values
+LOCATE_FIELDS = [None] + [NumberField(poly, (1, 2)) for poly in ([-1, -1, 1], [-2, 0, 1], [-1, -1, 0, 1])]
+
+
+def _reference_locate(m, x):
+    if x < ZERO or x > ONE:
+        return OutOfDomain
+    i = bisect.bisect_left(m.partition, x)
+    return i, m.partition[i] == x
+
+
+@st.composite
+def maps_and_points(draw):
+    """A map of up to six branches whose cuts are rationals or fractional
+    parts of field elements, and points to locate on it: the partition
+    points, points within 2^-80 of them on both sides (outside [0, 1] too),
+    elements with thousand-bit coefficients and a value in [0, 1], and 0
+    and 1."""
+    field = draw(st.sampled_from(LOCATE_FIELDS))
+    pairs = draw(st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 40)), min_size=1, max_size=5))
+    if field is None:
+        cuts = {rational(p % q, q) for p, q in pairs}
+        tiny = rational(1, 2**1000 + 1)
+    else:
+        alpha = field.alpha()
+        cuts = {x - x.floor() for x in (alpha * rational(p or 1, q) for p, q in pairs)}
+        # about 2^-1000 or smaller, with coefficients of 1000 bits or more
+        tiny = (alpha - 1) ** draw(st.integers(1450, 1600))
+    pts = [ZERO] + sorted(cuts - {ZERO}) + [ONE]
+    m = validate_map(pts, [(1 / (b - a), a / (a - b)) for a, b in zip(pts, pts[1:])])
+    points = list(pts)
+    for c in pts:
+        for sign in (1, -1):
+            points.append(c + rational(sign * draw(st.integers(1, 5)), 2**80))
+            points.append(c + sign * tiny * draw(st.integers(1, 3)))
+    t = rational(draw(st.integers(0, 64)), 64)
+    points += [t + tiny, t - tiny, tiny, ONE - tiny, ZERO, ONE]
+    return m, draw(st.permutations(points))
+
+
+@LOCATE_SETTINGS
+@given(maps_and_points())
+def test_locate_is_bisect_left_and_equality(case):
+    m, points = case
+    for x in points:
+        try:
+            got = m.locate(x)
+        except OutOfDomain:
+            got = OutOfDomain
+        assert got == _reference_locate(m, x), x.text()
+
+
+def test_an_orbit_off_the_cuts_is_located_without_a_compare(monkeypatch, golden_field):
+    # a three-interval exchange over Q(phi); the orbit of 1/2 runs to the
+    # cap, and no point of it has a sort key that overlaps a cut's, so each
+    # point is placed by its key alone
+    phi = golden_field.alpha()
+    lam = (phi - 1) * (phi - 1)
+    m = build(FamilySpec("interval_exchange", {
+        "lengths": [lam / 2, lam / 2, phi - 1], "permutation": [3, 2, 1],
+    }))
+    callers = []
+    compare = Scalar.compare
+
+    def spied(self, other):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return compare(self, other)
+
+    monkeypatch.setattr(Scalar, "compare", spied)
+    orbit = forward_orbit(m, rational(1, 2), cap=150)
+    monkeypatch.undo()
+    assert isinstance(orbit.status, CapReached) and len(orbit.points) > 150
+    cut_keys = [_sort_key(c) for c in m.partition]
+    for x in orbit.points:
+        lo, hi = _sort_key(x)
+        assert all(hi < c_lo or c_hi < lo for c_lo, c_hi in cut_keys), x.text()
+    # the seed's check against 0 and 1 makes the only two compares
+    assert "locate" not in callers and "limits" not in callers
+    assert callers == ["__lt__", "__gt__"]
+    assert [m.locate(x) for x in orbit.points] == [_reference_locate(m, x) for x in orbit.points]
+
+
+def test_markov_data_bisects_only_integer_keys(monkeypatch):
+    # 1 -> 1/4 -> 1/2 -> 1, so the Markov partition holds 1/4, which is no
+    # cut of the map: locating it takes the integer bisection
+    m = validate_map([0, Fraction(1, 2), 1], [(2, 0), (Fraction(-3, 2), Fraction(7, 4))])
+    assert not hasattr(markov, "bisect")
+    searched = []
+    for name in ("bisect_left", "bisect_right"):
+        real = getattr(bisect, name)
+
+        def spied(seq, x, *args, real=real):
+            searched.append((seq, x))
+            return real(seq, x, *args)
+
+        monkeypatch.setattr(bisect, name, spied)
+    data = detect_markov(m)
+    monkeypatch.undo()
+    assert list(data.partition) == [ZERO, rational(1, 4), rational(1, 2), ONE]
+    assert data.matrix == [[1, 1, 0], [0, 0, 1], [0, 1, 1]]
+    assert searched
+    assert all(type(x) is int and all(type(v) is int for v in seq) for seq, x in searched)

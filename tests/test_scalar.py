@@ -18,10 +18,8 @@ from imapk.errors import (
 )
 from imapk.orbit import critical_closure
 from imapk.polynomials import factor_degrees_mod_p, provably_irreducible
-from imapk.report import run
 from imapk.scalar import NumberField, Scalar, rational, scalar_from_text, sort_scalars
 from imapk.specfile import parse_spec
-from test_chains import SQRT2
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
 DATA = Path(__file__).resolve().parent / "data"
@@ -419,13 +417,16 @@ def test_a_zero_image_over_a_reducible_polynomial_reaches_the_exact_gcd(monkeypa
     assert len(proofs) == len(gcds) == 1
 
 
-def test_the_zero_tests_over_q_sqrt2_run_no_exact_gcd(monkeypatch):
-    # from cap 600 on, the walks of this map reach the 1024-bit zero test
-    # (901 times); x^2 - 2 is proved irreducible at the first of them, once,
+def test_the_zero_tests_over_q_sqrt2_run_no_exact_gcd(monkeypatch, sqrt2_field):
+    # x = (sqrt2 - 1)^900 is about 2^-1144 with coefficients near 2^1144, so
+    # the 1024-bit balls of x and of x^2 - x hold 0 and both signs reach the
+    # zero test; x^2 - 2 is proved irreducible at the first of them, once,
     # and that proof ends every zero test of the field
     proofs, gcds = _spy(monkeypatch, "_coprime_mod_prime"), _spy(monkeypatch, "poly_gcd")
     irreducibility = _spy(monkeypatch, "provably_irreducible")
-    run("classify", parse_spec(SQRT2), {"cap": 600})
+    x = (sqrt2_field.alpha() - 1) ** 900
+    assert x.sign() == 1
+    assert (x * x - x).sign() == -1
     assert len(irreducibility) == 1
     assert not proofs and not gcds
 
@@ -708,6 +709,38 @@ def test_sort_scalars_falls_back_to_compare_on_overlapping_balls(monkeypatch):
     keyed = sort_scalars(points)
     assert calls[0] > 0
     assert all(a is b for a, b in zip(keyed, expected)) and len(keyed) == len(expected)
+
+
+KEY_SETTINGS = settings(max_examples=120, derandomize=True, database=None, deadline=None)
+_KEY_REFERENCES = [_ReferenceSign(poly, iso) for poly, iso in SEVEN_FIELDS]
+
+
+@st.composite
+def key_elements(draw):
+    """A field index and an element: one of ``field_elements``, or
+    c (alpha - 1)^k, whose coefficients have hundreds of bits more than its
+    denominator whether its value is tiny or huge."""
+    if draw(st.booleans()):
+        return draw(field_elements())
+    index = draw(st.integers(0, len(SEVEN_FIELDS) - 1))
+    c = draw(coefficient.filter(bool))
+    return index, (_FIELDS[index].alpha() - 1) ** draw(st.integers(300, 900)) * c
+
+
+@KEY_SETTINGS
+@given(key_elements())
+def test_sort_keys_enclose_the_value_tightly(case):
+    # lo <= x 2^64 <= hi, decided by the Fraction reference
+    index, x = case
+    lo, hi = scalar._sort_key(x)
+    scaled = [c * 2**64 for c in x.coeffs]
+    reference = _KEY_REFERENCES[index]
+    assert reference([scaled[0] - lo] + scaled[1:]) >= 0
+    assert reference([hi - scaled[0]] + [-c for c in scaled[1:]]) >= 0
+    # a key is at most a few units wide when the coefficients outgrow the
+    # denominator, however small or large the value
+    if max(abs(n).bit_length() for n in x.num) - x.den.bit_length() >= 40:
+        assert hi - lo <= 4
 
 
 def test_sort_scalars_rejects_two_fields(golden_field, sqrt2_field):
