@@ -324,22 +324,20 @@ def nonperiodic_kgroups(status):
 # -- module generators --------------------------------------------------------
 
 
-def module_generators(m, endpoint_index=0):
+def module_generators(m):
     """Finite generating set of the dimension module, as interval pairs.
 
     For continuous surjective maps the partition intervals generate; otherwise
     the adjacent intervals of the partition enlarged by one branch endpoint
-    image, together with the jump intervals at interior partition points.
-    ``endpoint_index`` picks among the 2n branch endpoint images.
+    image (the first branch's value at 0), together with the jump intervals
+    at interior partition points.
     """
     if not is_surjective(m):
         raise NotSurjective("module generators are stated for surjective maps")
     pts = list(m.partition)
     if m.is_continuous():
         return [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
-    endpoints = [y for b in m.branches for y in b.ends]
-    M = endpoints[endpoint_index % len(endpoints)]
-    marks = sort_scalars(set(pts + [M]))
+    marks = sort_scalars(set(pts + [m.branches[0].ends[0]]))
     j1 = [(marks[i], marks[i + 1]) for i in range(len(marks) - 1)]
     j2 = []
     for i in range(1, len(pts) - 1):

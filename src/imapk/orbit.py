@@ -69,7 +69,7 @@ transfer iteration can find no dependence within k steps.
 linearly independent over Q.  That is one exact rank computation, with no
 orbit walked; it reads the lengths' real values only through their
 coefficient vectors, so it needs the field's polynomial proved irreducible
-(``polynomials.provably_irreducible``).  When it decides nothing (rational
+(``NumberField.proved_irreducible``).  When it decides nothing (rational
 lengths, more intervals than the field degree, a reducible permutation, a
 generalized exchange, or a polynomial not proved irreducible), the capped
 ``idoc_check`` stays the gate.
@@ -88,7 +88,6 @@ from .errors import (
     OutOfDomain,
 )
 from .interval_map import PLUS
-from .polynomials import provably_irreducible
 from .scalar import ONE, ZERO, Scalar, as_scalar, rational, sort_scalars
 from .snf import determinant
 from . import interval_map as imap
@@ -159,7 +158,7 @@ def _oversized(x):
     """Whether a coefficient of x, in lowest terms, has a numerator or a
     denominator past MAX_COEFF_BITS."""
     num, den = x.num, x.den
-    if den.bit_length() <= MAX_COEFF_BITS and all(n.bit_length() <= MAX_COEFF_BITS for n in num):
+    if max(den, max(num), -min(num)).bit_length() <= MAX_COEFF_BITS:
         return False
     if x.field is None:
         return True  # num[0]/den is in lowest terms
@@ -465,9 +464,9 @@ def _pair_walk(m, a, cap, certify):
     same points in the same order, as pairs, the same stop and the same
     index of the last value.  It neither reads nor fills the table of
     images, and builds no Scalar except for a certified point's witness.
-    Its two callers are ``interior_orbits_disjoint`` and
-    ``chains_prove_independence``, which walks the chains of all partition
-    points, 0 and 1 included.
+    ``_tau_walk`` calls it for a rational map, for the two walkers
+    ``interior_orbits_disjoint`` and ``chains_prove_independence``; the
+    latter walks the chains of all partition points, 0 and 1 included.
 
     Branch x -> (u/b)*x + e/f is kept as the row (u*f, e*b, b*f), and maps
     n/d to N/D with N = u*f*n + e*b*d and D = b*f*d.  As gcd(n, d) = 1,
@@ -520,11 +519,22 @@ def _pair_walk(m, a, cap, certify):
         points.append((n, d))
 
 
+def _tau_walk(m, t, cap, certify):
+    """The orbit of t under the right-continuous map, to at most cap images,
+    as (points, stop, last) of ``_search(m, [t], cap, _tau_step,
+    certify=certify)``: walked by ``_pair_walk`` for a rational map, whose
+    points are then (numerator, denominator) pairs, else by that search.
+    points[0] is t itself in the walk's own form."""
+    if m.field is None:
+        return _pair_walk(m, t, cap, certify)
+    return _search(m, [t], cap, _tau_step, certify=certify)
+
+
 def interior_orbits_disjoint(m, cap):
     """Check the orbits of the interior partition points to the cap.
 
     Uses true single-valued orbits under the right-continuous convention,
-    walked on integer pairs by ``_pair_walk`` for a rational map.  Raises
+    walked by ``_tau_walk`` (on integer pairs for a rational map).  Raises
     HypothesisViolatedWithinCap when an orbit is eventually periodic or two
     orbits meet.  Otherwise returns the status that stopped the walks:
     ProvablyInfinite when every walk was certified, else the CapReached or
@@ -543,10 +553,7 @@ def interior_orbits_disjoint(m, cap):
     owner = {}
     stops = []
     for idx, a in enumerate(interior):
-        if m.field is None:
-            points, stop, last = _pair_walk(m, a, cap, certify)
-        else:
-            points, stop, last = _search(m, [a], cap, _tau_step, certify=certify)
+        points, stop, last = _tau_walk(m, a, cap, certify)
         if stop is None:
             raise HypothesisViolatedWithinCap(
                 "orbit of %s is eventually periodic (preperiod %d, period %d)"
@@ -589,21 +596,17 @@ def chains_prove_independence(m, k):
     the image of a partition point nor of a jump point other than x_{j-1},
     so its jump is the branch sign times the jump of v_{j-1} at x_{j-1}.
 
-    Each partition point's orbit is walked once, to at most k images, by the
-    walk of ``interior_orbits_disjoint``: ``_pair_walk`` for a rational map,
-    else ``_search`` under ``_tau_step``, with no certificate.  A walk that
-    passes the size limit before its chain ends decides nothing.
+    Each partition point's orbit is walked once, to at most k images, by
+    ``_tau_walk`` with no certificate, and the walks' first points are the
+    partition in the walks' own form.  A walk that passes the size limit
+    before its chain ends decides nothing.
     """
     if not m.is_continuous():
         return False
-    rational_map = m.field is None
-    partition = {(t.num[0], t.den) for t in m.partition} if rational_map else set(m.partition)
+    walks = [_tau_walk(m, t, k, False) for t in m.partition]
+    partition = {points[0] for points, _, _ in walks}
     chains = []
-    for t in m.partition:
-        if rational_map:
-            points, stop, _ = _pair_walk(m, t, k, False)
-        else:
-            points, stop, _ = _search(m, [t], k, _tau_step, certify=False)
+    for points, stop, _ in walks:
         chain = []
         for x in points[1:]:
             if x in partition:
@@ -662,14 +665,15 @@ def keane_idoc(m):
     than the field degree, are never decided.  That rank is the rank of the
     real lengths only when the field's polynomial is irreducible: over
     (x^2 - 2)(x^2 - 3) with the root sqrt(2), x^2/4 and 1 - x^2/4 have
-    independent vectors and are both 1/2.  So a polynomial not proved
-    irreducible decides nothing.
+    independent vectors and are both 1/2.  So a field whose
+    ``NumberField.proved_irreducible`` (the field's one cached decision,
+    shared with its zero tests) is False decides nothing.
     """
     n = len(m.branches)
     field = m.field
     if n < 2 or field is None or n > field.degree or any(b.slope != ONE for b in m.branches):
         return None
-    if not provably_irreducible(field.poly):
+    if not field.proved_irreducible():
         return None
     # with slope 1 a branch is x -> x + intercept, and its image is as long
     # as its interval; the images tile [0,1] when each starts where the one

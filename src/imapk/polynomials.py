@@ -9,7 +9,6 @@ where coefficients stay arbitrary-precision integers throughout.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import CertificateFailure
@@ -393,7 +392,6 @@ def factor_degrees_mod_p(poly, p):
     return degrees
 
 
-@lru_cache(maxsize=None)
 def provably_irreducible(poly):
     """Whether a monic squarefree integer polynomial is proved irreducible
     over Q; False means not proved.

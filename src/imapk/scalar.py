@@ -37,8 +37,9 @@ that enclosure contains zero, P doubles from 64 bits, without a ceiling
 vectors as in Hart's ANTIC).  A nonzero element of a genuine
 field has a nonzero real image, so some precision decides it.  Once the
 1024-bit ball has failed, one zero-image test runs.  A field whose polynomial
-``polynomials.provably_irreducible`` proves irreducible (decided at its first
-zero test and kept) ends it at once, and so does a gcd modulo one prime that
+``polynomials.provably_irreducible`` proves irreducible ends it at once (the
+field decides that once and keeps it in :meth:`NumberField.proved_irreducible`,
+which ``orbit.keane_idoc`` reads too), and so does a gcd modulo one prime that
 proves the element coprime to the defining polynomial (the lemma of
 ``polynomials._coprime_mod_prime``).  Otherwise, if the exact gcd
 has a root in the bracket, the user supplied a reducible polynomial and an
@@ -70,19 +71,14 @@ no halving limit is needed.
 
 A scalar is immutable, so its hash is computed on first use and cached: a
 large rational in an orbit set or a breakpoint set is hashed once, however
-often it is looked up.  The hash is the tuple hash of ("Scalar", c) for a
-rational c and of ("Scalar", field key, coefficient tuple) for a field
-element, with each rational coefficient hashed as ``Fraction`` hashes it.
-It is computed from the ints by Python's documented rule for numeric
-hashes: |n| times the inverse of ``den`` modulo ``sys.hash_info.modulus``,
-signed, with each coefficient reduced on its own when ``den`` is a multiple
-of the modulus.  Set and dict order, which feed report order, therefore do
-not depend on the storage or on the cache.
+often it is looked up.  The hash is that of the canonical storage
+``(num, den)``, so equal scalars hash equally.  No report order reads a
+hash value (``tests/test_report.py::test_report_bytes_read_no_scalar_hash``
+salts it and gets every shipped report byte for byte).
 """
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
@@ -162,7 +158,7 @@ class NumberField:
     # `_irreducible` and `_text_head` are set on first use, not by __init__,
     # so building a field that never reaches a zero test or a text costs nothing more
     __slots__ = (
-        "poly", "degree", "iso", "_sign_lo", "_powers", "_key_hash", "_bracket", "_balls",
+        "poly", "degree", "iso", "_sign_lo", "_powers", "_bracket", "_balls",
         "_irreducible", "_text_head",
     )
 
@@ -209,7 +205,6 @@ class NumberField:
             current = [s - top * self.poly[i] for i, s in enumerate(shifted)]
             powers.append(tuple(current))
         self._powers = tuple(powers)
-        self._key_hash = _KeyHash(self.key())
         # integer bracket (lo, hi, scale) of alpha, and the balls built from it
         self._bracket = _integer_bracket(lo, hi)
         self._balls = []
@@ -221,7 +216,7 @@ class NumberField:
         return self is other or (isinstance(other, NumberField) and self.key() == other.key())
 
     def __hash__(self):
-        return hash(("NumberField", self._key_hash))
+        return hash(("NumberField", self.key()))
 
     def __repr__(self):
         return "NumberField(%s, iso=(%s, %s))" % (
@@ -299,7 +294,7 @@ class NumberField:
                 return -1
             if (
                 _BALL_BITS << level == _ZERO_TEST_BITS
-                and not self._proved_irreducible()
+                and not self.proved_irreducible()
                 and not _coprime_mod_prime(self.poly, poly_trim(vec))
             ):
                 # rule out a zero real image (possible only when the defining
@@ -313,8 +308,9 @@ class NumberField:
                     )
             level += 1
 
-    def _proved_irreducible(self):
-        """provably_irreducible(self.poly), decided once per field."""
+    def proved_irreducible(self):
+        """provably_irreducible(self.poly), decided once per field: the one
+        cache of the field's irreducibility."""
         try:
             return self._irreducible
         except AttributeError:
@@ -342,42 +338,6 @@ class NumberField:
         return tuple(out)
 
 
-class _KeyHash:
-    """Stands in for a field's key inside a tuple hash: same hash, computed once."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, key):
-        self.value = hash(key)
-
-    def __hash__(self):
-        return self.value
-
-
-_MODULUS = sys.hash_info.modulus
-_HASH_INF = sys.hash_info.inf
-
-
-def _coefficient_hashes(num, den):
-    """hash(Fraction(n, den)) for each n in num, in ints.  By Python's rule
-    for numeric hashes that is the hash of the int n * den^-1 modulo the
-    hash modulus, signed as n.  When den is a multiple of the modulus, each
-    coefficient is reduced on its own first, and one whose denominator still
-    is hashes as +-sys.hash_info.inf."""
-    if den % _MODULUS:
-        inverse = pow(den, -1, _MODULUS)
-        return tuple([hash(n * inverse) for n in num])
-    hashes = []
-    for n in num:
-        g = gcd(n, den)
-        n, d = n // g, den // g
-        if d % _MODULUS:
-            hashes.append(hash(n * pow(d, -1, _MODULUS)))
-        else:
-            hashes.append(_HASH_INF if n >= 0 else -_HASH_INF)
-    return tuple(hashes)
-
-
 def _coefficient_text(n, den):
     """str(Fraction(n, den))."""
     g = gcd(n, den)
@@ -391,10 +351,12 @@ class Scalar:
     a positive integer ``den`` in the canonical form of the module
     docstring: gcd(den, *num) = 1, a field element holds a full-length
     vector, and one whose higher coefficients all vanish is the rational.
-    So equal values hash equally and orbit lookups behave.  Immutable; the
-    hash and the text are computed on first use and kept in ``_hash`` and
-    ``_text`` (None until then).  ``Scalar(field, coeffs)`` builds one
-    from rational coefficients.
+    The hash is that of ``(num, den)``, so equal values hash equally and
+    orbit lookups behave; no report order reads it (see
+    ``test_report_bytes_read_no_scalar_hash``).  Immutable; the hash and
+    the text are computed on first use and kept in ``_hash`` and ``_text``
+    (None until then).  ``Scalar(field, coeffs)`` builds one from rational
+    coefficients.
     """
 
     __slots__ = ("field", "num", "den", "_hash", "_text")
@@ -558,14 +520,9 @@ class Scalar:
 
     def __hash__(self):
         h = self._hash
-        if h is not None:
-            return h
-        hashes = _coefficient_hashes(self.num, self.den)
-        if self.field is None:
-            h = hash(("Scalar", hashes[0]))
-        else:
-            h = hash(("Scalar", self.field._key_hash, hashes))
-        object.__setattr__(self, "_hash", h)
+        if h is None:
+            h = hash((self.num, self.den))
+            object.__setattr__(self, "_hash", h)
         return h
 
     def compare(self, other):

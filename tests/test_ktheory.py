@@ -295,7 +295,7 @@ def test_module_generators_tent(tent):
 
 
 def test_module_generators_golden_beta(golden_beta, phi):
-    gens = module_generators(golden_beta, endpoint_index=1)
+    gens = module_generators(golden_beta)
     texts = [(a.text(), b.text()) for a, b in gens]
     inv = (phi - 1).text()
     assert texts == [("0", inv), (inv, "1"), ("0", "1")]

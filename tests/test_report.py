@@ -80,6 +80,23 @@ def test_shipped_reports_are_unchanged_and_compute_only_what_they_emit(spec_path
             assert calls["entropy_report"] == calls["classify"] == 0, command
 
 
+def test_report_bytes_read_no_scalar_hash(monkeypatch):
+    # a salted hash changes every set and dict order of scalars; the spec is
+    # parsed under it, and the salted hash reads no cached _hash
+    def salted(self):
+        return hash((self.num, self.den, 0x5EED))
+
+    monkeypatch.setattr(Scalar, "__hash__", salted)
+    assert hash(Scalar(None, [Fraction(1, 3)])) == hash(((1,), 3, 0x5EED))
+    for spec_path in SPECS:
+        for command in COMMANDS:
+            got, code = run(command, parse_spec(spec_path.read_text()))
+            recorded = RECORDED["%s/%s" % (spec_path.stem, command)]
+            assert hashlib.sha256(to_json(got).encode("utf-8")).hexdigest() == recorded["sha256"], (
+                spec_path.stem, command)
+            assert code == recorded["exit"], (spec_path.stem, command)
+
+
 # -- the JSON writer against json.dumps ----------------------------------------
 
 # any code point, lone surrogates and control characters included

@@ -460,24 +460,36 @@ def test_compare_rejects_mixed_fields(sqrt2_field, golden_field):
     assert sqrt2_field.alpha().compare(NumberField([-2, 0, 1], (1, 2)).alpha()) == 0
 
 
-def test_hashes_are_the_tuple_hashes_of_the_field_key(golden_field):
+def test_equal_scalars_hash_equally(golden_field):
+    # equal values built different ways: from coefficients, by arithmetic,
+    # over a twin field, and a rational lifted into a field
+    twin = NumberField([-1, -1, 1], (1, 2))
     x = golden_field.element([Fraction(1, 3), Fraction(-2, 7)])
-    assert hash(x) == hash(("Scalar", golden_field.key(), x.coeffs))
-    assert hash(golden_field) == hash(("NumberField", golden_field.key()))
+    phi = golden_field.alpha()
+    for a, b in [
+        (x, twin.element([Fraction(1, 3), Fraction(-2, 7)])),
+        (x, (x * phi + 1) / phi - 1 / phi),
+        (golden_field.element([Fraction(-22, 7), 0]), rational(-22, 7)),
+        ((phi + 3) - phi, rational(3)),
+        (rational(5, 2 * MODULUS), rational(1, MODULUS) * rational(5, 2)),
+    ]:
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+    assert hash(golden_field) == hash(twin)
 
 
-def test_hash_is_cached_with_the_unchanged_formula(golden_field):
-    x = rational(-22, 7)
-    y = golden_field.element([Fraction(1, 3), Fraction(-2, 7)])
-    cases = ((x, hash(("Scalar", Fraction(-22, 7)))),
-             (y, hash(("Scalar", golden_field.key(), y.coeffs))))
-    for s, expected in cases:
+def test_the_hash_is_cached(golden_field):
+    for s in (rational(-22, 7), golden_field.element([Fraction(1, 3), Fraction(-2, 7)])):
+        assert s._hash is None
         with pytest.raises(AttributeError):
             s._hash = 0  # before the hash is cached
-        assert hash(s) == expected
+        h = hash(s)
+        assert s._hash == h == hash(s)
         with pytest.raises(AttributeError):
             s._hash = 0  # after
-        assert hash(s) == expected
+        # a second hash reads the cache and computes nothing
+        object.__setattr__(s, "_hash", h + 1)
+        assert hash(s) == h + 1
 
 
 def test_compare_error_names_the_operand():
@@ -859,11 +871,6 @@ def _model_text(a):
         ",".join(map(str, poly)), Fraction(iso[0]), Fraction(iso[1]), ",".join(map(str, x)))
 
 
-def _model_hash(a):
-    index, x = a
-    return hash(("Scalar", x[0])) if index is None else hash(("Scalar", _FIELDS[index].key(), x))
-
-
 def _cleared(coeffs):
     """(den, vec): the least positive den making vec = coeffs * den integral."""
     den = 1
@@ -878,7 +885,7 @@ def _agrees(x, a):
     assert x.field is (None if index is None else _FIELDS[index])
     assert x.coeffs == coeffs
     assert (x.den, list(x.num)) == _cleared(coeffs)
-    assert hash(x) == _model_hash(a)
+    assert hash(x) == hash(_scalar_of(a))
     assert x.text() == _model_text(a)
 
 
@@ -944,7 +951,8 @@ def test_the_integer_storage_matches_the_fraction_model(pair):
 
 @pytest.mark.parametrize("index", [None, 0, 5])
 def test_the_hash_of_a_denominator_divisible_by_the_modulus(index):
-    # 1/P alone has no inverse modulo P; in P/(3P), reduced, it has
+    # equal values hash equally also where den is a multiple of the hash
+    # modulus P, built from coefficients and by arithmetic
     cases = [[Fraction(1, MODULUS)], [Fraction(-5, 2 * MODULUS**2)], [Fraction(7, 3)]]
     if index is not None:
         degree = _FIELDS[index].degree
@@ -955,5 +963,6 @@ def test_the_hash_of_a_denominator_divisible_by_the_modulus(index):
         a = _model(index if len(coeffs) > 1 else None, coeffs)
         x = _scalar_of(a)
         assert x.den % MODULUS == 0 or coeffs == [Fraction(7, 3)]
-        assert hash(x) == _model_hash(a)
+        y = (x * 3 + 1) / 3 - rational(1, 3)
+        assert y == x and hash(y) == hash(x)
         _agrees(x, a)

@@ -8,7 +8,7 @@ handler of ``Exception`` or ``BaseException``, which would swallow a
 ``ImapkError``.  No call of ``json.dumps`` with ``indent``, which runs
 CPython's pure-Python encoder (``report.to_json`` writes the indented
 report).  Only the orbit layer reads the map's table of images.  And no
-helper that nothing in the library calls.
+helper, class or module-level constant that nothing in the library reads.
 """
 
 import ast
@@ -172,7 +172,7 @@ def test_a_reader_of_the_table_of_images_is_caught(source, found):
     assert table_references(ast.parse(source)) == found
 
 
-# Defined but called by no stage, each for a reason of its own:
+# Defined but called or read by no stage, each for a reason of its own:
 UNCALLED_ON_PURPOSE = {
     # the references that the counting-law tests compare transfer against
     "value_at",
@@ -180,13 +180,31 @@ UNCALLED_ON_PURPOSE = {
     # rebuilds a map from its report echo: the round-trip check of the
     # benchmark's correctness gate and of the CLI tests
     "map_from_echo",
+    # the package version, read by whoever imports the package
+    "__version__",
 }
 
 
+def _assigned(node):
+    """Names bound by a module-level assignment statement."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    names = []
+    for target in targets:
+        elts = target.elts if isinstance(target, (ast.Tuple, ast.List)) else [target]
+        names += [t.id for t in elts if isinstance(t, ast.Name)]
+    return names
+
+
 def uncalled(sources):
-    """Names of the module-level functions and methods defined in ``sources``
-    (a dict: file name -> source text) that no module refers to, besides
-    its own definition and the package's ``__init__`` export.
+    """Names of the module-level functions, classes and assignments, and of
+    the methods, defined in ``sources`` (a dict: file name -> source text)
+    that no module refers to, besides its own definition and the package's
+    ``__init__`` export.
 
     A reference is a loaded name or attribute of that name, so this matches
     by name: a method whose name another class's method or a call elsewhere
@@ -196,6 +214,9 @@ def uncalled(sources):
     for name, text in sources.items():
         tree = ast.parse(text)
         for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defined.add(node.name)
+            defined.update(_assigned(node))
             for item in node.body if isinstance(node, ast.ClassDef) else [node]:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     if not (item.name.startswith("__") and item.name.endswith("__")):
@@ -223,3 +244,13 @@ def test_an_uncalled_helper_is_caught():
         "__init__.py": "from .a import C\nfrom .b import export\nexport()\n",
     }
     assert uncalled(sources) == ["dead", "export"]
+
+
+def test_an_unread_constant_or_class_is_caught():
+    sources = {
+        "a.py": "import sys\n_LIMIT = 8\n_INF = sys.hash_info.inf\nLO, HI = 0, 1\nn: int = 2\n"
+                "class _Unused:\n    size = _LIMIT\n\nclass Used:\n    pass\n",
+        "b.py": "from .a import Used, LO\n\ndef make():\n    return Used(), LO + n\n\nmake()\n",
+        "__init__.py": "from .a import HI\n__version__ = '1'\n",
+    }
+    assert uncalled(sources) == ["HI", "_INF", "_Unused", "__version__"]
