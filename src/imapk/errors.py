@@ -13,17 +13,16 @@ class DivisionByZero(ImapkError, ZeroDivisionError):
     pass
 
 
-class ReducibleMinimalPolynomial(ImapkError):
-    """The defining polynomial factors in a way that makes a sign query ambiguous.
-
-    Raised when an element is nonzero as a coefficient vector but its real
-    image at the isolated root is zero; the user-supplied polynomial was not
-    irreducible.
-    """
-
-
 class InvalidNumberField(ImapkError):
     pass
+
+
+class ReducibleMinimalPolynomial(InvalidNumberField):
+    """The defining polynomial of a NumberField factors over Q: raised only by
+    ``NumberField.__init__``, which decides irreducibility once
+    (``polynomials.proper_factor``) and names the factor with the isolated
+    root.  So every field is a field, and no later sign test or inverse guards it.
+    """
 
 
 class OutOfDomain(ImapkError):

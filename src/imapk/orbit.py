@@ -67,11 +67,10 @@ transfer iteration can find no dependence within k steps.
 ``keane_idoc`` decides the IDOC of a standard interval exchange (all slopes
 1) by Keane's theorem instead: an irreducible permutation with lengths
 linearly independent over Q.  That is one exact rank computation, with no
-orbit walked; it reads the lengths' real values only through their
-coefficient vectors, so it needs the field's polynomial proved irreducible
-(``NumberField.proved_irreducible``).  When it decides nothing (rational
-lengths, more intervals than the field degree, a reducible permutation, a
-generalized exchange, or a polynomial not proved irreducible), the capped
+orbit walked.  It reads the lengths only through their coefficient vectors,
+which is sound because a ``NumberField`` proves its polynomial irreducible
+when it is built.  When it decides nothing (rational lengths, more intervals than the field degree, a
+reducible permutation, or a generalized exchange), the capped
 ``idoc_check`` stays the gate.
 """
 
@@ -662,18 +661,12 @@ def keane_idoc(m):
     onto itself.  The lengths are independent over Q when their coefficient
     vectors (power basis, denominators cleared per vector) have rank n, that
     is, a nonzero Gram determinant; so rational lengths, and more intervals
-    than the field degree, are never decided.  That rank is the rank of the
-    real lengths only when the field's polynomial is irreducible: over
-    (x^2 - 2)(x^2 - 3) with the root sqrt(2), x^2/4 and 1 - x^2/4 have
-    independent vectors and are both 1/2.  So a field whose
-    ``NumberField.proved_irreducible`` (the field's one cached decision,
-    shared with its zero tests) is False decides nothing.
+    than the field degree, are never decided.  The field's polynomial is
+    irreducible, so that rank is the rank of the real lengths.
     """
     n = len(m.branches)
     field = m.field
     if n < 2 or field is None or n > field.degree or any(b.slope != ONE for b in m.branches):
-        return None
-    if not field.proved_irreducible():
         return None
     # with slope 1 a branch is x -> x + intercept, and its image is as long
     # as its interval; the images tile [0,1] when each starts where the one

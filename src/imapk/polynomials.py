@@ -4,12 +4,17 @@ Polynomials are coefficient tuples in ascending degree order.  The rational
 helpers back the Sturm-sequence machinery used for real root isolation; the
 ``IntPoly`` class is the carrier for characteristic and minimal polynomials,
 where coefficients stay arbitrary-precision integers throughout.
+``proper_factor`` decides irreducibility over Q; a ``NumberField`` runs it
+once, when it is built, and refuses a reducible polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from functools import reduce
+from itertools import combinations, count
+from math import comb, gcd, isqrt, lcm
+from random import Random
 
 from .errors import CertificateFailure
 
@@ -107,15 +112,6 @@ def poly_gcd(p, q):
         return ()
     lead = Fraction(a[-1])
     return tuple(Fraction(c) / lead for c in a)
-
-
-def is_squarefree(p):
-    """Whether p has no repeated factor over Q: p and p' proved coprime by
-    the lemma of `_coprime_mod_prime`, else their gcd over Q."""
-    p = integral(poly_trim(p))
-    if _coprime_mod_prime(p, poly_derivative(p)):
-        return True
-    return poly_degree(poly_gcd(p, poly_derivative(p))) <= 0
 
 
 def _primitive(ints):
@@ -317,9 +313,6 @@ class IntPoly:
 # the prime of `_coprime_mod_prime`
 _GCD_PRIME = 2**61 - 1
 
-# primes for the factor-degree test of `provably_irreducible`
-_SMALL_PRIMES = tuple(p for p in range(2, 200) if all(p % d for d in range(2, p)))
-
 
 def _mod_divmod(a, b, p):
     """Quotient and remainder of a by b over GF(p); b is trimmed mod p."""
@@ -337,9 +330,10 @@ def _mod_divmod(a, b, p):
 
 
 def _mod_gcd(a, b, p):
+    """The monic gcd over GF(p) of a nonzero a and b, both trimmed mod p."""
     while b:
         a, b = b, _mod_divmod(a, b, p)[1]
-    return a
+    return _mod_monic(a, p)
 
 
 def _coprime_mod_prime(a, b):
@@ -356,69 +350,131 @@ def _coprime_mod_prime(a, b):
     q = _GCD_PRIME
     if not a or a[-1] % q == 0:
         return False
-    return len(_mod_gcd(poly_trim(c % q for c in a), poly_trim(c % q for c in b), q)) == 1
+    return len(_mod_gcd(_mod(a, q), _mod(b, q), q)) == 1
 
 
-def _mod_mulmod(a, b, f, p):
-    return _mod_divmod(poly_mul(a, b), f, p)[1]
+def _mod(a, m):
+    """a with its coefficients reduced into [0, m), trimmed."""
+    return poly_trim(c % m for c in a)
 
 
-def factor_degrees_mod_p(poly, p):
-    """Degrees of the irreducible factors over GF(p) of a monic integer
-    polynomial, by distinct-degree factorization; None when its reduction
-    mod p is not squarefree."""
-    f = poly_trim(c % p for c in poly)
-    if len(_mod_gcd(f, poly_trim(c % p for c in poly_derivative(f)), p)) > 1:
-        return None
-    degrees = []
-    h = (0, 1)  # x^(p^d) mod f
-    d = 0
+def _mod_monic(a, m):
+    """The monic multiple of a polynomial modulo m, for a lead prime to m."""
+    return _mod([c * pow(a[-1], -1, m) for c in a], m)
+
+
+def _mod_powmod(a, e, f, p):
+    """a^e modulo f over GF(p)."""
+    out = (1,)
+    while e:
+        if e & 1:
+            out = _mod_divmod(poly_mul(out, a), f, p)[1]
+        a = _mod_divmod(poly_mul(a, a), f, p)[1]
+        e >>= 1
+    return out
+
+
+def _distinct_degree(f, p):
+    """(d, the product of the factors of degree d) over GF(p) for a monic f
+    squarefree mod p, by distinct-degree factorization."""
+    parts = []
+    h, d = (0, 1), 0  # x^(p^d) mod f
     while 2 * (d + 1) <= len(f) - 1:
         d += 1
-        power, base, e = (1,), h, p
-        while e:
-            if e & 1:
-                power = _mod_mulmod(power, base, f, p)
-            base = _mod_mulmod(base, base, f, p)
-            e >>= 1
-        h = power
-        shared = _mod_gcd(f, poly_trim(c % p for c in poly_sub(h, (0, 1))), p)
+        h = _mod_powmod(h, p, f, p)
+        shared = _mod_gcd(f, _mod(poly_sub(h, (0, 1)), p), p)
         if len(shared) > 1:
-            degrees += [d] * ((len(shared) - 1) // d)
+            parts.append((d, shared))
             f = _mod_divmod(f, shared, p)[0]
             h = _mod_divmod(h, f, p)[1]
     if len(f) > 1:
-        degrees.append(len(f) - 1)
-    return degrees
+        parts.append((len(f) - 1, f))
+    return parts
 
 
-def provably_irreducible(poly):
-    """Whether a monic squarefree integer polynomial is proved irreducible
-    over Q; False means not proved.
+def _equal_degree(f, d, p, rng):
+    """The factors over GF(p), p odd, of a monic squarefree f whose factors all
+    have degree d: gcd(f, a^((p^d - 1)/2) - 1) splits it for about half of all
+    a (Cantor-Zassenhaus)."""
+    if len(f) - 1 == d:
+        return [f]
+    while True:
+        a = poly_trim(rng.randrange(p) for _ in range(len(f) - 1))
+        g = _mod_gcd(f, _mod(poly_sub(_mod_powmod(a, (p**d - 1) // 2, f, p), (1,)), p), p)
+        if 1 < len(g) < len(f):
+            return _equal_degree(g, d, p, rng) + _equal_degree(_mod_divmod(f, g, p)[0], d, p, rng)
 
-    With no rational root it has no factor of degree 1 or n - 1, so degrees
-    2 and 3 are decided at once.  A factor over Q reduces mod p to a product
-    of some of the factors mod p, so its degree is a subset sum of their
-    degrees; the primes below 200 whose reduction is squarefree leave a set
-    of possible factor degrees, and an empty set proves irreducibility.
-    Polynomials that split mod every prime, such as x^4 - 10x^2 + 1, are
-    never proved.
+
+def _hensel_lift(f, factors, p, bound):
+    """(lifts, q): monic U_i = factors[i] mod p (the irreducible factors of f
+    mod p) with f = lead(f) * prod U_i mod q = p^k > bound.  Linear lifting:
+    if F = g h mod m, e = (F - g h)/m and a = e h^-1 mod g, then
+    F = (g + m a)(h + m (e - a h)/g) mod m p, all mod p in the brackets."""
+    q = p
+    while q <= bound:
+        q *= p
+    rest = _mod_monic(f, q)
+    lifts = []
+    for i, u in enumerate(factors[:-1]):
+        v = reduce(lambda x, w: _mod(poly_mul(x, w), p), factors[i + 1:], (1,))
+        t = _mod_powmod(v, p ** (len(u) - 1) - 2, u, p)  # v^-1 in the field GF(p)[x]/(u)
+        g, h, m = u, v, p
+        while m < q:
+            e = [c // m % p for c in poly_sub(rest, poly_mul(g, h))]
+            a = _mod_divmod(poly_mul(e, t), u, p)[1]
+            b = _mod_divmod(_mod(poly_sub(e, poly_mul(a, v)), p), u, p)[0]
+            g, h = poly_add(g, [m * c for c in a]), poly_add(h, [m * c for c in b])
+            m *= p
+        lifts.append(g)
+        rest = h
+    return lifts + [rest], q
+
+
+def proper_factor(poly):
+    """A factor over Q of degree 1 to n - 1 of a nonzero integer polynomial f
+    of degree n, primitive with positive lead; None when f is irreducible
+    over Q.  Zassenhaus's algorithm (H. Cohen, GTM 138, 3.5).
+
+    A repeated factor is the gcd with the derivative.  A factor over Q
+    reduces to a product of factors mod p, so its degree is a sum of theirs:
+    no degree left by the first eight odd primes that reduce f squarefree
+    proves irreducibility.  Else the factors mod the prime with the fewest are
+    lifted mod q > 2 C(n, n/2) ||f||_2, past twice each coefficient of
+    lead(f)/lead(g) * g for a factor g over Z (its Mahler measure is at most
+    M(f) <= ||f||_2; Mignotte), and |lead(f)| times each product of at most
+    half of them, reduced into (-q/2, q/2), is tested by exact division.
     """
-    n = len(poly) - 1
-    if IntPoly(poly).integer_roots():
-        return False
-    possible = set(range(2, n - 1))
-    for p in _SMALL_PRIMES:
-        if not possible:
-            break
-        degrees = factor_degrees_mod_p(poly, p)
-        if degrees is None:
+    f = _primitive(poly_trim(poly))
+    n = len(f) - 1
+    if n < 2:
+        return None
+    if not _coprime_mod_prime(f, poly_derivative(f)):
+        repeated = poly_gcd(f, poly_derivative(f))
+        if len(repeated) > 1:
+            return integral(repeated)
+    possible, options = set(range(1, n)), []
+    primes = (p for p in count(3, 2) if all(p % d for d in range(3, isqrt(p) + 1, 2)))
+    while len(options) < 8:
+        p = next(primes)
+        fp = _mod(f, p)
+        if len(fp) <= n or len(_mod_gcd(fp, _mod(poly_derivative(fp), p), p)) > 1:
             continue
-        sums = {0}
-        for d in degrees:
-            sums |= {s + d for s in sums}
-        possible &= sums
-    return not possible
+        parts = _distinct_degree(_mod_monic(fp, p), p)
+        degrees = [d for d, g in parts for _ in range((len(g) - 1) // d)]
+        possible &= reduce(lambda sums, d: sums | {s + d for s in sums}, degrees, {0})
+        if not possible:
+            return None
+        options.append((len(degrees), p, parts))
+    _, p, parts = min(options)
+    factors = [u for d, g in parts for u in _equal_degree(g, d, p, Random(p))]
+    lifts, q = _hensel_lift(f, factors, p, 2 * comb(n, n // 2) * (isqrt(sum(c * c for c in f)) + 1))
+    for size in range(1, len(lifts) // 2 + 1):
+        for subset in combinations(lifts, size):
+            g = reduce(lambda x, u: _mod(poly_mul(x, u), q), subset, (abs(f[-1]),))
+            g = _primitive([c - q if 2 * c > q else c for c in g])
+            if not poly_divmod(f, g)[1]:
+                return g
+    return None
 
 
 def monic_from_dependence(coefficients, degree):

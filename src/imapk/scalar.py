@@ -2,10 +2,11 @@
 
 Every coordinate in the package is a :class:`Scalar`: either an
 arbitrary-precision rational or an element of a real algebraic context
-``Q(alpha)``.  The context is a :class:`NumberField`: a monic squarefree
-integer polynomial with no rational roots together with an isolating
-interval certified (by sign change and a Sturm count of one) to contain
-exactly one real root.
+``Q(alpha)``.  The context is a :class:`NumberField`: a monic integer
+polynomial, proved irreducible over Q when the field is built
+(``polynomials.proper_factor``), together with an isolating interval
+certified (by sign change and a Sturm count of one) to contain exactly one
+real root.  So every field is a genuine field, and no later step checks it.
 
 A scalar is stored as one integer vector ``num`` over one positive integer
 ``den``, as ANTIC's ``nf_elem`` stores a number field element (W. Hart,
@@ -25,8 +26,8 @@ Comparisons are decided exactly.  Equality compares the canonical
 storage.  The sign of a nonzero element is read off integer balls.  A field
 keeps one integer bracket lo/scale < alpha < hi/scale, made from the
 isolating interval; :meth:`NumberField.refine` halves it by homogeneous
-integer Horner (no ``Fraction``).  Because the defining polynomial has no
-rational roots, a midpoint is never a root, so every halving makes progress.
+integer Horner (no ``Fraction``).  An irreducible polynomial has no rational
+root, so a midpoint is never a root, and every halving makes progress.
 For a precision P the bracket is halved until it is at most 2^-P wide, and
 integer enclosures [L_k, H_k] of alpha^k * 2^P, k < degree, are cached, one
 pair per level P = 64 * 2^level.  One integer dot product of ``num``,
@@ -34,18 +35,9 @@ taking L_k or H_k by the sign of each coefficient, encloses the value times
 ``den``; a compare takes the cross-multiplied difference of two vectors.  If
 that enclosure contains zero, P doubles from 64 bits, without a ceiling
 (midpoint-radius ball arithmetic as in Johansson's Arb; integer coefficient
-vectors as in Hart's ANTIC).  A nonzero element of a genuine
-field has a nonzero real image, so some precision decides it.  Once the
-1024-bit ball has failed, one zero-image test runs.  A field whose polynomial
-``polynomials.provably_irreducible`` proves irreducible ends it at once (the
-field decides that once and keeps it in :meth:`NumberField.proved_irreducible`,
-which ``orbit.keane_idoc`` reads too), and so does a gcd modulo one prime that
-proves the element coprime to the defining polynomial (the lemma of
-``polynomials._coprime_mod_prime``).  Otherwise, if the exact gcd
-has a root in the bracket, the user supplied a reducible polynomial and an
-element whose real image vanishes, and that is reported as an error rather
-than silently mis-ordered.  A sign is only ever returned when a certified
-enclosure proves it.
+vectors as in Hart's ANTIC).  A nonzero element of a field has a nonzero
+real image, so some precision decides it.  A sign is only ever returned
+when a certified enclosure proves it.
 
 :meth:`NumberField.ball` is the one dot product, and three things read it.
 ``sign_of`` is one.  :meth:`Scalar.floor` is another: it reads the floors of
@@ -91,24 +83,19 @@ from .errors import (
 )
 from .polynomials import (
     IntPoly,
-    _coprime_mod_prime,
     count_real_roots,
     homogeneous_eval,
     integral,
-    is_squarefree,
     poly_divmod,
     poly_eval,
-    poly_gcd,
     poly_mul,
     poly_sub,
     poly_trim,
-    provably_irreducible,
+    proper_factor,
 )
 
-# precision of the first integer ball (the sort keys are taken at it), and
-# the precision whose failed ball runs the exact zero-image test
+# precision of the first integer ball (the sort keys are taken at it)
 _BALL_BITS = 64
-_ZERO_TEST_BITS = 1024
 
 # a sort key wider than 2^_KEY_WIDTH_BITS units is taken again from a ball
 # _KEY_SLACK_BITS finer than the coefficients' excess over the denominator
@@ -150,17 +137,14 @@ class NumberField:
     """Real algebraic context Q(alpha) with a certified isolated root.
 
     The defining polynomial is normalized to a monic integer polynomial
-    (denominators cleared, content divided out).  Irreducibility is not
-    verified beyond squarefreeness and a rational-root scan; the isolating
-    interval keeps every comparison sound for genuinely irreducible inputs.
+    (denominators cleared, content divided out) and must be irreducible over
+    Q: ``polynomials.proper_factor`` decides that once, here, and a
+    reducible polynomial raises ReducibleMinimalPolynomial.
     """
 
-    # `_irreducible` and `_text_head` are set on first use, not by __init__,
-    # so building a field that never reaches a zero test or a text costs nothing more
-    __slots__ = (
-        "poly", "degree", "iso", "_sign_lo", "_powers", "_bracket", "_balls",
-        "_irreducible", "_text_head",
-    )
+    # `_text_head` is set on first use, not by __init__, so building a field
+    # that never reaches a text costs nothing more
+    __slots__ = ("poly", "degree", "iso", "_sign_lo", "_powers", "_bracket", "_balls", "_text_head")
 
     def __init__(self, coeffs, isolating_interval):
         ints = integral(poly_trim([Fraction(c) for c in coeffs]))
@@ -178,10 +162,6 @@ class NumberField:
             raise InvalidNumberField("degree must be at least 2")
         if self.degree > DEGREE_CAP:
             raise InvalidNumberField("degree %d exceeds cap %d" % (self.degree, DEGREE_CAP))
-        if not is_squarefree(self.poly):
-            raise InvalidNumberField("polynomial is not squarefree")
-        if IntPoly(self.poly).integer_roots():
-            raise InvalidNumberField("polynomial has a rational root, so is reducible")
         if len(isolating_interval) != 2:
             raise InvalidNumberField("isolating interval must be [lo, hi]")
         lo, hi = (Fraction(isolating_interval[0]), Fraction(isolating_interval[1]))
@@ -193,6 +173,12 @@ class NumberField:
             raise InvalidNumberField("no sign change over the isolating interval")
         if count_real_roots(self.poly, lo, hi) != 1:
             raise InvalidNumberField("isolating interval does not contain exactly one root")
+        factor = proper_factor(self.poly)
+        if factor is not None:
+            if not count_real_roots(factor, lo, hi):
+                factor = integral(poly_divmod(self.poly, factor)[0])
+            text = IntPoly(factor).text("x")
+            raise ReducibleMinimalPolynomial("reducible polynomial: its factor %s has the isolated root" % text)
         self.iso = (lo, hi)
         self._sign_lo = 1 if s_lo > 0 else -1
         # x^degree .. x^(2*degree-2) reduced mod poly, for multiplication
@@ -229,7 +215,7 @@ class NumberField:
         """The half of the bracket lo/scale < alpha < hi/scale that holds alpha."""
         mid = lo + hi
         scale *= 2
-        # no rational roots, so the value at the midpoint is nonzero
+        # irreducible, so no rational root: the value at the midpoint is nonzero
         if (homogeneous_eval(self.poly, mid, scale) > 0) == (self._sign_lo > 0):
             return mid, 2 * hi, scale
         return 2 * lo, mid, scale
@@ -274,17 +260,9 @@ class NumberField:
 
     def sign_of(self, vec):
         """Sign of sum(vec[k] * alpha^k) for an integer vector with a nonzero
-        irrational part, by integer balls of doubling precision.
-
-        The exact zero-image test at `_ZERO_TEST_BITS` is skipped when
-        `polynomials.provably_irreducible` proves the defining polynomial
-        irreducible (decided at the field's first zero test and kept): a
-        nonzero vector of lower degree is then no multiple of it, so alpha
-        is no root of it.  It is also skipped when the lemma of
-        `polynomials._coprime_mod_prime` proves the vector coprime to the
-        monic defining polynomial: then no real image of the element
-        vanishes.
-        """
+        irrational part, by integer balls of doubling precision.  Alpha is no
+        root of a nonzero vector of lower degree than its irreducible
+        polynomial, so some precision decides."""
         level = 0
         while True:
             lo, hi = self.ball(vec, level)
@@ -292,30 +270,7 @@ class NumberField:
                 return 1
             if hi < 0:
                 return -1
-            if (
-                _BALL_BITS << level == _ZERO_TEST_BITS
-                and not self.proved_irreducible()
-                and not _coprime_mod_prime(self.poly, poly_trim(vec))
-            ):
-                # rule out a zero real image (possible only when the defining
-                # polynomial is reducible); the bracket isolates alpha
-                shared = poly_gcd(poly_trim(vec), self.poly)
-                a, b, scale = self._bracket
-                if len(shared) > 1 and count_real_roots(shared, Fraction(a, scale), Fraction(b, scale)):
-                    raise ReducibleMinimalPolynomial(
-                        "element has zero real image but nonzero coefficients; "
-                        "the defining polynomial is reducible"
-                    )
             level += 1
-
-    def proved_irreducible(self):
-        """provably_irreducible(self.poly), decided once per field: the one
-        cache of the field's irreducibility."""
-        try:
-            return self._irreducible
-        except AttributeError:
-            self._irreducible = provably_irreducible(self.poly)
-            return self._irreducible
 
     def alpha(self):
         return _scalar(self, (0, 1) + (0,) * (self.degree - 2), 1)
@@ -461,11 +416,8 @@ class Scalar:
             q, r = poly_divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-        if len(r0) - 1 > 0:
-            raise ReducibleMinimalPolynomial(
-                "element is a zero divisor; the defining polynomial is reducible"
-            )
-        # num * s0 = r0 modulo the polynomial, so den / num = den * s0 / r0
+        # num * s0 = r0 modulo the polynomial, and r0 is a nonzero constant
+        # because the polynomial is irreducible, so den / num = den * s0 / r0
         unit = Fraction(r0[0])
         return self.field.element([Fraction(c) * d / unit for c in s0])
 

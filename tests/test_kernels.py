@@ -41,8 +41,8 @@ from imapk.ktheory import (
 )
 from imapk.interval_map import is_surjective, validate_map
 from imapk.polynomials import (
-    IntPoly, count_real_roots, integral, is_squarefree, sturm_sequence, poly_derivative, poly_divmod,
-    poly_eval, poly_gcd, poly_neg, poly_trim, monic_from_dependence,
+    IntPoly, count_real_roots, integral, proper_factor, sturm_sequence, poly_derivative, poly_divmod,
+    poly_eval, poly_gcd, poly_mul, poly_neg, poly_trim, monic_from_dependence,
 )
 from imapk.scalar import ONE, ZERO, as_scalar
 from imapk.specfile import parse_spec
@@ -543,7 +543,17 @@ def squared_products(draw):
 def test_squarefree_part_of_squared_products_matches_one_rational_gcd(p):
     # the part mod q when r = p / t^k is proved squarefree, else the Fraction route
     assert p.squarefree_part() == reference_squarefree_part(p)
-    assert is_squarefree(p.coeffs) == (len(poly_gcd(p.coeffs, poly_derivative(p.coeffs))) <= 1)
+    # proper_factor returns the repeated factor exactly when there is one
+    factor = proper_factor(p.coeffs)
+    repeated = poly_gcd(p.coeffs, poly_derivative(p.coeffs))
+    if len(repeated) > 1:
+        assert factor == integral(repeated)
+    else:
+        assert factor is None or (
+            0 < len(factor) - 1 < p.degree
+            and not poly_divmod(p.coeffs, factor)[1]
+            and poly_divmod(p.coeffs, poly_mul(factor, factor))[1]
+        )
 
 
 def test_a_lead_the_prime_divides_falls_back_to_the_rational_gcd(monkeypatch):
@@ -554,7 +564,7 @@ def test_a_lead_the_prime_divides_falls_back_to_the_rational_gcd(monkeypatch):
     monkeypatch.setattr(polynomials, "poly_gcd", lambda a, b: calls.append(1) or exact(a, b))
     p = IntPoly([1, q]) * IntPoly([1, q])
     assert p.squarefree_part() == IntPoly([1, q])
-    assert not is_squarefree(p.coeffs)
+    assert proper_factor(p.coeffs) == (1, q)
     assert len(calls) == 2
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from imapk import entropy, families, interval_map, ktheory, orbit, report, stepfun
 from imapk.entropy import entropy_report, perron_enclosure
-from imapk.errors import InvalidMarkovPartition, ReducibleMinimalPolynomial
+from imapk.errors import CertificateFailure, InvalidMarkovPartition, ReducibleMinimalPolynomial
 from imapk.interval_map import AffineBranch
 from imapk.polynomials import count_real_roots
 from imapk.orbit import critical_closure, forward_orbit, idoc_check, keane_idoc
@@ -187,11 +187,32 @@ REDUCIBLE_FIELD_EXCHANGE = (
 )
 
 
-def test_keane_leaves_a_reducible_field_to_the_capped_check():
-    # (x^2 - 2)(x^2 - 3) at sqrt(2): both lengths are 1/2, the rotation by 1/2
-    spec = parse_spec(REDUCIBLE_FIELD_EXCHANGE)
-    with pytest.raises(ReducibleMinimalPolynomial):
-        run("classify", spec)
+def test_a_reducible_field_is_refused_at_parse_time():
+    # (x^2 - 2)(x^2 - 3) at sqrt(2): both lengths would be 1/2, the rotation
+    # by 1/2, though their coefficient vectors are independent
+    with pytest.raises(ReducibleMinimalPolynomial, match=r"factor x\^2 - 2 has the isolated root"):
+        parse_spec(REDUCIBLE_FIELD_EXCHANGE)
+
+
+# the rotation by sqrt(2) + sqrt(3) - 3 over its minimal polynomial
+# x^4 - 10x^2 + 1, which splits modulo every prime
+SQRT2_PLUS_SQRT3_ROTATION = (
+    "field { poly = [1,0,-10,0,1]; iso = [3,4] }\n"
+    "map { family = interval_exchange; lengths = [alg:[4,-1], alg:[-3,1]]; permutation = [2,1] }"
+)
+
+
+def test_keane_decides_a_rotation_over_a_polynomial_that_splits_modulo_every_prime(monkeypatch):
+    calls = count_calls(monkeypatch, critical_closure, idoc_check)
+    keane = "Keane: an interval exchange with an irreducible permutation"
+    got, code = run("classify", parse_spec(SQRT2_PLUS_SQRT3_ROTATION))
+    assert code == 0 and calls["critical_closure"] == calls["idoc_check"] == 0
+    assert got["kgroups"]["family_route"]["label"] == "unconditional"
+    assert got["markov"]["status"] == "provably_not_markov"
+    assert got["markov"]["witness"].startswith("permutation [2, 1]")
+    got, code = run("orbit", parse_spec(SQRT2_PLUS_SQRT3_ROTATION))
+    assert code == 0
+    assert [(c["property"], c["source"][:len(keane)]) for c in got["certificates"]] == [("transitive", keane)]
 
 
 @pytest.mark.parametrize("name", ["tent", "realization", "golden_beta"])
@@ -321,9 +342,15 @@ def test_a_report_leaves_the_table_of_images_empty(name):
 
 
 def test_a_report_that_raises_leaves_the_table_of_images_empty(monkeypatch):
+    # the graph flags are read after the closure has filled the table
     calls = count_calls(monkeypatch, interval_map.eval_multivalued)
-    spec = parse_spec(REDUCIBLE_FIELD_EXCHANGE)
-    with pytest.raises(ReducibleMinimalPolynomial):
+
+    def fail(matrix):
+        raise CertificateFailure("graph flags")
+
+    monkeypatch.setattr(report, "graph_flags", fail)
+    spec = parse_spec((ROOT / "specs" / "tent.imapk").read_text())
+    with pytest.raises(CertificateFailure):
         run("classify", spec)
     assert calls["eval_multivalued"] > 0
     assert spec.map.images == {}

@@ -1,15 +1,17 @@
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imapk import scalar
+from imapk import polynomials, scalar
 from imapk.errors import (
     DivisionByZero,
     InvalidNumberField,
@@ -17,11 +19,13 @@ from imapk.errors import (
     ReducibleMinimalPolynomial,
 )
 from imapk.orbit import critical_closure
-from imapk.polynomials import factor_degrees_mod_p, provably_irreducible
+from imapk.cli import main
+from imapk.polynomials import poly_divmod, poly_mul, proper_factor
 from imapk.scalar import NumberField, Scalar, rational, scalar_from_text, sort_scalars
 from imapk.specfile import parse_spec
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
+SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = Path(__file__).resolve().parent / "data"
 
 
@@ -385,73 +389,108 @@ def test_ball_sign_tests_leave_the_shared_interval_alone():
 
 
 def test_zero_real_image_over_reducible_polynomial_raises():
-    # (x^2 - 2)(x^2 - 3) has its root sqrt2 alone in (1, 3/2)
-    field = NumberField([6, 0, -5, 0, 1], (1, Fraction(3, 2)))
-    a = field.alpha()
-    with pytest.raises(ReducibleMinimalPolynomial):
-        (a * a - 2).sign()
-    with pytest.raises(ReducibleMinimalPolynomial):
-        (a * a).compare(2)
-    assert (a * a - 3).sign() == -1
+    # (x^2 - 2)(x^2 - 3) has its root sqrt2 alone in (1, 3/2), where x^2 - 2
+    # would be a nonzero element with a zero real image: the field is refused
+    # where it is built, and the message names the factor with the root
+    with pytest.raises(ReducibleMinimalPolynomial, match=r"factor x\^2 - 2 has the isolated root"):
+        NumberField([6, 0, -5, 0, 1], (1, Fraction(3, 2)))
+    with pytest.raises(ReducibleMinimalPolynomial, match=r"factor x\^2 - 3 has the isolated root"):
+        NumberField([6, 0, -5, 0, 1], (Fraction(3, 2), 2))
+    with pytest.raises(ReducibleMinimalPolynomial, match=r"factor x - 1 has the isolated root"):
+        NumberField([-1, 0, 1], (0, 2))
+    assert issubclass(ReducibleMinimalPolynomial, InvalidNumberField)
+
+
+def test_a_reducible_field_is_refused_under_optimize_and_by_the_cli(tmp_path, capsys):
+    path = tmp_path / "reducible.imapk"
+    path.write_text("field { poly = [6,0,-5,0,1]; iso = [1,3/2] }\nmap { family = tent }\n")
+    message = "factor x^2 - 2 has the isolated root"
+    assert main(["classify", str(path)]) == 1
+    assert message in capsys.readouterr().err
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "imapk", "classify", str(path), "--json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert message in done.stderr
 
 
 def _spy(monkeypatch, name):
-    """A list that records the arguments of each call of `scalar.<name>`."""
+    """A list that records the arguments of each call of `polynomials.<name>`,
+    made from `polynomials` or from `scalar`."""
     calls = []
-    real = getattr(scalar, name)
+    real = getattr(polynomials, name)
 
     def spied(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(scalar, name, spied)
+    for module in (polynomials, scalar):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, spied)
     return calls
-
-
-def test_a_zero_image_over_a_reducible_polynomial_reaches_the_exact_gcd(monkeypatch):
-    field = NumberField([6, 0, -5, 0, 1], (1, Fraction(3, 2)))
-    a = field.alpha()
-    proofs, gcds = _spy(monkeypatch, "_coprime_mod_prime"), _spy(monkeypatch, "poly_gcd")
-    with pytest.raises(ReducibleMinimalPolynomial):
-        (a * a - 2).sign()
-    assert len(proofs) == len(gcds) == 1
 
 
 def test_the_zero_tests_over_q_sqrt2_run_no_exact_gcd(monkeypatch, sqrt2_field):
     # x = (sqrt2 - 1)^900 is about 2^-1144 with coefficients near 2^1144, so
-    # the 1024-bit balls of x and of x^2 - x hold 0 and both signs reach the
-    # zero test; x^2 - 2 is proved irreducible at the first of them, once,
-    # and that proof ends every zero test of the field
-    proofs, gcds = _spy(monkeypatch, "_coprime_mod_prime"), _spy(monkeypatch, "poly_gcd")
-    irreducibility = _spy(monkeypatch, "provably_irreducible")
+    # the 1024-bit balls of x and of x^2 - x hold 0; finer balls decide both
+    # signs, with no gcd and no irreducibility test, which the field ran once
+    # when it was built
+    spies = [_spy(monkeypatch, name) for name in ("poly_gcd", "_coprime_mod_prime", "proper_factor")]
     x = (sqrt2_field.alpha() - 1) ** 900
     assert x.sign() == 1
     assert (x * x - x).sign() == -1
-    assert len(irreducibility) == 1
-    assert not proofs and not gcds
+    assert spies == [[], [], []]
 
 
-def test_factor_degrees_mod_p():
-    # x^4 - x - 1 is irreducible mod 2; (x^2 - 2)(x^2 - 3) is not squarefree
-    # mod 2 or 3, and 2 is a square mod 7 while 3 is not
-    assert factor_degrees_mod_p((-1, -1, 0, 0, 1), 2) == [4]
-    assert factor_degrees_mod_p((6, 0, -5, 0, 1), 2) is None
-    assert factor_degrees_mod_p((6, 0, -5, 0, 1), 5) == [2, 2]
-    assert sorted(factor_degrees_mod_p((6, 0, -5, 0, 1), 7)) == [1, 1, 2]
+def _random_monic(rng, degree):
+    return tuple(rng.randint(-10**6, 10**6) for _ in range(degree)) + (1,)
 
 
-def test_provably_irreducible():
-    # degrees 2 and 3 follow from the missing rational root
-    assert provably_irreducible((-2, 0, 1))
-    assert provably_irreducible((-1, -1, 0, 1))
-    assert provably_irreducible((-1, -1, 0, 0, 1))
-    assert provably_irreducible((-2, 0, 0, 0, 1))
-    assert provably_irreducible((-1, -1, 0, 0, 0, 0, 0, 0, 1))
-    # reducible, with and without a rational root
-    assert not provably_irreducible((6, 0, -5, 0, 1))
-    assert not provably_irreducible((-1, 0, 0, 0, 0, 1))
-    # irreducible, but it splits mod every prime, so it is never proved
-    assert not provably_irreducible((1, 0, -10, 0, 1))
+def test_proper_factor_divides_products_of_random_polynomials():
+    # (x^2 - 2)(x^2 - 3) is not squarefree mod 3, splits as [2, 2] mod 5 and
+    # as [1, 1, 2] mod 7; x^5 - 1 has the rational root 1
+    cases = [((-2, 0, 1), (-3, 0, 1)), ((-1, 1), (1, 1, 1, 1, 1))]
+    rng = random.Random(31)
+    for _ in range(120):
+        d = rng.randint(1, 7)
+        a = _random_monic(rng, d)
+        b = a if 2 * d <= 8 and rng.random() < 0.2 else _random_monic(rng, rng.randint(1, 8 - d))
+        cases.append((a, b))
+    for a, b in cases:
+        f = poly_mul(a, b)
+        factor = proper_factor(f)
+        assert factor is not None and 0 < len(factor) - 1 < len(f) - 1, (a, b)
+        assert not poly_divmod(f, factor)[1], (a, b)
+    assert proper_factor((6, 0, -5, 0, 1)) in ((-2, 0, 1), (-3, 0, 1))
+
+
+def test_proper_factor_proves_irreducibility():
+    odd_primes = [p for p in range(3, 200, 2) if all(p % d for d in range(3, p, 2))]
+    irreducible = [
+        (-2, 0, 1),
+        (-1, -1, 0, 1),
+        (-1, -1, 0, 0, 1),
+        (-2, 0, 0, 0, 1),
+        (-1, -1, 0, 0, 0, 0, 0, 0, 1),
+        (1, 0, 0, 0, 1),
+        # sqrt(2) + sqrt(3) and sqrt(2) + sqrt(3) + sqrt(5): they split modulo
+        # every prime, so the factor degrees alone never prove them
+        (1, 0, -10, 0, 1),
+        (576, 0, -960, 0, 352, 0, -40, 0, 1),
+        # not squarefree modulo any odd prime below 200
+        (-prod(odd_primes), 0, 1),
+    ]
+    rng = random.Random(7)
+    for degree in range(2, 9):
+        p = rng.choice([2, 3, 5, 7])
+        lower = [p * rng.randint(-50, 50) for _ in range(degree)]
+        lower[0] = p * rng.choice([k for k in range(-20, 21) if k % p])
+        irreducible.append(tuple(lower) + (1,))  # Eisenstein at p
+    for f in irreducible:
+        assert proper_factor(f) is None, f
 
 
 def test_compare_rejects_mixed_fields(sqrt2_field, golden_field):

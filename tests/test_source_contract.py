@@ -7,8 +7,10 @@ handler of ``Exception`` or ``BaseException``, which would swallow a
 ``CertificateFailure``, and outside the front ends no handler of
 ``ImapkError``.  No call of ``json.dumps`` with ``indent``, which runs
 CPython's pure-Python encoder (``report.to_json`` writes the indented
-report).  Only the orbit layer reads the map's table of images.  And no
-helper, class or module-level constant that nothing in the library reads.
+report).  No module-level function of ``random``, whose shared state would
+make a result depend on what ran before: only a ``Random(seed)`` instance.
+Only the orbit layer reads the map's table of images.  And no helper, class
+or module-level constant that nothing in the library reads.
 """
 
 import ast
@@ -24,10 +26,11 @@ BROAD_EXCEPTIONS = {"Exception", "BaseException"}
 def violations(tree):
     """(line, reason) for each breach of the contract in a parsed module."""
     found = []
-    math_modules = set()
+    math_modules, random_modules = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             math_modules.update(a.asname or a.name for a in node.names if a.name == "math")
+            random_modules.update(a.asname or a.name for a in node.names if a.name == "random")
     for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
             found.append((node.lineno, "assert statement"))
@@ -41,6 +44,15 @@ def violations(tree):
         elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
               and node.value.id in math_modules and node.attr not in MATH_ALLOWED):
             found.append((node.lineno, "math.%s used" % node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "random":
+            found += [(node.lineno, "random.%s imported" % a.name) for a in node.names if a.name != "Random"]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in random_modules and node.attr != "Random"):
+            found.append((node.lineno, "random.%s used" % node.attr))
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "attr", getattr(node.func, "id", None)) == "Random"
+              and not node.args and not node.keywords):
+            found.append((node.lineno, "unseeded Random"))
         elif isinstance(node, ast.ExceptHandler):
             caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
             found += [(node.lineno, "bare except") for t in caught if t is None]
@@ -77,12 +89,19 @@ def test_module_keeps_the_exactness_contract(path):
     ("try:\n    f()\nexcept (ValueError, BaseException) as exc:\n    pass", "BaseException caught"),
     ("text = json.dumps(report, indent=2, ensure_ascii=True)", "json.dumps with indent"),
     ("from json import dumps\ntext = dumps(report, indent=4)", "json.dumps with indent"),
+    ("import random\nk = random.randrange(10)", "random.randrange used"),
+    ("import random as rnd\nrnd.seed(1)", "random.seed used"),
+    ("from random import choice", "random.choice imported"),
+    ("from random import Random\nrng = Random()", "unseeded Random"),
+    ("import random\nrng = random.Random()", "unseeded Random"),
 ])
 def test_each_breach_is_caught(source, reason):
     assert [r for _, r in violations(ast.parse(source))] == [reason]
     assert violations(ast.parse("from math import gcd, lcm\nimport math\nn = math.isqrt(8) + 1")) == []
     assert violations(ast.parse("try:\n    f()\nexcept (KeyError, ValueError):\n    pass")) == []
     assert violations(ast.parse("text = json.dumps(value)")) == []
+    assert violations(ast.parse("from random import Random\nrng = Random(p)")) == []
+    assert violations(ast.parse("import random\nk = random.Random(7).randrange(9)")) == []
 
 
 # Only the front ends catch ImapkError itself: the CLI turns it into an error
