@@ -433,6 +433,18 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def test_a_zero_image_over_a_reducible_polynomial_reaches_the_exact_gcd(monkeypatch):
+    # over (x^2 - 2)(x^2 - 3)^2 with its simple root sqrt2 isolated, x^2 - 2
+    # would be a nonzero element with a zero real image; the repeated factor
+    # fails the modular coprimality proof once, and the one exact gcd with
+    # the derivative finds x^2 - 3, whose cofactor holds the root
+    proofs, gcds = _spy(monkeypatch, "_coprime_mod_prime"), _spy(monkeypatch, "poly_gcd")
+    f = poly_mul((6, 0, -5, 0, 1), (-3, 0, 1))
+    with pytest.raises(ReducibleMinimalPolynomial, match=r"factor x\^4 - 5x\^2 \+ 6 has the isolated root"):
+        NumberField(f, (1, Fraction(3, 2)))
+    assert len(proofs) == len(gcds) == 1
+
+
 def test_the_zero_tests_over_q_sqrt2_run_no_exact_gcd(monkeypatch, sqrt2_field):
     # x = (sqrt2 - 1)^900 is about 2^-1144 with coefficients near 2^1144, so
     # the 1024-bit balls of x and of x^2 - x hold 0; finer balls decide both
