@@ -28,7 +28,7 @@ injectivity; anything weaker degrades to an invariants-only report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
@@ -354,13 +354,11 @@ def module_generators(m):
 class Classification:
     verdict: str  # cuntz_algebra | cuntz_infinity | cuntz_krieger | invariants_only
     index: int | None
-    matrix: list | None
     k0: dict
     k1: dict
     hypotheses: list
     annotations: list
     conditional: bool
-    refusals: list = field(default_factory=list)
 
     def as_dict(self):
         d = {
@@ -373,10 +371,6 @@ class Classification:
         }
         if self.index is not None:
             d["index"] = self.index
-        if self.matrix is not None:
-            d["matrix"] = [list(r) for r in self.matrix]
-        if self.refusals:
-            d["refusals"] = list(self.refusals)
         return d
 
 
@@ -386,14 +380,15 @@ def _kg_dicts(kg):
 
 
 def classify(flags, *, minpoly_report=None, minpoly_kgroups=None,
-             nonperiodic=None, markov_data=None, separation=None,
-             incidence_kgroups=None, exchange=None, multimodal=None,
-             refusals=(), extra_hypotheses=()):
+             nonperiodic=None, separation=None, incidence_kgroups=None,
+             exchange=None, multimodal=None, extra_hypotheses=()):
     """Decision tree for the crossed product algebra.
 
     Preference order: a Cuntz algebra identification (finite index via the
     minimal polynomial, or infinite via a non-periodicity certificate), then
     a Cuntz-Krieger identification through separation, then invariants only.
+    ``separation`` and ``incidence_kgroups`` come from Markov data, whose
+    matrix A names the Cuntz-Krieger algebra O_A.
     Every identification records the hypotheses it used; missing transitivity
     or essential-injectivity evidence blocks identification.  ``nonperiodic``,
     ``exchange`` and ``multimodal`` are `snf.Route`s, and a verdict that
@@ -427,29 +422,24 @@ def classify(flags, *, minpoly_report=None, minpoly_kgroups=None,
             ]
             k0, k1 = _kg_dicts(kg)
             return Classification(
-                "cuntz_algebra", n + 1, None, k0, k1, h, annotations,
+                "cuntz_algebra", n + 1, k0, k1, h, annotations,
                 conditional=minpoly_report.cyclicity == "asserted",
-                refusals=list(refusals),
             )
     if identification_ok and nonperiodic is not None:
         h = hyps + ["critical orbit never closes: %s" % nonperiodic.label]
         k0, k1 = _kg_dicts(nonperiodic.kgroups)
         return Classification(
-            "cuntz_infinity", None, None, k0, k1, h, annotations,
-            conditional=nonperiodic.conditional, refusals=list(refusals),
+            "cuntz_infinity", None, k0, k1, h, annotations,
+            conditional=nonperiodic.conditional,
         )
     if (
-        markov_data is not None
-        and separation is not None
+        separation is not None
         and separation.status == "separates"
         and incidence_kgroups is not None
     ):
         h = hyps + ["markov with separating itineraries (condition L)"]
         k0, k1 = _kg_dicts(incidence_kgroups)
-        return Classification(
-            "cuntz_krieger", None, markov_data.matrix, k0, k1, h, annotations,
-            conditional=False, refusals=list(refusals),
-        )
+        return Classification("cuntz_krieger", None, k0, k1, h, annotations, conditional=False)
     # invariants only; a route's own label says whether its K-groups are conditional
     k0 = k1 = {}
     route = None
@@ -473,6 +463,6 @@ def classify(flags, *, minpoly_report=None, minpoly_kgroups=None,
             "theorem does not apply"
         )
     return Classification(
-        "invariants_only", None, None, k0, k1, hyps, annotations,
-        conditional=route is not None and route.conditional, refusals=list(refusals),
+        "invariants_only", None, k0, k1, hyps, annotations,
+        conditional=route is not None and route.conditional,
     )

@@ -397,12 +397,10 @@ class Pipeline:
             minpoly_report=self.minpoly.report,
             minpoly_kgroups=self.minpoly.kgroups,
             nonperiodic=self.minpoly.nonperiodic,
-            markov_data=self.markov_data,
             separation=self.separation,
             incidence_kgroups=self.incidence_route,
             exchange=self.exchange_route,
             multimodal=self.multimodal[0],
-            refusals=self.refusals,
             extra_hypotheses=extra_hyps,
         )
 

@@ -756,6 +756,9 @@ def scalar_from_text(text, field=None):
         elem = _parse_bracketed(parts[2], "elem")
         if len(iso) != 2:
             raise ValueError("iso part must have two entries")
+        # the text of a scalar of `field` names field.key(): reuse the field
+        if field is not None and (tuple(poly), tuple(iso)) == field.key():
+            return field.element(elem)
         parsed = NumberField(poly, (iso[0], iso[1]))
         if field is not None and field != parsed:
             raise MixedFieldContexts("scalar text declares a different field")

@@ -429,10 +429,10 @@ def kgroups_from_incidence(A):
 
 @dataclass
 class DimensionTriplePresentation:
-    """Stationary inductive limit presentation of the core algebra's K0."""
+    """Stationary inductive limit presentation of the core algebra's K0:
+    copies of Z^size connected by the Markov matrix (``markov.data.matrix``)."""
 
     size: int
-    matrix: list
     det: int
     char_poly: IntPoly
     limit_rank: int
@@ -443,7 +443,6 @@ class DimensionTriplePresentation:
     def as_dict(self):
         return {
             "group": "Z^%d" % self.size,
-            "automorphism_matrix": [list(r) for r in self.matrix],
             "order_unit": list(self.order_unit),
             "det": self.det,
             "char_poly": self.char_poly.text(),
@@ -479,7 +478,6 @@ def stationary_dimension_triple(A, poly=None):
         auto_note = "the matrix acts as an automorphism of Z^%d" % n
     return DimensionTriplePresentation(
         size=n,
-        matrix=[list(r) for r in A],
         det=det,
         char_poly=p,
         limit_rank=limit_rank,

@@ -1,15 +1,23 @@
 """Pipeline-level behavior: verdict routing, soundness gates, invariants."""
 
+import random
 from pathlib import Path
 
 import pytest
 
-from imapk.interval_map import eval_multivalued
-from imapk.ktheory import unimodal_minpoly, unimodal_orbit_data
+from conftest import make_rational_map
+from imapk.entropy import perron_enclosure
+from imapk.errors import NotSurjective
+from imapk.interval_map import eval_multivalued, validate_map
+from imapk.ktheory import minimal_polynomial_iter, unimodal_minpoly, unimodal_orbit_data
+from imapk.markov import MarkovData, detect_markov
 from imapk.orbit import critical_closure, forward_orbit
 from imapk.report import run
+from imapk.snf import kgroups_from_incidence
 from imapk.specfile import parse_spec
 from imapk.stepfun import apply_int_poly, indicator
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_cuntz_krieger_verdict_for_realization():
@@ -135,6 +143,44 @@ def test_critical_closure_is_invariant(tent, golden_beta, offdiag_realization):
         for p in cc.points:
             for v in eval_multivalued(m, p):
                 assert v in pts
+
+
+def flipped(m):
+    """The conjugate of m by x -> 1 - x: the partition 1 - p reversed, and
+    the branch y = s*x + c of each interval becomes y = s*x + (1 - s - c)."""
+    partition = [1 - p for p in reversed(m.partition)]
+    branches = [(b.slope, 1 - b.slope - b.intercept) for b in reversed(m.branches)]
+    return validate_map(partition, branches)
+
+
+def _flip_invariants(m, cap):
+    result = detect_markov(m, cap)
+    if isinstance(result, MarkovData):
+        A = result.matrix
+        out = ["markov", kgroups_from_incidence(A).as_dict(), perron_enclosure(A)]
+    else:
+        out = [result.kind]
+    try:
+        out.append(minimal_polynomial_iter(m))
+    except NotSurjective:
+        out.append("not surjective")
+    return out
+
+
+def test_conjugacy_by_the_flip_keeps_the_closure_kgroups_entropy_and_minpoly():
+    # the flip maps the critical closure of m onto that of flipped(m) and
+    # commutes with the transfer operator, and it fixes the constant 1
+    maps = [parse_spec(p.read_text()).map for p in sorted((ROOT / "specs").glob("*.imapk"))]
+    rng = random.Random(5)
+    maps += [make_rational_map(rng) for _ in range(60)]
+    kinds = set()
+    for i, m in enumerate(maps):
+        flip = flipped(m)
+        assert flipped(flip) == m
+        got = _flip_invariants(m, 2000)
+        assert _flip_invariants(flip, 2000) == got, i
+        kinds.add(got[0])
+    assert kinds == {"markov", "provably_infinite", "cap_reached", "size_limit_reached"}
 
 
 def test_orbit_determinism(golden_beta):

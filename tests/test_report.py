@@ -19,7 +19,7 @@ from imapk.interval_map import AffineBranch
 from imapk.polynomials import count_real_roots
 from imapk.orbit import critical_closure, forward_orbit, idoc_check, keane_idoc
 from imapk.report import run, to_json
-from imapk.scalar import Scalar
+from imapk.scalar import NumberField, Scalar
 from imapk.snf import char_poly, kgroups_from_incidence, stationary_dimension_triple
 from imapk.specfile import parse_spec
 
@@ -66,7 +66,7 @@ def test_shipped_reports_are_unchanged_and_compute_only_what_they_emit(spec_path
         got, code = run(command, parse_spec(spec_path.read_text()))
         recorded = RECORDED["%s/%s" % (spec_path.stem, command)]
         text = to_json(got)
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == recorded["sha256"]
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == recorded["sha256"], command
         assert text == json.dumps(got, indent=2, ensure_ascii=True), command
         assert code == recorded["exit"]
         assert calls["critical_closure"] == int((spec_path.stem, command) not in NO_CLOSURE), command
@@ -78,6 +78,51 @@ def test_shipped_reports_are_unchanged_and_compute_only_what_they_emit(spec_path
             assert calls["minimal_polynomial_iter"] == 0, command
         if command in ("orbit", "markov"):
             assert calls["entropy_report"] == calls["classify"] == 0, command
+
+
+def repeated_lists(report):
+    """Paths of each matrix (a list of lists) or list of records (a list of
+    dicts, such as the refusals) that occurs under two or more keys, grouped
+    by value.  An orbit's `edges` index its own `points`, so equal edges of
+    two orbits are two facts and are not collected."""
+    seen = {}
+
+    def walk(v, path):
+        if isinstance(v, dict):
+            for k, x in v.items():
+                if k != "edges":
+                    walk(x, "%s/%s" % (path, k))
+        elif isinstance(v, list):
+            if v and (all(isinstance(x, list) for x in v) or all(isinstance(x, dict) for x in v)):
+                seen.setdefault(json.dumps(v), []).append(path)
+            for i, x in enumerate(v):
+                walk(x, "%s/%d" % (path, i))
+
+    walk(report, "")
+    return [paths for paths in seen.values() if len(paths) > 1]
+
+
+@pytest.mark.parametrize("spec_path", SPECS, ids=lambda p: p.stem)
+def test_a_report_states_each_matrix_and_refusal_list_once(spec_path):
+    # the Markov matrix is markov.data.matrix and the refusals are the
+    # top-level section; classification and dimension_module copy neither
+    for command in COMMANDS:
+        got, _ = run(command, parse_spec(spec_path.read_text()))
+        assert repeated_lists(json.loads(to_json(got))) == [], command
+
+
+def test_repeated_lists_finds_a_copied_matrix_and_refusal_list():
+    refusal = [{"flag": "--assert-orbit-infinite", "reason": "conditional"}]
+    report = {
+        "markov": {"data": {"matrix": [[1, 1], [1, 0]]}},
+        "classification": {"matrix": [[1, 1], [1, 0]], "refusals": refusal},
+        "refusals": refusal,
+        "orbits": [{"points": ["0"], "edges": [[0, 0]]}, {"points": ["1"], "edges": [[0, 0]]}],
+    }
+    assert repeated_lists(report) == [
+        ["/markov/data/matrix", "/classification/matrix"],
+        ["/classification/refusals", "/refusals"],
+    ]
 
 
 def test_report_bytes_read_no_scalar_hash(monkeypatch):
@@ -213,6 +258,26 @@ def test_keane_decides_a_rotation_over_a_polynomial_that_splits_modulo_every_pri
     got, code = run("orbit", parse_spec(SQRT2_PLUS_SQRT3_ROTATION))
     assert code == 0
     assert [(c["property"], c["source"][:len(keane)]) for c in got["certificates"]] == [("transitive", keane)]
+
+
+def test_the_echo_rebuilds_its_scalars_over_the_one_field_it_names(monkeypatch):
+    # each quoted element repeats the echo's field key; building a field runs
+    # proper_factor and a Sturm count, so the echo's field is built once
+    got, _ = run("classify", parse_spec(SQRT2_PLUS_SQRT3_ROTATION))
+    built = []
+    init = NumberField.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(NumberField, "__init__", counted)
+    m = report.map_from_echo(json.loads(to_json(got))["map"])
+    assert len(built) == 1
+    scalars = list(m.partition) + [x for b in m.branches for x in (b.slope, b.intercept)]
+    algebraic = [x for x in scalars if x.field is not None]
+    assert len(algebraic) == 3 and all(x.field is built[0] for x in algebraic)
+    assert m == parse_spec(SQRT2_PLUS_SQRT3_ROTATION).map
 
 
 @pytest.mark.parametrize("name", ["tent", "realization", "golden_beta"])
