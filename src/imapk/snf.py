@@ -10,14 +10,28 @@ unimodular transforms, and the diagonal is checked for the divisibility
 chain.  Cokernels and kernels of id - A are read off the diagonal, which is
 all the K-group computations need.
 
-The characteristic polynomial is computed by a Hessenberg reduction modulo
-primes whose product exceeds twice a Hadamard bound on its coefficients,
-combined by CRT, and checked at one point against a Bareiss determinant; the
-stationary presentation reads its determinant and the rank of its limit
-group off that polynomial.  That point check and the Gram determinant of
-Keane's condition in the orbit layer are the only users of the Bareiss
-determinant.  A failed check raises :class:`CertificateFailure`, which
-``python -O`` cannot remove.
+The Smith form of id - A and the characteristic polynomial of a Markov
+matrix A are computed on a smaller matrix B: `amalgamate` merges equal
+states.  If E keeps one of each class of equal rows of A and D is the 0/1
+division matrix sending each state to its class, then A = D*E, and summing
+the columns of each class gives B = E*D.  So A and B are elementary strong
+shift equivalent (R. F. Williams, Ann. of Math. 98, 1973), and for any
+integer D and E, coker(id - D*E) and coker(id - E*D) are isomorphic, and so
+are the kernels (the Bowen-Franks groups; R. Bowen and J. Franks, Ann. of
+Math. 106, 1977), while det(tI - D*E) = t^(N-M) det(tI - E*D) for N x M
+matrix D.  Equal columns give the same with D and E transposed.  Rounds of
+merging all equal rows, then all equal columns, run until no two are equal,
+and each round is certified by its integer products A = D*E and B = E*D
+before the next one starts.
+
+The characteristic polynomial of B is computed by a Hessenberg reduction
+modulo primes whose product exceeds twice a Hadamard bound on its
+coefficients, combined by CRT, and checked at one point against a Bareiss
+determinant; the stationary presentation reads its determinant and the rank
+of its limit group off the polynomial of A.  That point check and the Gram
+determinant of Keane's condition in the orbit layer are the only users of
+the Bareiss determinant.  A failed check raises :class:`CertificateFailure`,
+which ``python -O`` cannot remove.
 """
 
 from __future__ import annotations
@@ -166,23 +180,110 @@ def _char_poly_mod(A, p):
     return polys[-1]
 
 
+class Division(NamedTuple):
+    """One round of `amalgamate`, in row form.  Row i of `before` lies in
+    class classes[i] of `after`, and E holds the first row of each class.
+    With D the 0/1 division matrix whose row i has its one in column
+    classes[i], before = D*E and after = E*D.  A round that merges columns
+    (`columns`) holds the transposes of the matrices it merges."""
+
+    before: list
+    after: list
+    classes: list
+    E: list
+    columns: bool
+
+
+def _equal_row_classes(A):
+    """The class of each row of A, equal rows sharing a class; classes are
+    numbered in the order of their first row."""
+    index = {}
+    return [index.setdefault(row, len(index)) for row in A]
+
+
+def amalgamate(A):
+    """(B, rounds): the matrix left when equal rows and equal columns of the
+    square matrix A are merged until no two are equal, and the `Division` of
+    each round that merged something.  Each round is verified before the next
+    one starts, which proves what the module docstring says of B.
+
+    Rounds alternate between B and its transpose, whose equal rows are B's
+    equal columns.  A round sums the columns of E class by class as rows of
+    E's transpose, which gives the transpose of the merged matrix: the input
+    of the next round."""
+    B = [tuple(row) for row in A]
+    rounds, columns, idle = [], False, 0
+    while idle < 2:
+        classes = _equal_row_classes(B)
+        groups = [[] for _ in range(max(classes, default=-1) + 1)]
+        for j, c in enumerate(classes):
+            groups[c].append(j)
+        if len(groups) < len(B):
+            E = [B[members[0]] for members in groups]
+            E_t = list(zip(*E))
+            merged_t = [E_t[members[0]] if len(members) == 1
+                        else tuple(map(sum, zip(*(E_t[j] for j in members)))) for members in groups]
+            merged = list(zip(*merged_t))
+            _verify_amalgamation(B, merged, classes, E)
+            rounds.append(Division(B, merged, classes, E, columns))
+            B, idle = merged_t, 0
+        else:
+            B, idle = list(zip(*B)), idle + 1
+        columns = not columns
+    return [list(row) for row in (zip(*B) if columns else B)], rounds
+
+
+def _verify_amalgamation(A, B, classes, E):
+    """Check A = D*E and B = E*D in integers, D being the 0/1 matrix with
+    D[i][classes[i]] = 1, by one comparison per row of A and one sparse
+    product per row of E."""
+
+    def require(condition, message):
+        if not condition:
+            raise CertificateFailure("amalgamation certificate: " + message)
+
+    m = len(E)
+    require(len(classes) == len(A) and all(0 <= c < m for c in classes),
+            "the classes do not divide the states")
+    require(all(list(row) == list(E[c]) for row, c in zip(A, classes)), "A != D*E")
+    require(len(B) == m, "B is not the size of E*D")
+    for row, target in zip(E, B):
+        product = [0] * m
+        for j, x in enumerate(row):
+            if x:
+                product[classes[j]] += x
+        require(product == list(target), "B != E*D")
+
+
 def char_poly(A):
     """Characteristic polynomial det(tI - A) of an integer matrix.
 
-    The coefficient of t^(n-k) is (-1)^k times the sum of the k x k principal
-    minors.  By Hadamard's inequality a minor is at most the product of the
-    norms of its rows, so summed over all index sets every coefficient is at
-    most B = prod(1 + |row|) <= prod(2 + isqrt(|row|^2)) in absolute value.
-    The polynomial is computed modulo primes whose product M exceeds 2B,
-    combined by CRT and read off as residues in (-M/2, M/2], so it is exact
-    by that bound.  Its value at t = 2 is then checked against a Bareiss
-    determinant of 2I - A: unlike at t = 1, two wrong coefficients that
-    trade places do not cancel there.
+    It is t^(N-M) det(tI - B) for the M x M matrix B that `amalgamate` leaves
+    of the N x N matrix A; the integer check on A comes first, and B's
+    polynomial is computed by `_char_poly_crt`.
     """
     n = _require_square(A)
     M = [[int(x) for x in row] for row in A]
     if M != [list(row) for row in A]:
         raise CertificateFailure("characteristic polynomial: not an integer matrix")
+    B, _ = amalgamate(M)
+    return IntPoly([0] * (n - len(B)) + list(_char_poly_crt(B).coeffs))
+
+
+def _char_poly_crt(M):
+    """det(tI - M) of a square integer matrix M, from its residues.
+
+    The coefficient of t^(n-k) is (-1)^k times the sum of the k x k principal
+    minors.  By Hadamard's inequality a minor is at most the product of the
+    norms of its rows, so summed over all index sets every coefficient is at
+    most B = prod(1 + |row|) <= prod(2 + isqrt(|row|^2)) in absolute value.
+    The polynomial is computed modulo primes whose product exceeds 2B,
+    combined by CRT and read off as residues in (-P/2, P/2] for that product
+    P, so it is exact by that bound.  Its value at t = 2 is then checked
+    against a Bareiss determinant of 2I - M: unlike at t = 1, two wrong
+    coefficients that trade places do not cancel there.
+    """
+    n = len(M)
     bound = 1
     for row in M:
         bound *= 2 + isqrt(sum(x * x for x in row))
@@ -410,11 +511,13 @@ def _require_square(A):
 def kgroups_from_incidence(A):
     """K-groups of the crossed product algebra from a surjective Markov matrix.
 
-    Cokernel and kernel of id - A via the Smith form; callers restrict to the
-    eventual range first when the map is not surjective.
+    Cokernel and kernel of id - A via the Smith form of id - B, for the
+    matrix B that `amalgamate` leaves of A; callers restrict to the eventual
+    range first when the map is not surjective.
     """
-    n = _require_square(A)
-    M = mat_sub(identity_matrix(n), A)
+    _require_square(A)
+    B, _ = amalgamate(A)
+    M = mat_sub(identity_matrix(len(B)), B)
     decomp = smith_normal_form(M)
     diag = decomp.diagonal()
     torsion = [d for d in diag if d >= 2]

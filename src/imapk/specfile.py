@@ -237,6 +237,12 @@ def read_value(value, kind, field=None):
     if kind in ("int", "rational"):
         if shape != "number":
             raise _fail("expected a number", tok)
+        if "/" not in tok.text:
+            try:
+                n = int(tok.text)
+            except ValueError:
+                raise _fail("malformed number %r" % tok.text, tok) from None
+            return n if kind == "int" else Fraction(n)
         try:
             x = Fraction(tok.text)
         except (ValueError, ZeroDivisionError):

@@ -14,7 +14,10 @@ Fraction Krylov iteration of the transposed matrix.  The unimodal and beta
 closed forms, one polynomial of the critical orbit's weights, are compared
 with the case-by-case formulas they replaced.  The squarefree part proved
 modulo a prime is compared with one rational gcd, and the integer roots found
-by Sturm bisection with the divisor scan they replaced.
+by Sturm bisection with the divisor scan they replaced.  The merging of equal
+states before the Smith form and the characteristic polynomial is compared
+with both kernels run on the unmerged matrix, and each of its rounds with the
+integer products A = D*E and B = E*D.
 """
 
 import bisect
@@ -51,6 +54,7 @@ from imapk.snf import (
     char_poly,
     determinant,
     identity_matrix,
+    kgroups_from_incidence,
     mat_mul,
     mat_sub,
     smith_normal_form,
@@ -253,7 +257,8 @@ def test_the_moduli_are_the_fewest_whose_product_exceeds_twice_the_bound(A, coun
     for row in A:
         bound *= 2 + isqrt(sum(x * x for x in row))
     used = moduli_used(monkeypatch)
-    assert char_poly(A) == reference_char_poly(A)
+    # on the unmerged matrix: char_poly would merge ONES_12's equal states first
+    assert snf._char_poly_crt(A) == reference_char_poly(A)
     assert len(used) == count
     product = 1
     for p in used:
@@ -298,6 +303,118 @@ def test_a_wrong_coefficient_fails_the_point_check_under_optimize():
         "    print('CertificateFailure')\n" % str(Path(__file__).parent)
     )
     assert _run_optimized(code) == "CertificateFailure"
+
+
+# -- amalgamation of equal states -------------------------------------------------
+
+
+def _with_equal_states(rng, n, top):
+    """A random n x n matrix, n >= 2, with entries in 0..top, in which some
+    rows are copies of other rows and then some columns of other columns
+    (copying a column keeps equal rows equal)."""
+    A = [[rng.randint(0, top) for _ in range(n)] for _ in range(n)]
+    for _ in range(rng.randint(1, n // 2 + 1)):
+        i, j = rng.sample(range(n), 2)
+        A[i] = list(A[j])
+    for _ in range(rng.randint(1, n // 2 + 1)):
+        i, j = rng.sample(range(n), 2)
+        for row in A:
+            row[i] = row[j]
+    return A
+
+
+def _division_matrix(classes):
+    return [[int(c == k) for k in range(max(classes) + 1)] for c in classes]
+
+
+def _transpose(A):
+    return [list(col) for col in zip(*A)]
+
+
+def _equal_pair(A):
+    return len({tuple(row) for row in A}) < len(A)
+
+
+def test_amalgamation_keeps_the_kernels_and_every_round_is_a_division():
+    rng = random.Random(59)
+    for case in range(80):
+        n = rng.randint(2, 14)
+        A = _with_equal_states(rng, n, 1 if case % 2 else 3)
+        B, rounds = snf.amalgamate(A)
+        assert rounds and len(B) < n
+        assert not _equal_pair(B) and not _equal_pair(_transpose(B))
+        current = A
+        for r in rounds:
+            # a round that merges columns holds the transposes
+            before, after, E = ([list(row) for row in M] for M in (r.before, r.after, r.E))
+            assert before == (_transpose(current) if r.columns else current)
+            D = _division_matrix(r.classes)
+            assert mat_mul(D, E) == before and mat_mul(E, D) == after
+            current = _transpose(after) if r.columns else after
+        assert current == B
+        diag = smith_normal_form(mat_sub(identity_matrix(n), A)).diagonal()
+        kg = kgroups_from_incidence(A)
+        assert kg.torsion == [d for d in diag if d >= 2], A
+        assert kg.free_rank == kg.k1_rank == diag.count(0), A
+        assert char_poly(A) == snf._char_poly_crt(A), A
+
+
+def _merging_unequal_rows(real):
+    """The class assignment `real`, with its last two classes merged: their
+    rows differ, so the division it proposes is wrong."""
+
+    def corrupted(A):
+        classes = real(A)
+        top = max(classes, default=0)
+        return [min(c, top - 1) for c in classes] if top else classes
+
+    return corrupted
+
+
+# no two rows and no two columns equal; two rows equal; two columns equal
+UNEQUAL_ROWS = [A_TENT_LIKE, [[1, 1, 0], [1, 1, 0], [1, 0, 1]], [[1, 1, 1], [0, 0, 1], [1, 1, 0]]]
+
+
+def test_a_division_that_merges_unequal_rows_is_refused(monkeypatch):
+    monkeypatch.setattr(snf, "_equal_row_classes", _merging_unequal_rows(snf._equal_row_classes))
+    for A in UNEQUAL_ROWS:
+        with pytest.raises(CertificateFailure, match="A != D\\*E"):
+            kgroups_from_incidence(A)
+        with pytest.raises(CertificateFailure, match="A != D\\*E"):
+            char_poly(A)
+
+
+def test_a_division_that_merges_unequal_rows_is_refused_under_optimize():
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, %r)\n"
+        "from test_kernels import _merging_unequal_rows, UNEQUAL_ROWS\n"
+        "from imapk import snf\n"
+        "from imapk.errors import CertificateFailure\n"
+        "assert False, 'asserts are on'\n"
+        "snf._equal_row_classes = _merging_unequal_rows(snf._equal_row_classes)\n"
+        "for A in UNEQUAL_ROWS:\n"
+        "    for kernel in (snf.kgroups_from_incidence, snf.char_poly):\n"
+        "        try:\n"
+        "            kernel(A)\n"
+        "        except CertificateFailure:\n"
+        "            print('CertificateFailure')\n" % str(Path(__file__).parent)
+    )
+    assert _run_optimized(code).split() == ["CertificateFailure"] * 2 * len(UNEQUAL_ROWS)
+
+
+@pytest.mark.parametrize("B, classes, message", [
+    ([[2, 1], [1, 1]], [0, 0, 2], "the classes do not divide the states"),
+    ([[2, 1], [1, 1]], [0, 1, 1], "A != D\\*E"),
+    ([[2, 1]], [0, 0, 1], "B is not the size of E\\*D"),
+    ([[2, 1], [1, 0]], [0, 0, 1], "B != E\\*D"),
+])
+def test_the_amalgamation_certificate_names_what_fails(B, classes, message):
+    # rows 0 and 1 of A are equal: with classes [0, 0, 1], B = [[2, 1], [1, 1]]
+    A, E = [[1, 1, 1], [1, 1, 1], [0, 1, 1]], [[1, 1, 1], [0, 1, 1]]
+    snf._verify_amalgamation(A, [[2, 1], [1, 1]], [0, 0, 1], E)
+    with pytest.raises(CertificateFailure, match=message):
+        snf._verify_amalgamation(A, B, classes, E)
 
 
 # -- Perron bisection ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Pipeline-level behavior: verdict routing, soundness gates, invariants."""
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ from imapk.ktheory import minimal_polynomial_iter, unimodal_minpoly, unimodal_or
 from imapk.markov import MarkovData, detect_markov
 from imapk.orbit import critical_closure, forward_orbit
 from imapk.report import run
-from imapk.snf import kgroups_from_incidence
+from imapk.scalar import as_scalar
+from imapk.snf import amalgamate, kgroups_from_incidence
 from imapk.specfile import parse_spec
 from imapk.stepfun import apply_int_poly, indicator
 
@@ -181,6 +183,35 @@ def test_conjugacy_by_the_flip_keeps_the_closure_kgroups_entropy_and_minpoly():
         assert _flip_invariants(flip, 2000) == got, i
         kinds.add(got[0])
     assert kinds == {"markov", "provably_infinite", "cap_reached", "size_limit_reached"}
+
+
+def _realization_matrix(rng, n):
+    """A random n x n 0/1 matrix of density about 0.3 plus the n-cycle, so
+    no row and no column is zero."""
+    A = [[int(rng.random() < 0.3) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        A[i][(i + 1) % n] = 1
+    return A
+
+
+@pytest.mark.parametrize("n, seed", [(n, n) for n in range(5, 13)] + [(20, 20)])
+def test_markov_refinement_keeps_the_kgroups_of_a_random_realization(n, seed):
+    # the canonical partition refines {j/n}, over which the matrix is A itself;
+    # the kernels merge equal states, but the report prints the N x N matrix
+    A = _realization_matrix(random.Random(seed), n)
+    spec = parse_spec("map { family = markov_realization; matrix = %s }" % A)
+    partition = [as_scalar(Fraction(j, n)) for j in range(n + 1)]
+    report, code = run("ktheory", spec, {"partition": partition})
+    assert code == 0
+    data, coarse = report["markov"]["data"], report["markov"]["user_partition"]
+    N = len(data["partition"]) - 1
+    assert len(data["matrix"]) == N > n and all(len(row) == N for row in data["matrix"])
+    assert len(amalgamate(data["matrix"])[0]) < N
+    assert coarse["matrix"] == A
+    expected = kgroups_from_incidence(A).as_dict()
+    assert report["kgroups"]["incidence_route"] == coarse["kgroups"] == expected
+    checks = {c["check"]: c["status"] for c in report["consistency"]}
+    assert checks["kgroups invariant under Markov partition refinement"] == "pass"
 
 
 def test_orbit_determinism(golden_beta):

@@ -7,6 +7,7 @@ a Python exception, and the CLI turns it into `error: ...` with exit code 1.
 
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 from imapk.cli import main
 from imapk.errors import ImapkError, SpecSemanticError, SpecSyntaxError
 from imapk.families import EXPLICIT_MAP, FAMILIES
-from imapk.specfile import _OPTION_KEYS, parse_spec
+from imapk import specfile
+from imapk.specfile import _OPTION_KEYS, parse_spec, read_value
 
 GOLDEN_FIELD = "field { poly = [-1,-1,1]; iso = [1,2] }\n"
 
@@ -175,6 +177,9 @@ def test_malformed_spec_text_is_an_error_at_its_line_and_column(text, tmp_path, 
     ("map { family = beta; beta = 2; beta = 3 }", "line 1, column 32: duplicate key 'beta'"),
     ("map { family = beta; beta = [2] }", "line 1, column 29: expected a scalar"),
     ("map { family = beta; beta = 1/0 }", "line 1, column 29: malformed number '1/0'"),
+    # the tokenizer takes any character str.isdigit accepts, such as a superscript
+    ("map { family = beta; beta = 3\u00b2 }", "line 1, column 29: malformed number '3\u00b2'"),
+    ("map { family = tent }\noptions { cap = 3\u00b2 }", "line 2, column 17: malformed number '3\u00b2'"),
     ("map { family = nosuch }", "line 1, column 7: unknown family 'nosuch'"),
     ("map { family = beta }", "line 1, column 1: family beta needs beta"),
     ("map { partition = [0, 1] }", "line 1, column 1: a map without a family needs branch"),
@@ -188,6 +193,26 @@ def test_error_messages_name_the_offending_key_or_value(text, message):
     with pytest.raises(SpecSemanticError) as err:
         parse_spec(text)
     assert str(err.value) == message
+
+
+def test_an_integer_token_is_read_without_a_fraction(monkeypatch):
+    # a token without "/" is read by int; only a rational kind wraps it
+    read = []
+
+    def spy(*args):
+        read.extend(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(specfile, "Fraction", spy)
+    spec = parse_spec("map { family = markov_realization; matrix = [[0,1,1],[1,0,1],[1,1,0]] }\n"
+                      "options { cap = 40 }")
+    assert read == [] and spec.options["cap"] == 40
+    for text, kind, want in [("-7", "int", -7), ("-7", "rational", Fraction(-7)),
+                             ("4/2", "int", 2), ("4/2", "rational", Fraction(2)),
+                             ("1/3", "rational", Fraction(1, 3))]:
+        number = read_value(("number", specfile._Token("number", text, 1, 1)), kind)
+        assert number == want and type(number) is type(want)
+    assert read == [-7, "4/2", "4/2", "1/3"]
 
 
 @pytest.mark.parametrize("text, message", [
