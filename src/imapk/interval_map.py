@@ -19,21 +19,17 @@ Each image of a point has one source:
   point once, and ``report.run`` empties the table when its report is built.
   The interior walks of a rational map (``orbit._pair_walk``) run on integer
   pairs and read no table;
-* a transfer breakpoint's image is mapped by its own branch, once per
-  iteration, into the iteration's ``places`` (``stepfun.transfer``).
+* a transfer breakpoint's image is mapped by its own branch once per
+  ``stepfun.Numbering``: once per iteration, and once per Horner re-check,
+  which numbers in a table of its own.
 
 The re-checks of a result (a closed orbit, a valuation witness, a minimal
 polynomial) never read the table: they evaluate the branches directly.
 
 ``PMMap.locate`` places a point among the partition points for ``limits``,
-``branch_index_at`` and ``stepfun``'s transfer step, and answers what
-``bisect_left`` and one equality test would.  It reads what it builds on
-its first call: a dict from each partition point to its index, and the
-points' 64-bit sort keys (``scalar._sort_key``) as two sorted int lists of
-lower and upper bounds.  A partition point is found by one dict lookup, since
-scalars are canonical and cache their hashes.  Any other point costs its own
-key and one int bisection of each list, and is compared exactly only with
-the partition points whose bounds overlap its key.
+``branch_index_at`` and ``stepfun.Numbering``, and answers what
+``bisect_left`` and one equality test would, by one dict lookup (scalars are
+canonical and cache their hashes) or one int bisection of 64-bit sort keys.
 """
 
 from __future__ import annotations
@@ -111,7 +107,7 @@ class PMMap:
         self.partition = tuple(partition)
         self.branches = tuple(branches)
         # equal domain-end images share one object, so a dict keyed by them
-        # (the jumps of a transfer step) finds each by identity
+        # (the numbering of a transfer step) finds each by identity
         shared = {ZERO: ZERO, ONE: ONE}
         for b in self.branches:
             b.ends = tuple(shared.setdefault(y, y) for y in b.ends)

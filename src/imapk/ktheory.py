@@ -9,14 +9,14 @@ than one applies:
   dependence, valid when the constant function generates the whole module,
   which is certified automatically for surjective unimodal maps sending 1 to
   0 and for beta-transformations, and otherwise requires a user assertion.
-  The iterates live in the jump coordinates of ``stepfun``; from the first
-  step that brings no new breakpoint on, each iterate is reduced once against
-  one fraction-free echelon basis of the earlier ones.  A report skips the
-  iteration on a continuous map when ``orbit.chains_prove_independence``
-  shows from the partition points' orbits that 1, L1, ..., L^k 1 are
-  independent for k = min(cap, 64): then no dependence exists within the
-  steps the iteration may take, and the report says ``not_found_within_cap``
-  without a transfer step;
+  The iterates live in the jump coordinates of ``stepfun``, keyed by the
+  numbers of one ``stepfun.Numbering`` of the map, and are reduced against
+  one fraction-free echelon basis (``minimal_polynomial_iter``).  A report
+  skips the iteration on a continuous map when
+  ``orbit.chains_prove_independence`` shows from the partition points' orbits
+  that 1, L1, ..., L^k 1 are independent for k = min(cap, 64): then no
+  dependence exists within the steps the iteration may take, and the report
+  says ``not_found_within_cap`` without a transfer step;
 * closed forms for the unimodal and beta families: one polynomial of the
   weights that the orbit of the critical value gives.
 
@@ -47,7 +47,7 @@ from .interval_map import ONE, ZERO, is_surjective
 from .polynomials import IntPoly, monic_from_dependence
 from .scalar import sort_scalars
 from .snf import KGroups, Route
-from .stepfun import apply_int_poly, indicator, transfer
+from .stepfun import Numbering, NumberedFn, apply_int_poly, indicator, transfer
 from . import orbit as orbit_mod
 
 
@@ -83,9 +83,10 @@ class NotFoundWithinCap:
 def _reduce(rows, f, index):
     """Reduce the iterate v_index = f once against the echelon rows.
 
-    The coordinates of f are its jumps, with its value at 0^+ as the jump at
-    0.  A row is (pivot, coords, combo) with coords = sum_j combo[j] * v_j in
-    integers, coords[pivot] != 0 and every later row zero at pivot.  A row
+    The coordinates of f, a NumberedFn, are its jumps, with its value at 0^+
+    as the jump at 0, number 0.  A row is (pivot, coords, combo) with
+    coords = sum_j combo[j] * v_j in integers, coords[pivot] != 0 and every
+    later row zero at pivot.  A row
     whose pivot entry a meets an entry b of f turns f into (a/g)*f - (b/g)*row,
     g = gcd(a, b), and the result is divided by its content, so no fraction
     appears.  If nothing is left, the relation combo is returned:
@@ -94,7 +95,7 @@ def _reduce(rows, f, index):
     """
     coords = dict(f.jumps)
     if f.start:
-        coords[ZERO] = f.start
+        coords[0] = f.start
     combo = {index: 1}
     for pivot, row, row_combo in rows:
         b = coords.get(pivot)
@@ -128,8 +129,8 @@ def minimal_polynomial_iter(m, cap=64, breakpoint_cap=10000):
     """Minimal polynomial of the transfer operator on the module over 1.
 
     Iterates v_{k+1} = L v_k from v_0 = 1 and returns the monic polynomial of
-    the first exact dependence, re-verified by applying it through fresh
-    transfer evaluations.  Surjectivity is required; non-integral dependence
+    the first exact dependence, re-verified by ``apply_int_poly`` in a
+    numbering of its own.  Surjectivity is required; non-integral dependence
     coefficients are surfaced as an error, never rounded.
 
     An iterate with a breakpoint that the earlier ones lack is independent of
@@ -140,15 +141,12 @@ def minimal_polynomial_iter(m, cap=64, breakpoint_cap=10000):
     """
     if not is_surjective(m):
         raise NotSurjective("minimal polynomial route requires a surjective map")
-    v0 = indicator(ZERO, ONE)
-    vs = [v0]
-    # the breakpoints of v_0 .. v_{k-1}, carried across steps so that each
-    # breakpoint is hashed once rather than once per step
-    accumulated = set(v0.jumps)
-    places = {}  # every point located once per iteration; see stepfun.transfer
+    table = Numbering(m)
+    vs = [NumberedFn(1, {})]
+    accumulated = set()  # the numbers of the breakpoints of v_0 .. v_{k-1}
     rows = None
     for step in range(1, cap + 1):
-        v = transfer(m, vs[-1], places=places)
+        v = transfer(m, vs[-1], table)
         grown = accumulated.union(v.jumps)
         if len(grown) > breakpoint_cap:
             return NotFoundWithinCap(breakpoint_cap, step)
@@ -162,7 +160,7 @@ def minimal_polynomial_iter(m, cap=64, breakpoint_cap=10000):
             if any(c.denominator != 1 for c in coeffs):
                 raise NonIntegerDependence(coeffs)
             poly = monic_from_dependence([int(c) for c in coeffs], step)
-            if not apply_int_poly(m, poly, v0).is_zero:
+            if not apply_int_poly(m, poly, indicator(ZERO, ONE)).is_zero:
                 raise CertificateFailure(
                     "minimal polynomial %s does not annihilate 1" % poly.text()
                 )

@@ -67,7 +67,7 @@ from .orbit import (
     keane_idoc,
 )
 from .scalar import NumberField, as_scalar, scalar_from_text
-from .snf import Route, char_poly, kgroups_from_incidence, stationary_dimension_triple
+from .snf import Route, amalgamate, char_poly, kgroups_from_incidence, stationary_dimension_triple
 from .specfile import OPTIONS
 
 # minimality from the capped walk's certificates, when Keane's theorem decided nothing
@@ -220,10 +220,16 @@ class Pipeline:
         return None if self.markov_data is None else graph_flags(self.markov_data.matrix)
 
     @cached_property
+    def merged_matrix(self):
+        """What `amalgamate` leaves of the Markov matrix, which its
+        characteristic polynomial and its K-groups both read."""
+        return amalgamate(self.markov_data.matrix)[0]
+
+    @cached_property
     def characteristic_polynomial(self):
         """The characteristic polynomial of the Markov matrix, which the
         Perron enclosure and the stationary presentation both read."""
-        return char_poly(self.markov_data.matrix)
+        return char_poly(self.markov_data.matrix, merged=self.merged_matrix)
 
     @cached_property
     def beta(self):
@@ -269,9 +275,9 @@ class Pipeline:
         range when the map is not surjective."""
         if self.markov_data is None:
             return None
-        matrix = self.markov_data.matrix
-        if not self.surjective:
-            matrix, _ = restrict_to_eventual_range(matrix, self.graph_flags)
+        if self.surjective:
+            return kgroups_from_incidence(self.markov_data.matrix, merged=self.merged_matrix)
+        matrix, _ = restrict_to_eventual_range(self.markov_data.matrix, self.graph_flags)
         return kgroups_from_incidence(matrix)
 
     @cached_property

@@ -255,18 +255,18 @@ def _verify_amalgamation(A, B, classes, E):
         require(product == list(target), "B != E*D")
 
 
-def char_poly(A):
+def char_poly(A, merged=None):
     """Characteristic polynomial det(tI - A) of an integer matrix.
 
     It is t^(N-M) det(tI - B) for the M x M matrix B that `amalgamate` leaves
-    of the N x N matrix A; the integer check on A comes first, and B's
-    polynomial is computed by `_char_poly_crt`.
+    of the N x N matrix A, ``merged`` when the caller has it; the integer
+    check on A comes first, and B's polynomial is computed by `_char_poly_crt`.
     """
     n = _require_square(A)
     M = [[int(x) for x in row] for row in A]
     if M != [list(row) for row in A]:
         raise CertificateFailure("characteristic polynomial: not an integer matrix")
-    B, _ = amalgamate(M)
+    B = amalgamate(M)[0] if merged is None else merged
     return IntPoly([0] * (n - len(B)) + list(_char_poly_crt(B).coeffs))
 
 
@@ -508,15 +508,16 @@ def _require_square(A):
     return n
 
 
-def kgroups_from_incidence(A):
+def kgroups_from_incidence(A, merged=None):
     """K-groups of the crossed product algebra from a surjective Markov matrix.
 
     Cokernel and kernel of id - A via the Smith form of id - B, for the
-    matrix B that `amalgamate` leaves of A; callers restrict to the eventual
-    range first when the map is not surjective.
+    matrix B that `amalgamate` leaves of A, ``merged`` when the caller has
+    it; callers restrict to the eventual range first when the map is not
+    surjective.
     """
     _require_square(A)
-    B, _ = amalgamate(A)
+    B = amalgamate(A)[0] if merged is None else merged
     M = mat_sub(identity_matrix(len(B)), B)
     decomp = smith_normal_form(M)
     diag = decomp.diagonal()

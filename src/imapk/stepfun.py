@@ -26,12 +26,15 @@ and at each partition point, give the values at the domain ends, and each
 branch adds the value at its lower end at the image of that end and the drop
 at its upper end at the image of that one.  A jump at 0 is the value at 0^+.
 
-The image of a domain end is read from ``AffineBranch.ends``, and an inner
-breakpoint is mapped by its own branch into ``places`` (``interval_map``
-states where each image of a point comes from).  The iteration passes one
-dict of places to all its steps, so each point is located and mapped once
-per iteration; the Horner re-check in ``apply_int_poly`` starts fresh places
-at every step, so it maps every inner breakpoint by its branch at every step.
+A step runs on numbered breakpoints.  A `Numbering` of a map gives 0 and 1
+the numbers 0 and 1 and numbers the branch-end images (``AffineBranch.ends``)
+when it is built; any other point is numbered on first sight, and its place
+(slot, image number, sign) is computed once, by its own branch, when a step
+first meets it.  A `NumberedFn` keys its jumps by these numbers, so a step
+hashes, compares and builds no Scalar once every breakpoint has its place.
+``transfer(m, f)`` numbers a StepFn in a table of its own; the iteration of
+``ktheory`` passes one table to all its steps, and the Horner re-check in
+``apply_int_poly`` builds its own, so it reads nothing the iteration computed.
 """
 
 from __future__ import annotations
@@ -163,51 +166,107 @@ def linear_comb(coeffs, fns):
     return StepFn._of(start, {x: d for x, d in jumps.items() if d})
 
 
-def _place(m, x):
-    """(slot, image, sign) of a point strictly inside (0, 1).
+class NumberedFn:
+    """A step function whose jumps are keyed by the numbers of a `Numbering`."""
 
-    Slot 2i is the partition point a_i, which lies inside no domain: it has
-    no image and sign 0.  Slot 2i + 1 is the inside of the domain of branch i,
-    whose image of x and monotonicity sign are returned."""
-    i, hit = m.locate(x)
-    if hit:
-        return 2 * i, None, 0
-    branch = m.branches[i - 1]
-    return 2 * i - 1, branch(x), 1 if branch.increasing else -1
+    __slots__ = ("start", "jumps")
+
+    def __init__(self, start, jumps):
+        self.start = start
+        self.jumps = jumps
+
+    @property
+    def breaks(self):
+        """The numbers of the breakpoints, sorted as numbers."""
+        return tuple(sorted(self.jumps))
 
 
-def transfer(m, f, places=None):
+class Numbering:
+    """The points of the step functions on the map m, numbered.
+
+    ``points[k]`` is the point of number k, ``places[k]`` its place or None
+    until a step meets it, and ``ends[i]`` is (sign, number of branch(lo),
+    number of branch(hi)) for branch i."""
+
+    __slots__ = ("m", "ids", "points", "places", "ends")
+
+    def __init__(self, m):
+        self.m = m
+        self.ids = {ZERO: 0, ONE: 1}
+        self.points = [ZERO, ONE]
+        self.places = [None, None]
+        self.ends = [(1 if b.increasing else -1, self.number(b.ends[0]), self.number(b.ends[1]))
+                     for b in m.branches]
+
+    def number(self, x):
+        k = self.ids.setdefault(x, len(self.points))
+        if k == len(self.points):
+            self.points.append(x)
+            self.places.append(None)
+        return k
+
+    def place(self, k):
+        """(slot, image number, sign) of the point numbered k, strictly inside
+        (0, 1), computed once.
+
+        Slot 2i is the partition point a_i, which lies inside no domain: it
+        has no image and sign 0.  Slot 2i + 1 is the inside of the domain of
+        branch i, whose image of the point and monotonicity sign are given."""
+        x = self.points[k]
+        i, hit = self.m.locate(x)
+        if hit:
+            place = (2 * i, None, 0)
+        else:
+            branch = self.m.branches[i - 1]
+            place = (2 * i - 1, self.number(branch(x)), 1 if branch.increasing else -1)
+        self.places[k] = place
+        return place
+
+    def numbered(self, f):
+        return NumberedFn(f.start, {self.number(x): d for x, d in f.jumps.items()})
+
+    def unnumbered(self, f):
+        return StepFn._of(f.start, {self.points[k]: d for k, d in f.jumps.items()})
+
+    def step(self, f):
+        """L f for a NumberedFn f of this table."""
+        places = self.places
+        slot_sums = [0] * (2 * len(self.ends) + 1)
+        jumps = {}
+        for k, d in f.jumps.items():
+            slot, y, sign = places[k] or self.place(k)
+            slot_sums[slot] += d
+            _add_jump(jumps, y, sign * d)
+        value = f.start
+        for i, (sign, lo, hi) in enumerate(self.ends):
+            value += slot_sums[2 * i]
+            _add_jump(jumps, lo, sign * value)
+            value += slot_sums[2 * i + 1]
+            _add_jump(jumps, hi, -sign * value)
+        jumps.pop(1, None)
+        return NumberedFn(jumps.pop(0, 0), {k: d for k, d in jumps.items() if d})
+
+
+def transfer(m, f, table=None):
     """Transfer operator: (Lf)(x) = sum of f over the preimages of x.
 
-    ``places`` holds the ``_place`` of each point already located on m; an
-    iteration passes one dict to all its steps."""
-    if places is None:
-        places = {}
-    slot_sums = [0] * (2 * len(m.branches) + 1)
-    jumps = {}
-    for x, d in f.jumps.items():
-        place = places.get(x)
-        if place is None:
-            place = places[x] = _place(m, x)
-        slot, y, sign = place
-        slot_sums[slot] += d
-        _add_jump(jumps, y, sign * d)
-    value = f.start
-    for i, branch in enumerate(m.branches):
-        sign = 1 if branch.increasing else -1
-        lo_image, hi_image = branch.ends
-        value += slot_sums[2 * i]
-        _add_jump(jumps, lo_image, sign * value)
-        value += slot_sums[2 * i + 1]
-        _add_jump(jumps, hi_image, -sign * value)
-    jumps.pop(ONE, None)
-    return StepFn._of(jumps.pop(ZERO, 0), {x: d for x, d in jumps.items() if d})
+    f is a StepFn, or a NumberedFn of the `Numbering` ``table`` of m, and the
+    result is of the same kind."""
+    if table is not None:
+        return table.step(f)
+    table = Numbering(m)
+    return table.unnumbered(table.step(table.numbered(f)))
 
 
 def apply_int_poly(m, poly, f):
-    """Evaluate p(L) applied to f by Horner, each step a fresh transfer
-    with its own places."""
-    acc = ZERO_FN
+    """Evaluate p(L) applied to the StepFn f by Horner; the steps share one
+    `Numbering` of their own, which maps each inner breakpoint once."""
+    table = Numbering(m)
+    f = table.numbered(f)
+    acc = NumberedFn(0, {})
     for c in reversed(poly.coeffs):
-        acc = transfer(m, acc) + c * f
-    return acc
+        acc = transfer(m, acc, table)
+        for k, d in f.jumps.items():
+            _add_jump(acc.jumps, k, c * d)
+        acc = NumberedFn(acc.start + c * f.start, {k: d for k, d in acc.jumps.items() if d})
+    return table.unnumbered(acc)

@@ -381,7 +381,7 @@ def test_a_failed_check_is_named_in_the_text_of_an_exit_3_run(tmp_path, capsys, 
     from imapk.snf import kgroups_from_incidence
 
     monkeypatch.setattr(
-        report, "kgroups_from_incidence", lambda matrix: kgroups_from_incidence([[3]])
+        report, "kgroups_from_incidence", lambda matrix, merged=None: kgroups_from_incidence([[3]])
     )
     path = tmp_path / "tent.imapk"
     path.write_text(TENT_SPEC)

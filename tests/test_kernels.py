@@ -60,7 +60,7 @@ from imapk.snf import (
     smith_normal_form,
     stationary_dimension_triple,
 )
-from imapk.stepfun import ZERO_FN, StepFn, linear_comb, transfer
+from imapk.stepfun import ZERO_FN, Numbering, NumberedFn, StepFn, linear_comb, transfer
 from test_families import _dyadic_exchange, _dyadic_multimodal
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -357,6 +357,8 @@ def test_amalgamation_keeps_the_kernels_and_every_round_is_a_division():
         assert kg.torsion == [d for d in diag if d >= 2], A
         assert kg.free_rank == kg.k1_rank == diag.count(0), A
         assert char_poly(A) == snf._char_poly_crt(A), A
+        # a caller that has B passes it, and both kernels answer the same
+        assert (char_poly(A, merged=B), kgroups_from_incidence(A, merged=B)) == (char_poly(A), kg)
 
 
 def _merging_unequal_rows(real):
@@ -798,6 +800,14 @@ def dependence_problems(draw):
     return basis, target
 
 
+def numbered(fns):
+    """The StepFns as NumberedFns, their breakpoints numbered from 2 up in
+    order of first sight, as a Numbering numbers the points inside (0, 1)."""
+    ids = {}
+    return [NumberedFn(f.start, {ids.setdefault(x, len(ids) + 2): d for x, d in f.jumps.items()})
+            for f in fns]
+
+
 def echelon_solve(basis, target):
     """sum x_i * basis_i = target through the library's echelon reduction.
 
@@ -805,6 +815,7 @@ def echelon_solve(basis, target):
     solution uses the first independent members in order, as the pivots of
     the Gauss-Jordan references do."""
     rows = []
+    *basis, target = numbered(basis + [target])
     for index, f in enumerate(basis):
         _reduce(rows, f, index)
     combo = _reduce(rows, target, len(basis))
@@ -886,6 +897,7 @@ def test_solve_dependence_planted_coefficients_recovered():
     assert echelon_solve(basis, StepFn((c[5],), (0, 1))) is None
     # the reduction returns the relation, with the target's own coefficient
     rows = []
+    *basis, target = numbered(basis + [target])
     assert [_reduce(rows, f, i) for i, f in enumerate(basis)] == [None] * 3
     combo = _reduce(rows, target, 3)
     assert [Fraction(combo.get(j, 0), combo[3]) for j in range(4)] == [-2, 3, -5, 1]
@@ -969,13 +981,14 @@ def test_transfer_matches_per_branch_reference():
             f = _dyadic_step_function(rng)
             assert transfer(m, f) == reference_transfer(m, f)
         # the iterates of 1, whose breakpoints are the images of earlier ones,
-        # with one dict of places for all steps, as the iteration passes it
+        # in one numbering for all steps, as the iteration passes it
         f = StepFn((), (1,))
-        places = {}
+        table = Numbering(m)
+        g = table.numbered(f)
         for _ in range(4):
-            g = transfer(m, f, places)
-            assert g == reference_transfer(m, f) == transfer(m, f)
-            f = g
+            g = transfer(m, g, table)
+            assert table.unnumbered(g) == reference_transfer(m, f) == transfer(m, f)
+            f = table.unnumbered(g)
 
 
 @KERNEL_SETTINGS
@@ -1220,6 +1233,60 @@ def test_minimal_polynomial_reverification_raises(tent, monkeypatch):
     monkeypatch.setattr(ktheory, "_reduce", lambda rows, f, index: {0: -3, 1: 1} if index else None)
     with pytest.raises(CertificateFailure):
         minimal_polynomial_iter(tent)
+
+
+# the orbit 0, 1/4, 5/8, 3/4, 1/2, 1 closes: the iteration finds
+# t^5 - t^4 - t^3 - t^2 + t - 1, breaking at 1/4, 5/8 and 3/4 on its way
+PERIODIC_UNIMODAL = (
+    "map { partition = [0, 1/2, 1]\n"
+    "  branch = { slope = 3/2, intercept = 1/4 }\n"
+    "  branch = { slope = -2, intercept = 2 } }"
+)
+
+
+def _misnumbering(numbering):
+    """A subclass of `numbering` whose tables give 1/4 the image number of 1
+    instead of the number of 5/8, so the jump there leaves (0, 1)."""
+    quarter = as_scalar(Fraction(1, 4))
+
+    class Misnumbering(numbering):
+        __slots__ = ()
+
+        def place(self, k):
+            place = super().place(k)
+            if self.points[k] == quarter:
+                place = self.places[k] = (place[0], 1, place[2])
+            return place
+
+    return Misnumbering
+
+
+def test_the_recheck_reads_nothing_the_iteration_numbered(monkeypatch):
+    # only the iteration's table is wrong: it finds t^2 - t - 1, and the
+    # re-check, which numbers the breakpoints in a table of its own, refuses it
+    m = parse_spec(PERIODIC_UNIMODAL).map
+    assert minimal_polynomial_iter(m).poly == IntPoly([-1, 1, -1, -1, -1, 1])
+    monkeypatch.setattr(ktheory, "Numbering", _misnumbering(ktheory.Numbering))
+    with pytest.raises(CertificateFailure, match="t\\^2 - t - 1 does not annihilate 1"):
+        minimal_polynomial_iter(m)
+
+
+def test_the_recheck_reads_nothing_the_iteration_numbered_under_optimize():
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, %r)\n"
+        "from test_kernels import _misnumbering, PERIODIC_UNIMODAL\n"
+        "from imapk import ktheory\n"
+        "from imapk.errors import CertificateFailure\n"
+        "from imapk.specfile import parse_spec\n"
+        "assert False, 'asserts are on'\n"
+        "ktheory.Numbering = _misnumbering(ktheory.Numbering)\n"
+        "try:\n"
+        "    ktheory.minimal_polynomial_iter(parse_spec(PERIODIC_UNIMODAL).map)\n"
+        "except CertificateFailure:\n"
+        "    print('CertificateFailure')\n" % str(Path(__file__).parent)
+    )
+    assert _run_optimized(code) == "CertificateFailure"
 
 
 def reference_unimodal_minpoly(signs, k, p):

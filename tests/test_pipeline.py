@@ -1,12 +1,14 @@
 """Pipeline-level behavior: verdict routing, soundness gates, invariants."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import make_rational_map
+from imapk import ktheory, stepfun
 from imapk.entropy import perron_enclosure
 from imapk.errors import NotSurjective
 from imapk.interval_map import eval_multivalued, validate_map
@@ -14,10 +16,10 @@ from imapk.ktheory import minimal_polynomial_iter, unimodal_minpoly, unimodal_or
 from imapk.markov import MarkovData, detect_markov
 from imapk.orbit import critical_closure, forward_orbit
 from imapk.report import run
-from imapk.scalar import as_scalar
+from imapk.scalar import Scalar, as_scalar
 from imapk.snf import amalgamate, kgroups_from_incidence
 from imapk.specfile import parse_spec
-from imapk.stepfun import apply_int_poly, indicator
+from imapk.stepfun import apply_int_poly, indicator, transfer
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -212,6 +214,51 @@ def test_markov_refinement_keeps_the_kgroups_of_a_random_realization(n, seed):
     assert report["kgroups"]["incidence_route"] == coarse["kgroups"] == expected
     checks = {c["check"]: c["status"] for c in report["consistency"]}
     assert checks["kgroups invariant under Markov partition refinement"] == "pass"
+
+
+def test_the_iteration_hashes_no_scalar_once_the_breakpoints_stop_growing(monkeypatch):
+    # the n = 20 realization above: its iteration takes 20 steps, which meet
+    # 376 jumps at 19 distinct breakpoints.  In the steps and the reductions,
+    # a Scalar is hashed or compared only where a table places a point for
+    # the first time (the iteration's table, then the re-check's), so the
+    # calls stay within a few per distinct breakpoint, fewer than the jumps
+    # met.  An earlier run builds the map's index of partition points.
+    A = _realization_matrix(random.Random(20), 20)
+    m = parse_spec("map { family = markov_realization; matrix = %s }" % A).map
+    report = minimal_polynomial_iter(m)
+    f, points, met = indicator(0, 1), set(), 0
+    for _ in range(report.iterations):
+        f = transfer(m, f)
+        points.update(f.jumps)
+        met += len(f.jumps)
+    assert (report.iterations, len(points), met) == (20, 19, 376)
+    calls, depth = Counter(), []
+
+    def counted(name, method):
+        def each_call(*args):
+            if depth:
+                calls[name] += 1
+            return method(*args)
+
+        return each_call
+
+    def looped(fn):
+        def each_call(*args, **kwargs):
+            depth.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth.pop()
+
+        return each_call
+
+    for name in ("__hash__", "__eq__", "compare"):
+        monkeypatch.setattr(Scalar, name, counted(name, Scalar.__dict__[name]))
+    monkeypatch.setattr(stepfun, "transfer", looped(stepfun.transfer))
+    monkeypatch.setattr(ktheory, "transfer", looped(ktheory.transfer))
+    monkeypatch.setattr(ktheory, "_reduce", looped(ktheory._reduce))
+    assert minimal_polynomial_iter(m).poly == report.poly
+    assert sum(calls.values()) <= 6 * len(points) < met
 
 
 def test_orbit_determinism(golden_beta):

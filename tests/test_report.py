@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imapk import entropy, families, interval_map, ktheory, orbit, report, stepfun
+from imapk import entropy, families, interval_map, ktheory, orbit, report, snf, stepfun
 from imapk.entropy import entropy_report, perron_enclosure
 from imapk.errors import CertificateFailure, InvalidMarkovPartition, ReducibleMinimalPolynomial
 from imapk.interval_map import AffineBranch
@@ -290,6 +290,15 @@ def test_one_characteristic_polynomial_per_markov_report(name, command, monkeypa
     assert calls["char_poly"] == 1
 
 
+@pytest.mark.parametrize("name", ["tent", "realization", "golden_beta"])
+@pytest.mark.parametrize("command", ["classify", "all"])
+def test_one_merge_of_the_markov_matrix_per_report(name, command, monkeypatch):
+    # the K-groups and the characteristic polynomial read one merged matrix
+    calls = count_calls(monkeypatch, snf.amalgamate, char_poly, kgroups_from_incidence)
+    run(command, parse_spec((ROOT / "specs" / ("%s.imapk" % name)).read_text()))
+    assert calls["char_poly"] == calls["kgroups_from_incidence"] == calls["amalgamate"] == 1
+
+
 def test_an_isolated_perron_root_takes_one_sturm_count(monkeypatch):
     # (0, 2] holds only the golden ratio, so sign tests make every halving;
     # only the bisection's counts are counted, not the NumberField's own check
@@ -337,7 +346,7 @@ def test_orbit_does_not_validate_a_partition_it_does_not_use():
 def test_a_failed_consistency_check_exits_3(monkeypatch):
     # an incidence route that disagrees with |m(1)| = 1 of the tent map
     monkeypatch.setattr(
-        report, "kgroups_from_incidence", lambda matrix: kgroups_from_incidence([[3]])
+        report, "kgroups_from_incidence", lambda matrix, merged=None: kgroups_from_incidence([[3]])
     )
     got, code = run("classify", parse_spec("map { family = tent }"))
     statuses = {c["check"]: c["status"] for c in got["consistency"]}
@@ -478,7 +487,7 @@ PERIODIC_UNIMODAL = (
 
 
 # the minimal polynomial has degree 7, and the Horner re-check meets 5 inner
-# points 10 times
+# points 10 times, and maps each once
 RECURRING_RECHECK = (
     "map { partition = [0, 6/7, 1]\n"
     "  branch = { slope = 1, intercept = 1/7 }\n"
@@ -493,10 +502,10 @@ RECURRING_RECHECK = (
     RECURRING_RECHECK,
 ], ids=["realization", "golden_beta", "periodic_unimodal", "recurring_recheck"])
 def test_transfer_steps_map_no_domain_end(spec_text, monkeypatch):
-    # a branch maps its domain ends when it is built; the iteration maps each
-    # inner breakpoint by its own branch once, however many iterates break
-    # there, and the Horner re-check, with fresh places at every step, maps
-    # each one by its branch at every step; no step reads the table
+    # a branch maps its domain ends when it is built; the iteration numbers
+    # its breakpoints in one table and maps each inner one by its own branch
+    # once, however many iterates break there, and the Horner re-check does
+    # the same in a table of its own; no step reads the table of images
     m = parse_spec(spec_text).map
     calls = count_calls(monkeypatch, interval_map.eval_multivalued, interval_map.limits)
     mapped = []
@@ -506,39 +515,38 @@ def test_transfer_steps_map_no_domain_end(spec_text, monkeypatch):
         mapped.append((branch, x))
         return branch_call(branch, x)
 
-    steps = []  # (places of an iteration step or None, inner breakpoints, points mapped)
-    iterated = set()  # the inner breakpoints of the iteration's steps
+    steps = []  # (numbering, inner breakpoints, points mapped) of each step
     step = stepfun.transfer
 
-    def each_step(m, f, places=None):
+    def each_step(m, f, table):
         before = len(mapped)
-        result = step(m, f, places)
-        inner = [b for b in f.jumps if b not in m.partition]
-        if places is not None:
-            iterated.update(inner)
-        steps.append((places, len(inner), len(mapped) - before))
+        result = step(m, f, table)
+        inner = [table.points[k] for k in f.jumps if table.points[k] not in m.partition]
+        steps.append((table, inner, len(mapped) - before))
         return result
 
     monkeypatch.setattr(AffineBranch, "__call__", each_call)
     monkeypatch.setattr(stepfun, "transfer", each_step)
     monkeypatch.setattr(ktheory, "transfer", each_step)
-    assert ktheory.minimal_polynomial_iter(m).method == "iteration"
+    report = ktheory.minimal_polynomial_iter(m)
+    assert report.method == "iteration"
     assert not calls
     assert not [(b, x) for b, x in mapped if x == b.lo or x == b.hi]
-    iteration = [(places, inner, n) for places, inner, n in steps if places is not None]
-    rechecks = [(inner, n) for places, inner, n in steps if places is None]
-    assert rechecks and all(inner == n for inner, n in rechecks)
-    # one dict of places for the whole iteration, which maps each of its
-    # inner breakpoints once
-    assert len({id(places) for places, _, _ in iteration}) == 1
-    assert sum(n for _, _, n in iteration) == len(iterated)
-    assert len(mapped) == len(iterated) + sum(n for _, n in rechecks)
+    # the iteration's table, then the re-check's, one step per coefficient
+    tables = list({id(table): table for table, _, _ in steps}.values())
+    assert len(tables) == 2
+    iteration, recheck = ([(inner, n) for t, inner, n in steps if t is table] for table in tables)
+    assert (len(iteration), len(recheck)) == (report.iterations, report.poly.degree + 1)
+    met = [set(x for inner, _ in part for x in inner) for part in (iteration, recheck)]
+    assert [sum(n for _, n in part) for part in (iteration, recheck)] == [len(points) for points in met]
+    assert len(mapped) == len(met[0]) + len(met[1])
     if spec_text == PERIODIC_UNIMODAL:
-        assert sum(n for _, n in rechecks) == 3
         # three inner points, met 9 times by the 5 steps of the iteration
-        assert (len(iterated), sum(inner for _, inner, _ in iteration)) == (3, 9)
+        assert (len(met[0]), sum(len(inner) for inner, _ in iteration)) == (3, 9)
+        assert len(met[1]) == 3
     if spec_text == RECURRING_RECHECK:
-        assert sum(n for _, n in rechecks) == 10
+        # five inner points, met 10 times by the steps of the re-check
+        assert (len(met[1]), sum(len(inner) for inner, _ in recheck)) == (5, 10)
 
 
 def test_a_report_renders_each_scalar_text_once(monkeypatch):

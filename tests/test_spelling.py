@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from imapk.ktheory import minimal_polynomial_iter
 from imapk.report import run
 from imapk.specfile import parse_spec
 
@@ -96,3 +97,36 @@ def test_the_realization_of_the_full_two_shift_is_the_doubling_map():
     assert code == 0
     assert report["classification"]["verdict"] == "cuntz_algebra"
     assert report["classification"]["index"] == 2
+
+
+# phi as the root of x^2 - x - 1 in [1, 2], as the shipped specs spell it,
+# and as (1 + sqrt 5)/2 with sqrt 5 the root of x^2 - 5 in [2, 3]
+SQRT5_FIELD = "field { poly = [-5,0,1]; iso = [2,3] }\n"
+PRESENTATIONS = {
+    "golden_beta": (
+        "map { family = beta; beta = alg:[0,1] }",
+        "map { family = beta; beta = alg:[1/2,1/2] }",
+    ),
+    "golden_exchange": (
+        # lengths 1/phi^2 = 2 - phi = (3 - sqrt 5)/2 and 1/phi = phi - 1 = (sqrt 5 - 1)/2
+        "map { family = interval_exchange; lengths = [alg:[2,-1], alg:[-1,1]]; permutation = [2,1] }",
+        "map { family = interval_exchange; lengths = [alg:[3/2,-1/2], alg:[-1/2,1/2]]; "
+        "permutation = [2,1] }",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_the_golden_maps_do_not_depend_on_the_presentation_of_phi(name):
+    over_phi, over_sqrt5 = PRESENTATIONS[name]
+    shipped = parse_spec((SPECS[0].parent / ("%s.imapk" % name)).read_text()).map
+    assert parse_spec(GOLDEN_FIELD + over_phi).map == shipped
+    found = []
+    for text in (GOLDEN_FIELD + over_phi, SQRT5_FIELD + over_sqrt5):
+        spec = parse_spec(text)
+        report, code = run("classify", spec)
+        found.append((spec.map.field.poly, minimal_polynomial_iter(spec.map).poly,
+                      report["kgroups"], report["classification"], code))
+    (phi_poly, *from_phi), (sqrt5_poly, *from_sqrt5) = found
+    assert (phi_poly, sqrt5_poly) == ((-1, -1, 1), (-5, 0, 1))
+    assert from_phi == from_sqrt5
